@@ -11,6 +11,7 @@ import numpy as np
 from qcond import (
     Observable,
     RealValuedObservable,
+    apply,
     bar_channel,
     bayes1_check,
     bayes1_expectation_check,
@@ -62,8 +63,7 @@ print("expectation routes agree:", t.spread < 1e-12)
 
 flip = holevo_instrument(Z, {"0": P1, "1": P0})
 bar = bar_channel(flip)
-print("\nbar(rho) =\n", np.round(np.real(
-    sum(k @ rho @ k.conj().T for k in bar.kraus)), 6))
+print("\nbar(rho) =\n", np.round(np.real(apply(bar, rho)), 6))
 print("(P0 | flip) =\n", condition_effect(P0, flip).real)
 
 # --- composing instruments ----------------------------------------------------

@@ -116,10 +116,7 @@ def validate_instrument(ins: Instrument, tol: Tolerance = DEFAULT_TOL) -> list[V
 
 def bar_channel(ins: Instrument) -> Operation:
     """The total operation: Kraus union over all outcomes."""
-    kraus: list[np.ndarray] = []
-    for x in ins.outcomes:
-        kraus.extend(ins.ops[x].kraus)
-    return Operation(tuple(kraus))
+    return Operation._adopt(np.concatenate([ins.ops[x].kraus for x in ins.outcomes]))
 
 
 def measured_observable(ins: Instrument) -> Observable:

@@ -55,8 +55,8 @@ def as_matrix(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of the last two axes, so it maps over a Kraus stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def frobenius(m: np.ndarray) -> float:

@@ -60,23 +60,36 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Operation:
-    """A Kraus family.  Structure is checked here, the trace bound by validate_operation."""
+    """A Kraus family, stored as one read-only complex128 array of shape (k, d, d).
 
-    kraus: tuple[np.ndarray, ...]
+    The constructor takes a sequence of square matrices or a 3-D array and
+    copies it.  Structure is checked here, the trace bound by validate_operation.
+    """
+
+    kraus: np.ndarray
 
     def __init__(self, kraus) -> None:
-        mats = tuple(as_matrix(k) for k in kraus)
-        if not mats:
-            raise DimMismatchError("an operation needs at least one Kraus operator")
-        dim = mats[0].shape[0]
-        for k in mats:
-            if k.shape[0] != dim:
+        if not isinstance(kraus, np.ndarray):
+            kraus = [np.asarray(k, dtype=np.complex128) for k in kraus]
+            if len({k.shape for k in kraus}) > 1:
                 raise DimMismatchError("Kraus operators have mixed dimensions")
-        object.__setattr__(self, "kraus", mats)
+        stack = np.array(kraus, dtype=np.complex128)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not len(stack):
+            raise DimMismatchError(f"expected a nonempty (k, d, d) Kraus stack, got {stack.shape}")
+        stack.flags.writeable = False
+        object.__setattr__(self, "kraus", stack)
+
+    @classmethod
+    def _adopt(cls, stack: np.ndarray) -> Operation:
+        """Wrap a (k, d, d) complex128 stack the caller has just built, without copying it."""
+        op = cls.__new__(cls)
+        stack.flags.writeable = False
+        object.__setattr__(op, "kraus", stack)
+        return op
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,25 +134,18 @@ def validate_context(ctx: MeasurementContext, tol: Tolerance = DEFAULT_TOL) -> l
 
 def apply(op: Operation, rho) -> np.ndarray:
     """sum_i K_i rho K_i*"""
-    rho = as_matrix(rho)
-    out = np.zeros_like(rho)
-    for k in op.kraus:
-        out += k @ rho @ dagger(k)
-    return out
+    return (op.kraus @ as_matrix(rho) @ dagger(op.kraus)).sum(0)
 
 
 def dual_apply(op: Operation, a) -> np.ndarray:
     """Dual (Heisenberg) action on effects: sum_i K_i* a K_i."""
-    a = as_matrix(a)
-    out = np.zeros_like(a)
-    for k in op.kraus:
-        out += dagger(k) @ a @ k
-    return out
+    return (dagger(op.kraus) @ as_matrix(a) @ op.kraus).sum(0)
 
 
 def measured_effect(op: Operation) -> np.ndarray:
-    """The unique effect the operation measures: dual of the identity."""
-    return dual_apply(op, np.eye(op.dim))
+    """The unique effect the operation measures: dual(I) = M* M, M the stack as (k*d, d)."""
+    m = op.kraus.reshape(-1, op.dim)
+    return dagger(m) @ m
 
 
 def is_channel(op: Operation, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -150,11 +156,12 @@ def is_channel(op: Operation, tol: Tolerance = DEFAULT_TOL) -> bool:
 def compose(first: Operation, second: Operation) -> Operation:
     """The operation "first, then second" (applies ``first`` before ``second``).
 
-    Kraus family is all products L_j K_i of second's operators with first's.
+    Kraus family is all products L_j K_i, second's index j outer and first's i inner.
     """
     if first.dim != second.dim:
         raise DimMismatchError(f"cannot compose dims {first.dim} and {second.dim}")
-    return Operation(tuple(l @ k for l in second.kraus for k in first.kraus))
+    products = second.kraus[:, None] @ first.kraus[None, :]
+    return Operation._adopt(products.reshape(-1, first.dim, first.dim))
 
 
 def luders(a, tol: Tolerance = DEFAULT_TOL) -> MeasurementContext:
@@ -180,16 +187,14 @@ def holevo(a, alpha, tol: Tolerance = DEFAULT_TOL) -> MeasurementContext:
         raise DimMismatchError("effect and update state must share a dimension")
     nu, v = hermitian_eig(a, tol)
     mu, w = hermitian_eig(alpha, tol)
-    kraus = [
-        np.sqrt(mu[j] * nu[k]) * np.outer(w[:, j], v[:, k].conj())
-        for j in range(len(mu))
-        if mu[j] > tol.eq_tol
-        for k in range(len(nu))
-        if nu[k] > tol.eq_tol
-    ]
-    if not kraus:
-        kraus = [np.zeros_like(a)]
-    return MeasurementContext(Operation(tuple(kraus)), a)
+    keep_mu, keep_nu = mu > tol.eq_tol, nu > tol.eq_tol
+    # kraus[j, k] = sqrt(mu_j nu_k) |w_j><v_k|, j-major over the kept eigenvalues.
+    outer = w.T[keep_mu][:, None, :, None] * v.T.conj()[keep_nu][None, :, None, :]
+    scale = np.sqrt(mu[keep_mu][:, None] * nu[keep_nu])
+    kraus = (scale[:, :, None, None] * outer).reshape(-1, *a.shape)
+    if not len(kraus):
+        kraus = np.zeros((1, *a.shape), dtype=np.complex128)
+    return MeasurementContext(Operation._adopt(kraus), a)
 
 
 def sequential_product(ctx: MeasurementContext, b) -> np.ndarray:
@@ -244,12 +249,16 @@ def bayes2_residual(
 
 
 def choi_matrix(op: Operation) -> np.ndarray:
-    """Choi matrix sum_ij E_ij (x) op(E_ij); equal maps have equal Choi matrices."""
-    n = op.dim
-    out = np.zeros((n * n, n * n), dtype=np.complex128)
-    for k in op.kraus:
-        v = k.T.reshape(-1)
-        out += np.outer(v, v.conj())
+    """Choi matrix sum_ij E_ij (x) op(E_ij); equal maps have equal Choi matrices.
+
+    Sums V^T conj(V) over rows v_i = vec(K_i), d**2 rows (the Choi rank bound) at
+    a time, so no temporary outgrows the d**2 x d**2 result.
+    """
+    n2 = op.dim**2
+    out = np.zeros((n2, n2), dtype=np.complex128)
+    for start in range(0, len(op.kraus), n2):
+        v = op.kraus[start : start + n2].transpose(0, 2, 1).reshape(-1, n2)
+        out += v.T @ v.conj()
     return out
 
 

@@ -191,14 +191,14 @@ def random_codiagonal_observable(
     return Observable(tuple(f"x{i}" for i in range(n_outcomes)), effects)
 
 
-def _stacked_isometry(g: Generator, dim: int, n_kraus: int) -> list[np.ndarray]:
-    """n_kraus blocks C_i with sum C_i* C_i = I (QR of a stacked Gaussian)."""
+def _stacked_isometry(g: Generator, dim: int, n_kraus: int) -> np.ndarray:
+    """(n_kraus, dim, dim) blocks C_i with sum C_i* C_i = I (QR of a stacked Gaussian)."""
     q, _ = np.linalg.qr(g.complex_normal(n_kraus * dim, dim))
-    return [q[i * dim : (i + 1) * dim, :] for i in range(n_kraus)]
+    return q.reshape(n_kraus, dim, dim)
 
 
 def random_channel(g: Generator, dim: int, n_kraus: int) -> Operation:
-    return Operation(tuple(_stacked_isometry(g, dim, n_kraus)))
+    return Operation._adopt(_stacked_isometry(g, dim, n_kraus))
 
 
 def random_operation_measuring(
@@ -206,7 +206,7 @@ def random_operation_measuring(
 ) -> Operation:
     """Random operation with dual(I) = a: Kraus C_i a**(1/2) over a random channel."""
     root = psd_sqrt(a, tol)
-    return Operation(tuple(c @ root for c in _stacked_isometry(g, a.shape[0], n_kraus)))
+    return Operation._adopt(_stacked_isometry(g, a.shape[0], n_kraus) @ root)
 
 
 def random_context_measuring(

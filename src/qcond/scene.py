@@ -730,7 +730,7 @@ def _parse_tolerance(raw) -> Tolerance:
 
 
 def load_scene(source) -> Scene:
-    """Load and validate a scene from a path, JSON text, or parsed mapping."""
+    """Load and validate a scene from a path or a parsed mapping."""
     path = None
     if isinstance(source, Mapping):
         data = source

@@ -443,10 +443,8 @@ def _suite_conditioning_laws(root, dims, trials, tol, run) -> None:
             )
             r4 = 0.0
             for y in ins_j.outcomes:
-                kraus = []
-                for x in ins_i.outcomes:
-                    kraus.extend(comp.ops[f"{x},{y}"].kraus)
-                r4 = max(r4, choi_distance(Operation(tuple(kraus)), cond.ops[y]))
+                kraus = np.concatenate([comp.ops[f"{x},{y}"].kraus for x in ins_i.outcomes])
+                r4 = max(r4, choi_distance(Operation(kraus), cond.ops[y]))
 
             residual = max(r1, r2, r3, r4)
             run.record(

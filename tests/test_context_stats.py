@@ -7,6 +7,7 @@ from qcond import (
     Operation,
     RealValuedObservable,
     commutator_trace,
+    condition_observable,
     conditioned_stochastic_operator,
     contextual_correlation,
     contextual_covariance,
@@ -141,16 +142,22 @@ def test_correlation_structure():
     assert commutator_trace(rho, ins, b, b) == pytest.approx(0.0)
 
 
-def test_conditioned_stochastic_operator_routes(qubit):
+def test_conditioned_stochastic_operator_routes():
+    # The dual of the bar channel on Btilde is, by linearity, the stochastic
+    # operator of the conditioned observable (B | A).
     g = Generator(61)
-    z = Observable(("0", "1"), {"0": qubit["P0"], "1": qubit["P1"]})
-    ins = random_instrument_measuring(g, z, 2)
-    b = random_real_values(g.derive(9), random_observable(g.derive(1), 2, 3))
-    bp = conditioned_stochastic_operator(ins, b)
-    # equals the dual transport of the bare stochastic operator
-    from qcond import bar_channel, dual_apply
-
-    assert np.allclose(bp, dual_apply(bar_channel(ins), stochastic_operator(b)))
+    for dim in (2, 3, 5):
+        a = random_observable(g.derive(dim, 0), dim, 3)
+        b = random_real_values(g.derive(dim, 1), random_observable(g.derive(dim, 2), dim, 3))
+        alphas = {x: random_state(g.derive(dim, 3, i), dim) for i, x in enumerate(a.outcomes)}
+        for ins in (
+            luders_instrument(random_projective_observable(g.derive(dim, 4), dim, 2)),
+            holevo_instrument(a, alphas),
+            random_instrument_measuring(g.derive(dim, 5), a, 2),
+        ):
+            bp = conditioned_stochastic_operator(ins, b)
+            via_observable = stochastic_operator(condition_observable(b, ins))
+            assert np.linalg.norm(bp - via_observable) <= 1e-12
 
 
 def test_sharp_luders_closed_forms_match_generic():

@@ -67,6 +67,15 @@ def test_shipped_scene_report_round_trips(path):
     assert payload["failed"] == 0
 
 
+@pytest.mark.parametrize("path", SCENE_FILES, ids=lambda p: p.stem)
+def test_scene_from_path_and_from_mapping_report_the_same(path):
+    from_path = run_scene(load_scene(path)).to_json()
+    from_mapping = run_scene(load_scene(json.loads(path.read_text(encoding="utf-8")))).to_json()
+    # Only the provenance field differs: a mapping has no file behind it.
+    assert (from_path.pop("path"), from_mapping.pop("path")) == (str(path), None)
+    assert json.dumps(from_path) == json.dumps(from_mapping)
+
+
 # --- parsing and validation ---------------------------------------------------
 
 
