@@ -58,50 +58,49 @@ def conditioned_stochastic_operator(ins: Instrument, b: RealValuedObservable) ->
     return dual_apply(bar_channel(ins), stochastic_operator(b))
 
 
-def contextual_expectation(
-    rho, ins: Instrument, b: RealValuedObservable, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def contextual_expectation(rho, ins: Instrument, b: RealValuedObservable) -> float:
     """E(B | A) at rho."""
     return trace_product(as_matrix(rho), conditioned_stochastic_operator(ins, b)).real
 
 
-def contextual_correlation(
-    rho, ins: Instrument, b: RealValuedObservable, c: RealValuedObservable,
-    tol: Tolerance = DEFAULT_TOL,
-) -> complex:
-    """Cor(B, C | A) at rho: tr(rho B' C') - E(B|A) E(C|A).  Complex in general."""
+def _moments(rho, ins: Instrument, b: RealValuedObservable, c: RealValuedObservable) -> tuple:
+    """(Cor(B, C | A), tr(rho [B', C']), Var(B | A), Var(C | A)) from one B', C'."""
     rho = as_matrix(rho)
     bp = conditioned_stochastic_operator(ins, b)
-    cp = conditioned_stochastic_operator(ins, c)
+    cp = bp if c is b else conditioned_stochastic_operator(ins, c)
     eb = trace_product(rho, bp).real
     ec = trace_product(rho, cp).real
-    return complex(trace_product(rho, bp @ cp) - eb * ec)
+    cor = complex(trace_product(rho, bp @ cp) - eb * ec)
+    ct = complex(trace_product(rho, bp @ cp - cp @ bp))
+    var_b = trace_product(rho, bp @ bp).real - eb * eb
+    var_c = trace_product(rho, cp @ cp).real - ec * ec
+    return cor, ct, var_b, var_c
+
+
+def contextual_correlation(
+    rho, ins: Instrument, b: RealValuedObservable, c: RealValuedObservable
+) -> complex:
+    """Cor(B, C | A) at rho: tr(rho B' C') - E(B|A) E(C|A).  Complex in general."""
+    return _moments(rho, ins, b, c)[0]
 
 
 def contextual_covariance(
-    rho, ins: Instrument, b: RealValuedObservable, c: RealValuedObservable,
-    tol: Tolerance = DEFAULT_TOL,
+    rho, ins: Instrument, b: RealValuedObservable, c: RealValuedObservable
 ) -> float:
     """Re Cor(B, C | A)."""
-    return contextual_correlation(rho, ins, b, c, tol).real
+    return _moments(rho, ins, b, c)[0].real
 
 
-def contextual_variance(
-    rho, ins: Instrument, b: RealValuedObservable, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """Cov(B, B | A); non-negative up to round-off."""
-    return contextual_covariance(rho, ins, b, b, tol)
+def contextual_variance(rho, ins: Instrument, b: RealValuedObservable) -> float:
+    """Var(B | A) = Cov(B, B | A); non-negative up to round-off (not clamped)."""
+    return _moments(rho, ins, b, b)[2]
 
 
 def commutator_trace(
-    rho, ins: Instrument, b: RealValuedObservable, c: RealValuedObservable,
-    tol: Tolerance = DEFAULT_TOL,
+    rho, ins: Instrument, b: RealValuedObservable, c: RealValuedObservable
 ) -> complex:
     """tr(rho [B', C']) over the conditioned stochastic operators; purely imaginary."""
-    rho = as_matrix(rho)
-    bp = conditioned_stochastic_operator(ins, b)
-    cp = conditioned_stochastic_operator(ins, c)
-    return complex(trace_product(rho, bp @ cp - cp @ bp))
+    return _moments(rho, ins, b, c)[1]
 
 
 @dataclass(frozen=True)
@@ -139,16 +138,8 @@ def uncertainty_report(
     non-negative.  Variances whose round-off dips within eq_tol below zero
     are clamped to zero.
     """
-    rho = as_matrix(rho)
-    bp = conditioned_stochastic_operator(ins, b)
-    cp = conditioned_stochastic_operator(ins, c)
-    eb = trace_product(rho, bp).real
-    ec = trace_product(rho, cp).real
-    cor = complex(trace_product(rho, bp @ cp) - eb * ec)
+    cor, ct, var_b, var_c = _moments(rho, ins, b, c)
     cov = cor.real
-    ct = complex(trace_product(rho, bp @ cp - cp @ bp))
-    var_b = trace_product(rho, bp @ bp).real - eb * eb
-    var_c = trace_product(rho, cp @ cp).real - ec * ec
     if -tol.eq_tol <= var_b < 0.0:
         var_b = 0.0
     if -tol.eq_tol <= var_c < 0.0:

@@ -94,11 +94,6 @@ class Instrument:
     def dim(self) -> int:
         return next(iter(self.ops.values())).dim
 
-    def op(self, x: str) -> Operation:
-        if x not in self.ops:
-            raise UnknownLabelError(f"unknown outcome label {x!r}")
-        return self.ops[x]
-
 
 def validate_instrument(ins: Instrument, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
     """Each operation valid, and the bar channel trace preserving."""

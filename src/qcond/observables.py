@@ -68,11 +68,6 @@ class SubObservable:
     def dim(self) -> int:
         return next(iter(self.effects.values())).shape[0]
 
-    def effect(self, x: str) -> np.ndarray:
-        if x not in self.effects:
-            raise UnknownLabelError(f"unknown outcome label {x!r}")
-        return self.effects[x]
-
     def total(self) -> np.ndarray:
         """Sum of all effects."""
         return sum(self.effects[x] for x in self.outcomes)
@@ -199,12 +194,7 @@ def minimal_extension(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> Observa
 
 def is_commuting(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Do all effects of the family commute with each other?"""
-    mats = [a.effects[x] for x in a.outcomes]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if frobenius(commutator(mats[i], mats[j])) > tol.eq_tol:
-                return False
-    return True
+    return jointly_commuting([a], tol)
 
 
 def jointly_commuting(observables: Sequence[SubObservable], tol: Tolerance = DEFAULT_TOL) -> bool:

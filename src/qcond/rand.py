@@ -2,8 +2,9 @@
 
 Determinism contract: a :class:`Generator` built from the same seed yields a
 bit-identical stream, and :meth:`Generator.derive` produces child generators
-keyed by integers, so per-trial objects do not depend on how many draws any
-other trial made (serial and parallel runs agree).
+keyed by integers.  A child's stream depends only on the seed and its keys,
+not on the order in which siblings are derived or on any draws made from the
+parent or a sibling, so per-trial objects do not depend on other trials.
 """
 
 from __future__ import annotations

@@ -38,11 +38,12 @@ code 2.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -228,8 +229,11 @@ class SceneReport:
 
 # --- operation registry -------------------------------------------------------
 #
-# Each entry: argument kinds + a callable taking the coerced arguments and the
-# scene tolerance.  Kinds:
+# One row per op: (name, argument kinds, library function).  A check calls the
+# function on its coerced arguments, plus tol=scene.tolerance when the
+# function has a ``tol`` parameter (``takes_tol``, read once from its
+# signature).  Results go to value_to_json as the library returns them.
+# Kinds:
 #   state / effect / matrix      -> ndarray (matrix accepts any of the three)
 #   operation                    -> Operation
 #   context                      -> MeasurementContext
@@ -243,163 +247,81 @@ class SceneReport:
 class _Op:
     kinds: tuple[str, ...]
     fn: object
+    takes_tol: bool
 
 
-SCENE_OPS: dict[str, _Op] = {}
+def _commutator_norm(a, b) -> float:
+    return frobenius(commutator(a, b))
 
 
-def _register(name: str, kinds: Sequence[str], fn) -> None:
-    SCENE_OPS[name] = _Op(tuple(kinds), fn)
+def _frobenius_distance(a, b) -> float:
+    return frobenius(a - b)
 
 
-_register("prob", ("state", "effect"), lambda rho, a, tol: prob(rho, a, tol))
-_register("complement", ("effect",), lambda a, tol: complement(a))
-_register("perp", ("effect", "effect"), lambda a, b, tol: bool(perp(a, b, tol)))
-_register("is_sharp", ("effect",), lambda a, tol: bool(is_sharp(a, tol)))
-_register("is_atomic", ("effect",), lambda a, tol: bool(is_atomic(a, tol)))
-_register("loewner_leq", ("matrix", "matrix"), lambda a, b, tol: bool(loewner_leq(a, b, tol)))
-_register("trace_product", ("matrix", "matrix"), lambda a, b, tol: complex(trace_product(a, b)))
-_register("psd_sqrt", ("matrix",), lambda a, tol: psd_sqrt(a, tol))
-_register(
-    "commutator_norm", ("matrix", "matrix"), lambda a, b, tol: float(frobenius(commutator(a, b)))
-)
-_register(
-    "frobenius_distance", ("matrix", "matrix"), lambda a, b, tol: float(frobenius(a - b))
+def _jointly_commuting(a, b, tol: Tolerance) -> bool:
+    return jointly_commuting([a, b], tol)
+
+
+_CTX_STATS = ("state", "instrument", "real_observable")
+_CTX_STATS_PAIR = _CTX_STATS + ("real_observable",)
+_CTX_ENTROPY = ("state", "instrument", "observable")
+
+_OP_TABLE = (
+    ("prob", ("state", "effect"), prob),
+    ("complement", ("effect",), complement),
+    ("perp", ("effect", "effect"), perp),
+    ("is_sharp", ("effect",), is_sharp),
+    ("is_atomic", ("effect",), is_atomic),
+    ("loewner_leq", ("matrix", "matrix"), loewner_leq),
+    ("trace_product", ("matrix", "matrix"), trace_product),
+    ("psd_sqrt", ("matrix",), psd_sqrt),
+    ("commutator_norm", ("matrix", "matrix"), _commutator_norm),
+    ("frobenius_distance", ("matrix", "matrix"), _frobenius_distance),
+    ("apply", ("operation", "state"), apply),
+    ("dual_apply", ("operation", "matrix"), dual_apply),
+    ("measured_effect", ("operation",), measured_effect),
+    ("is_channel", ("operation",), is_channel),
+    ("compose", ("operation", "operation"), compose),
+    ("sequential_product", ("context", "effect"), sequential_product),
+    ("conditional_prob", ("state", "context", "effect"), conditional_prob),
+    ("updated_state", ("state", "context"), updated_state),
+    ("bayes2_residual", ("state", "context", "context"), bayes2_residual),
+    ("choi_distance", ("operation", "operation"), choi_distance),
+    ("maps_equal", ("operation", "operation"), maps_equal),
+    ("povm", ("observable", "labels"), povm),
+    ("distribution", ("state", "observable"), distribution),
+    ("stochastic_operator", ("real_observable",), stochastic_operator),
+    ("expectation", ("state", "real_observable"), expectation),
+    ("conditional_expectation", ("state", "context", "real_observable"), conditional_expectation),
+    ("is_commuting", ("observable",), is_commuting),
+    ("jointly_commuting", ("observable", "observable"), _jointly_commuting),
+    ("bar_channel", ("instrument",), bar_channel),
+    ("measured_observable", ("instrument",), measured_observable),
+    ("condition_effect", ("effect", "instrument"), condition_effect),
+    ("condition_observable", ("observable", "instrument"), condition_observable),
+    ("condition_instrument", ("instrument", "instrument"), condition_instrument),
+    ("compose_instruments", ("instrument", "instrument"), compose_instruments),
+    ("bayes1_check", ("state", "instrument", "effect"), bayes1_check),
+    ("bayes1_expectation_check", _CTX_STATS, bayes1_expectation_check),
+    ("contextual_expectation", _CTX_STATS, contextual_expectation),
+    ("contextual_correlation", _CTX_STATS_PAIR, contextual_correlation),
+    ("contextual_covariance", _CTX_STATS_PAIR, contextual_covariance),
+    ("contextual_variance", _CTX_STATS, contextual_variance),
+    ("commutator_trace", _CTX_STATS_PAIR, commutator_trace),
+    ("uncertainty_report", _CTX_STATS_PAIR, uncertainty_report),
+    ("effect_entropy", ("state", "effect"), effect_entropy),
+    ("sequential_entropy", ("state", "context", "effect"), sequential_entropy),
+    ("conditional_effect_entropy", ("state", "context", "effect"), conditional_effect_entropy),
+    ("sequential_entropy_dominated", ("context", "effect"), sequential_entropy_dominated),
+    ("observable_entropy", ("state", "observable"), observable_entropy),
+    ("conditional_observable_entropy_double", _CTX_ENTROPY, conditional_observable_entropy_double),
+    ("conditional_observable_entropy_single", _CTX_ENTROPY, conditional_observable_entropy_single),
 )
 
-_register("apply", ("operation", "state"), lambda op, rho, tol: apply(op, rho))
-_register("dual_apply", ("operation", "matrix"), lambda op, a, tol: dual_apply(op, a))
-_register("measured_effect", ("operation",), lambda op, tol: measured_effect(op))
-_register("is_channel", ("operation",), lambda op, tol: bool(is_channel(op, tol)))
-_register("compose", ("operation", "operation"), lambda f, s, tol: compose(f, s))
-_register(
-    "sequential_product", ("context", "effect"), lambda ctx, b, tol: sequential_product(ctx, b)
-)
-_register(
-    "conditional_prob",
-    ("state", "context", "effect"),
-    lambda rho, ctx, b, tol: conditional_prob(rho, ctx, b, tol),
-)
-_register("updated_state", ("state", "context"), lambda rho, ctx, tol: updated_state(rho, ctx, tol))
-_register(
-    "bayes2_residual",
-    ("state", "context", "context"),
-    lambda rho, ca, cb, tol: bayes2_residual(rho, ca, cb, tol),
-)
-_register("choi_distance", ("operation", "operation"), lambda a, b, tol: float(choi_distance(a, b)))
-_register("maps_equal", ("operation", "operation"), lambda a, b, tol: bool(maps_equal(a, b, tol)))
-
-_register("povm", ("observable", "labels"), lambda a, labels, tol: povm(a, labels))
-_register("distribution", ("state", "observable"), lambda rho, a, tol: distribution(rho, a, tol))
-_register("stochastic_operator", ("real_observable",), lambda b, tol: stochastic_operator(b))
-_register("expectation", ("state", "real_observable"), lambda rho, b, tol: float(expectation(rho, b)))
-_register(
-    "conditional_expectation",
-    ("state", "context", "real_observable"),
-    lambda rho, ctx, b, tol: float(conditional_expectation(rho, ctx, b, tol)),
-)
-_register("is_commuting", ("observable",), lambda a, tol: bool(is_commuting(a, tol)))
-_register(
-    "jointly_commuting",
-    ("observable", "observable"),
-    lambda a, b, tol: bool(jointly_commuting([a, b], tol)),
-)
-
-_register("bar_channel", ("instrument",), lambda ins, tol: bar_channel(ins))
-_register("measured_observable", ("instrument",), lambda ins, tol: measured_observable(ins))
-_register(
-    "condition_effect", ("effect", "instrument"), lambda a, ins, tol: condition_effect(a, ins)
-)
-_register(
-    "condition_observable",
-    ("observable", "instrument"),
-    lambda b, ins, tol: condition_observable(b, ins),
-)
-_register(
-    "condition_instrument",
-    ("instrument", "instrument"),
-    lambda ins, given, tol: condition_instrument(ins, given),
-)
-_register(
-    "compose_instruments",
-    ("instrument", "instrument"),
-    lambda f, s, tol: compose_instruments(f, s),
-)
-_register(
-    "bayes1_check",
-    ("state", "instrument", "effect"),
-    lambda rho, ins, a, tol: bayes1_check(rho, ins, a, tol),
-)
-_register(
-    "bayes1_expectation_check",
-    ("state", "instrument", "real_observable"),
-    lambda rho, ins, b, tol: bayes1_expectation_check(rho, ins, b, tol),
-)
-
-_register(
-    "contextual_expectation",
-    ("state", "instrument", "real_observable"),
-    lambda rho, ins, b, tol: float(contextual_expectation(rho, ins, b, tol)),
-)
-_register(
-    "contextual_correlation",
-    ("state", "instrument", "real_observable", "real_observable"),
-    lambda rho, ins, b, c, tol: complex(contextual_correlation(rho, ins, b, c, tol)),
-)
-_register(
-    "contextual_covariance",
-    ("state", "instrument", "real_observable", "real_observable"),
-    lambda rho, ins, b, c, tol: float(contextual_covariance(rho, ins, b, c, tol)),
-)
-_register(
-    "contextual_variance",
-    ("state", "instrument", "real_observable"),
-    lambda rho, ins, b, tol: float(contextual_variance(rho, ins, b, tol)),
-)
-_register(
-    "commutator_trace",
-    ("state", "instrument", "real_observable", "real_observable"),
-    lambda rho, ins, b, c, tol: complex(commutator_trace(rho, ins, b, c, tol)),
-)
-_register(
-    "uncertainty_report",
-    ("state", "instrument", "real_observable", "real_observable"),
-    lambda rho, ins, b, c, tol: uncertainty_report(rho, ins, b, c, tol),
-)
-
-_register(
-    "effect_entropy", ("state", "effect"), lambda rho, a, tol: float(effect_entropy(rho, a, tol))
-)
-_register(
-    "sequential_entropy",
-    ("state", "context", "effect"),
-    lambda rho, ctx, b, tol: float(sequential_entropy(rho, ctx, b, tol)),
-)
-_register(
-    "conditional_effect_entropy",
-    ("state", "context", "effect"),
-    lambda rho, ctx, b, tol: float(conditional_effect_entropy(rho, ctx, b, tol)),
-)
-_register(
-    "sequential_entropy_dominated",
-    ("context", "effect"),
-    lambda ctx, b, tol: bool(sequential_entropy_dominated(ctx, b, tol)),
-)
-_register(
-    "observable_entropy",
-    ("state", "observable"),
-    lambda rho, a, tol: float(observable_entropy(rho, a, tol)),
-)
-_register(
-    "conditional_observable_entropy_double",
-    ("state", "instrument", "observable"),
-    lambda rho, ins, b, tol: float(conditional_observable_entropy_double(rho, ins, b, tol)),
-)
-_register(
-    "conditional_observable_entropy_single",
-    ("state", "instrument", "observable"),
-    lambda rho, ins, b, tol: float(conditional_observable_entropy_single(rho, ins, b, tol)),
-)
+SCENE_OPS: dict[str, _Op] = {
+    name: _Op(kinds, fn, "tol" in inspect.signature(fn).parameters)
+    for name, kinds, fn in _OP_TABLE
+}
 
 
 # --- parsing -------------------------------------------------------------------
@@ -637,12 +559,9 @@ def _coerce_arg(kind: str, raw, check_where: str, objects: Mapping[str, SceneObj
         raise SceneValidationError(
             f"{check_where}: observable {raw!r} needs outcome values for this operation"
         )
-    value = obj.value
     if kind == "operation":
-        return value.op
-    if kind == "observable" and isinstance(value, RealValuedObservable):
-        return value
-    return value
+        return obj.value.op
+    return obj.value
 
 
 def _parse_check(
@@ -902,9 +821,12 @@ def run_scene(scene: Scene, default_tol: float | None = None) -> SceneReport:
     results = []
     for check in scene.checks:
         threshold = base_tol if check.tol is None else check.tol
-        fn = SCENE_OPS[check.op].fn
+        op = SCENE_OPS[check.op]
         try:
-            value = fn(*check.args, scene.tolerance)
+            if op.takes_tol:
+                value = op.fn(*check.args, tol=scene.tolerance)
+            else:
+                value = op.fn(*check.args)
         except QcondError as exc:
             results.append(
                 CheckResult(

@@ -587,23 +587,23 @@ def _suite_uncertainty(root, dims, trials, tol, run) -> None:
 
             if kind == 0:
                 diffs = [
-                    abs(sharp_luders_expectation(rho, a_obs, b) - contextual_expectation(rho, ins, b, tol)),
-                    abs(sharp_luders_correlation(rho, a_obs, b, c) - contextual_correlation(rho, ins, b, c, tol)),
-                    abs(sharp_luders_covariance(rho, a_obs, b, c) - contextual_covariance(rho, ins, b, c, tol)),
-                    abs(sharp_luders_variance(rho, a_obs, b) - contextual_variance(rho, ins, b, tol)),
-                    abs(sharp_luders_variance(rho, a_obs, c) - contextual_variance(rho, ins, c, tol)),
-                    abs(sharp_luders_commutator_trace(rho, a_obs, b, c) - commutator_trace(rho, ins, b, c, tol)),
+                    abs(sharp_luders_expectation(rho, a_obs, b) - contextual_expectation(rho, ins, b)),
+                    abs(sharp_luders_correlation(rho, a_obs, b, c) - contextual_correlation(rho, ins, b, c)),
+                    abs(sharp_luders_covariance(rho, a_obs, b, c) - contextual_covariance(rho, ins, b, c)),
+                    abs(sharp_luders_variance(rho, a_obs, b) - contextual_variance(rho, ins, b)),
+                    abs(sharp_luders_variance(rho, a_obs, c) - contextual_variance(rho, ins, c)),
+                    abs(sharp_luders_commutator_trace(rho, a_obs, b, c) - commutator_trace(rho, ins, b, c)),
                 ]
                 residual = max(residual, *diffs)
                 ok = ok and max(diffs) <= tol.eq_tol
             elif kind == 1:
                 diffs = [
-                    abs(holevo_expectation(rho, a_obs, alphas, b) - contextual_expectation(rho, ins, b, tol)),
-                    abs(holevo_correlation(rho, a_obs, alphas, b, c) - contextual_correlation(rho, ins, b, c, tol)),
-                    abs(holevo_covariance(rho, a_obs, alphas, b, c) - contextual_covariance(rho, ins, b, c, tol)),
-                    abs(holevo_variance(rho, a_obs, alphas, b) - contextual_variance(rho, ins, b, tol)),
-                    abs(holevo_variance(rho, a_obs, alphas, c) - contextual_variance(rho, ins, c, tol)),
-                    abs(holevo_commutator_trace(rho, a_obs, alphas, b, c) - commutator_trace(rho, ins, b, c, tol)),
+                    abs(holevo_expectation(rho, a_obs, alphas, b) - contextual_expectation(rho, ins, b)),
+                    abs(holevo_correlation(rho, a_obs, alphas, b, c) - contextual_correlation(rho, ins, b, c)),
+                    abs(holevo_covariance(rho, a_obs, alphas, b, c) - contextual_covariance(rho, ins, b, c)),
+                    abs(holevo_variance(rho, a_obs, alphas, b) - contextual_variance(rho, ins, b)),
+                    abs(holevo_variance(rho, a_obs, alphas, c) - contextual_variance(rho, ins, c)),
+                    abs(holevo_commutator_trace(rho, a_obs, alphas, b, c) - commutator_trace(rho, ins, b, c)),
                 ]
                 residual = max(residual, *diffs)
                 ok = ok and max(diffs) <= tol.eq_tol

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,33 @@ def test_derive_gives_independent_streams():
     # deriving does not perturb the parent
     c = random_state(Generator(7).derive(0), 3)
     assert np.array_equal(a, c)
+
+
+def test_derived_streams_ignore_sibling_order_and_draws():
+    """A suite's per-trial objects are the same however its trials are scheduled."""
+    keys = [(dim, t) for dim in (2, 3) for t in range(6)]
+
+    def trial_objects(g, dim):
+        obs = random_observable(g.derive(0), dim, 3)
+        return [random_state(g, dim), *(obs.effects[x] for x in obs.outcomes), g.normal(4)]
+
+    root = Generator(7)
+    in_order = {key: trial_objects(root.derive(*key), key[0]) for key in keys}
+
+    root = Generator(7)
+    shuffled = list(keys)
+    random.Random(3).shuffle(shuffled)
+    rescheduled = {}
+    for key in shuffled:
+        root.normal(5)  # draws from the parent between derivations
+        g = root.derive(*key)
+        root.derive(99, key[1]).normal(3)  # a sibling derived and drawn from
+        rescheduled[key] = trial_objects(g, key[0])
+
+    for key in keys:
+        assert len(in_order[key]) == len(rescheduled[key])
+        for want, got in zip(in_order[key], rescheduled[key]):
+            assert np.array_equal(want, got)  # bit-for-bit
 
 
 def test_generated_objects_are_valid():
