@@ -63,7 +63,7 @@ alpha = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)  # prepare |1><1|
 hol = holevo(plus, alpha)
 
 for name, h in [("|0><0|", np.diag([1.0, 0.0])), ("|1><1|", np.diag([0.0, 1.0]))]:
-    transported = dual_apply(hol.op, h.astype(complex))
+    transported = dual_apply(hol, h.astype(complex))
     weight = np.trace(alpha @ h).real
     print(f"dual({name}) = tr(alpha h) * plus, weight {weight}:",
           np.allclose(transported, weight * plus))

@@ -113,7 +113,6 @@ from .observables import (
     validate_subobservable,
 )
 from .operations import (
-    MeasurementContext,
     Operation,
     apply,
     bayes2_residual,
@@ -121,7 +120,6 @@ from .operations import (
     choi_matrix,
     compose,
     conditional_prob,
-    context,
     dual_apply,
     holevo,
     is_channel,
@@ -130,7 +128,6 @@ from .operations import (
     measured_effect,
     sequential_product,
     updated_state,
-    validate_context,
     validate_operation,
 )
 from .rand import (
@@ -140,7 +137,6 @@ from .rand import (
     random_channel,
     random_codiagonal_effects,
     random_codiagonal_observable,
-    random_context_measuring,
     random_effect,
     random_hermitian,
     random_instrument_measuring,

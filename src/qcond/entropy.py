@@ -22,8 +22,7 @@ import numpy as np
 from .core import prob
 from .instruments import Instrument, bar_channel, condition_effect
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
-from .observables import RealValuedObservable, SubObservable
-from .operations import MeasurementContext, apply, dual_apply
+from .operations import Operation, apply, dual_apply
 
 __all__ = [
     "effect_entropy",
@@ -50,45 +49,38 @@ def effect_entropy(rho, a, tol: Tolerance = DEFAULT_TOL) -> float:
     return _term(p, t, tol)
 
 
-def sequential_entropy(rho, ctx: MeasurementContext, b, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Entropy of the sequential effect "ctx's effect, then b" at rho.
+def sequential_entropy(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Entropy of the sequential effect "op's effect, then b" at rho.
 
     Identical numerator to the conditional entropy but the denominator is
     the trace of the transported effect.
     """
-    return effect_entropy(rho, dual_apply(ctx.op, as_matrix(b)), tol)
+    return effect_entropy(rho, dual_apply(op, as_matrix(b)), tol)
 
 
-def conditional_effect_entropy(
-    rho, ctx: MeasurementContext, b, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def conditional_effect_entropy(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL) -> float:
     """Entropy of b in the (unnormalized) post-measurement state op(rho)."""
     b = as_matrix(b)
-    p = prob(apply(ctx.op, as_matrix(rho)), b, tol)
+    p = prob(apply(op, as_matrix(rho)), b, tol)
     t = float(np.trace(b).real)
     return _term(p, t, tol)
 
 
-def sequential_entropy_dominated(ctx: MeasurementContext, b, tol: Tolerance = DEFAULT_TOL) -> bool:
+def sequential_entropy_dominated(op: Operation, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Does sequential entropy stay below conditional entropy for *every* state?
 
     True exactly when tr(dual(b)) <= tr(b): the two entropies share their
     numerator, and the entropy term grows with the denominator trace.
     """
     b = as_matrix(b)
-    t_seq = float(np.trace(dual_apply(ctx.op, b)).real)
+    t_seq = float(np.trace(dual_apply(op, b)).real)
     return bool(t_seq <= float(np.trace(b).real) + tol.eq_tol)
-
-
-def _effects(b) -> SubObservable:
-    return b.observable if isinstance(b, RealValuedObservable) else b
 
 
 def observable_entropy(rho, b, tol: Tolerance = DEFAULT_TOL) -> float:
     """Sum of the effect entropies over the outcome set."""
-    obs = _effects(b)
     rho = as_matrix(rho)
-    return float(sum(effect_entropy(rho, obs.effects[y], tol) for y in obs.outcomes))
+    return float(sum(effect_entropy(rho, b.effects[y], tol) for y in b.outcomes))
 
 
 def conditional_observable_entropy_double(
@@ -102,8 +94,7 @@ def conditional_observable_entropy_single(
     rho, ins: Instrument, b, tol: Tolerance = DEFAULT_TOL
 ) -> float:
     """Single-bar conditioning: summed effect entropies of the conditioned observable."""
-    obs = _effects(b)
     rho = as_matrix(rho)
     return float(
-        sum(effect_entropy(rho, condition_effect(obs.effects[y], ins), tol) for y in obs.outcomes)
+        sum(effect_entropy(rho, condition_effect(b.effects[y], ins), tol) for y in b.outcomes)
     )

@@ -26,7 +26,6 @@ from .linalg import (
     Tolerance,
     as_matrix,
     frobenius,
-    psd_sqrt,
     simultaneous_eigenbasis,
     trace_product,
 )
@@ -38,11 +37,12 @@ from .observables import (
     stochastic_operator,
 )
 from .operations import (
-    MeasurementContext,
     Operation,
     apply,
     compose,
     dual_apply,
+    holevo,
+    luders,
     measured_effect,
     validate_operation,
 )
@@ -121,9 +121,7 @@ def measured_observable(ins: Instrument) -> Observable:
 
 def luders_instrument(a: Observable, tol: Tolerance = DEFAULT_TOL) -> Instrument:
     """The Lüders instrument of an observable: Kraus A_x**(1/2) per outcome."""
-    return Instrument(
-        a.outcomes, {x: Operation((psd_sqrt(a.effects[x], tol),)) for x in a.outcomes}
-    )
+    return Instrument(a.outcomes, {x: luders(a.effects[x], tol) for x in a.outcomes})
 
 
 def holevo_instrument(
@@ -133,12 +131,10 @@ def holevo_instrument(
 
     Raises MissingAlphaError when an outcome has no update state.
     """
-    from .operations import holevo
-
     missing = [x for x in a.outcomes if x not in alphas]
     if missing:
         raise MissingAlphaError(f"no update state for outcomes {missing}")
-    return Instrument(a.outcomes, {x: holevo(a.effects[x], alphas[x], tol).op for x in a.outcomes})
+    return Instrument(a.outcomes, {x: holevo(a.effects[x], alphas[x], tol) for x in a.outcomes})
 
 
 def condition_effect(a, ins: Instrument) -> np.ndarray:
@@ -146,9 +142,9 @@ def condition_effect(a, ins: Instrument) -> np.ndarray:
     return dual_apply(bar_channel(ins), as_matrix(a))
 
 
-def condition_subobservable(a: SubObservable, ctx: MeasurementContext) -> SubObservable:
-    """The sub-observable (A | b): every effect transported through one context."""
-    return SubObservable(a.outcomes, {x: dual_apply(ctx.op, a.effects[x]) for x in a.outcomes})
+def condition_subobservable(a: SubObservable, op: Operation) -> SubObservable:
+    """The sub-observable (A | b): every effect transported through the operation measuring b."""
+    return SubObservable(a.outcomes, {x: dual_apply(op, a.effects[x]) for x in a.outcomes})
 
 
 def condition_observable(b, ins: Instrument):

@@ -21,7 +21,7 @@ import numpy as np
 from .core import Violation, prob, validate_effect
 from .errors import DimMismatchError, UnknownLabelError, ZeroProbabilityConditionError
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, commutator, frobenius, trace_product
-from .operations import MeasurementContext, apply
+from .operations import Operation, apply
 
 __all__ = [
     "EXTENSION_LABEL",
@@ -167,13 +167,13 @@ def expectation(rho, b: RealValuedObservable) -> float:
 
 
 def conditional_expectation(
-    rho, ctx: MeasurementContext, b: RealValuedObservable, tol: Tolerance = DEFAULT_TOL
+    rho, op: Operation, b: RealValuedObservable, tol: Tolerance = DEFAULT_TOL
 ) -> float:
-    """Expectation of b given ctx's outcome occurred: tr[op(rho) Btilde] / tr[rho a]."""
-    p = prob(rho, ctx.effect, tol)
+    """Expectation of b given op's outcome occurred: tr[op(rho) Btilde] / tr[rho a], a = op.effect."""
+    p = prob(rho, op.effect, tol)
     if p <= tol.eq_tol:
         raise ZeroProbabilityConditionError(f"conditioning effect has probability {p:.3e}")
-    return trace_product(apply(ctx.op, rho), stochastic_operator(b)).real / p
+    return trace_product(apply(op, rho), stochastic_operator(b)).real / p
 
 
 def minimal_extension(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> Observable:

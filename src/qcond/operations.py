@@ -3,7 +3,9 @@
 An operation maps states to subnormalized states via rho -> sum_i K_i rho K_i*
 with sum_i K_i* K_i <= I.  Its dual acts on effects, dual_apply(op, b) =
 sum_i K_i* b K_i, and satisfies tr[op(rho) b] = tr[rho dual(b)] for every rho
-and b.  An operation *measures* the unique effect dual(I).
+and b.  An operation *measures* the unique effect a = dual(I) = sum_i K_i* K_i,
+and carries it as ``op.effect``: computed on first read, then cached on the
+instance and read-only.  ``measured_effect(op)`` returns that same array.
 
 Composition order is the measurement order: ``compose(first, second)`` is the
 operation "perform ``first``, then ``second``", i.e. it applies ``first``
@@ -11,14 +13,15 @@ before ``second``.  This is the opposite of function-composition notation and
 is the single most bug-prone convention in the package, so every identity test
 pins it down.
 
-A :class:`MeasurementContext` pairs an operation with the effect it measures;
-conditional probabilities, updated states and sequential products are defined
-relative to such a context.
+Conditional probabilities, updated states and sequential products take the
+operation alone: they condition on op.effect, so the effect they divide by is
+always the one the operation measures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,10 +40,7 @@ from .linalg import (
 
 __all__ = [
     "Operation",
-    "MeasurementContext",
-    "context",
     "validate_operation",
-    "validate_context",
     "apply",
     "dual_apply",
     "measured_effect",
@@ -91,22 +91,16 @@ class Operation:
     def dim(self) -> int:
         return self.kraus.shape[1]
 
+    @cached_property
+    def effect(self) -> np.ndarray:
+        """The effect the operation measures, dual(I) = M* M with M the stack as (k*d, d).
 
-@dataclass(frozen=True, eq=False)
-class MeasurementContext:
-    """An operation together with the effect it measures."""
-
-    op: Operation
-    effect: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
-
-def context(op: Operation) -> MeasurementContext:
-    """Wrap an operation with its measured effect dual(I)."""
-    return MeasurementContext(op, measured_effect(op))
+        Computed on first read and cached on the instance; the array is read-only.
+        """
+        m = self.kraus.reshape(-1, self.dim)
+        effect = dagger(m) @ m
+        effect.flags.writeable = False
+        return effect
 
 
 def validate_operation(op: Operation, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
@@ -121,17 +115,6 @@ def validate_operation(op: Operation, tol: Tolerance = DEFAULT_TOL) -> list[Viol
     return out
 
 
-def validate_context(ctx: MeasurementContext, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
-    """A context's effect must be exactly what its operation measures."""
-    from .core import validate_effect
-
-    out = validate_operation(ctx.op, tol) + validate_effect(ctx.effect, tol)
-    dev = frobenius(measured_effect(ctx.op) - as_matrix(ctx.effect))
-    if dev > tol.eq_tol:
-        out.append(Violation("measures-effect", dev))
-    return out
-
-
 def apply(op: Operation, rho) -> np.ndarray:
     """sum_i K_i rho K_i*"""
     return (op.kraus @ as_matrix(rho) @ dagger(op.kraus)).sum(0)
@@ -143,9 +126,8 @@ def dual_apply(op: Operation, a) -> np.ndarray:
 
 
 def measured_effect(op: Operation) -> np.ndarray:
-    """The unique effect the operation measures: dual(I) = M* M, M the stack as (k*d, d)."""
-    m = op.kraus.reshape(-1, op.dim)
-    return dagger(m) @ m
+    """The unique effect the operation measures, dual(I) (read-only)."""
+    return op.effect
 
 
 def is_channel(op: Operation, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -164,22 +146,21 @@ def compose(first: Operation, second: Operation) -> Operation:
     return Operation._adopt(products.reshape(-1, first.dim, first.dim))
 
 
-def luders(a, tol: Tolerance = DEFAULT_TOL) -> MeasurementContext:
-    """Lüders context for effect a: the single Kraus operator a**(1/2).
+def luders(a, tol: Tolerance = DEFAULT_TOL) -> Operation:
+    """Lüders operation for effect a: the single Kraus operator a**(1/2).
 
     Self-dual: dual_apply is b -> a**(1/2) b a**(1/2), and it measures a.
     """
-    a = as_matrix(a)
-    return MeasurementContext(Operation((psd_sqrt(a, tol),)), a)
+    return Operation((psd_sqrt(a, tol),))
 
 
-def holevo(a, alpha, tol: Tolerance = DEFAULT_TOL) -> MeasurementContext:
-    """Holevo context for effect a with update state alpha: rho -> tr(rho a) alpha.
+def holevo(a, alpha, tol: Tolerance = DEFAULT_TOL) -> Operation:
+    """Holevo operation for effect a with update state alpha: rho -> tr(rho a) alpha.
 
     Kraus operators are sqrt(mu_j nu_k) |w_j><v_k| over the spectral
     decompositions alpha = sum mu_j |w_j><w_j| and a = sum nu_k |v_k><v_k|,
     keeping eigenvalues above eq_tol.  The dual action is
-    b -> tr(alpha b) a.
+    b -> tr(alpha b) a, with a's dropped eigenvalues left out of what it measures.
     """
     a = as_matrix(a)
     alpha = as_matrix(alpha)
@@ -194,57 +175,53 @@ def holevo(a, alpha, tol: Tolerance = DEFAULT_TOL) -> MeasurementContext:
     kraus = (scale[:, :, None, None] * outer).reshape(-1, *a.shape)
     if not len(kraus):
         kraus = np.zeros((1, *a.shape), dtype=np.complex128)
-    return MeasurementContext(Operation._adopt(kraus), a)
+    return Operation._adopt(kraus)
 
 
-def sequential_product(ctx: MeasurementContext, b) -> np.ndarray:
-    """The effect "ctx's effect, then b": the dual of ctx's operation on b."""
-    return dual_apply(ctx.op, b)
+def sequential_product(op: Operation, b) -> np.ndarray:
+    """The effect "op's effect, then b": the dual of op on b."""
+    return dual_apply(op, b)
 
 
-def conditional_prob(rho, ctx: MeasurementContext, b, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Probability of b given that ctx's measurement occurred on rho.
+def conditional_prob(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Probability of b given that op's measurement occurred on rho.
 
-    tr[op(rho) b] / tr[rho a]; raises ZeroProbabilityConditionError when the
-    conditioning probability is below eq_tol.
+    tr[op(rho) b] / tr[rho a], a = op.effect; raises ZeroProbabilityConditionError
+    when the conditioning probability is below eq_tol.
     """
-    p = prob(rho, ctx.effect, tol)
+    p = prob(rho, op.effect, tol)
     if p <= tol.eq_tol:
         raise ZeroProbabilityConditionError(f"conditioning effect has probability {p:.3e}")
-    q = trace_product(apply(ctx.op, rho), as_matrix(b)).real / p
+    q = trace_product(apply(op, rho), as_matrix(b)).real / p
     if -tol.eq_tol <= q <= 1.0 + tol.eq_tol:
         q = min(max(q, 0.0), 1.0)
     return float(q)
 
 
-def updated_state(rho, ctx: MeasurementContext, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Post-measurement state op(rho) / tr[rho a]."""
-    p = prob(rho, ctx.effect, tol)
+def updated_state(rho, op: Operation, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Post-measurement state op(rho) / tr[rho a], a = op.effect."""
+    p = prob(rho, op.effect, tol)
     if p <= tol.eq_tol:
         raise ZeroProbabilityConditionError(f"conditioning effect has probability {p:.3e}")
-    return apply(ctx.op, rho) / p
+    return apply(op, rho) / p
 
 
-def bayes2_residual(
-    rho,
-    ctx_a: MeasurementContext,
-    ctx_b: MeasurementContext,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
+def bayes2_residual(rho, op_a: Operation, op_b: Operation, tol: Tolerance = DEFAULT_TOL) -> float:
     """How far the pair is from the second Bayes rule at rho.
 
-    | P(b|a) - P(b) P(a|b) / P(a) |, conditioning through the two contexts.
-    Vanishes for every rho exactly when the two dual transports agree:
-    dual_a(b) == dual_b(a).
+    | P(b|a) - P(b) P(a|b) / P(a) |, conditioning through the two operations,
+    a and b the effects they measure.  Vanishes for every rho exactly when the
+    two dual transports agree: dual_a(b) == dual_b(a).
     """
     rho = as_matrix(rho)
-    pa = prob(rho, ctx_a.effect, tol)
-    pb = prob(rho, ctx_b.effect, tol)
+    a, b = op_a.effect, op_b.effect
+    pa = prob(rho, a, tol)
+    pb = prob(rho, b, tol)
     if pa <= tol.eq_tol or pb <= tol.eq_tol:
         raise ZeroProbabilityConditionError("both conditioning effects need nonzero probability")
-    lhs = trace_product(apply(ctx_a.op, rho), ctx_b.effect).real / pa
+    lhs = trace_product(apply(op_a, rho), b).real / pa
     # P(b) * P(a|b) / P(a): the P(b) factors cancel against P(a|b)'s denominator.
-    rhs = trace_product(apply(ctx_b.op, rho), ctx_a.effect).real / pa
+    rhs = trace_product(apply(op_b, rho), a).real / pa
     return float(abs(lhs - rhs))
 
 

@@ -15,7 +15,7 @@ from .errors import RetryExhaustedError
 from .instruments import Instrument
 from .linalg import DEFAULT_TOL, Tolerance, dagger, psd_sqrt
 from .observables import Observable, RealValuedObservable
-from .operations import MeasurementContext, Operation
+from .operations import Operation
 
 __all__ = [
     "Generator",
@@ -33,7 +33,6 @@ __all__ = [
     "random_codiagonal_observable",
     "random_channel",
     "random_operation_measuring",
-    "random_context_measuring",
     "random_instrument_measuring",
 ]
 
@@ -208,13 +207,6 @@ def random_operation_measuring(
     """Random operation with dual(I) = a: Kraus C_i a**(1/2) over a random channel."""
     root = psd_sqrt(a, tol)
     return Operation._adopt(_stacked_isometry(g, a.shape[0], n_kraus) @ root)
-
-
-def random_context_measuring(
-    g: Generator, a: np.ndarray, n_kraus: int, tol: Tolerance = DEFAULT_TOL
-) -> MeasurementContext:
-    """Same, paired with the intended effect (exact, not the re-derived float sum)."""
-    return MeasurementContext(random_operation_measuring(g, a, n_kraus, tol), np.asarray(a, dtype=np.complex128))
 
 
 def random_instrument_measuring(

@@ -118,14 +118,12 @@ from .observables import (
     validate_observable,
 )
 from .operations import (
-    MeasurementContext,
     Operation,
     apply,
     bayes2_residual,
     choi_distance,
     compose,
     conditional_prob,
-    context,
     dual_apply,
     holevo,
     is_channel,
@@ -134,7 +132,7 @@ from .operations import (
     measured_effect,
     sequential_product,
     updated_state,
-    validate_context,
+    validate_operation,
 )
 from .serialize import matrix_from_json, value_to_json
 
@@ -235,8 +233,7 @@ class SceneReport:
 # signature).  Results go to value_to_json as the library returns them.
 # Kinds:
 #   state / effect / matrix      -> ndarray (matrix accepts any of the three)
-#   operation                    -> Operation
-#   context                      -> MeasurementContext
+#   operation                    -> Operation (it carries the effect it measures)
 #   observable                   -> Observable or RealValuedObservable
 #   real_observable              -> RealValuedObservable
 #   instrument                   -> Instrument
@@ -282,17 +279,17 @@ _OP_TABLE = (
     ("measured_effect", ("operation",), measured_effect),
     ("is_channel", ("operation",), is_channel),
     ("compose", ("operation", "operation"), compose),
-    ("sequential_product", ("context", "effect"), sequential_product),
-    ("conditional_prob", ("state", "context", "effect"), conditional_prob),
-    ("updated_state", ("state", "context"), updated_state),
-    ("bayes2_residual", ("state", "context", "context"), bayes2_residual),
+    ("sequential_product", ("operation", "effect"), sequential_product),
+    ("conditional_prob", ("state", "operation", "effect"), conditional_prob),
+    ("updated_state", ("state", "operation"), updated_state),
+    ("bayes2_residual", ("state", "operation", "operation"), bayes2_residual),
     ("choi_distance", ("operation", "operation"), choi_distance),
     ("maps_equal", ("operation", "operation"), maps_equal),
     ("povm", ("observable", "labels"), povm),
     ("distribution", ("state", "observable"), distribution),
     ("stochastic_operator", ("real_observable",), stochastic_operator),
     ("expectation", ("state", "real_observable"), expectation),
-    ("conditional_expectation", ("state", "context", "real_observable"), conditional_expectation),
+    ("conditional_expectation", ("state", "operation", "real_observable"), conditional_expectation),
     ("is_commuting", ("observable",), is_commuting),
     ("jointly_commuting", ("observable", "observable"), _jointly_commuting),
     ("bar_channel", ("instrument",), bar_channel),
@@ -310,9 +307,9 @@ _OP_TABLE = (
     ("commutator_trace", _CTX_STATS_PAIR, commutator_trace),
     ("uncertainty_report", _CTX_STATS_PAIR, uncertainty_report),
     ("effect_entropy", ("state", "effect"), effect_entropy),
-    ("sequential_entropy", ("state", "context", "effect"), sequential_entropy),
-    ("conditional_effect_entropy", ("state", "context", "effect"), conditional_effect_entropy),
-    ("sequential_entropy_dominated", ("context", "effect"), sequential_entropy_dominated),
+    ("sequential_entropy", ("state", "operation", "effect"), sequential_entropy),
+    ("conditional_effect_entropy", ("state", "operation", "effect"), conditional_effect_entropy),
+    ("sequential_entropy_dominated", ("operation", "effect"), sequential_entropy_dominated),
     ("observable_entropy", ("state", "observable"), observable_entropy),
     ("conditional_observable_entropy_double", _CTX_ENTROPY, conditional_observable_entropy_double),
     ("conditional_observable_entropy_single", _CTX_ENTROPY, conditional_observable_entropy_single),
@@ -334,6 +331,8 @@ def _require_dict(value, where: str) -> dict:
 
 
 def _check_labels(labels, where: str) -> None:
+    if len(set(labels)) != len(labels):
+        raise SceneValidationError(f"{where}: outcome labels must be unique, got {labels}")
     for x in labels:
         for bad in _RESERVED_LABELS:
             if bad in str(x):
@@ -354,7 +353,7 @@ def _parse_values(raw, outcomes, where: str) -> dict[str, float]:
     return out
 
 
-def _parse_observable(name: str, raw, tol: Tolerance):
+def _parse_observable(name: str, raw):
     where = f"object {name!r}"
     raw = _require_dict(raw, where)
     extra = set(raw) - {"outcomes", "effects", "values"}
@@ -377,15 +376,14 @@ def _parse_observable(name: str, raw, tol: Tolerance):
     return obs
 
 
-def _parse_operation_literal(name: str, key: str, raw, tol: Tolerance) -> MeasurementContext:
+def _parse_operation_literal(name: str, key: str, raw, tol: Tolerance) -> Operation:
     where = f"object {name!r}"
     if key == "kraus":
         if not isinstance(raw, list) or not raw:
             raise SceneParseError(f"{where}: kraus must be a nonempty list of matrices")
-        op = Operation(
+        return Operation(
             tuple(matrix_from_json(k, f"{where} kraus[{i}]") for i, k in enumerate(raw))
         )
-        return context(op)
     if key == "luders":
         a = matrix_from_json(raw, f"{where} luders effect")
         _raise_violations(name, validate_effect(a, tol))
@@ -407,14 +405,12 @@ def _parse_instrument(
     raw = _require_dict(raw, where)
     if set(raw) == {"luders_of"}:
         source = _resolve_observable_ref(raw["luders_of"], where, observables)
-        return luders_instrument(_plain_observable(source), tol)
+        return luders_instrument(source.value, tol)
     if set(raw) == {"holevo_of"}:
         spec = _require_dict(raw["holevo_of"], f"{where} holevo_of")
         if set(spec) != {"observable", "alphas"}:
             raise SceneParseError(f"{where}: holevo_of needs exactly observable and alphas")
-        source = _plain_observable(
-            _resolve_observable_ref(spec["observable"], where, observables)
-        )
+        source = _resolve_observable_ref(spec["observable"], where, observables).value
         alphas_raw = _require_dict(spec["alphas"], f"{where} alphas")
         alphas = {}
         for x in source.outcomes:
@@ -443,7 +439,7 @@ def _parse_instrument(
                     f"{where} op {x!r}: expected a kraus, luders or holevo literal"
                 )
             key = next(iter(literal))
-            ops[x] = _parse_operation_literal(f"{name}[{x}]", key, literal[key], tol).op
+            ops[x] = _parse_operation_literal(f"{name}[{x}]", key, literal[key], tol)
         return Instrument(labels, ops)
     raise SceneParseError(
         f"{where}: an instrument literal is outcomes+ops, luders_of, or holevo_of"
@@ -458,13 +454,6 @@ def _resolve_observable_ref(
     if ref not in observables:
         raise SceneReferenceError(f"{where}: no observable named {ref!r}")
     return observables[ref]
-
-
-def _plain_observable(obj: SceneObject) -> Observable:
-    value = obj.value
-    if isinstance(value, RealValuedObservable):
-        return value.observable
-    return value
 
 
 def _raise_violations(name: str, violations) -> None:
@@ -507,11 +496,11 @@ def _build_object(
     if key == "matrix":
         return SceneObject(name, "matrix", matrix_from_json(raw, where))
     if key in ("kraus", "luders", "holevo"):
-        ctx = _parse_operation_literal(name, key, raw, tol)
-        _raise_violations(name, validate_context(ctx, tol))
-        return SceneObject(name, "operation", ctx)
+        op = _parse_operation_literal(name, key, raw, tol)
+        _raise_violations(name, validate_operation(op, tol))
+        return SceneObject(name, "operation", op)
     if key == "observable":
-        obs = _parse_observable(name, raw, tol)
+        obs = _parse_observable(name, raw)
         target = obs.observable if isinstance(obs, RealValuedObservable) else obs
         _raise_violations(name, validate_observable(target, tol))
         return SceneObject(name, "observable", obs)
@@ -525,7 +514,6 @@ _ACCEPTED_KINDS = {
     "effect": ("effect", "state"),
     "matrix": ("matrix", "state", "effect"),
     "operation": ("operation",),
-    "context": ("operation",),
     "observable": ("observable",),
     "real_observable": ("observable",),
     "instrument": ("instrument",),
@@ -559,8 +547,6 @@ def _coerce_arg(kind: str, raw, check_where: str, objects: Mapping[str, SceneObj
         raise SceneValidationError(
             f"{check_where}: observable {raw!r} needs outcome values for this operation"
         )
-    if kind == "operation":
-        return obj.value.op
     return obj.value
 
 
@@ -739,7 +725,7 @@ def _operation_from_expected(expected, where: str, tol: Tolerance) -> Operation:
     if len(expected) != 1 or next(iter(expected)) not in ("kraus", "luders", "holevo"):
         raise SceneValidationError(f"{where}: expected a kraus/luders/holevo literal")
     key = next(iter(expected))
-    return _parse_operation_literal(where, key, expected[key], tol).op
+    return _parse_operation_literal(where, key, expected[key], tol)
 
 
 def _residual(value, check: CheckSpec, tol: Tolerance) -> tuple[float, object]:

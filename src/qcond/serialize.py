@@ -15,7 +15,7 @@ import numpy as np
 from .errors import SceneParseError
 from .instruments import Instrument
 from .observables import Observable, RealValuedObservable, SubObservable
-from .operations import MeasurementContext, Operation
+from .operations import Operation
 
 __all__ = [
     "complex_to_json",
@@ -111,8 +111,6 @@ def value_to_json(value):
         return matrix_to_json(value)
     if isinstance(value, Operation):
         return operation_to_json(value)
-    if isinstance(value, MeasurementContext):
-        return {"op": operation_to_json(value.op), "effect": matrix_to_json(value.effect)}
     if isinstance(value, (Observable, SubObservable, RealValuedObservable)):
         return observable_to_json(value)
     if isinstance(value, Instrument):

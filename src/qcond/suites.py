@@ -61,7 +61,6 @@ from .instruments import (
 from .linalg import DEFAULT_TOL, Tolerance, commutator, dagger, frobenius, trace_product
 from .observables import jointly_commuting
 from .operations import (
-    MeasurementContext,
     Operation,
     apply,
     choi_distance,
@@ -80,11 +79,11 @@ from .rand import (
     random_atomic_observable,
     random_codiagonal_effects,
     random_codiagonal_observable,
-    random_context_measuring,
     random_effect,
     random_hermitian,
     random_instrument_measuring,
     random_observable,
+    random_operation_measuring,
     random_projection,
     random_projective_observable,
     random_real_values,
@@ -203,7 +202,7 @@ def _suite_duality(root: Generator, dims, trials, tol: Tolerance, run: _Run) -> 
         for t in range(trials):
             g = root.derive(dim, t)
             a = random_effect(g, dim)
-            op = random_context_measuring(g.derive(0), a, 1 + t % 3, tol).op
+            op = random_operation_measuring(g.derive(0), a, 1 + t % 3, tol)
             rho = random_state(g, dim)
             h = random_hermitian(g, dim)
             r = abs(trace_product(apply(op, rho), h) - trace_product(rho, dual_apply(op, h)))
@@ -225,19 +224,19 @@ def _suite_sequential_product_bounds(root, dims, trials, tol, run) -> None:
         for t in range(trials):
             g = root.derive(dim, t)
             a = random_effect(g, dim)
-            ctx = random_context_measuring(g.derive(0), a, 1 + t % 3, tol)
+            op = random_operation_measuring(g.derive(0), a, 1 + t % 3, tol)
             b = random_effect(g, dim)
-            r_order = max(0.0, -_hermitian_floor(a - sequential_product(ctx, b)))
+            r_order = max(0.0, -_hermitian_floor(a - sequential_product(op, b)))
 
             p = random_projection(g, dim, g.integer(1, dim))
-            ctx_p = random_context_measuring(g.derive(1), p, 1 + (t + 1) % 3, tol)
+            op_p = random_operation_measuring(g.derive(1), p, 1 + (t + 1) % 3, tol)
             b2 = random_effect(g, dim)
-            r_sharp = frobenius(commutator(sequential_product(ctx_p, b2), p))
+            r_sharp = frobenius(commutator(sequential_product(op_p, b2), p))
 
             atom = random_atomic_effect(g, dim)
-            ctx_atom = random_context_measuring(g.derive(2), atom, 1 + (t + 2) % 3, tol)
+            op_atom = random_operation_measuring(g.derive(2), atom, 1 + (t + 2) % 3, tol)
             b3 = random_effect(g, dim)
-            transported = sequential_product(ctx_atom, b3)
+            transported = sequential_product(op_atom, b3)
             lam = trace_product(atom, transported).real
             r_atom = frobenius(transported - lam * atom)
             lam_ok = -tol.psd_tol <= lam <= 1.0 + tol.psd_tol
@@ -258,20 +257,20 @@ def _suite_composition_laws(root, dims, trials, tol, run) -> None:
         for t in range(trials):
             g = root.derive(dim, t)
             a = random_effect(g, dim)
-            ctx_i = random_context_measuring(g.derive(0), a, 1 + t % 2, tol)
+            op_i = random_operation_measuring(g.derive(0), a, 1 + t % 2, tol)
             b = random_effect(g, dim)
-            ctx_j = random_context_measuring(g.derive(1), b, 1 + (t + 1) % 2, tol)
+            op_j = random_operation_measuring(g.derive(1), b, 1 + (t + 1) % 2, tol)
             c = random_effect(g, dim)
             rho = random_state(g, dim)
             h = random_hermitian(g, dim)
 
-            comp = compose(ctx_i.op, ctx_j.op)
-            a_then_b = sequential_product(ctx_i, b)
+            comp = compose(op_i, op_j)
+            a_then_b = sequential_product(op_i, b)
             # dual of "first i then j" applies j's dual first
-            r1 = frobenius(dual_apply(comp, h) - dual_apply(ctx_i.op, dual_apply(ctx_j.op, h)))
+            r1 = frobenius(dual_apply(comp, h) - dual_apply(op_i, dual_apply(op_j, h)))
             r2 = frobenius(measured_effect(comp) - a_then_b)
             r3 = frobenius(
-                sequential_product(ctx_i, sequential_product(ctx_j, c)) - dual_apply(comp, c)
+                sequential_product(op_i, sequential_product(op_j, c)) - dual_apply(comp, c)
             )
 
             pa = prob(rho, a, tol)
@@ -280,9 +279,8 @@ def _suite_composition_laws(root, dims, trials, tol, run) -> None:
                 skipped += 1
                 r4 = 0.0
             else:
-                ctx_comp = MeasurementContext(comp, a_then_b)
-                lhs = pa * conditional_prob(rho, ctx_i, sequential_product(ctx_j, c), tol)
-                rhs = pab * conditional_prob(rho, ctx_comp, c, tol)
+                lhs = pa * conditional_prob(rho, op_i, sequential_product(op_j, c), tol)
+                rhs = pab * conditional_prob(rho, comp, c, tol)
                 r4 = abs(lhs - rhs)
 
             residual = max(r1, r2, r3, r4)
@@ -301,8 +299,8 @@ def _suite_bayes2_commuting(root, dims, trials, tol, run) -> None:
         for t in range(trials):
             g = root.derive(dim, t)
             a, b = random_codiagonal_effects(g, dim)
-            ctx_a = luders(a, tol)
-            ctx_b = luders(b, tol)
+            op_a = luders(a, tol)
+            op_b = luders(b, tol)
             worst = 0.0
             checked = 0
             draw = 0
@@ -311,7 +309,7 @@ def _suite_bayes2_commuting(root, dims, trials, tol, run) -> None:
                 draw += 1
                 if prob(rho, a, tol) <= 1e-6 or prob(rho, b, tol) <= 1e-6:
                     continue
-                worst = max(worst, bayes2_residual(rho, ctx_a, ctx_b, tol))
+                worst = max(worst, bayes2_residual(rho, op_a, op_b, tol))
                 checked += 1
             run.record(
                 checked == 20 and worst <= tol.eq_tol,
@@ -327,15 +325,15 @@ def _suite_bayes2_noncommuting(root, dims, trials, tol, run) -> None:
         for t in range(trials):
             g = root.derive(dim, t)
             a, b = _noncommuting_effect_pair(g, dim, tol)
-            ctx_a = luders(a, tol)
-            ctx_b = luders(b, tol)
+            op_a = luders(a, tol)
+            op_b = luders(b, tol)
             best = 0.0
             found = None
             for draw in range(SEARCH_BUDGET):
                 rho = random_state(g.derive(draw), dim)
                 if prob(rho, a, tol) <= tol.eq_tol or prob(rho, b, tol) <= tol.eq_tol:
                     continue
-                r = bayes2_residual(rho, ctx_a, ctx_b, tol)
+                r = bayes2_residual(rho, op_a, op_b, tol)
                 best = max(best, r)
                 if r > WITNESS_MARGIN:
                     found = (rho, r)
@@ -374,7 +372,7 @@ def _suite_holevo_laws(root, dims, trials, tol, run) -> None:
             g = root.derive(dim, t)
             a = random_effect(g, dim)
             alpha = random_state(g, dim)
-            ctx_h = holevo(a, alpha, tol)
+            op_h = holevo(a, alpha, tol)
             b = random_effect(g, dim)
             expected = trace_product(alpha, b).real
             worst_cp = 0.0
@@ -385,27 +383,27 @@ def _suite_holevo_laws(root, dims, trials, tol, run) -> None:
                 draw += 1
                 if prob(rho, a, tol) < 1e-2:
                     continue
-                worst_cp = max(worst_cp, abs(conditional_prob(rho, ctx_h, b, tol) - expected))
+                worst_cp = max(worst_cp, abs(conditional_prob(rho, op_h, b, tol) - expected))
                 checked += 1
             ok_cp = checked == 50 and worst_cp <= 0.1 * tol.eq_tol
 
             beta = random_state(g, dim)
-            ctx_h2 = holevo(b, beta, tol)
+            op_h2 = holevo(b, beta, tol)
             predicted = holevo(expected * a, beta, tol)
-            r_comp = choi_distance(compose(ctx_h.op, ctx_h2.op), predicted.op)
+            r_comp = choi_distance(compose(op_h, op_h2), predicted)
 
             ac, bc = random_codiagonal_effects(g, dim)
-            ctx_ac = luders(ac, tol)
+            op_ac = luders(ac, tol)
             r_closed = choi_distance(
-                compose(ctx_ac.op, luders(bc, tol).op),
-                luders(sequential_product(ctx_ac, bc), tol).op,
+                compose(op_ac, luders(bc, tol)),
+                luders(sequential_product(op_ac, bc), tol),
             )
 
             an, bn = _noncommuting_effect_pair(g, dim, tol)
-            ctx_an = luders(an, tol)
+            op_an = luders(an, tol)
             gap_open = choi_distance(
-                compose(ctx_an.op, luders(bn, tol).op),
-                luders(sequential_product(ctx_an, bn), tol).op,
+                compose(op_an, luders(bn, tol)),
+                luders(sequential_product(op_an, bn), tol),
             )
             ok = ok_cp and r_comp <= tol.eq_tol and r_closed <= tol.eq_tol and gap_open > WITNESS_MARGIN
             run.record(
@@ -631,15 +629,15 @@ def _suite_entropy(root, dims, trials, tol, run) -> None:
 
             oks.append(effect_entropy(rho, a, tol) >= 0.0)
 
-            ctx = random_context_measuring(g.derive(0), a, 1 + t % 3, tol)
-            if sequential_entropy_dominated(ctx, b, tol):
+            op = random_operation_measuring(g.derive(0), a, 1 + t % 3, tol)
+            if sequential_entropy_dominated(op, b, tol):
                 worst = 0.0
                 for s in range(50):
                     rs = random_state(g.derive(1000 + s), dim)
                     worst = max(
                         worst,
-                        sequential_entropy(rs, ctx, b, tol)
-                        - conditional_effect_entropy(rs, ctx, b, tol),
+                        sequential_entropy(rs, op, b, tol)
+                        - conditional_effect_entropy(rs, op, b, tol),
                     )
                 oks.append(worst <= tol.eq_tol)
                 residual = max(residual, worst)
@@ -647,8 +645,8 @@ def _suite_entropy(root, dims, trials, tol, run) -> None:
                 reversed_found = False
                 for s in range(SEARCH_BUDGET):
                     rs = random_state(g.derive(2000 + s), dim)
-                    gap = sequential_entropy(rs, ctx, b, tol) - conditional_effect_entropy(
-                        rs, ctx, b, tol
+                    gap = sequential_entropy(rs, op, b, tol) - conditional_effect_entropy(
+                        rs, op, b, tol
                     )
                     if gap > 1e-12:
                         reversed_found = True
@@ -674,13 +672,13 @@ def _suite_entropy(root, dims, trials, tol, run) -> None:
                         ah = np.eye(dim) - 0.1 * random_effect(gh, dim)
                         alh = random_atomic_effect(gh, dim)
                         bh = alh
-                    ctx_h = holevo(ah, alh, tol)
-                    if sequential_entropy_dominated(ctx_h, bh, tol):
+                    op_h = holevo(ah, alh, tol)
+                    if sequential_entropy_dominated(op_h, bh, tol):
                         continue
                     for s in range(SEARCH_BUDGET):
                         rh = random_state(gh.derive(s), dim)
-                        gap = sequential_entropy(rh, ctx_h, bh, tol) - conditional_effect_entropy(
-                            rh, ctx_h, bh, tol
+                        gap = sequential_entropy(rh, op_h, bh, tol) - conditional_effect_entropy(
+                            rh, op_h, bh, tol
                         )
                         if gap > WITNESS_MARGIN:
                             run.witness(

@@ -62,7 +62,6 @@ from qcond.operations import (
     choi_distance,
     compose,
     conditional_prob,
-    context,
     dual_apply,
     holevo,
     luders,
@@ -76,7 +75,6 @@ from qcond.rand import (
     random_atomic_observable,
     random_codiagonal_effects,
     random_codiagonal_observable,
-    random_context_measuring,
     random_effect,
     random_hermitian,
     random_instrument_measuring,
@@ -158,23 +156,23 @@ def test_criterion_03_operation_composition_laws():
         gi = g.derive(4, i)
         a = random_effect(gi, dim)
         b = random_effect(gi, dim)
-        ctx_a = random_context_measuring(gi, a, 1 + i % 2)
-        ctx_b = random_context_measuring(gi, b, 1 + (i // 2) % 2)
+        op_a = random_operation_measuring(gi, a, 1 + i % 2)
+        op_b = random_operation_measuring(gi, b, 1 + (i // 2) % 2)
         c = random_effect(gi, dim)
         h = random_hermitian(gi, dim)
         rho = random_state(gi, dim)
-        comp = compose(ctx_a.op, ctx_b.op)
+        comp = compose(op_a, op_b)
 
         # (i) the dual of first-then-second applies the duals in reverse
         r1 = frobenius(
-            dual_apply(comp, h) - dual_apply(ctx_a.op, dual_apply(ctx_b.op, h))
+            dual_apply(comp, h) - dual_apply(op_a, dual_apply(op_b, h))
         )
         assert r1 <= 1e-9
         # (ii) the composite measures a-then-b
-        ab = sequential_product(ctx_a, b)
+        ab = sequential_product(op_a, b)
         assert frobenius(measured_effect(comp) - ab) <= 1e-9
         # (iii) associativity: a-then-(b-then-c) == (a-then-b)-then-c
-        lhs = sequential_product(ctx_a, sequential_product(ctx_b, c))
+        lhs = sequential_product(op_a, sequential_product(op_b, c))
         assert frobenius(lhs - dual_apply(comp, c)) <= 1e-9
         # (iv) tr(rho a) P(b-then-c | a) == tr(rho ab) P(c | ab),
         # skipped (and counted) when either conditioning probability vanishes
@@ -183,8 +181,8 @@ def test_criterion_03_operation_composition_laws():
         if p_a <= 1e-9 or p_ab <= 1e-9:
             skipped += 1
             continue
-        left = p_a * conditional_prob(rho, ctx_a, sequential_product(ctx_b, c))
-        right = p_ab * conditional_prob(rho, context(comp), c)
+        left = p_a * conditional_prob(rho, op_a, sequential_product(op_b, c))
+        right = p_ab * conditional_prob(rho, comp, c)
         assert abs(left - right) <= 1e-9
         checked += 1
     assert checked + skipped == 100
@@ -252,9 +250,9 @@ def test_criterion_05_holevo_operation_laws():
         b = random_effect(gi, dim)
         alpha = random_state(gi, dim)
         beta = random_state(gi, dim)
-        left = compose(holevo(a, alpha).op, holevo(b, beta).op)
+        left = compose(holevo(a, alpha), holevo(b, beta))
         weight = float(trace_product(alpha, b).real)
-        right = holevo(weight * a, beta).op
+        right = holevo(weight * a, beta)
         assert choi_distance(left, right) <= 1e-9
 
     for i in range(10):
@@ -262,8 +260,8 @@ def test_criterion_05_holevo_operation_laws():
         dim = 2 + i % 3
         a, b = random_codiagonal_effects(gi, dim)
         sa = psd_sqrt(a)
-        composed = compose(luders(a).op, luders(b).op)
-        collapsed = luders(sa @ b @ sa).op
+        composed = compose(luders(a), luders(b))
+        collapsed = luders(sa @ b @ sa)
         assert choi_distance(composed, collapsed) <= 1e-9
         assert maps_equal(composed, collapsed)
         while True:
@@ -272,8 +270,8 @@ def test_criterion_05_holevo_operation_laws():
             if frobenius(commutator(a, b)) > 1e-2:
                 break
         sa = psd_sqrt(a)
-        composed = compose(luders(a).op, luders(b).op)
-        collapsed = luders(sa @ b @ sa).op
+        composed = compose(luders(a), luders(b))
+        collapsed = luders(sa @ b @ sa)
         assert choi_distance(composed, collapsed) > 1e-6
         assert not maps_equal(composed, collapsed)
 
@@ -493,7 +491,7 @@ def test_criterion_10_entropy_laws():
         assert sequential_entropy_dominated(luders_ctx, b)
         contexts = (
             luders_ctx,
-            random_context_measuring(gi, a, 1 + i % 2),
+            random_operation_measuring(gi, a, 1 + i % 2),
             holevo(a, random_state(gi, dim)),
         )
         for ctx in contexts:

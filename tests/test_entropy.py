@@ -76,9 +76,7 @@ def test_sequential_entropy_special_cases(qubit):
 
 def test_conditional_entropy_special_cases(qubit):
     rho = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
-    from qcond import context
-
-    ident = context(Operation((np.eye(2),)))
+    ident = Operation((np.eye(2),))
     b = random_effect(Generator(71), 2)
     assert conditional_effect_entropy(rho, ident, b) == pytest.approx(
         effect_entropy(rho, b)

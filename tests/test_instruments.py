@@ -92,7 +92,7 @@ def test_instrument_constructors(qubit):
 
 
 def test_validate_instrument_flags_subnormalized(qubit):
-    broken = Instrument(("0",), {"0": luders(qubit["P0"]).op})
+    broken = Instrument(("0",), {"0": luders(qubit["P0"])})
     assert any(v.invariant == "bar-channel" for v in validate_instrument(broken))
 
 
@@ -242,7 +242,7 @@ def test_compose_holevo_instruments(qubit):
         for y in ("+", "-"):
             weight = np.trace(alphas[x] @ x_obs(qubit).effects[y]).real
             expected = holevo(weight * z_obs(qubit).effects[x], betas[y])
-            assert choi_distance(both.ops[f"{x},{y}"], expected.op) <= 1e-9
+            assert choi_distance(both.ops[f"{x},{y}"], expected) <= 1e-9
 
 
 def test_compose_luders_instruments(qubit):
@@ -255,12 +255,12 @@ def test_compose_luders_instruments(qubit):
     for x in ("0", "1"):
         for y in ("0", "1"):
             product = z_obs(qubit).effects[x] @ d1.effects[y]
-            expected = luders(product).op
+            expected = luders(product)
             assert choi_distance(both.ops[f"{x},{y}"], expected) <= 1e-9
     # noncommuting: the composite outcome op is *not* Lüders of a^{1/2} b a^{1/2}
     both = compose_instruments(i, luders_instrument(x_obs(qubit)))
     a, b = qubit["P0"], qubit["plus"]
-    candidate = luders(psd_sqrt(a) @ b @ psd_sqrt(a)).op
+    candidate = luders(psd_sqrt(a) @ b @ psd_sqrt(a))
     assert choi_distance(both.ops["0,+"], candidate) > 1e-6
 
 

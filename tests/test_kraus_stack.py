@@ -4,6 +4,12 @@ Each batched kernel in qcond.operations is compared with a per-Kraus loop
 written out here.  The batched forms sum in another order, so they agree to
 round-off, not bit for bit; 1e-12 is far above complex128 round-off at these
 sizes and far below any law's tolerance.
+
+Every producer also keeps the measured-effect contract: ``op.effect`` is the
+effect the operation is meant to measure, within round-off that grows with d
+(about 8e-16 per dimension seen for psd_sqrt and eigendecomposition round
+trips at d <= 10, so 1e-14 per dimension), computed once, read-only, and
+the very array ``measured_effect`` returns.
 """
 
 import numpy as np
@@ -18,7 +24,9 @@ from qcond import (
     choi_matrix,
     compose,
     dual_apply,
+    frobenius,
     holevo,
+    luders,
     measured_effect,
 )
 from qcond.linalg import DEFAULT_TOL, hermitian_eig
@@ -32,6 +40,7 @@ from qcond.rand import (
 )
 
 ATOL = 1e-12
+EFFECT_TOL_PER_DIM = 1e-14
 CASES = [(d, k) for d in (2, 5, 10) for k in (1, 3, d * d + 3)]
 
 
@@ -63,6 +72,18 @@ def _ref_choi(kraus):
     return out
 
 
+def _assert_measures(op, intended):
+    """op.effect is the intended effect, cached, read-only, and what measured_effect returns."""
+    assert frobenius(op.effect - intended) <= EFFECT_TOL_PER_DIM * op.dim
+    assert op.effect is op.effect
+    assert not op.effect.flags.writeable
+    with pytest.raises(ValueError):
+        op.effect[0, 0] += 1.0
+    with pytest.raises(AttributeError):
+        op.effect = np.eye(op.dim)
+    assert measured_effect(op) is op.effect
+
+
 def _ref_holevo(a, alpha, tol=DEFAULT_TOL):
     nu, v = hermitian_eig(a, tol)
     mu, w = hermitian_eig(alpha, tol)
@@ -84,7 +105,7 @@ def test_apply_dual_and_measured_effect_match_loops(dim, n_kraus):
     rho, a = random_state(g.derive(0), dim), random_effect(g.derive(1), dim)
     assert _close(apply(op, rho), _ref_apply(kraus, rho))
     assert _close(dual_apply(op, a), _ref_dual(kraus, a))
-    assert _close(measured_effect(op), _ref_dual(kraus, np.eye(dim)))
+    _assert_measures(op, _ref_dual(kraus, np.eye(dim)))
 
 
 @pytest.mark.parametrize("dim,n_kraus", CASES)
@@ -100,9 +121,12 @@ def test_compose_matches_loop_in_order(dim, n_kraus):
     first = random_channel(g.derive(0), dim, n_kraus)
     second = Operation(_random_kraus(dim * 100 + n_kraus + 2, dim, 3))
     expected = [l @ k for l in second.kraus for k in first.kraus]
-    got = compose(first, second).kraus
-    assert got.shape == (3 * n_kraus, dim, dim)
-    assert _close(got, expected)
+    composed = compose(first, second)
+    assert composed.kraus.shape == (3 * n_kraus, dim, dim)
+    assert _close(composed.kraus, expected)
+    # Lazy: composing computes no effect; it measures first's effect, then second's.
+    assert "effect" not in vars(composed)
+    _assert_measures(composed, _ref_dual(first.kraus, _ref_dual(second.kraus, np.eye(dim))))
 
 
 @pytest.mark.parametrize("dim", (2, 5, 10))
@@ -116,9 +140,19 @@ def test_holevo_matches_loop(dim):
     ]
     for a, alpha in cases:
         expected = _ref_holevo(a, alpha)
-        got = holevo(a, alpha).op.kraus
-        assert got.shape == (len(expected), dim, dim)
-        assert _close(got, expected)
+        op = holevo(a, alpha)
+        assert op.kraus.shape == (len(expected), dim, dim)
+        assert _close(op.kraus, expected)
+        _assert_measures(op, a)
+
+
+@pytest.mark.parametrize("dim", (2, 5, 10))
+def test_luders_and_random_operations_measure_their_effect(dim):
+    g = Generator(940 + dim)
+    for a in (random_effect(g.derive(0), dim), random_projection(g.derive(1), dim, dim // 2)):
+        _assert_measures(luders(a), a)
+        for n_kraus in (1, 3):
+            _assert_measures(random_operation_measuring(g.derive(2, n_kraus), a, n_kraus), a)
 
 
 def test_constructor_stacks_and_freezes():
@@ -167,7 +201,7 @@ def test_producers_return_read_only_stacks():
     a = random_effect(g.derive(0), 3)
     op = random_operation_measuring(g.derive(1), a, 2)
     ctx = holevo(a, random_state(g.derive(2), 3))
-    ins = Instrument(("x", "y"), {"x": op, "y": ctx.op})
-    for produced in (op, ctx.op, compose(op, ctx.op), bar_channel(ins), random_channel(g, 3, 2)):
+    ins = Instrument(("x", "y"), {"x": op, "y": ctx})
+    for produced in (op, ctx, compose(op, ctx), bar_channel(ins), random_channel(g, 3, 2)):
         assert produced.kraus.ndim == 3
         assert not produced.kraus.flags.writeable

@@ -12,7 +12,6 @@ from qcond import (
     SubObservable,
     UnknownLabelError,
     conditional_expectation,
-    context,
     distribution,
     expectation,
     holevo,
@@ -92,7 +91,7 @@ def test_expectation_routes_agree():
 def test_conditional_expectation(qubit):
     b = RealValuedObservable(z_observable(qubit), {"x0": 1.0, "x1": -1.0})
     rho = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
-    ident = context(Operation((np.eye(2),)))
+    ident = Operation((np.eye(2),))
     assert conditional_expectation(rho, ident, b) == pytest.approx(expectation(rho, b))
     # Holevo context: independent of the state
     alpha = np.diag([0.9, 0.1]).astype(complex)

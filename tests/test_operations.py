@@ -11,7 +11,6 @@ from qcond import (
     choi_matrix,
     compose,
     conditional_prob,
-    context,
     dual_apply,
     frobenius,
     holevo,
@@ -22,7 +21,6 @@ from qcond import (
     psd_sqrt,
     sequential_product,
     updated_state,
-    validate_context,
     validate_operation,
 )
 from qcond.rand import (
@@ -36,9 +34,9 @@ from qcond.rand import (
 
 def test_apply_examples(qubit):
     half = np.eye(2) / 2
-    assert np.allclose(apply(luders(qubit["P0"]).op, half), np.diag([0.5, 0.0]))
+    assert np.allclose(apply(luders(qubit["P0"]), half), np.diag([0.5, 0.0]))
     assert np.allclose(
-        apply(holevo(qubit["P0"], qubit["P1"]).op, half), 0.5 * qubit["P1"]
+        apply(holevo(qubit["P0"], qubit["P1"]), half), 0.5 * qubit["P1"]
     )
     flip = Operation((qubit["X"],))
     assert np.allclose(apply(flip, qubit["P0"]), qubit["P1"])
@@ -62,7 +60,7 @@ def test_luders_is_self_dual(qubit):
     a = np.array([[0.7, 0.1], [0.1, 0.4]], dtype=complex)
     ctx = luders(a)
     h = random_hermitian(Generator(32), 2)
-    assert np.allclose(apply(ctx.op, h), dual_apply(ctx.op, h))
+    assert np.allclose(apply(ctx, h), dual_apply(ctx, h))
 
 
 def test_holevo_dual_formula(qubit):
@@ -71,7 +69,7 @@ def test_holevo_dual_formula(qubit):
     ctx = holevo(a, alpha)
     for b in (qubit["P0"], qubit["plus"], np.eye(2)):
         expected = np.trace(alpha @ b) * a
-        assert frobenius(dual_apply(ctx.op, b) - expected) <= 1e-12
+        assert frobenius(dual_apply(ctx, b) - expected) <= 1e-12
 
 
 def test_channel_dual_preserves_identity():
@@ -84,14 +82,14 @@ def test_channel_dual_preserves_identity():
 
 def test_measured_effect(qubit):
     a = np.array([[0.5, 0.1], [0.1, 0.8]], dtype=complex)
-    assert frobenius(measured_effect(luders(a).op) - a) <= 1e-12
-    assert frobenius(measured_effect(holevo(a, qubit["P1"]).op) - a) <= 1e-12
+    assert frobenius(measured_effect(luders(a)) - a) <= 1e-12
+    assert frobenius(measured_effect(holevo(a, qubit["P1"])) - a) <= 1e-12
     assert np.allclose(measured_effect(Operation((qubit["X"],))), np.eye(2))
 
 
 def test_is_channel(qubit):
     assert is_channel(Operation((np.eye(2),)))
-    assert not is_channel(luders(qubit["P0"]).op)
+    assert not is_channel(luders(qubit["P0"]))
     assert is_channel(Operation((qubit["P0"], qubit["P1"])))
 
 
@@ -99,15 +97,15 @@ def test_compose_kraus_and_ordering(qubit):
     a = np.array([[0.5, 0.1], [0.1, 0.8]], dtype=complex)
     b = np.array([[0.9, 0.0], [0.0, 0.2]], dtype=complex)
     first, second = luders(a), luders(b)
-    c = compose(first.op, second.op)
+    c = compose(first, second)
     assert len(c.kraus) == 1
     assert np.allclose(c.kraus[0], psd_sqrt(b) @ psd_sqrt(a))
     rho = np.full((2, 2), 0.5, dtype=complex)
-    assert np.allclose(apply(c, rho), apply(second.op, apply(first.op, rho)))
+    assert np.allclose(apply(c, rho), apply(second, apply(first, rho)))
     # dual runs in the reverse order
     h = qubit["Z"]
     assert np.allclose(
-        dual_apply(c, h), dual_apply(first.op, dual_apply(second.op, h))
+        dual_apply(c, h), dual_apply(first, dual_apply(second, h))
     )
 
 
@@ -124,9 +122,9 @@ def test_holevo_composition_law(qubit):
     b = np.array([[0.3, 0.0], [0.0, 0.9]], dtype=complex)
     alpha = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
     beta = qubit["plus"]
-    composed = compose(holevo(a, alpha).op, holevo(b, beta).op)
+    composed = compose(holevo(a, alpha), holevo(b, beta))
     weight = np.trace(alpha @ b).real
-    assert maps_equal(composed, holevo(weight * a, beta).op)
+    assert maps_equal(composed, holevo(weight * a, beta))
 
 
 def test_sequential_product(qubit):
@@ -142,7 +140,7 @@ def test_sequential_product(qubit):
 def test_sequential_product_atomic_is_scalar_multiple(qubit):
     g = Generator(35)
     atom = qubit["plus"]
-    ctx = context(random_operation_measuring(g, atom, 3))
+    ctx = random_operation_measuring(g, atom, 3)
     b = random_effect(g.derive(1), 2)
     out = sequential_product(ctx, b)
     lam = np.trace(atom @ out).real / np.trace(atom).real
@@ -178,18 +176,18 @@ def test_updated_state(qubit):
     alpha = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
     hol = holevo(np.diag([0.5, 0.7]).astype(complex), alpha)
     assert np.allclose(updated_state(np.diag([0.3, 0.7]).astype(complex), hol), alpha)
-    ident = context(Operation((np.eye(2),)))
+    ident = Operation((np.eye(2),))
     assert np.allclose(updated_state(half, ident), half)
 
 
 def test_constructor_shapes(qubit):
-    assert len(luders(np.eye(2)).op.kraus) == 1
-    assert is_channel(luders(np.eye(2)).op)
+    assert len(luders(np.eye(2)).kraus) == 1
+    assert is_channel(luders(np.eye(2)))
     assert np.allclose(
-        apply(holevo(qubit["P0"], qubit["P1"]).op, qubit["P0"]), qubit["P1"]
+        apply(holevo(qubit["P0"], qubit["P1"]), qubit["P0"]), qubit["P1"]
     )
-    assert len(luders(qubit["P0"]).op.kraus) == 1
-    assert len(holevo(qubit["P0"], qubit["P1"]).op.kraus) == 1
+    assert len(luders(qubit["P0"]).kraus) == 1
+    assert len(holevo(qubit["P0"], qubit["P1"]).kraus) == 1
 
 
 def test_bayes2_residual(qubit):
@@ -216,13 +214,13 @@ def test_luders_closure_iff_commuting(qubit):
     # commuting pair: composition is the Lüders context of a^{1/2} b a^{1/2}
     a = np.diag([0.5, 0.125]).astype(complex)
     b = np.diag([0.25, 0.75]).astype(complex)
-    composed = compose(luders(a).op, luders(b).op)
-    target = luders(psd_sqrt(a) @ b @ psd_sqrt(a)).op
+    composed = compose(luders(a), luders(b))
+    target = luders(psd_sqrt(a) @ b @ psd_sqrt(a))
     assert maps_equal(composed, target)
     # noncommuting pair: the maps differ
     p = qubit["plus"]
-    composed = compose(luders(a).op, luders(p).op)
-    target = luders(psd_sqrt(a) @ p @ psd_sqrt(a)).op
+    composed = compose(luders(a), luders(p))
+    target = luders(psd_sqrt(a) @ p @ psd_sqrt(a))
     assert choi_distance(composed, target) > 1e-6
 
 
@@ -241,17 +239,13 @@ def test_choi_matrix_against_matrix_unit_loop():
 
 
 def test_choi_distance_separates_maps(qubit):
-    assert choi_distance(luders(qubit["P0"]).op, luders(qubit["P1"]).op) > 0.5
+    assert choi_distance(luders(qubit["P0"]), luders(qubit["P1"])) > 0.5
     with pytest.raises(DimMismatchError):
         choi_distance(Operation((np.eye(2),)), Operation((np.eye(3),)))
 
 
 def test_validation_helpers(qubit):
     ok = luders(qubit["P0"])
-    assert validate_operation(ok.op) == []
-    assert validate_context(ok) == []
+    assert validate_operation(ok) == []
     too_big = Operation((np.eye(2) * 1.2,))
     assert any(v.invariant == "kraus-trace-bound" for v in validate_operation(too_big))
-    lying = context(luders(qubit["P0"]).op)
-    lying = type(lying)(lying.op, qubit["P1"])  # claims to measure P1
-    assert any(v.invariant == "measures-effect" for v in validate_context(lying))

@@ -22,7 +22,6 @@ from qcond.rand import (
     random_channel,
     random_codiagonal_effects,
     random_codiagonal_observable,
-    random_context_measuring,
     random_effect,
     random_hermitian,
     random_instrument_measuring,
@@ -140,13 +139,6 @@ def test_operation_measuring_hits_target():
         a = random_effect(g.derive(t, 0), 3)
         op = random_operation_measuring(g.derive(t, 1), a, 3)
         assert frobenius(measured_effect(op) - a) <= 1e-10
-
-
-def test_context_measuring_carries_exact_effect():
-    g = Generator(14)
-    a = random_effect(g.derive(0), 2)
-    ctx = random_context_measuring(g.derive(1), a, 2)
-    assert np.array_equal(ctx.effect, a)
 
 
 def test_different_seeds_give_different_maps():

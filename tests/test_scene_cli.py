@@ -346,6 +346,26 @@ def test_cli_run_invalid_scene_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_REPEATED_LABELS = {
+    "observable": {"observable": {"outcomes": ["0", "0"], "effects": {"0": [[1, 0], [0, 1]]}}},
+    "instrument": {"instrument": {"outcomes": ["0", "0"], "ops": {"0": {"kraus": [[[1, 0], [0, 1]]]}}}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REPEATED_LABELS))
+def test_cli_repeated_outcome_label_exits_2(kind, tmp_path, capsys):
+    scene = _basic_scene()
+    scene["objects"]["dup"] = _REPEATED_LABELS[kind]
+    path = _write(tmp_path, scene)
+    with pytest.raises(SceneValidationError, match="must be unique"):
+        load_scene(path)
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert "object 'dup': outcome labels must be unique" in err
+        assert "Traceback" not in err
+
+
 def test_cli_run_missing_file_exits_2(capsys):
     rc = main(["run", "/no/such/scene.json"])
     assert rc == 2
