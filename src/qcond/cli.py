@@ -37,6 +37,16 @@ def _parse_dims(text: str) -> list[int]:
     return dims
 
 
+def _parse_trials(text: str) -> int:
+    try:
+        trials = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"trials must be an integer, got {text!r}")
+    if trials < 1:
+        raise argparse.ArgumentTypeError("trials must be an integer >= 1")
+    return trials
+
+
 def _default_seed() -> int:
     raw = os.environ.get("QCOND_SEED")
     if raw is None:
@@ -66,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suites", nargs="*", metavar="SUITE", help=f"one of: {', '.join(SUITE_NAMES)}")
     p_verify.add_argument("--all", action="store_true", help="run every registered suite")
     p_verify.add_argument("--dims", type=_parse_dims, default=[2, 3], help="comma-separated dimensions")
-    p_verify.add_argument("--trials", type=int, default=25, help="trials per dimension")
+    p_verify.add_argument("--trials", type=_parse_trials, default=25, help="trials per dimension")
     p_verify.add_argument("--seed", type=int, default=None, help="root seed (default: QCOND_SEED or 7)")
     p_verify.add_argument("--json", dest="json_out", metavar="PATH", help="write the JSON report")
     return parser

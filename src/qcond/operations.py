@@ -11,7 +11,10 @@ Composition order is the measurement order: ``compose(first, second)`` is the
 operation "perform ``first``, then ``second``", i.e. it applies ``first``
 before ``second``.  This is the opposite of function-composition notation and
 is the single most bug-prone convention in the package, so every identity test
-pins it down.
+pins it down.  A composite keeps at most min(k1*k2, d**2) Kraus operators:
+beyond the Choi rank bound d**2, ``compose`` rebuilds a minimal family from
+the composite's Choi matrix instead of forming every product, so chains of
+compositions and conditionings stay at d**2 operators.
 
 Conditional probabilities, updated states and sequential products take the
 operation alone: they condition on op.effect, so the effect they divide by is
@@ -138,10 +141,19 @@ def is_channel(op: Operation, tol: Tolerance = DEFAULT_TOL) -> bool:
 def compose(first: Operation, second: Operation) -> Operation:
     """The operation "first, then second" (applies ``first`` before ``second``).
 
-    Kraus family is all products L_j K_i, second's index j outer and first's i inner.
+    With k1 and k2 Kraus operators and k1*k2 <= d**2, the family is all
+    products L_j K_i, second's index j outer and first's i inner.  Above d**2
+    (the Choi rank bound) the products are never formed: the family is the
+    eigenbasis of the composite's Choi matrix, each eigenvector scaled by the
+    square root of its eigenvalue, largest first, dropping eigenvalues
+    <= d**2 * eps * lambda_max (eps the float64 machine epsilon).  A zero map
+    is then one zero operator.  Either way the result has at most
+    min(k1*k2, d**2) operators and the same action up to round-off.
     """
     if first.dim != second.dim:
         raise DimMismatchError(f"cannot compose dims {first.dim} and {second.dim}")
+    if len(first.kraus) * len(second.kraus) > first.dim**2:
+        return _composite_from_choi(first, second)
     products = second.kraus[:, None] @ first.kraus[None, :]
     return Operation._adopt(products.reshape(-1, first.dim, first.dim))
 
@@ -237,6 +249,32 @@ def choi_matrix(op: Operation) -> np.ndarray:
         v = op.kraus[start : start + n2].transpose(0, 2, 1).reshape(-1, n2)
         out += v.T @ v.conj()
     return out
+
+
+def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
+    """Swap the middle tensor factors: [(a, b), (c, e)] -> [(a, c), (b, e)] (an involution)."""
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _composite_from_choi(first: Operation, second: Operation) -> Operation:
+    """A minimal Kraus family of "first, then second" (see ``compose``).
+
+    With m the stack as (k, d**2) rows vec(K), m^T conj(m) = sum vec(K) vec(K)*
+    is the Choi matrix with its tensor factors swapped; reshuffled, it is the
+    superoperator sum K (x) conj(K).  Superoperators multiply in application
+    order; reshuffled back, their product is the composite's swapped Choi
+    matrix, whose scaled eigenvectors are the vec(K) of a minimal family.
+    """
+    d = first.dim
+    m1, m2 = (op.kraus.reshape(len(op.kraus), d * d) for op in (first, second))
+    product = _reshuffle(m2.T @ m2.conj(), d) @ _reshuffle(m1.T @ m1.conj(), d)
+    w, u = np.linalg.eigh(_reshuffle(product, d))
+    w, u = w[::-1], u[:, ::-1]  # largest first
+    keep = w > d * d * np.finfo(np.float64).eps * w[0]
+    if not keep.any():
+        return Operation._adopt(np.zeros((1, d, d), dtype=np.complex128))
+    vecs = u[:, keep] * np.sqrt(w[keep])
+    return Operation._adopt(vecs.T.reshape(-1, d, d))
 
 
 def choi_distance(op1: Operation, op2: Operation) -> float:

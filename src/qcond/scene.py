@@ -330,23 +330,33 @@ def _require_dict(value, where: str) -> dict:
     return value
 
 
-def _check_labels(labels, where: str) -> None:
+def _parse_labels(outcomes, where: str) -> list[str]:
+    """An outcomes list as its labels: nonempty, unique, free of reserved characters."""
+    if not isinstance(outcomes, list) or not outcomes:
+        raise SceneParseError(f"{where}: outcomes must be a nonempty list of labels")
+    labels = [str(x) for x in outcomes]
     if len(set(labels)) != len(labels):
         raise SceneValidationError(f"{where}: outcome labels must be unique, got {labels}")
     for x in labels:
         for bad in _RESERVED_LABELS:
-            if bad in str(x):
+            if bad in x:
                 raise SceneValidationError(
                     f"{where}: outcome label {x!r} contains reserved character {bad!r}"
                 )
+    return labels
+
+
+def _keyed_by_labels(raw, labels, where: str, what: str) -> dict:
+    """A JSON object whose keys are exactly the outcome labels."""
+    raw = _require_dict(raw, f"{where} {what}")
+    if set(raw.keys()) != set(labels):
+        raise SceneParseError(f"{where}: {what} must be keyed exactly by the outcome labels")
+    return raw
 
 
 def _parse_values(raw, outcomes, where: str) -> dict[str, float]:
-    raw = _require_dict(raw, f"{where} values")
-    if set(raw.keys()) != set(outcomes):
-        raise SceneParseError(f"{where}: values must be keyed exactly by the outcome labels")
     out = {}
-    for x, v in raw.items():
+    for x, v in _keyed_by_labels(raw, outcomes, where, "values").items():
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
             raise SceneParseError(f"{where}: value for outcome {x!r} must be a finite number")
         out[str(x)] = float(v)
@@ -359,14 +369,8 @@ def _parse_observable(name: str, raw):
     extra = set(raw) - {"outcomes", "effects", "values"}
     if extra or "outcomes" not in raw or "effects" not in raw:
         raise SceneParseError(f"{where}: an observable needs outcomes and effects")
-    outcomes = raw["outcomes"]
-    if not isinstance(outcomes, list) or not outcomes:
-        raise SceneParseError(f"{where}: outcomes must be a nonempty list of labels")
-    labels = [str(x) for x in outcomes]
-    _check_labels(labels, where)
-    effects_raw = _require_dict(raw["effects"], f"{where} effects")
-    if set(effects_raw.keys()) != set(labels):
-        raise SceneParseError(f"{where}: effects must be keyed exactly by the outcome labels")
+    labels = _parse_labels(raw["outcomes"], where)
+    effects_raw = _keyed_by_labels(raw["effects"], labels, where, "effects")
     effects = {
         x: matrix_from_json(effects_raw[x], f"{where} effect {x!r}") for x in labels
     }
@@ -423,14 +427,8 @@ def _parse_instrument(
             raise SceneParseError(f"{where}: alphas has labels the observable lacks")
         return holevo_instrument(source, alphas, tol)
     if set(raw) == {"outcomes", "ops"}:
-        outcomes = raw["outcomes"]
-        if not isinstance(outcomes, list) or not outcomes:
-            raise SceneParseError(f"{where}: outcomes must be a nonempty list of labels")
-        labels = [str(x) for x in outcomes]
-        _check_labels(labels, where)
-        ops_raw = _require_dict(raw["ops"], f"{where} ops")
-        if set(ops_raw.keys()) != set(labels):
-            raise SceneParseError(f"{where}: ops must be keyed exactly by the outcome labels")
+        labels = _parse_labels(raw["outcomes"], where)
+        ops_raw = _keyed_by_labels(raw["ops"], labels, where, "ops")
         ops = {}
         for x in labels:
             literal = _require_dict(ops_raw[x], f"{where} op {x!r}")

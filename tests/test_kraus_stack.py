@@ -21,8 +21,10 @@ from qcond import (
     Operation,
     apply,
     bar_channel,
+    choi_distance,
     choi_matrix,
     compose,
+    condition_instrument,
     dual_apply,
     frobenius,
     holevo,
@@ -34,12 +36,15 @@ from qcond.rand import (
     Generator,
     random_channel,
     random_effect,
+    random_instrument_measuring,
+    random_observable,
     random_operation_measuring,
     random_projection,
     random_state,
 )
 
 ATOL = 1e-12
+CHOI_TOL = 1e-12
 EFFECT_TOL_PER_DIM = 1e-14
 CASES = [(d, k) for d in (2, 5, 10) for k in (1, 3, d * d + 3)]
 
@@ -70,6 +75,11 @@ def _ref_choi(kraus):
         v = k.T.reshape(-1)
         out += np.outer(v, v.conj())
     return out
+
+
+def _products(first, second):
+    """The product family L_j K_i of "first, then second", second's index outer."""
+    return Operation(np.array([l @ k for l in second.kraus for k in first.kraus]))
 
 
 def _assert_measures(op, intended):
@@ -122,11 +132,65 @@ def test_compose_matches_loop_in_order(dim, n_kraus):
     second = Operation(_random_kraus(dim * 100 + n_kraus + 2, dim, 3))
     expected = [l @ k for l in second.kraus for k in first.kraus]
     composed = compose(first, second)
-    assert composed.kraus.shape == (3 * n_kraus, dim, dim)
-    assert _close(composed.kraus, expected)
+    if 3 * n_kraus <= dim * dim:
+        # Within the Choi rank bound: every product, second's index outer.
+        assert composed.kraus.shape == (3 * n_kraus, dim, dim)
+        assert _close(composed.kraus, expected)
+    else:
+        # Above it: a minimal family of the same map.
+        assert len(composed.kraus) <= dim * dim
+        assert choi_distance(composed, _products(first, second)) <= CHOI_TOL
     # Lazy: composing computes no effect; it measures first's effect, then second's.
-    assert "effect" not in vars(composed)
+    assert not {"effect"} & (vars(composed).keys() | vars(first).keys() | vars(second).keys())
     _assert_measures(composed, _ref_dual(first.kraus, _ref_dual(second.kraus, np.eye(dim))))
+
+
+@pytest.mark.parametrize("dim", (2, 5, 10))
+def test_compose_of_zero_maps_is_one_zero_operator(dim):
+    many = Operation(np.zeros((dim * dim + 1, dim, dim)))
+    channel = random_channel(Generator(950 + dim), dim, dim)
+    for first, second in ((many, many), (many, channel), (channel, many)):
+        composed = compose(first, second)
+        assert composed.kraus.shape == (1, dim, dim)
+        assert not composed.kraus.any()
+        _assert_measures(composed, np.zeros((dim, dim)))
+
+
+@pytest.mark.parametrize("dim", (2, 5, 10))
+def test_compose_holevo_keeps_the_choi_rank(dim):
+    # holevo(a, alpha) then holevo(b, beta) is rho -> tr(rho a) tr(alpha b) beta:
+    # Choi rank rank(a) * rank(beta), though the product family has
+    # rank(a) rank(alpha) rank(b) rank(beta) operators.
+    g = Generator(960 + dim)
+    rank_a, rank_beta = dim - 1, 2
+    a = random_projection(g.derive(0), dim, rank_a)
+    alpha, b = random_state(g.derive(1), dim), random_state(g.derive(2), dim)  # full rank
+    beta = random_projection(g.derive(3), dim, rank_beta) / rank_beta
+    first, second = holevo(a, alpha), holevo(b, beta)
+    products = _products(first, second)
+    assert len(products.kraus) > dim * dim
+    composed = compose(first, second)
+    assert len(composed.kraus) == rank_a * rank_beta
+    assert choi_distance(composed, products) <= CHOI_TOL
+    _assert_measures(composed, np.trace(alpha @ b).real * a)
+
+
+def test_condition_instrument_chain_stays_within_the_choi_rank():
+    # Three outcomes of two Kraus operators each: the product families of a
+    # conditioning chain grow 12 -> 72 -> 432 per outcome at d = 4.
+    dim = 4
+    g = Generator(970)
+    given = random_instrument_measuring(g.derive(0), random_observable(g.derive(1), dim, 3), 2)
+    ins = random_instrument_measuring(g.derive(2), random_observable(g.derive(3), dim, 3), 2)
+    bar = bar_channel(given)
+    chained, products = ins, dict(ins.ops)
+    for _ in range(3):
+        chained = condition_instrument(chained, given)
+        products = {y: _products(bar, op) for y, op in products.items()}
+        for y, op in chained.ops.items():
+            assert len(op.kraus) <= dim * dim
+            assert choi_distance(op, products[y]) <= CHOI_TOL
+    assert max(len(op.kraus) for op in products.values()) == 432
 
 
 @pytest.mark.parametrize("dim", (2, 5, 10))

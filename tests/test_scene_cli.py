@@ -295,6 +295,24 @@ def test_complex_expectation_pairs():
     assert run_scene(load_scene(scene)).passed
 
 
+def test_compose_of_holevo_literals_reports_a_minimal_family():
+    # Each qubit Holevo literal has 4 Kraus operators; their 16 products
+    # exceed the Choi rank bound d**2 = 4, so compose returns a minimal family.
+    scene = _basic_scene(
+        objects={
+            "h1": {"holevo": {"effect": [[0.75, 0], [0, 0.5]], "alpha": [[0.5, 0.25], [0.25, 0.5]]}},
+            "h2": {"holevo": {"effect": [[0.6, 0.1], [0.1, 0.4]], "alpha": [[0.7, 0], [0, 0.3]]}},
+        },
+        # rho -> tr(rho a1) tr(alpha1 a2) alpha2, with tr(alpha1 a2) = 0.55
+        checks=[{"op": "compose", "args": ["h1", "h2"], "expect": {"holevo": {
+            "effect": [[0.4125, 0], [0, 0.275]], "alpha": [[0.7, 0], [0, 0.3]],
+        }}}],
+    )
+    report = run_scene(load_scene(scene))
+    assert report.passed
+    assert len(report.checks[0].value["kraus"]) <= 4
+
+
 # --- CLI ------------------------------------------------------------------------
 
 
@@ -364,6 +382,44 @@ def test_cli_repeated_outcome_label_exits_2(kind, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "object 'dup': outcome labels must be unique" in err
         assert "Traceback" not in err
+
+
+_ID = [[1, 0], [0, 1]]
+_BAD_LABEL_LISTS = {
+    "observable-outcomes": (
+        {"observable": {"outcomes": "0", "effects": {"0": _ID}}},
+        "outcomes must be a nonempty list of labels",
+    ),
+    "instrument-outcomes": (
+        {"instrument": {"outcomes": [], "ops": {}}},
+        "outcomes must be a nonempty list of labels",
+    ),
+    "values": (
+        {"observable": {"outcomes": ["0"], "effects": {"0": _ID}, "values": {"1": 0}}},
+        "values must be keyed exactly by the outcome labels",
+    ),
+    "effects": (
+        {"observable": {"outcomes": ["0"], "effects": {"0": _ID, "1": _ID}}},
+        "effects must be keyed exactly by the outcome labels",
+    ),
+    "ops": (
+        {"instrument": {"outcomes": ["0", "1"], "ops": {"0": {"kraus": [_ID]}}}},
+        "ops must be keyed exactly by the outcome labels",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LABEL_LISTS))
+def test_cli_bad_outcome_lists_exit_2(case, tmp_path, capsys):
+    literal, message = _BAD_LABEL_LISTS[case]
+    scene = _basic_scene()
+    scene["objects"]["bad"] = literal
+    path = _write(tmp_path, scene)
+    with pytest.raises(SceneParseError, match=message):
+        load_scene(path)
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        assert f"object 'bad': {message}" in capsys.readouterr().err
 
 
 def test_cli_run_missing_file_exits_2(capsys):
@@ -439,3 +495,12 @@ def test_cli_verify_bad_dims(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "duality", "--dims", "1"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_cli_verify_rejects_trials_below_one(trials, capsys):
+    # Zero trials would report every suite, the witness searches too, as passed.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--all", "--trials", trials])
+    assert exc.value.code == 2
+    assert "trials must be an integer >= 1" in capsys.readouterr().err

@@ -79,3 +79,9 @@ def test_report_json_shape():
     assert payload["failures"] == []
     assert isinstance(payload["max_residual"], float)
     assert value_to_json(payload) == payload
+
+
+def test_holevo_laws_one_trial_at_d16():
+    # Composed Holevo operations stay at the Choi rank (at most d**2 = 256
+    # operators instead of about d**4), which makes d = 16 affordable.
+    assert run_suite("holevo-laws", dims=(16,), trials=1, seed=7).ok
