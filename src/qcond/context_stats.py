@@ -22,10 +22,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .instruments import Instrument, bar_channel
+from .instruments import Instrument, condition_effect
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, trace_product
 from .observables import Observable, RealValuedObservable, stochastic_operator
-from .operations import dual_apply
 
 __all__ = [
     "conditioned_stochastic_operator",
@@ -50,12 +49,12 @@ __all__ = [
 
 
 def conditioned_stochastic_operator(ins: Instrument, b: RealValuedObservable) -> np.ndarray:
-    """Stochastic operator of (B | A): the dual of the bar channel on Btilde.
+    """Stochastic operator of (B | A): Btilde conditioned on the instrument.
 
     By linearity it equals the stochastic operator of the conditioned
     observable; the tests cross-check the two routes.
     """
-    return dual_apply(bar_channel(ins), stochastic_operator(b))
+    return condition_effect(stochastic_operator(b), ins)
 
 
 def contextual_expectation(rho, ins: Instrument, b: RealValuedObservable) -> float:

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .core import prob
-from .instruments import Instrument, bar_channel, condition_effect
+from .instruments import Instrument, condition_effect, condition_state
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .operations import Operation, apply, dual_apply
 
@@ -87,7 +87,7 @@ def conditional_observable_entropy_double(
     rho, ins: Instrument, b, tol: Tolerance = DEFAULT_TOL
 ) -> float:
     """Double-bar conditioning: the plain entropy of B at the bar-channel image."""
-    return observable_entropy(apply(bar_channel(ins), as_matrix(rho)), b, tol)
+    return observable_entropy(condition_state(rho, ins), b, tol)
 
 
 def conditional_observable_entropy_single(

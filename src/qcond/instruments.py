@@ -38,6 +38,7 @@ from .observables import (
 )
 from .operations import (
     Operation,
+    _kraus_sum,
     apply,
     compose,
     dual_apply,
@@ -56,6 +57,7 @@ __all__ = [
     "luders_instrument",
     "holevo_instrument",
     "condition_effect",
+    "condition_state",
     "condition_subobservable",
     "condition_observable",
     "condition_instrument",
@@ -103,15 +105,26 @@ def validate_instrument(ins: Instrument, tol: Tolerance = DEFAULT_TOL) -> list[V
             Violation(f"op[{x}].{v.invariant}", v.magnitude)
             for v in validate_operation(ins.ops[x], tol)
         ]
-    dev = frobenius(measured_effect(bar_channel(ins)) - np.eye(ins.dim))
+    dev = frobenius(sum(ins.ops[x].effect for x in ins.outcomes) - np.eye(ins.dim))
     if dev > tol.eq_tol:
         out.append(Violation("bar-channel", dev))
     return out
 
 
+def _outcome_stacks(ins: Instrument) -> list[np.ndarray]:
+    return [ins.ops[x].kraus for x in ins.outcomes]
+
+
 def bar_channel(ins: Instrument) -> Operation:
-    """The total operation: Kraus union over all outcomes."""
-    return Operation._adopt(np.concatenate([ins.ops[x].kraus for x in ins.outcomes]))
+    """The total operation: Kraus union over all outcomes.
+
+    Materialized only where an Operation is needed: ``condition_instrument``
+    composes it with each outcome, and the scenes and suites compare it as a
+    map.  Totals of one matrix (``condition_effect``, ``condition_state``, and
+    through them ``condition_observable``) sum over the outcome stacks block
+    by block instead, never holding the whole union.
+    """
+    return Operation._adopt(np.concatenate(_outcome_stacks(ins)))
 
 
 def measured_observable(ins: Instrument) -> Observable:
@@ -139,7 +152,16 @@ def holevo_instrument(
 
 def condition_effect(a, ins: Instrument) -> np.ndarray:
     """The effect (a | A): total dual transport of a through the instrument."""
-    return dual_apply(bar_channel(ins), as_matrix(a))
+    return _kraus_sum(_outcome_stacks(ins), a, dual=True)
+
+
+def condition_state(rho, ins: Instrument) -> np.ndarray:
+    """The bar channel's image of rho, sum over outcomes of op_x(rho).
+
+    The Schrödinger twin of condition_effect: tr[condition_state(rho) a] =
+    tr[rho condition_effect(a)].
+    """
+    return _kraus_sum(_outcome_stacks(ins), rho)
 
 
 def condition_subobservable(a: SubObservable, op: Operation) -> SubObservable:
@@ -154,8 +176,7 @@ def condition_observable(b, ins: Instrument):
     """
     if isinstance(b, RealValuedObservable):
         return RealValuedObservable(condition_observable(b.observable, ins), b.values)
-    bar = bar_channel(ins)
-    return Observable(b.outcomes, {y: dual_apply(bar, b.effects[y]) for y in b.outcomes})
+    return Observable(b.outcomes, {y: condition_effect(b.effects[y], ins) for y in b.outcomes})
 
 
 def condition_instrument(ins: Instrument, given: Instrument) -> Instrument:
@@ -218,7 +239,7 @@ def bayes1_check(rho, ins: Instrument, a, tol: Tolerance = DEFAULT_TOL) -> Bayes
             continue
         lhs += px * (trace_product(apply(op_x, rho), a).real / px)
     mid = prob(rho, condition_effect(a, ins), tol)
-    rhs = prob(apply(bar_channel(ins), rho), a, tol)
+    rhs = prob(condition_state(rho, ins), a, tol)
     return BayesTriple(float(lhs), mid, rhs)
 
 
@@ -240,8 +261,8 @@ def bayes1_expectation_check(
         if px <= tol.eq_tol:
             continue
         lhs += px * (trace_product(apply(op_x, rho), btilde).real / px)
-    mid = trace_product(rho, dual_apply(bar_channel(ins), btilde)).real
-    rhs = trace_product(apply(bar_channel(ins), rho), btilde).real
+    mid = trace_product(rho, condition_effect(btilde, ins)).real
+    rhs = trace_product(condition_state(rho, ins), btilde).real
     return BayesTriple(float(lhs), float(mid), float(rhs))
 
 

@@ -14,7 +14,9 @@ is the single most bug-prone convention in the package, so every identity test
 pins it down.  A composite keeps at most min(k1*k2, d**2) Kraus operators:
 beyond the Choi rank bound d**2, ``compose`` rebuilds a minimal family from
 the composite's Choi matrix instead of forming every product, so chains of
-compositions and conditionings stay at d**2 operators.
+compositions and conditionings stay at d**2 operators.  Every Kraus sum
+(``apply``, ``dual_apply``, ``choi_matrix`` and the instrument totals) runs
+over blocks of at most d**2 operators, so no temporary outgrows that bound.
 
 Conditional probabilities, updated states and sequential products take the
 operation alone: they condition on op.effect, so the effect they divide by is
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,12 +123,72 @@ def validate_operation(op: Operation, tol: Tolerance = DEFAULT_TOL) -> list[Viol
 
 def apply(op: Operation, rho) -> np.ndarray:
     """sum_i K_i rho K_i*"""
-    return (op.kraus @ as_matrix(rho) @ dagger(op.kraus)).sum(0)
+    return _kraus_sum((op.kraus,), rho)
 
 
 def dual_apply(op: Operation, a) -> np.ndarray:
     """Dual (Heisenberg) action on effects: sum_i K_i* a K_i."""
-    return (dagger(op.kraus) @ as_matrix(a) @ op.kraus).sum(0)
+    return _kraus_sum((op.kraus,), a, dual=True)
+
+
+def _kraus_blocks(stacks: Sequence[np.ndarray]) -> Iterable[np.ndarray]:
+    """The rows of a sequence of (k_i, d, d) Kraus stacks, in order, in blocks of <= d**2.
+
+    Consecutive small stacks are concatenated while they fit in d**2 rows (the
+    Choi rank bound) and a larger stack is sliced into d**2-row pieces; the
+    blocks are made one at a time.  A lone stack of at most d**2 rows is the
+    one block, as it is, without a copy.
+    """
+    n2 = stacks[0].shape[1] ** 2
+    if sum(map(len, stacks)) <= n2:
+        # One block in all, the common case: no generator's per-call cost.
+        return stacks if len(stacks) == 1 else (np.concatenate(stacks),)
+    return _grouped_blocks(stacks, n2)
+
+
+def _grouped_blocks(stacks: Sequence[np.ndarray], n2: int) -> Iterator[np.ndarray]:
+    pending: list[np.ndarray] = []
+    rows = 0
+    for stack in stacks:
+        if len(stack) <= n2:
+            pieces = (stack,)
+        else:
+            pieces = (stack[start : start + n2] for start in range(0, len(stack), n2))
+        for piece in pieces:
+            if rows + len(piece) > n2:
+                yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+                pending, rows = [], 0
+            pending.append(piece)
+            rows += len(piece)
+    yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+
+
+def _kraus_sum(stacks: Sequence[np.ndarray], m, dual: bool = False) -> np.ndarray:
+    """sum K m K* over every Kraus operator K of the (k_i, d, d) stacks (dual: sum K* m K).
+
+    Works block by block (``_kraus_blocks``), so no temporary holds more than
+    d**2 operators however many the stacks hold together.  Each block's sum
+    over K runs inside one matrix product, with the block read as (k*d, d)
+    like ``Operation.effect``: the dual sum is V* (m V) with V the block, and
+    sum K m K* is (m^T T)^T conj(T) with T the block of transposes K^T.
+    Raises DimMismatchError unless m is a d x d matrix.
+    """
+    m = as_matrix(m)
+    dim = stacks[0].shape[1]
+    if m.shape[0] != dim:
+        raise DimMismatchError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
+    total = None
+    for block in _kraus_blocks(stacks):
+        if dual:
+            term = dagger(block.reshape(-1, dim)) @ (m @ block).reshape(-1, dim)
+        else:
+            t = block.swapaxes(1, 2)
+            term = (m.T @ t).reshape(-1, dim).T @ t.reshape(-1, dim).conj()
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total
 
 
 def measured_effect(op: Operation) -> np.ndarray:
@@ -245,8 +308,8 @@ def choi_matrix(op: Operation) -> np.ndarray:
     """
     n2 = op.dim**2
     out = np.zeros((n2, n2), dtype=np.complex128)
-    for start in range(0, len(op.kraus), n2):
-        v = op.kraus[start : start + n2].transpose(0, 2, 1).reshape(-1, n2)
+    for block in _kraus_blocks((op.kraus,)):
+        v = block.transpose(0, 2, 1).reshape(-1, n2)
         out += v.T @ v.conj()
     return out
 

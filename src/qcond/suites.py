@@ -54,6 +54,7 @@ from .instruments import (
     compose_instruments,
     condition_instrument,
     condition_observable,
+    condition_state,
     holevo_instrument,
     luders_instrument,
     measured_observable,
@@ -707,10 +708,10 @@ def _suite_entropy(root, dims, trials, tol, run) -> None:
                 rho, condition_instrument(ins_j, ins_i), c1, tol
             )
             chain2 = conditional_observable_entropy_double(
-                apply(bar_channel(ins_i), rho), ins_j, c1, tol
+                condition_state(rho, ins_i), ins_j, c1, tol
             )
             chain3 = observable_entropy(
-                apply(bar_channel(ins_j), apply(bar_channel(ins_i), rho)), c1, tol
+                condition_state(condition_state(rho, ins_i), ins_j), c1, tol
             )
             chain_r = max(abs(chain1 - chain2), abs(chain1 - chain3))
             oks.append(chain_r <= tol.eq_tol)

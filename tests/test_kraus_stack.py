@@ -24,11 +24,15 @@ from qcond import (
     choi_distance,
     choi_matrix,
     compose,
+    condition_effect,
     condition_instrument,
+    condition_state,
     dual_apply,
     frobenius,
     holevo,
+    holevo_instrument,
     luders,
+    luders_instrument,
     measured_effect,
 )
 from qcond.linalg import DEFAULT_TOL, hermitian_eig
@@ -46,7 +50,8 @@ from qcond.rand import (
 ATOL = 1e-12
 CHOI_TOL = 1e-12
 EFFECT_TOL_PER_DIM = 1e-14
-CASES = [(d, k) for d in (2, 5, 10) for k in (1, 3, d * d + 3)]
+# k = d**2 is exactly one block; d**2 + 3 and 3 d**2 + 1 end in a ragged one.
+CASES = [(d, k) for d in (2, 5, 10) for k in (1, 3, d * d, d * d + 3, 3 * d * d + 1)]
 
 
 def _random_kraus(seed, dim, n_kraus):
@@ -116,6 +121,45 @@ def test_apply_dual_and_measured_effect_match_loops(dim, n_kraus):
     assert _close(apply(op, rho), _ref_apply(kraus, rho))
     assert _close(dual_apply(op, a), _ref_dual(kraus, a))
     _assert_measures(op, _ref_dual(kraus, np.eye(dim)))
+
+
+@pytest.mark.parametrize("dim", (2, 5, 10))
+def test_instrument_totals_match_the_bar_channel(dim):
+    # The totals sum over the outcome stacks in blocks of at most d**2 rows;
+    # the stacks of 1, d**2 - 1 and d**2 + 2 rows are grouped and sliced.
+    g = Generator(980 + dim)
+    a_obs = random_observable(g.derive(0), dim, 3)
+    alphas = {x: random_state(g.derive(1, i), dim) for i, x in enumerate(a_obs.outcomes)}
+    ragged = {
+        x: Operation(_random_kraus(dim * 10 + n, dim, n))
+        for x, n in zip("uvw", (1, dim * dim - 1, dim * dim + 2))
+    }
+    instruments = [
+        luders_instrument(a_obs),
+        holevo_instrument(a_obs, alphas),
+        random_instrument_measuring(g.derive(2), a_obs, 3),
+        Instrument("uvw", ragged),
+    ]
+    rho, a = random_state(g.derive(3), dim), random_effect(g.derive(4), dim)
+    for ins in instruments:
+        bar = bar_channel(ins)
+        assert _close(condition_effect(a, ins), dual_apply(bar, a))
+        assert _close(condition_state(rho, ins), apply(bar, rho))
+
+
+def test_dimension_mismatch_is_typed():
+    g = Generator(990)
+    ins = random_instrument_measuring(g.derive(0), random_observable(g.derive(1), 2, 2), 2)
+    op = ins.ops[ins.outcomes[0]]
+    wrong = np.eye(3)
+    for call in (
+        lambda: apply(op, wrong),
+        lambda: dual_apply(op, wrong),
+        lambda: condition_effect(wrong, ins),
+        lambda: condition_state(wrong, ins),
+    ):
+        with pytest.raises(DimMismatchError):
+            call()
 
 
 @pytest.mark.parametrize("dim,n_kraus", CASES)
