@@ -143,6 +143,8 @@ def _cmd_verify(args) -> int:
             line += f", {len(report.witnesses)} witnesses"
         if report.failures:
             line += f", {len(report.failures)} failures"
+        if report.missing:
+            line += f", missing {', '.join(report.missing)}"
         print(line)
         for note in report.notes:
             print(f"    note: {note}")

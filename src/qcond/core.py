@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _hermitian_defect,
     as_matrix,
     dagger,
     frobenius,
@@ -49,10 +50,8 @@ class Violation:
 
 
 def _hermitian_violation(m: np.ndarray, tol: Tolerance) -> list[Violation]:
-    dev = frobenius(m - dagger(m))
-    if dev > tol.eq_tol:
-        return [Violation("hermitian", dev)]
-    return []
+    dev = _hermitian_defect(m, tol)
+    return [] if dev is None else [Violation("hermitian", dev)]
 
 
 def validate_state(rho, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:

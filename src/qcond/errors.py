@@ -54,6 +54,10 @@ class UnknownSuiteError(QcondError):
     """run_suite was asked for a suite name that is not registered."""
 
 
+class SuiteArgumentError(QcondError, ValueError):
+    """run_suite was given dims below 2 or a negative trial count."""
+
+
 class SceneError(QcondError):
     """Base class for scene-file problems (parse, validation, reference)."""
 

@@ -221,6 +221,18 @@ class BayesTriple:
         return {"lhs": self.lhs, "mid": self.mid, "rhs": self.rhs, "spread": self.spread}
 
 
+def _bayes1_left(rho: np.ndarray, ins: Instrument, m: np.ndarray, tol: Tolerance) -> float:
+    """The Bayes-1 left route: sum of P(A_x) * tr[op_x(rho) m] / P(A_x) over P(A_x) > eq_tol."""
+    lhs = 0.0
+    for x in ins.outcomes:
+        op_x = ins.ops[x]
+        px = prob(rho, measured_effect(op_x), tol)
+        if px <= tol.eq_tol:
+            continue
+        lhs += px * (trace_product(apply(op_x, rho), m).real / px)
+    return float(lhs)
+
+
 def bayes1_check(rho, ins: Instrument, a, tol: Tolerance = DEFAULT_TOL) -> BayesTriple:
     """The first Bayes rule at rho, computed by three independent routes.
 
@@ -231,16 +243,9 @@ def bayes1_check(rho, ins: Instrument, a, tol: Tolerance = DEFAULT_TOL) -> Bayes
     """
     rho = as_matrix(rho)
     a = as_matrix(a)
-    lhs = 0.0
-    for x in ins.outcomes:
-        op_x = ins.ops[x]
-        px = prob(rho, measured_effect(op_x), tol)
-        if px <= tol.eq_tol:
-            continue
-        lhs += px * (trace_product(apply(op_x, rho), a).real / px)
     mid = prob(rho, condition_effect(a, ins), tol)
     rhs = prob(condition_state(rho, ins), a, tol)
-    return BayesTriple(float(lhs), mid, rhs)
+    return BayesTriple(_bayes1_left(rho, ins, a, tol), mid, rhs)
 
 
 def bayes1_expectation_check(
@@ -254,16 +259,9 @@ def bayes1_expectation_check(
     """
     rho = as_matrix(rho)
     btilde = stochastic_operator(b)
-    lhs = 0.0
-    for x in ins.outcomes:
-        op_x = ins.ops[x]
-        px = prob(rho, measured_effect(op_x), tol)
-        if px <= tol.eq_tol:
-            continue
-        lhs += px * (trace_product(apply(op_x, rho), btilde).real / px)
     mid = trace_product(rho, condition_effect(btilde, ins)).real
     rhs = trace_product(condition_state(rho, ins), btilde).real
-    return BayesTriple(float(lhs), float(mid), float(rhs))
+    return BayesTriple(_bayes1_left(rho, ins, btilde, tol), float(mid), float(rhs))
 
 
 def atomic_context(

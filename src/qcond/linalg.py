@@ -68,8 +68,14 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def _hermitian_defect(m: np.ndarray, tol: Tolerance) -> float | None:
+    """||m - m^dagger|| when it is not within eq_tol (NaN included), else None."""
+    dev = frobenius(m - dagger(m))
+    return None if dev <= tol.eq_tol else dev
+
+
 def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return bool(frobenius(m - dagger(m)) <= tol.eq_tol)
+    return _hermitian_defect(m, tol) is None
 
 
 def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -81,8 +87,7 @@ def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     :class:`NotHermitianError` when ``m`` is not Hermitian within ``eq_tol``.
     """
     m = as_matrix(m)
-    dev = frobenius(m - dagger(m))
-    if dev > tol.eq_tol:
+    if (dev := _hermitian_defect(m, tol)) is not None:
         raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
     w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
     return w, v
@@ -110,8 +115,7 @@ def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     if a.shape != b.shape:
         raise DimMismatchError(f"operands have shapes {a.shape} and {b.shape}")
     for name, m in (("a", a), ("b", b)):
-        dev = frobenius(m - dagger(m))
-        if dev > tol.eq_tol:
+        if (dev := _hermitian_defect(m, tol)) is not None:
             raise NotHermitianError(f"operand {name} deviates from Hermitian by {dev:.3e}")
     diff = (b - a + dagger(b - a)) / 2.0
     return bool(np.linalg.eigvalsh(diff)[0] >= -tol.psd_tol)
@@ -155,8 +159,7 @@ def simultaneous_eigenbasis(
     for m in family:
         if m.shape[0] != dim:
             raise DimMismatchError("family members have mixed dimensions")
-        dev = frobenius(m - dagger(m))
-        if dev > tol.eq_tol:
+        if (dev := _hermitian_defect(m, tol)) is not None:
             raise NotHermitianError(f"family member deviates from Hermitian by {dev:.3e}")
     for i in range(len(family)):
         for j in range(i + 1, len(family)):

@@ -104,12 +104,22 @@ class RealValuedObservable:
     def dim(self) -> int:
         return self.observable.dim
 
+    def total(self) -> np.ndarray:
+        return self.observable.total()
 
-def validate_subobservable(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
-    """Each effect valid, and the total bounded by the identity."""
+
+def _effect_violations(a, tol: Tolerance) -> list[Violation]:
     out = []
     for x in a.outcomes:
         out += [Violation(f"effect[{x}].{v.invariant}", v.magnitude) for v in validate_effect(a.effects[x], tol)]
+    return out
+
+
+def validate_subobservable(
+    a: SubObservable | RealValuedObservable, tol: Tolerance = DEFAULT_TOL
+) -> list[Violation]:
+    """Each effect of a (sub-)observable, real-valued or not, valid; the total at most I."""
+    out = _effect_violations(a, tol)
     total = a.total()
     w = np.linalg.eigvalsh((total + total.conj().T) / 2.0)
     if w[-1] > 1.0 + tol.psd_tol:
@@ -117,11 +127,11 @@ def validate_subobservable(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> li
     return out
 
 
-def validate_observable(a: Observable, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
-    """Each effect valid, and the total equal to the identity."""
-    out = []
-    for x in a.outcomes:
-        out += [Violation(f"effect[{x}].{v.invariant}", v.magnitude) for v in validate_effect(a.effects[x], tol)]
+def validate_observable(
+    a: Observable | RealValuedObservable, tol: Tolerance = DEFAULT_TOL
+) -> list[Violation]:
+    """Each effect of an observable, real-valued or not, valid; the total equal to I."""
+    out = _effect_violations(a, tol)
     dev = frobenius(a.total() - np.eye(a.dim))
     if dev > tol.eq_tol:
         out.append(Violation("total-is-identity", dev))

@@ -134,7 +134,7 @@ from .operations import (
     updated_state,
     validate_operation,
 )
-from .serialize import matrix_from_json, value_to_json
+from .serialize import _is_number, matrix_from_json, value_to_json
 
 __all__ = [
     "SceneObject",
@@ -357,7 +357,7 @@ def _keyed_by_labels(raw, labels, where: str, what: str) -> dict:
 def _parse_values(raw, outcomes, where: str) -> dict[str, float]:
     out = {}
     for x, v in _keyed_by_labels(raw, outcomes, where, "values").items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not _is_number(v) or not math.isfinite(v):
             raise SceneParseError(f"{where}: value for outcome {x!r} must be a finite number")
         out[str(x)] = float(v)
     return out
@@ -499,8 +499,7 @@ def _build_object(
         return SceneObject(name, "operation", op)
     if key == "observable":
         obs = _parse_observable(name, raw)
-        target = obs.observable if isinstance(obs, RealValuedObservable) else obs
-        _raise_violations(name, validate_observable(target, tol))
+        _raise_violations(name, validate_observable(obs, tol))
         return SceneObject(name, "observable", obs)
     ins = _parse_instrument(name, raw, tol, observables)
     _raise_violations(name, validate_instrument(ins, tol))
@@ -520,7 +519,7 @@ _ACCEPTED_KINDS = {
 
 def _coerce_arg(kind: str, raw, check_where: str, objects: Mapping[str, SceneObject]):
     if kind == "number":
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        if not _is_number(raw):
             raise SceneValidationError(f"{check_where}: expected an inline number")
         return float(raw)
     if kind == "label":
@@ -592,11 +591,11 @@ def _parse_check(
     if has_expect and (expect_min is not None or expect_max is not None):
         raise SceneParseError(f"{where}: expect and expect_min/expect_max are exclusive")
     for bound, key in ((expect_min, "expect_min"), (expect_max, "expect_max")):
-        if bound is not None and (isinstance(bound, bool) or not isinstance(bound, (int, float))):
+        if bound is not None and not _is_number(bound):
             raise SceneParseError(f"{where}: {key} must be a number")
     tol = raw.get("tol")
     if tol is not None:
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol <= 0:
+        if not _is_number(tol) or tol <= 0:
             raise SceneParseError(f"{where}: tol must be a positive number")
         tol = float(tol)
     label = raw.get("label")
@@ -626,7 +625,7 @@ def _parse_tolerance(raw) -> Tolerance:
     for key in ("eq_tol", "psd_tol"):
         if key in raw:
             value = raw[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+            if not _is_number(value) or value <= 0:
                 raise SceneParseError(f"tolerance: {key} must be a positive number")
             kwargs[key] = float(value)
     return Tolerance(**kwargs)
@@ -685,11 +684,7 @@ def _as_complex(expected, where: str) -> complex:
         raise SceneValidationError(f"{where}: expected a number, got a boolean")
     if isinstance(expected, (int, float)):
         return complex(expected)
-    if (
-        isinstance(expected, list)
-        and len(expected) == 2
-        and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in expected)
-    ):
+    if isinstance(expected, list) and len(expected) == 2 and all(map(_is_number, expected)):
         return complex(expected[0], expected[1])
     raise SceneValidationError(f"{where}: expected a number or [re, im] pair")
 
@@ -699,7 +694,7 @@ def _record_residual(computed: dict, expected, where: str) -> float:
 
     A scalar expectation compares every field against the same number.
     """
-    if isinstance(expected, (int, float)) and not isinstance(expected, bool):
+    if _is_number(expected):
         expected = {key: expected for key in computed}
     if not isinstance(expected, dict):
         raise SceneValidationError(f"{where}: expected a record or a single number")
@@ -762,7 +757,7 @@ def _residual(value, check: CheckSpec, tol: Tolerance) -> tuple[float, object]:
     if isinstance(value, BayesTriple):
         # A scalar expectation pins all three routes (but not the derived
         # spread, which a scalar broadcast would nonsensically compare).
-        if isinstance(expected, (int, float)) and not isinstance(expected, bool):
+        if _is_number(expected):
             want = float(expected)
             return max(
                 abs(value.lhs - want), abs(value.mid - want), abs(value.rhs - want)
@@ -831,7 +826,7 @@ def run_scene(scene: Scene, default_tol: float | None = None) -> SceneReport:
             residual, expected_json = _residual(value, check, scene.tolerance)
             passed = residual <= threshold
         else:
-            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+            numeric = _is_number(value)
             if check.expect_min is not None:
                 if not numeric:
                     raise SceneValidationError(

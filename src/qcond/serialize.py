@@ -40,16 +40,17 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[complex_to_json(entry) for entry in row] for row in m.tolist()]
 
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _entry_from_json(entry, where: str) -> complex:
     if isinstance(entry, bool):
         raise SceneParseError(f"{where}: matrix entries must be numbers, got a boolean")
     if isinstance(entry, (int, float)):
         value = complex(entry, 0.0)
-    elif (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in entry)
-    ):
+    elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
         value = complex(entry[0], entry[1])
     else:
         raise SceneParseError(f"{where}: matrix entries must be numbers or [re, im] pairs")

@@ -1,19 +1,35 @@
 """Seeded property suites: run a law over many random instances, report residuals.
 
-Each suite draws its objects from per-trial derived generators, so a report
-is a pure function of (suite, dims, trials, seed).  Identity suites pass when
-every residual stays inside tolerance; counterexample-search suites pass by
-*finding* witnesses (a trial that fails to find one is the failure).
+Each suite is one row of ``_SUITES``: a trial function and its table of
+named laws.  The runner (``run_suite`` and ``_Run``) loops over dims and
+trials, gives each trial its own derived generator, and judges the
+``{law: value}`` the trial returns by the kind the table declares:
+
+- a number s: a residual bounded by s * eq_tol;
+- ``_HOLDS``: a condition that must be true;
+- ``_SEARCH``: the largest violation a per-trial counterexample search
+  found, which must exceed WITNESS_MARGIN in all but UNFOUND_TOLERANCE of
+  the trials; each find adds the trial's witness payload to ``witnesses``;
+- ``_ONCE``: a function returning a witness payload or None, called until
+  it succeeds once in the run.
+
+A trial leaves out a law that does not apply to its draws and gives None
+for one it had to skip (skips are noted).  A trial fails, naming its laws,
+when a bound or condition breaks.  The residual is the largest bounded or
+search value.  A search that comes up short is named under ``missing``.
 
 Report schema (JSON): suite, seed, dims, trials, passes, failures
-[{trial, residual, witness}], max_residual, plus witnesses/notes when
-present.  Witnesses are fully serialized objects, so any failure or found
+[{trial, residual, witness, laws}], max_residual, plus missing, witnesses
+and notes when not empty; ok means no failures and nothing missing.
+Witnesses are fully serialized objects, so any failure or found
 counterexample can be replayed by hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -45,7 +61,7 @@ from .entropy import (
     sequential_entropy,
     sequential_entropy_dominated,
 )
-from .errors import NotJointlyCommutingError, UnknownSuiteError
+from .errors import NotJointlyCommutingError, SuiteArgumentError, UnknownSuiteError
 from .instruments import (
     atomic_context,
     bar_channel,
@@ -101,7 +117,7 @@ DEFAULT_SEED = 7
 WITNESS_MARGIN = 1e-6
 #: State draws allowed per counterexample search.
 SEARCH_BUDGET = 200
-#: Fraction of search trials allowed to come up empty (flagged, not failed).
+#: Fraction of search trials allowed to come up empty (noted, not failed).
 UNFOUND_TOLERANCE = 0.02
 
 
@@ -110,9 +126,10 @@ class TrialFailure:
     trial: int
     residual: float
     witness: dict | None = None
+    laws: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {"trial": self.trial, "residual": self.residual, "witness": self.witness}
+        return asdict(self)
 
 
 @dataclass
@@ -126,10 +143,11 @@ class SuiteReport:
     max_residual: float
     witnesses: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    missing: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.missing
 
     def to_json(self) -> dict:
         out = {
@@ -141,44 +159,75 @@ class SuiteReport:
             "failures": [f.to_json() for f in self.failures],
             "max_residual": self.max_residual,
         }
-        if self.witnesses:
-            out["witnesses"] = self.witnesses
-        if self.notes:
-            out["notes"] = self.notes
+        for key in ("missing", "witnesses", "notes"):
+            if getattr(self, key):
+                out[key] = getattr(self, key)
         return out
 
 
+#: Law kinds besides a bounded residual, whose table entry is its bound in eq_tol.
+_HOLDS, _SEARCH, _ONCE = "holds", "search", "once"
+
+
 class _Run:
-    """Mutable accumulator handed to each suite body."""
+    """Judges each trial's law values against one suite's table, filling in its report."""
 
-    def __init__(self) -> None:
-        self.trial = 0
-        self.passes = 0
-        self.failures: list[TrialFailure] = []
-        self.witnesses: list[dict] = []
-        self.notes: list[str] = []
-        self.max_residual = 0.0
+    def __init__(self, report: SuiteReport, laws: dict, tol: Tolerance) -> None:
+        self.report = report
+        self.laws = laws
+        self.tol = tol
+        self.pending = [law for law, kind in laws.items() if kind == _ONCE]
+        self.skips: Counter[str] = Counter()
+        self.unfound: Counter[str] = Counter()
 
-    def record(self, ok: bool, residual: float, witness=None) -> None:
-        residual = float(residual)
-        self.max_residual = max(self.max_residual, residual)
-        if ok:
-            self.passes += 1
+    def judge(self, values: dict, witness: dict) -> None:
+        out = self.report
+        residual = 0.0
+        broken: list[str] = []
+        for law, value in values.items():
+            if law not in self.laws:
+                raise KeyError(f"trial returned undeclared law {law!r}")
+            kind = self.laws[law]
+            if kind == _ONCE:
+                found = value() if law in self.pending else None
+                if found is not None:
+                    out.witnesses.append(value_to_json({"law": law, **found}))
+                    self.pending.remove(law)
+            elif value is None:
+                self.skips[law] += 1
+            elif kind == _HOLDS:
+                if not value:
+                    broken.append(law)
+            else:
+                residual = max(residual, float(value))
+                if kind != _SEARCH:
+                    if not value <= kind * self.tol.eq_tol:
+                        broken.append(law)
+                elif value > WITNESS_MARGIN:
+                    out.witnesses.append(value_to_json(witness))
+                else:
+                    self.unfound[law] += 1
+        out.max_residual = max(out.max_residual, residual)
+        if broken:
+            out.failures.append(TrialFailure(out.trials, residual, value_to_json(witness), broken))
         else:
-            payload = value_to_json(witness) if witness is not None else None
-            self.failures.append(TrialFailure(self.trial, residual, payload))
-        self.trial += 1
+            out.passes += 1
+        out.trials += 1
 
-    def witness(self, payload: dict) -> None:
-        self.witnesses.append(value_to_json(payload))
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
-
-
-def _hermitian_floor(m: np.ndarray) -> float:
-    """Most negative eigenvalue of the Hermitian part."""
-    return float(np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0])
+    def finish(self) -> SuiteReport:
+        out = self.report
+        out.notes = [f"{law}: skipped in {n}/{out.trials} trials" for law, n in self.skips.items()]
+        # With no trials run, nothing was required to be found.
+        out.missing = list(self.pending) if out.trials else []
+        for law, n in self.unfound.items():
+            within = n / out.trials <= UNFOUND_TOLERANCE
+            out.notes.append(
+                f"{law}: {n}/{out.trials} trials found no witness within {SEARCH_BUDGET} "
+                f"draws ({'within' if within else 'beyond'} the {UNFOUND_TOLERANCE:.0%} allowance)"
+            )
+            if not within:
+                out.missing.append(law)
+        return out
 
 
 def _noncommuting_effect_pair(g: Generator, dim: int, tol: Tolerance):
@@ -194,615 +243,454 @@ def _noncommuting_effect_pair(g: Generator, dim: int, tol: Tolerance):
     raise RuntimeError("random effects kept commuting; astronomically unlikely")
 
 
-# --- identity suites ---------------------------------------------------------
+def _states(g: Generator, dim: int, count: int, first: int = 0):
+    """States drawn from g.derive(first), g.derive(first + 1), ..., count of them."""
+    return (random_state(g.derive(first + s), dim) for s in range(count))
 
 
-def _suite_duality(root: Generator, dims, trials, tol: Tolerance, run: _Run) -> None:
+def _luders_closure_gap(a, b, tol: Tolerance) -> float:
+    """Choi distance between L_a then L_b and the Lüders operation of a∘b."""
+    op_a = luders(a, tol)
+    return choi_distance(compose(op_a, luders(b, tol)), luders(sequential_product(op_a, b), tol))
+
+
+def _effects_gap(a, b) -> float:
+    """Largest Frobenius distance between same-labelled effects, over b's outcomes."""
+    return max(frobenius(a.effects[y] - b.effects[y]) for y in b.outcomes)
+
+
+def _kind_instrument(g: Generator, dim: int, t: int, tol: Tolerance, sharp_observable):
+    """Trial t's instrument by kind t % 3: 0 Lüders of a sharp observable, 1 Holevo, 2 random.
+
+    Returns (kind, observable, instrument, Holevo update states or None).
+    """
+    kind = t % 3
+    if kind == 0:
+        a_obs = sharp_observable(g, dim)
+        return kind, a_obs, luders_instrument(a_obs, tol), None
+    a_obs = random_observable(g, dim, g.integer(2, dim + 1), tol)
+    if kind == 1:
+        alphas = {x: random_state(g.derive(10 + i), dim) for i, x in enumerate(a_obs.outcomes)}
+        return kind, a_obs, holevo_instrument(a_obs, alphas, tol), alphas
+    return kind, a_obs, random_instrument_measuring(g.derive(0), a_obs, 1 + t % 2, tol), None
+
+
+# --- trial functions: (generator, dim, trial index, tol) -> ({law: value}, witness) ---
+
+
+def _duality(g, dim, t, tol):
     """tr[op(rho) h] == tr[rho dual(h)] for random operations, states, probes."""
-    for dim in dims:
-        for t in range(trials):
-            g = root.derive(dim, t)
-            a = random_effect(g, dim)
-            op = random_operation_measuring(g.derive(0), a, 1 + t % 3, tol)
-            rho = random_state(g, dim)
-            h = random_hermitian(g, dim)
-            r = abs(trace_product(apply(op, rho), h) - trace_product(rho, dual_apply(op, h)))
-            run.record(
-                r <= tol.eq_tol,
-                r,
-                witness={"dim": dim, "effect": a, "operation": op, "state": rho, "probe": h},
-            )
+    a = random_effect(g, dim)
+    op = random_operation_measuring(g.derive(0), a, 1 + t % 3, tol)
+    rho = random_state(g, dim)
+    h = random_hermitian(g, dim)
+    r = abs(trace_product(apply(op, rho), h) - trace_product(rho, dual_apply(op, h)))
+    return {"duality": r}, {"dim": dim, "effect": a, "operation": op, "state": rho, "probe": h}
 
 
-def _suite_sequential_product_bounds(root, dims, trials, tol, run) -> None:
+def _sequential_product_bounds(g, dim, t, tol):
     """Transported effects sit below the measured effect; sharp/atomic structure.
 
-    The Loewner floor and commutator/proportionality residuals use 10x eq_tol
-    (1e-8 at defaults); the atomic coefficient must land in [-psd_tol, 1+psd_tol].
+    The atomic coefficient must land in [-psd_tol, 1 + psd_tol].
     """
-    bound = 10.0 * tol.eq_tol
-    for dim in dims:
-        for t in range(trials):
-            g = root.derive(dim, t)
-            a = random_effect(g, dim)
-            op = random_operation_measuring(g.derive(0), a, 1 + t % 3, tol)
-            b = random_effect(g, dim)
-            r_order = max(0.0, -_hermitian_floor(a - sequential_product(op, b)))
-
-            p = random_projection(g, dim, g.integer(1, dim))
-            op_p = random_operation_measuring(g.derive(1), p, 1 + (t + 1) % 3, tol)
-            b2 = random_effect(g, dim)
-            r_sharp = frobenius(commutator(sequential_product(op_p, b2), p))
-
-            atom = random_atomic_effect(g, dim)
-            op_atom = random_operation_measuring(g.derive(2), atom, 1 + (t + 2) % 3, tol)
-            b3 = random_effect(g, dim)
-            transported = sequential_product(op_atom, b3)
-            lam = trace_product(atom, transported).real
-            r_atom = frobenius(transported - lam * atom)
-            lam_ok = -tol.psd_tol <= lam <= 1.0 + tol.psd_tol
-
-            residual = max(r_order, r_sharp, r_atom)
-            ok = residual <= bound and lam_ok
-            run.record(
-                ok,
-                residual if lam_ok else max(residual, abs(lam - 0.5) - 0.5),
-                witness={"dim": dim, "effect": a, "sharp": p, "atom": atom, "coefficient": lam},
-            )
+    a = random_effect(g, dim)
+    op = random_operation_measuring(g.derive(0), a, 1 + t % 3, tol)
+    b = random_effect(g, dim)
+    p = random_projection(g, dim, g.integer(1, dim))
+    op_p = random_operation_measuring(g.derive(1), p, 1 + (t + 1) % 3, tol)
+    b2 = random_effect(g, dim)
+    atom = random_atomic_effect(g, dim)
+    op_atom = random_operation_measuring(g.derive(2), atom, 1 + (t + 2) % 3, tol)
+    transported = sequential_product(op_atom, random_effect(g, dim))
+    lam = trace_product(atom, transported).real
+    gap = a - sequential_product(op, b)
+    values = {
+        # minus the lowest eigenvalue of a - op's transport of b, if negative
+        "transport-below-effect": max(0.0, -np.linalg.eigvalsh((gap + dagger(gap)) / 2.0)[0]),
+        "sharp-transport-commutes": frobenius(commutator(sequential_product(op_p, b2), p)),
+        "atomic-transport-proportional": frobenius(transported - lam * atom),
+        "atomic-coefficient-in-unit-interval": -tol.psd_tol <= lam <= 1.0 + tol.psd_tol,
+    }
+    return values, {"dim": dim, "effect": a, "sharp": p, "atom": atom, "coefficient": lam}
 
 
-def _suite_composition_laws(root, dims, trials, tol, run) -> None:
-    """Duals, measured effects and conditional probabilities of composed operations."""
-    skipped = 0
-    for dim in dims:
-        for t in range(trials):
-            g = root.derive(dim, t)
-            a = random_effect(g, dim)
-            op_i = random_operation_measuring(g.derive(0), a, 1 + t % 2, tol)
-            b = random_effect(g, dim)
-            op_j = random_operation_measuring(g.derive(1), b, 1 + (t + 1) % 2, tol)
-            c = random_effect(g, dim)
-            rho = random_state(g, dim)
-            h = random_hermitian(g, dim)
+def _composition_laws(g, dim, t, tol):
+    """Duals, measured effects and conditional probabilities of composed operations.
 
-            comp = compose(op_i, op_j)
-            a_then_b = sequential_product(op_i, b)
-            # dual of "first i then j" applies j's dual first
-            r1 = frobenius(dual_apply(comp, h) - dual_apply(op_i, dual_apply(op_j, h)))
-            r2 = frobenius(measured_effect(comp) - a_then_b)
-            r3 = frobenius(
-                sequential_product(op_i, sequential_product(op_j, c)) - dual_apply(comp, c)
-            )
+    The conditional-probability chain is skipped when a conditioning
+    probability is at most eq_tol.
+    """
+    a = random_effect(g, dim)
+    op_i = random_operation_measuring(g.derive(0), a, 1 + t % 2, tol)
+    b = random_effect(g, dim)
+    op_j = random_operation_measuring(g.derive(1), b, 1 + (t + 1) % 2, tol)
+    c = random_effect(g, dim)
+    rho = random_state(g, dim)
+    h = random_hermitian(g, dim)
 
-            pa = prob(rho, a, tol)
-            pab = prob(rho, a_then_b, tol)
-            if pa <= tol.eq_tol or pab <= tol.eq_tol:
-                skipped += 1
-                r4 = 0.0
-            else:
-                lhs = pa * conditional_prob(rho, op_i, sequential_product(op_j, c), tol)
-                rhs = pab * conditional_prob(rho, comp, c, tol)
-                r4 = abs(lhs - rhs)
-
-            residual = max(r1, r2, r3, r4)
-            run.record(
-                residual <= tol.eq_tol,
-                residual,
-                witness={"dim": dim, "a": a, "b": b, "c": c, "state": rho},
-            )
-    if skipped:
-        run.note(f"{skipped} conditional-probability legs skipped (conditioning prob <= eq_tol)")
+    comp = compose(op_i, op_j)
+    a_then_b = sequential_product(op_i, b)
+    pa = prob(rho, a, tol)
+    pab = prob(rho, a_then_b, tol)
+    chain = None
+    if pa > tol.eq_tol and pab > tol.eq_tol:
+        lhs = pa * conditional_prob(rho, op_i, sequential_product(op_j, c), tol)
+        chain = abs(lhs - pab * conditional_prob(rho, comp, c, tol))
+    values = {
+        # dual of "first i then j" applies j's dual first
+        "dual-of-composite": frobenius(dual_apply(comp, h) - dual_apply(op_i, dual_apply(op_j, h))),
+        "composite-measures-sequential-effect": frobenius(measured_effect(comp) - a_then_b),
+        "sequential-products-associate": frobenius(
+            sequential_product(op_i, sequential_product(op_j, c)) - dual_apply(comp, c)
+        ),
+        "conditional-probability-chain": chain,
+    }
+    return values, {"dim": dim, "a": a, "b": b, "c": c, "state": rho}
 
 
-def _suite_bayes2_commuting(root, dims, trials, tol, run) -> None:
+def _bayes2_commuting(g, dim, t, tol):
     """Second Bayes rule holds for co-diagonal Lüders pairs, 20 states each."""
-    for dim in dims:
-        for t in range(trials):
-            g = root.derive(dim, t)
-            a, b = random_codiagonal_effects(g, dim)
-            op_a = luders(a, tol)
-            op_b = luders(b, tol)
-            worst = 0.0
-            checked = 0
-            draw = 0
-            while checked < 20 and draw < SEARCH_BUDGET:
-                rho = random_state(g.derive(draw), dim)
-                draw += 1
-                if prob(rho, a, tol) <= 1e-6 or prob(rho, b, tol) <= 1e-6:
-                    continue
-                worst = max(worst, bayes2_residual(rho, op_a, op_b, tol))
-                checked += 1
-            run.record(
-                checked == 20 and worst <= tol.eq_tol,
-                worst,
-                witness={"dim": dim, "a": a, "b": b},
-            )
+    a, b = random_codiagonal_effects(g, dim)
+    op_a = luders(a, tol)
+    op_b = luders(b, tol)
+    usable = (
+        rho
+        for rho in _states(g, dim, SEARCH_BUDGET)
+        if prob(rho, a, tol) > 1e-6 and prob(rho, b, tol) > 1e-6
+    )
+    states = list(islice(usable, 20))
+    values = {
+        "bayes2": max([0.0] + [bayes2_residual(rho, op_a, op_b, tol) for rho in states]),
+        "twenty-states-checked": len(states) == 20,
+    }
+    return values, {"dim": dim, "a": a, "b": b}
 
 
-def _suite_bayes2_noncommuting(root, dims, trials, tol, run) -> None:
-    """Search suite: every non-commuting Lüders pair should expose a violating state."""
-    unfound: list[TrialFailure] = []
-    for dim in dims:
-        for t in range(trials):
-            g = root.derive(dim, t)
-            a, b = _noncommuting_effect_pair(g, dim, tol)
-            op_a = luders(a, tol)
-            op_b = luders(b, tol)
-            best = 0.0
-            found = None
-            for draw in range(SEARCH_BUDGET):
-                rho = random_state(g.derive(draw), dim)
-                if prob(rho, a, tol) <= tol.eq_tol or prob(rho, b, tol) <= tol.eq_tol:
-                    continue
-                r = bayes2_residual(rho, op_a, op_b, tol)
-                best = max(best, r)
-                if r > WITNESS_MARGIN:
-                    found = (rho, r)
-                    break
-            if found is not None:
-                rho, r = found
-                run.witness(
-                    {"dim": dim, "a": a, "b": b, "state": rho, "residual": r}
-                )
-                run.record(True, r)
-            else:
-                unfound.append(
-                    TrialFailure(run.trial, best, value_to_json({"dim": dim, "a": a, "b": b}))
-                )
-                run.record(True, best)  # provisionally a pass; reclassified below
-    total = run.trial
-    if unfound:
-        if len(unfound) / total <= UNFOUND_TOLERANCE:
-            run.note(
-                f"{len(unfound)}/{total} trials found no violating state within "
-                f"{SEARCH_BUDGET} draws (within the {UNFOUND_TOLERANCE:.0%} allowance)"
-            )
-        else:
-            run.passes -= len(unfound)
-            run.failures.extend(unfound)
-            run.note(
-                f"{len(unfound)}/{total} trials found no violating state; "
-                f"exceeds the {UNFOUND_TOLERANCE:.0%} allowance"
-            )
+def _bayes2_noncommuting(g, dim, t, tol):
+    """Search: every non-commuting Lüders pair should expose a violating state."""
+    a, b = _noncommuting_effect_pair(g, dim, tol)
+    op_a = luders(a, tol)
+    op_b = luders(b, tol)
+    witness = {"dim": dim, "a": a, "b": b}
+    best = 0.0
+    for rho in _states(g, dim, SEARCH_BUDGET):
+        if prob(rho, a, tol) <= tol.eq_tol or prob(rho, b, tol) <= tol.eq_tol:
+            continue
+        r = bayes2_residual(rho, op_a, op_b, tol)
+        best = max(best, r)
+        if r > WITNESS_MARGIN:
+            witness.update(state=rho, residual=r)
+            break
+    return {"bayes2-violated": best}, witness
 
 
-def _suite_holevo_laws(root, dims, trials, tol, run) -> None:
+def _holevo_laws(g, dim, t, tol):
     """Holevo conditional probabilities and composition; Lüders (non-)closure."""
-    for dim in dims:
-        for t in range(trials):
-            g = root.derive(dim, t)
-            a = random_effect(g, dim)
-            alpha = random_state(g, dim)
-            op_h = holevo(a, alpha, tol)
-            b = random_effect(g, dim)
-            expected = trace_product(alpha, b).real
-            worst_cp = 0.0
-            checked = 0
-            draw = 0
-            while checked < 50 and draw < 500:
-                rho = random_state(g.derive(draw), dim)
-                draw += 1
-                if prob(rho, a, tol) < 1e-2:
-                    continue
-                worst_cp = max(worst_cp, abs(conditional_prob(rho, op_h, b, tol) - expected))
-                checked += 1
-            ok_cp = checked == 50 and worst_cp <= 0.1 * tol.eq_tol
-
-            beta = random_state(g, dim)
-            op_h2 = holevo(b, beta, tol)
-            predicted = holevo(expected * a, beta, tol)
-            r_comp = choi_distance(compose(op_h, op_h2), predicted)
-
-            ac, bc = random_codiagonal_effects(g, dim)
-            op_ac = luders(ac, tol)
-            r_closed = choi_distance(
-                compose(op_ac, luders(bc, tol)),
-                luders(sequential_product(op_ac, bc), tol),
-            )
-
-            an, bn = _noncommuting_effect_pair(g, dim, tol)
-            op_an = luders(an, tol)
-            gap_open = choi_distance(
-                compose(op_an, luders(bn, tol)),
-                luders(sequential_product(op_an, bn), tol),
-            )
-            ok = ok_cp and r_comp <= tol.eq_tol and r_closed <= tol.eq_tol and gap_open > WITNESS_MARGIN
-            run.record(
-                ok,
-                max(worst_cp, r_comp, r_closed),
-                witness={"dim": dim, "a": a, "alpha": alpha, "b": b, "luders_gap": gap_open},
-            )
+    a = random_effect(g, dim)
+    alpha = random_state(g, dim)
+    op_h = holevo(a, alpha, tol)
+    b = random_effect(g, dim)
+    expected = trace_product(alpha, b).real
+    usable = (rho for rho in _states(g, dim, 500) if prob(rho, a, tol) >= 1e-2)
+    states = list(islice(usable, 50))
+    beta = random_state(g, dim)
+    predicted = holevo(expected * a, beta, tol)
+    ac, bc = random_codiagonal_effects(g, dim)
+    an, bn = _noncommuting_effect_pair(g, dim, tol)
+    gap_open = _luders_closure_gap(an, bn, tol)
+    values = {
+        "conditional-prob-is-alpha-b": max(
+            [0.0] + [abs(conditional_prob(rho, op_h, b, tol) - expected) for rho in states]
+        ),
+        "fifty-states-checked": len(states) == 50,
+        "holevo-composition": choi_distance(compose(op_h, holevo(b, beta, tol)), predicted),
+        "luders-closed-when-commuting": _luders_closure_gap(ac, bc, tol),
+        "luders-open-when-noncommuting": gap_open > WITNESS_MARGIN,
+    }
+    return values, {"dim": dim, "a": a, "alpha": alpha, "b": b, "luders_gap": gap_open}
 
 
-def _suite_conditioning_laws(root, dims, trials, tol, run) -> None:
+def _conditioning_laws(g, dim, t, tol):
     """Conditioned instruments measure conditioned observables; conditioning chains."""
-    for dim in dims:
-        for t in range(trials):
-            g = root.derive(dim, t)
-            a_obs = random_observable(g, dim, g.integer(2, dim + 1), tol)
-            ins_i = random_instrument_measuring(g.derive(0), a_obs, 1 + t % 2, tol)
-            b_obs = random_observable(g, dim, g.integer(2, dim + 1), tol)
-            ins_j = random_instrument_measuring(g.derive(1), b_obs, 1 + (t + 1) % 2, tol)
-            c_obs = random_observable(g, dim, g.integer(2, dim + 1), tol)
+    a_obs = random_observable(g, dim, g.integer(2, dim + 1), tol)
+    ins_i = random_instrument_measuring(g.derive(0), a_obs, 1 + t % 2, tol)
+    b_obs = random_observable(g, dim, g.integer(2, dim + 1), tol)
+    ins_j = random_instrument_measuring(g.derive(1), b_obs, 1 + (t + 1) % 2, tol)
+    c_obs = random_observable(g, dim, g.integer(2, dim + 1), tol)
 
-            cond = condition_instrument(ins_j, ins_i)
-            measured = measured_observable(cond)
-            conditioned = condition_observable(b_obs, ins_i)
-            r1 = max(
-                frobenius(measured.effects[y] - conditioned.effects[y]) for y in b_obs.outcomes
-            )
-
-            left = condition_observable(condition_observable(c_obs, ins_j), ins_i)
-            right = condition_observable(c_obs, cond)
-            r2 = max(frobenius(left.effects[z] - right.effects[z]) for z in c_obs.outcomes)
-
-            comp = compose_instruments(ins_i, ins_j)
-            r3 = choi_distance(
-                bar_channel(comp), compose(bar_channel(ins_i), bar_channel(ins_j))
-            )
-            r4 = 0.0
-            for y in ins_j.outcomes:
-                kraus = np.concatenate([comp.ops[f"{x},{y}"].kraus for x in ins_i.outcomes])
-                r4 = max(r4, choi_distance(Operation(kraus), cond.ops[y]))
-
-            residual = max(r1, r2, r3, r4)
-            run.record(
-                residual <= tol.eq_tol,
-                residual,
-                witness={"dim": dim, "A": a_obs, "B": b_obs, "C": c_obs},
-            )
+    cond = condition_instrument(ins_j, ins_i)
+    comp = compose_instruments(ins_i, ins_j)
+    marginals = [
+        choi_distance(
+            Operation(np.concatenate([comp.ops[f"{x},{y}"].kraus for x in ins_i.outcomes])),
+            cond.ops[y],
+        )
+        for y in ins_j.outcomes
+    ]
+    values = {
+        "measures-conditioned-observable": _effects_gap(
+            measured_observable(cond), condition_observable(b_obs, ins_i)
+        ),
+        "conditioning-chains": _effects_gap(
+            condition_observable(condition_observable(c_obs, ins_j), ins_i),
+            condition_observable(c_obs, cond),
+        ),
+        "bar-of-composite": choi_distance(
+            bar_channel(comp), compose(bar_channel(ins_i), bar_channel(ins_j))
+        ),
+        "composite-marginals": max([0.0] + marginals),
+    }
+    return values, {"dim": dim, "A": a_obs, "B": b_obs, "C": c_obs}
 
 
-def _suite_bayes1(root, dims, trials, tol, run) -> None:
+def _bayes1(g, dim, t, tol):
     """First Bayes rule, probability and expectation forms, all instrument kinds.
 
     Lüders-of-atomic and Holevo trials are additionally pinned to their
-    closed forms.
+    closed forms, in which outcome x leaves A_x and alpha_x.
     """
-    for dim in dims:
-        for t in range(trials):
-            g = root.derive(dim, t)
-            kind = t % 3
-            alphas = None
-            if kind == 0:
-                a_obs = random_atomic_observable(g, dim)
-                ins = luders_instrument(a_obs, tol)
-            elif kind == 1:
-                a_obs = random_observable(g, dim, g.integer(2, dim + 1), tol)
-                alphas = {
-                    x: random_state(g.derive(10 + i), dim) for i, x in enumerate(a_obs.outcomes)
-                }
-                ins = holevo_instrument(a_obs, alphas, tol)
-            else:
-                a_obs = random_observable(g, dim, g.integer(2, dim + 1), tol)
-                ins = random_instrument_measuring(g.derive(0), a_obs, 1 + t % 2, tol)
-            rho = random_state(g, dim)
-            a = random_effect(g, dim)
+    kind, a_obs, ins, alphas = _kind_instrument(g, dim, t, tol, random_atomic_observable)
+    rho = random_state(g, dim)
+    a = random_effect(g, dim)
+    b_vals = random_real_values(g, random_observable(g, dim, g.integer(2, dim + 1), tol))
 
-            triple = bayes1_check(rho, ins, a, tol)
-            residual = triple.spread
-            if kind == 0:
-                closed = sum(
-                    prob(rho, a_obs.effects[x], tol) * trace_product(a_obs.effects[x], a).real
-                    for x in a_obs.outcomes
-                )
-                residual = max(residual, abs(triple.mid - closed))
-            elif kind == 1:
-                closed = sum(
-                    prob(rho, a_obs.effects[x], tol) * trace_product(alphas[x], a).real
-                    for x in a_obs.outcomes
-                )
-                residual = max(residual, abs(triple.mid - closed))
-
-            b_vals = random_real_values(g, random_observable(g, dim, g.integer(2, dim + 1), tol))
-            triple_e = bayes1_expectation_check(rho, ins, b_vals, tol)
-            residual = max(residual, triple_e.spread)
-
-            run.record(
-                residual <= tol.eq_tol,
-                residual,
-                witness={"dim": dim, "kind": float(kind), "A": a_obs, "state": rho, "effect": a},
-            )
+    triple = bayes1_check(rho, ins, a, tol)
+    values = {
+        "bayes1-probability": triple.spread,
+        "bayes1-expectation": bayes1_expectation_check(rho, ins, b_vals, tol).spread,
+    }
+    if kind < 2:
+        left = a_obs.effects if kind == 0 else alphas
+        closed = sum(
+            prob(rho, a_obs.effects[x], tol) * trace_product(left[x], a).real
+            for x in a_obs.outcomes
+        )
+        values["closed-form"] = abs(triple.mid - closed)
+    return values, {"dim": dim, "kind": float(kind), "A": a_obs, "state": rho, "effect": a}
 
 
-def _suite_atomic_context(root, dims, trials, tol, run) -> None:
+def _atomic_context(g, dim, t, tol):
     """Jointly commuting pairs are fixed points of their atomic context.
 
-    Reconstruction residual allowed 10x eq_tol.  Non-commuting inputs must be
-    rejected, and conditioning through any instrument of an atomic observable
-    must land in a jointly commuting family.
+    Non-commuting inputs must be rejected, and conditioning through any
+    instrument of an atomic observable must land in a family that commutes
+    within 10x eq_tol.
     """
-    bound = 10.0 * tol.eq_tol
-    for dim in dims:
-        for t in range(trials):
-            g = root.derive(dim, t)
-            u = random_unitary(g, dim)
-            b_obs = random_codiagonal_observable(g, u, g.integer(2, dim + 1))
-            c_obs = random_codiagonal_observable(g, u, g.integer(2, dim + 1))
-            ok = jointly_commuting([b_obs, c_obs], tol)
-            residual = 0.0
-            if ok:
-                a_obs, ins = atomic_context([b_obs, c_obs], tol)
-                ok = all(is_atomic(a_obs.effects[x], tol) for x in a_obs.outcomes)
-                rb = max(
-                    frobenius(condition_observable(b_obs, ins).effects[y] - b_obs.effects[y])
-                    for y in b_obs.outcomes
-                )
-                rc = max(
-                    frobenius(condition_observable(c_obs, ins).effects[y] - c_obs.effects[y])
-                    for y in c_obs.outcomes
-                )
-                residual = max(rb, rc)
-                ok = ok and residual <= bound
+    u = random_unitary(g, dim)
+    b_obs = random_codiagonal_observable(g, u, g.integer(2, dim + 1))
+    c_obs = random_codiagonal_observable(g, u, g.integer(2, dim + 1))
+    values = {"codiagonal-pair-commutes": jointly_commuting([b_obs, c_obs], tol)}
+    if values["codiagonal-pair-commutes"]:
+        a_obs, ins = atomic_context([b_obs, c_obs], tol)
+        values["context-is-atomic"] = all(is_atomic(a_obs.effects[x], tol) for x in a_obs.outcomes)
+        values["context-fixes-pair"] = max(
+            _effects_gap(condition_observable(o, ins), o) for o in (b_obs, c_obs)
+        )
 
-            d1 = random_observable(g, dim, 2, tol)
-            d2 = random_observable(g, dim, 2, tol)
-            if not jointly_commuting([d1, d2], tol):
-                try:
-                    atomic_context([d1, d2], tol)
-                    ok = False
-                    run.note(f"trial {run.trial}: non-commuting pair was not rejected")
-                except NotJointlyCommutingError:
-                    pass
+    d1 = random_observable(g, dim, 2, tol)
+    d2 = random_observable(g, dim, 2, tol)
+    if not jointly_commuting([d1, d2], tol):
+        try:
+            atomic_context([d1, d2], tol)
+            values["noncommuting-rejected"] = False
+        except NotJointlyCommutingError:
+            values["noncommuting-rejected"] = True
 
-            atom_obs = random_atomic_observable(g, dim)
-            ins_d = random_instrument_measuring(g.derive(5), atom_obs, 1 + t % 2, tol)
-            fam = [
-                condition_observable(random_observable(g, dim, 2, tol), ins_d)
-                for _ in range(2)
-            ]
-            loose = Tolerance(bound, tol.psd_tol)
-            ok = ok and jointly_commuting(fam, loose)
-
-            run.record(ok, residual, witness={"dim": dim, "B": b_obs, "C": c_obs})
+    atom_obs = random_atomic_observable(g, dim)
+    ins_d = random_instrument_measuring(g.derive(5), atom_obs, 1 + t % 2, tol)
+    fam = [condition_observable(random_observable(g, dim, 2, tol), ins_d) for _ in range(2)]
+    loose = Tolerance(10.0 * tol.eq_tol, tol.psd_tol)
+    values["conditioned-family-commutes"] = jointly_commuting(fam, loose)
+    return values, {"dim": dim, "B": b_obs, "C": c_obs}
 
 
-def _suite_uncertainty(root, dims, trials, tol, run) -> None:
+#: Closed forms the uncertainty suite pins: (generic contextual statistic,
+#: its Lüders-of-sharp form, its Holevo form, which of B and C it takes).
+_CLOSED_FORMS = (
+    (contextual_expectation, sharp_luders_expectation, holevo_expectation, "b"),
+    (contextual_correlation, sharp_luders_correlation, holevo_correlation, "bc"),
+    (contextual_covariance, sharp_luders_covariance, holevo_covariance, "bc"),
+    (contextual_variance, sharp_luders_variance, holevo_variance, "b"),
+    (contextual_variance, sharp_luders_variance, holevo_variance, "c"),
+    (commutator_trace, sharp_luders_commutator_trace, holevo_commutator_trace, "bc"),
+)
+
+
+def _uncertainty(g, dim, t, tol):
     """The uncertainty decomposition holds; closed forms match the generic path."""
-    for dim in dims:
-        for t in range(trials):
-            g = root.derive(dim, t)
-            kind = t % 3
-            alphas = None
-            if kind == 0:
-                a_obs = random_projective_observable(g, dim, g.integer(1, dim))
-                ins = luders_instrument(a_obs, tol)
-            elif kind == 1:
-                a_obs = random_observable(g, dim, g.integer(2, dim + 1), tol)
-                alphas = {
-                    x: random_state(g.derive(10 + i), dim) for i, x in enumerate(a_obs.outcomes)
-                }
-                ins = holevo_instrument(a_obs, alphas, tol)
-            else:
-                a_obs = random_observable(g, dim, g.integer(2, dim + 1), tol)
-                ins = random_instrument_measuring(g.derive(0), a_obs, 1 + t % 2, tol)
-            b = random_real_values(g, random_observable(g, dim, g.integer(2, dim + 1), tol))
-            c = random_real_values(g, random_observable(g, dim, g.integer(2, dim + 1), tol))
-            rho = random_state(g, dim)
+    kind, a_obs, ins, alphas = _kind_instrument(
+        g, dim, t, tol, lambda g, dim: random_projective_observable(g, dim, g.integer(1, dim))
+    )
+    b = random_real_values(g, random_observable(g, dim, g.integer(2, dim + 1), tol))
+    c = random_real_values(g, random_observable(g, dim, g.integer(2, dim + 1), tol))
+    rho = random_state(g, dim)
 
-            rep = uncertainty_report(rho, ins, b, c, tol)
-            residual = rep.identity_residual
-            ok = residual <= tol.eq_tol and rep.inequality_slack >= -tol.eq_tol
-
-            if kind == 0:
-                diffs = [
-                    abs(sharp_luders_expectation(rho, a_obs, b) - contextual_expectation(rho, ins, b)),
-                    abs(sharp_luders_correlation(rho, a_obs, b, c) - contextual_correlation(rho, ins, b, c)),
-                    abs(sharp_luders_covariance(rho, a_obs, b, c) - contextual_covariance(rho, ins, b, c)),
-                    abs(sharp_luders_variance(rho, a_obs, b) - contextual_variance(rho, ins, b)),
-                    abs(sharp_luders_variance(rho, a_obs, c) - contextual_variance(rho, ins, c)),
-                    abs(sharp_luders_commutator_trace(rho, a_obs, b, c) - commutator_trace(rho, ins, b, c)),
-                ]
-                residual = max(residual, *diffs)
-                ok = ok and max(diffs) <= tol.eq_tol
-            elif kind == 1:
-                diffs = [
-                    abs(holevo_expectation(rho, a_obs, alphas, b) - contextual_expectation(rho, ins, b)),
-                    abs(holevo_correlation(rho, a_obs, alphas, b, c) - contextual_correlation(rho, ins, b, c)),
-                    abs(holevo_covariance(rho, a_obs, alphas, b, c) - contextual_covariance(rho, ins, b, c)),
-                    abs(holevo_variance(rho, a_obs, alphas, b) - contextual_variance(rho, ins, b)),
-                    abs(holevo_variance(rho, a_obs, alphas, c) - contextual_variance(rho, ins, c)),
-                    abs(holevo_commutator_trace(rho, a_obs, alphas, b, c) - commutator_trace(rho, ins, b, c)),
-                ]
-                residual = max(residual, *diffs)
-                ok = ok and max(diffs) <= tol.eq_tol
-
-            run.record(
-                ok,
-                residual,
-                witness={"dim": dim, "kind": float(kind), "A": a_obs, "B": b, "C": c, "state": rho},
-            )
+    rep = uncertainty_report(rho, ins, b, c, tol)
+    values = {
+        "uncertainty-identity": rep.identity_residual,
+        "uncertainty-inequality": rep.inequality_slack >= -tol.eq_tol,
+    }
+    if kind < 2:
+        pinned = (a_obs,) if kind == 0 else (a_obs, alphas)
+        diffs = []
+        for generic, *closed, which in _CLOSED_FORMS:
+            xs = [{"b": b, "c": c}[v] for v in which]
+            diffs.append(abs(closed[kind](rho, *pinned, *xs) - generic(rho, ins, *xs)))
+        values["closed-forms"] = max(diffs)
+    return values, {"dim": dim, "kind": float(kind), "A": a_obs, "B": b, "C": c, "state": rho}
 
 
-def _suite_entropy(root, dims, trials, tol, run) -> None:
-    """Entropy laws: positivity, the trace criterion both ways, chain behavior."""
-    holevo_violation_found = False
-    single_double_gap_found = False
-    chain_witness_found = False
-    for dim in dims:
-        for t in range(trials):
-            g = root.derive(dim, t)
-            rho = random_state(g, dim)
-            a = random_effect(g, dim)
-            b = random_effect(g, dim)
-            oks: list[bool] = []
-            residual = 0.0
+def _entropy_gap(rho, op: Operation, b, tol: Tolerance) -> float:
+    """Sequential minus conditional entropy of b after op at rho."""
+    return sequential_entropy(rho, op, b, tol) - conditional_effect_entropy(rho, op, b, tol)
 
-            oks.append(effect_entropy(rho, a, tol) >= 0.0)
 
-            op = random_operation_measuring(g.derive(0), a, 1 + t % 3, tol)
-            if sequential_entropy_dominated(op, b, tol):
-                worst = 0.0
-                for s in range(50):
-                    rs = random_state(g.derive(1000 + s), dim)
-                    worst = max(
-                        worst,
-                        sequential_entropy(rs, op, b, tol)
-                        - conditional_effect_entropy(rs, op, b, tol),
-                    )
-                oks.append(worst <= tol.eq_tol)
-                residual = max(residual, worst)
-            else:
-                reversed_found = False
-                for s in range(SEARCH_BUDGET):
-                    rs = random_state(g.derive(2000 + s), dim)
-                    gap = sequential_entropy(rs, op, b, tol) - conditional_effect_entropy(
-                        rs, op, b, tol
-                    )
-                    if gap > 1e-12:
-                        reversed_found = True
-                        break
-                if not reversed_found:
-                    run.note(
-                        f"trial {run.trial}: criterion fails but no reversal witness found"
-                    )
+def _holevo_entropy_reversal(g: Generator, dim: int, tol: Tolerance):
+    """A Holevo operation and a state where sequential entropy beats conditional, or None."""
+    for i in range(100):
+        gh = g.derive(100 + i)
+        if i % 2 == 0:
+            ah = random_effect(gh, dim)
+            alh = random_state(gh, dim)
+            bh = random_effect(gh, dim)
+        else:
+            # Reversal needs tr(alpha b) tr(a) > tr(b): push the measured
+            # effect toward the identity and align the update state with b.
+            ah = np.eye(dim) - 0.1 * random_effect(gh, dim)
+            alh = bh = random_atomic_effect(gh, dim)
+        op_h = holevo(ah, alh, tol)
+        if sequential_entropy_dominated(op_h, bh, tol):
+            continue
+        for rh in _states(gh, dim, SEARCH_BUDGET):
+            gap = _entropy_gap(rh, op_h, bh, tol)
+            if gap > WITNESS_MARGIN:
+                return {"dim": dim, "effect": ah, "alpha": alh, "b": bh, "state": rh, "gap": gap}
+    return None
 
-            oks.append(sequential_entropy_dominated(luders(a, tol), b, tol))
 
-            if not holevo_violation_found:
-                for i in range(100):
-                    gh = g.derive(100 + i)
-                    if i % 2 == 0:
-                        ah = random_effect(gh, dim)
-                        alh = random_state(gh, dim)
-                        bh = random_effect(gh, dim)
-                    else:
-                        # Reversal needs tr(alpha b) tr(a) > tr(b): push the
-                        # measured effect toward the identity and align the
-                        # update state with b.
-                        ah = np.eye(dim) - 0.1 * random_effect(gh, dim)
-                        alh = random_atomic_effect(gh, dim)
-                        bh = alh
-                    op_h = holevo(ah, alh, tol)
-                    if sequential_entropy_dominated(op_h, bh, tol):
-                        continue
-                    for s in range(SEARCH_BUDGET):
-                        rh = random_state(gh.derive(s), dim)
-                        gap = sequential_entropy(rh, op_h, bh, tol) - conditional_effect_entropy(
-                            rh, op_h, bh, tol
-                        )
-                        if gap > WITNESS_MARGIN:
-                            run.witness(
-                                {
-                                    "law": "sequential-entropy-exceeds-conditional",
-                                    "dim": dim,
-                                    "effect": ah,
-                                    "alpha": alh,
-                                    "b": bh,
-                                    "state": rh,
-                                    "gap": gap,
-                                }
-                            )
-                            holevo_violation_found = True
-                            break
-                    if holevo_violation_found:
-                        break
+def _entropy(g, dim, t, tol):
+    """Entropy laws: positivity, the trace criterion both ways, chain behavior.
 
-            a1 = random_observable(g, dim, g.integer(2, dim + 1), tol)
-            ins_i = random_instrument_measuring(g.derive(1), a1, 1 + t % 2, tol)
-            b1 = random_observable(g, dim, g.integer(2, dim + 1), tol)
-            ins_j = random_instrument_measuring(g.derive(2), b1, 1 + (t + 1) % 2, tol)
-            c1 = random_observable(g, dim, g.integer(2, dim + 1), tol)
+    Where the trace criterion fails, its order law holds vacuously (0) and a
+    state must reverse the order instead.
+    """
+    rho = random_state(g, dim)
+    a = random_effect(g, dim)
+    b = random_effect(g, dim)
+    op = random_operation_measuring(g.derive(0), a, 1 + t % 3, tol)
+    dominated = sequential_entropy_dominated(op, b, tol)
+    worst = 0.0
+    if dominated:
+        worst = max([0.0] + [_entropy_gap(rs, op, b, tol) for rs in _states(g, dim, 50, 1000)])
 
-            chain1 = conditional_observable_entropy_double(
-                rho, condition_instrument(ins_j, ins_i), c1, tol
-            )
-            chain2 = conditional_observable_entropy_double(
-                condition_state(rho, ins_i), ins_j, c1, tol
-            )
-            chain3 = observable_entropy(
-                condition_state(condition_state(rho, ins_i), ins_j), c1, tol
-            )
-            chain_r = max(abs(chain1 - chain2), abs(chain1 - chain3))
-            oks.append(chain_r <= tol.eq_tol)
-            residual = max(residual, chain_r)
+    a1 = random_observable(g, dim, g.integer(2, dim + 1), tol)
+    ins_i = random_instrument_measuring(g.derive(1), a1, 1 + t % 2, tol)
+    b1 = random_observable(g, dim, g.integer(2, dim + 1), tol)
+    ins_j = random_instrument_measuring(g.derive(2), b1, 1 + (t + 1) % 2, tol)
+    c1 = random_observable(g, dim, g.integer(2, dim + 1), tol)
 
-            if not single_double_gap_found:
-                gap = abs(
-                    conditional_observable_entropy_single(rho, ins_i, c1, tol)
-                    - conditional_observable_entropy_double(rho, ins_i, c1, tol)
-                )
-                if gap > WITNESS_MARGIN:
-                    run.witness(
-                        {
-                            "law": "single-bar-differs-from-double-bar",
-                            "dim": dim,
-                            "A": a1,
-                            "C": c1,
-                            "state": rho,
-                            "gap": gap,
-                        }
-                    )
-                    single_double_gap_found = True
+    cond = condition_instrument(ins_j, ins_i)
+    chain1 = conditional_observable_entropy_double(rho, cond, c1, tol)
+    after_i = condition_state(rho, ins_i)
+    chain2 = conditional_observable_entropy_double(after_i, ins_j, c1, tol)
+    chain3 = observable_entropy(condition_state(after_i, ins_j), c1, tol)
+    left = conditional_observable_entropy_single(rho, ins_i, condition_observable(c1, ins_j), tol)
 
-            left = conditional_observable_entropy_single(
-                rho, ins_i, condition_observable(c1, ins_j), tol
-            )
-            right_canonical = conditional_observable_entropy_single(
-                rho, condition_instrument(ins_j, ins_i), c1, tol
-            )
-            oks.append(abs(left - right_canonical) <= tol.eq_tol)
-            residual = max(residual, abs(left - right_canonical))
-
-            if not chain_witness_found:
-                fresh = luders_instrument(condition_observable(b1, ins_i), tol)
-                right_fresh = conditional_observable_entropy_single(rho, fresh, c1, tol)
-                if abs(left - right_fresh) > WITNESS_MARGIN:
-                    run.witness(
-                        {
-                            "law": "single-bar-chain-fails-for-fresh-measurement",
-                            "dim": dim,
-                            "A": a1,
-                            "B": b1,
-                            "C": c1,
-                            "state": rho,
-                            "left": left,
-                            "right": right_fresh,
-                            "gap": abs(left - right_fresh),
-                        }
-                    )
-                    chain_witness_found = True
-
-            run.record(
-                all(oks),
-                residual,
-                witness={"dim": dim, "state": rho, "a": a, "b": b},
-            )
-    if run.trial == 0:
-        # Nothing ran, so nothing was required to be found.
-        return
-    if not holevo_violation_found:
-        run.passes = max(0, run.passes - 1)
-        run.failures.append(
-            TrialFailure(run.trial, 1.0, {"law": "sequential-entropy-exceeds-conditional"})
+    def single_double_gap():
+        gap = abs(
+            conditional_observable_entropy_single(rho, ins_i, c1, tol)
+            - conditional_observable_entropy_double(rho, ins_i, c1, tol)
         )
-        run.note("no Holevo entropy-reversal instance found")
-    if not single_double_gap_found:
-        run.passes = max(0, run.passes - 1)
-        run.failures.append(
-            TrialFailure(run.trial, 1.0, {"law": "single-bar-differs-from-double-bar"})
-        )
-        run.note("no single/double-bar gap found")
-    if not chain_witness_found:
-        run.passes = max(0, run.passes - 1)
-        run.failures.append(
-            TrialFailure(run.trial, 1.0, {"law": "single-bar-chain-fails-for-fresh-measurement"})
-        )
-        run.note("no single-bar chain-failure witness found")
+        if gap > WITNESS_MARGIN:
+            return {"dim": dim, "A": a1, "C": c1, "state": rho, "gap": gap}
+        return None
+
+    def fresh_chain_failure():
+        fresh = luders_instrument(condition_observable(b1, ins_i), tol)
+        right = conditional_observable_entropy_single(rho, fresh, c1, tol)
+        if abs(left - right) > WITNESS_MARGIN:
+            return {
+                "dim": dim, "A": a1, "B": b1, "C": c1, "state": rho,
+                "left": left, "right": right, "gap": abs(left - right),
+            }
+        return None
+
+    values = {
+        "effect-entropy-nonnegative": effect_entropy(rho, a, tol) >= 0.0,
+        "dominated-sequential-below-conditional": worst,
+        "undominated-has-reversal": dominated
+        or any(_entropy_gap(rs, op, b, tol) > 1e-12 for rs in _states(g, dim, SEARCH_BUDGET, 2000)),
+        "luders-dominated": sequential_entropy_dominated(luders(a, tol), b, tol),
+        "sequential-entropy-exceeds-conditional": lambda: _holevo_entropy_reversal(g, dim, tol),
+        "double-bar-chain": max(abs(chain1 - chain2), abs(chain1 - chain3)),
+        "single-bar-differs-from-double-bar": single_double_gap,
+        "single-bar-chain": abs(left - conditional_observable_entropy_single(rho, cond, c1, tol)),
+        "single-bar-chain-fails-for-fresh-measurement": fresh_chain_failure,
+    }
+    return values, {"dim": dim, "state": rho, "a": a, "b": b}
 
 
+#: suite name -> (trial function, {law: kind}); the order salts each suite's stream.
 _SUITES = {
-    "duality": _suite_duality,
-    "sequential-product-bounds": _suite_sequential_product_bounds,
-    "composition-laws": _suite_composition_laws,
-    "bayes2-luders-commuting": _suite_bayes2_commuting,
-    "bayes2-luders-noncommuting": _suite_bayes2_noncommuting,
-    "holevo-laws": _suite_holevo_laws,
-    "conditioning-laws": _suite_conditioning_laws,
-    "bayes1": _suite_bayes1,
-    "atomic-context": _suite_atomic_context,
-    "uncertainty": _suite_uncertainty,
-    "entropy": _suite_entropy,
+    "duality": (_duality, {"duality": 1.0}),
+    "sequential-product-bounds": (_sequential_product_bounds, {
+        "transport-below-effect": 10.0,
+        "sharp-transport-commutes": 10.0,
+        "atomic-transport-proportional": 10.0,
+        "atomic-coefficient-in-unit-interval": _HOLDS,
+    }),
+    "composition-laws": (_composition_laws, {
+        "dual-of-composite": 1.0,
+        "composite-measures-sequential-effect": 1.0,
+        "sequential-products-associate": 1.0,
+        "conditional-probability-chain": 1.0,
+    }),
+    "bayes2-luders-commuting": (_bayes2_commuting, {
+        "bayes2": 1.0,
+        "twenty-states-checked": _HOLDS,
+    }),
+    "bayes2-luders-noncommuting": (_bayes2_noncommuting, {"bayes2-violated": _SEARCH}),
+    "holevo-laws": (_holevo_laws, {
+        "conditional-prob-is-alpha-b": 0.1,
+        "fifty-states-checked": _HOLDS,
+        "holevo-composition": 1.0,
+        "luders-closed-when-commuting": 1.0,
+        "luders-open-when-noncommuting": _HOLDS,
+    }),
+    "conditioning-laws": (_conditioning_laws, {
+        "measures-conditioned-observable": 1.0,
+        "conditioning-chains": 1.0,
+        "bar-of-composite": 1.0,
+        "composite-marginals": 1.0,
+    }),
+    "bayes1": (_bayes1, {
+        "bayes1-probability": 1.0,
+        "bayes1-expectation": 1.0,
+        "closed-form": 1.0,
+    }),
+    "atomic-context": (_atomic_context, {
+        "codiagonal-pair-commutes": _HOLDS,
+        "context-is-atomic": _HOLDS,
+        "context-fixes-pair": 10.0,
+        "noncommuting-rejected": _HOLDS,
+        "conditioned-family-commutes": _HOLDS,
+    }),
+    "uncertainty": (_uncertainty, {
+        "uncertainty-identity": 1.0,
+        "uncertainty-inequality": _HOLDS,
+        "closed-forms": 1.0,
+    }),
+    "entropy": (_entropy, {
+        "effect-entropy-nonnegative": _HOLDS,
+        "dominated-sequential-below-conditional": 1.0,
+        "undominated-has-reversal": _HOLDS,
+        "luders-dominated": _HOLDS,
+        "sequential-entropy-exceeds-conditional": _ONCE,
+        "double-bar-chain": 1.0,
+        "single-bar-differs-from-double-bar": _ONCE,
+        "single-bar-chain": 1.0,
+        "single-bar-chain-fails-for-fresh-measurement": _ONCE,
+    }),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -815,27 +703,26 @@ def run_suite(
     seed: int = DEFAULT_SEED,
     tol: Tolerance = DEFAULT_TOL,
 ) -> SuiteReport:
-    """Run one registered suite and return its (deterministic) report."""
+    """Run one registered suite and return its (deterministic) report.
+
+    Raises UnknownSuiteError for an unregistered name and SuiteArgumentError
+    for dims below 2 or a negative trial count.
+    """
     if name not in _SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}"
         )
     dims = [int(d) for d in dims]
+    trials = int(trials)
     if any(d < 2 for d in dims):
-        raise ValueError("dims must all be >= 2")
-    run = _Run()
+        raise SuiteArgumentError("dims must all be >= 2")
+    if trials < 0:
+        raise SuiteArgumentError(f"trials must be >= 0, got {trials}")
+    trial, laws = _SUITES[name]
+    run = _Run(SuiteReport(name, int(seed), dims, 0, 0, [], 0.0), laws, tol)
     # Salt the stream with the suite index so suites see unrelated objects.
-    salt = list(_SUITES).index(name)
-    root = Generator(seed).derive(salt)
-    _SUITES[name](root, dims, int(trials), tol, run)
-    return SuiteReport(
-        suite=name,
-        seed=int(seed),
-        dims=dims,
-        trials=run.trial,
-        passes=run.passes,
-        failures=run.failures,
-        max_residual=run.max_residual,
-        witnesses=run.witnesses,
-        notes=run.notes,
-    )
+    root = Generator(seed).derive(SUITE_NAMES.index(name))
+    for dim in dims:
+        for t in range(trials):
+            run.judge(*trial(root.derive(dim, t), dim, t, tol))
+    return run.finish()

@@ -59,7 +59,7 @@ def test_hermitian_eig_reconstruction_random():
 
 
 def test_hermitian_eig_rejects_nonhermitian():
-    with pytest.raises(NotHermitianError):
+    with pytest.raises(NotHermitianError, match=r"^matrix deviates from Hermitian by 1\.414e\+00$"):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
@@ -117,8 +117,10 @@ def test_loewner_reflexive_and_antisymmetric():
 
 
 def test_loewner_rejects_nonhermitian():
-    with pytest.raises(NotHermitianError):
+    with pytest.raises(NotHermitianError, match="^operand a deviates from Hermitian"):
         loewner_leq(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+    with pytest.raises(NotHermitianError, match="^operand b deviates from Hermitian"):
+        loewner_leq(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_trace_product_examples():
@@ -151,6 +153,8 @@ def test_simultaneous_eigenbasis_rejects_noncommuting():
     z = np.diag([1.0, -1.0]).astype(complex)
     with pytest.raises(NotCommutingFamilyError):
         simultaneous_eigenbasis([x, z])
+    with pytest.raises(NotHermitianError, match="^family member deviates from Hermitian"):
+        simultaneous_eigenbasis([np.array([[0.0, 1.0], [0.0, 0.0]])])
 
 
 def test_simultaneous_eigenbasis_degenerate_family():

@@ -131,6 +131,10 @@ def test_observable_validation(qubit):
     assert any(v.invariant == "total-below-identity" for v in validate_subobservable(over))
     short = Observable(("x0",), {"x0": qubit["P0"]})
     assert any(v.invariant == "total-is-identity" for v in validate_observable(short))
+    # A real-valued observable validates as its effect family.
+    valued = RealValuedObservable(short, {"x0": 1.0})
+    assert validate_observable(valued) == validate_observable(short)
+    assert validate_subobservable(valued) == validate_subobservable(short) == []
 
 
 def test_constructor_rejects_bad_labels(qubit):

@@ -2,8 +2,15 @@ import json
 
 import pytest
 
-from qcond import SUITE_NAMES, UnknownSuiteError, run_suite
+from qcond import QcondError, SUITE_NAMES, SuiteArgumentError, UnknownSuiteError, run_suite
+from qcond import suites
 from qcond.serialize import value_to_json
+
+ENTROPY_WITNESS_LAWS = [
+    "sequential-entropy-exceeds-conditional",
+    "single-bar-differs-from-double-bar",
+    "single-bar-chain-fails-for-fresh-measurement",
+]
 
 
 def test_registry_contents():
@@ -34,6 +41,14 @@ def test_zero_trials_is_an_empty_pass():
 def test_dims_must_be_at_least_two():
     with pytest.raises(ValueError):
         run_suite("duality", dims=(1,), trials=1)
+
+
+def test_negative_trials_raise_a_typed_error():
+    with pytest.raises(SuiteArgumentError) as info:
+        run_suite("duality", dims=(2,), trials=-3)
+    assert isinstance(info.value, QcondError) and isinstance(info.value, ValueError)
+    with pytest.raises(SuiteArgumentError):
+        run_suite("duality", dims=(2, 1), trials=1)
 
 
 def test_noncommuting_search_reports_witnesses():
@@ -77,6 +92,7 @@ def test_report_json_shape():
     assert payload["trials"] == 3
     assert payload["passes"] == 3
     assert payload["failures"] == []
+    assert "missing" not in payload
     assert isinstance(payload["max_residual"], float)
     assert value_to_json(payload) == payload
 
@@ -85,3 +101,80 @@ def test_holevo_laws_one_trial_at_d16():
     # Composed Holevo operations stay at the Choi rank (at most d**2 = 256
     # operators instead of about d**4), which makes d = 16 affordable.
     assert run_suite("holevo-laws", dims=(16,), trials=1, seed=7).ok
+
+
+def _report_counts_add_up(report):
+    assert report.passes + len(report.failures) == report.trials
+    assert all(f.residual != 1.0 for f in report.failures)
+
+
+def test_entropy_searches_that_find_nothing_are_named_missing(monkeypatch):
+    # Every Holevo candidate looks dominated and every observable entropy is
+    # 0, so none of the three once-per-run searches can find its witness,
+    # while the other entropy laws still hold.
+    monkeypatch.setattr(suites, "sequential_entropy_dominated", lambda *a, **k: True)
+    for name in (
+        "sequential_entropy",
+        "observable_entropy",
+        "conditional_observable_entropy_single",
+        "conditional_observable_entropy_double",
+    ):
+        monkeypatch.setattr(suites, name, lambda *a, **k: 0.0)
+    report = run_suite("entropy", dims=(2,), trials=6, seed=7)
+    assert not report.ok
+    assert report.missing == ENTROPY_WITNESS_LAWS
+    assert report.to_json()["missing"] == ENTROPY_WITNESS_LAWS
+    assert report.witnesses == []
+    assert report.failures == [] and report.passes == report.trials == 6
+    _report_counts_add_up(report)
+
+
+def test_noncommuting_search_beyond_allowance_is_missing(monkeypatch):
+    monkeypatch.setattr(suites, "bayes2_residual", lambda *a, **k: 0.0)
+    report = run_suite("bayes2-luders-noncommuting", dims=(2,), trials=5, seed=7)
+    assert not report.ok
+    assert report.missing == ["bayes2-violated"]
+    assert report.passes == report.trials == 5 and report.max_residual == 0.0
+    assert any("5/5" in note and "beyond" in note for note in report.notes)
+    _report_counts_add_up(report)
+
+
+def test_runner_judges_laws_by_their_declared_kind(monkeypatch):
+    searched = []
+
+    def search():
+        searched.append(1)
+        return {"gap": 0.5}
+
+    def trial(g, dim, t, tol):
+        values = {"small": 1e-12, "large": 0.25 if t == 1 else 0.0, "cond": t != 2}
+        values["skippable"] = None if t == 0 else 0.0
+        values["found-once"] = search
+        return values, {"dim": dim, "t": t}
+
+    laws = {
+        "small": 1.0,
+        "large": 1.0,
+        "cond": suites._HOLDS,
+        "skippable": 0.1,
+        "found-once": suites._ONCE,
+    }
+    monkeypatch.setitem(suites._SUITES, "duality", (trial, laws))
+    report = run_suite("duality", dims=(2,), trials=4, seed=7)
+    assert [(f.trial, f.laws, f.residual) for f in report.failures] == [
+        (1, ["large"], 0.25),
+        (2, ["cond"], 1e-12),
+    ]
+    assert report.failures[0].to_json()["witness"] == {"dim": 2.0, "t": 1.0}
+    assert report.max_residual == 0.25 and report.passes == 2
+    assert report.notes == ["skippable: skipped in 1/4 trials"]
+    assert report.witnesses == [{"law": "found-once", "gap": 0.5}]
+    assert len(searched) == 1  # a found once-per-run law is not searched again
+    _report_counts_add_up(report)
+
+
+def test_undeclared_law_raises(monkeypatch):
+    trial = lambda g, dim, t, tol: ({"duality": 0.0, "no-such-law": 0.0}, {})  # noqa: E731
+    monkeypatch.setitem(suites._SUITES, "duality", (trial, {"duality": 1.0}))
+    with pytest.raises(KeyError, match="no-such-law"):
+        run_suite("duality", dims=(2,), trials=1)
