@@ -2,6 +2,8 @@
 
 A state is a density matrix (PSD, unit trace); an effect is a Hermitian
 matrix with spectrum inside [0, 1].  Both are plain complex ndarrays.
+``prob`` also takes an (n, d, d) stack of states and returns one
+probability per state.
 Validation is explicit and diagnostic: ``validate_state`` / ``validate_effect``
 return a list of :class:`Violation` records naming each broken invariant and
 by how much, so callers (and the scene runner) can report precisely why an
@@ -87,12 +89,22 @@ def validate_effect(a, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
     return out
 
 
-def prob(rho, a, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Outcome probability tr(rho a), clamping round-off negatives to 0."""
+def _per_state(values):
+    """A float for one state's value (a 0-d array), the (n,) array itself for a stack's."""
+    return float(values) if values.ndim == 0 else values
+
+
+def prob(rho, a, tol: Tolerance = DEFAULT_TOL):
+    """Outcome probability tr(rho a), clamping round-off negatives in [-eq_tol, 0) to 0.
+
+    rho is one state, giving a float, or an (n, d, d) stack of states, giving
+    the (n,) array of their probabilities from one contraction.
+    """
     p = trace_product(rho, a).real
-    if -tol.eq_tol <= p < 0.0:
-        return 0.0
-    return float(p)
+    # Multiplying by the keep mask zeroes the round-off negatives (+ 0.0 turns
+    # the -0.0 left behind into 0.0): arithmetic alone, so one state's float
+    # stays a float and a stack's array an array.
+    return p * ((p >= 0.0) | (p < -tol.eq_tol)) + 0.0
 
 
 def complement(a) -> np.ndarray:

@@ -3,7 +3,9 @@
 The entropy of effect a at state rho is -p ln(p / t) with p = tr(rho a) and
 t = tr(a).  Since p <= t it is non-negative.  Conventions at the boundary:
 a term with p <= eq_tol contributes 0 (the p -> 0 limit), and an effect with
-t <= eq_tol contributes 0.
+t <= eq_tol contributes 0.  The three effect entropies take one state (a
+float result) or an (n, d, d) stack of states (one value per state); their
+probabilities go through the dual, so a stack costs one dual_apply.
 
 Two inequivalent conditionings exist for observables.  The *double-bar*
 entropy substitutes the bar-channel image of the state into the plain
@@ -15,14 +17,12 @@ does not chain, and can land on either side of the double-bar value.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import prob
+from .core import _per_state, prob
 from .instruments import Instrument, condition_effect, condition_state
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
-from .operations import Operation, apply, dual_apply
+from .operations import Operation, dual_apply
 
 __all__ = [
     "effect_entropy",
@@ -35,21 +35,21 @@ __all__ = [
 ]
 
 
-def _term(p: float, t: float, tol: Tolerance) -> float:
-    if t <= tol.eq_tol or p <= tol.eq_tol:
-        return 0.0
-    return max(0.0, -p * math.log(p / t))
+def _term(p, t: float, tol: Tolerance):
+    """-p ln(p/t) for each probability p (a float or an (n,) array), 0 at the boundaries."""
+    live = (p > tol.eq_tol) & (t > tol.eq_tol)
+    t = max(t, tol.eq_tol)  # a dead term's ratio is then 1, its log 0
+    h = -p * np.log(np.where(live, p, t) / t)
+    return _per_state(np.maximum(0.0, h * live))
 
 
-def effect_entropy(rho, a, tol: Tolerance = DEFAULT_TOL) -> float:
+def effect_entropy(rho, a, tol: Tolerance = DEFAULT_TOL):
     """-p ln(p/t) with p = tr(rho a), t = tr(a)."""
     a = as_matrix(a)
-    p = prob(as_matrix(rho), a, tol)
-    t = float(np.trace(a).real)
-    return _term(p, t, tol)
+    return _term(prob(rho, a, tol), float(np.trace(a).real), tol)
 
 
-def sequential_entropy(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL) -> float:
+def sequential_entropy(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL):
     """Entropy of the sequential effect "op's effect, then b" at rho.
 
     Identical numerator to the conditional entropy but the denominator is
@@ -58,12 +58,13 @@ def sequential_entropy(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL) -> f
     return effect_entropy(rho, dual_apply(op, as_matrix(b)), tol)
 
 
-def conditional_effect_entropy(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Entropy of b in the (unnormalized) post-measurement state op(rho)."""
+def conditional_effect_entropy(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL):
+    """Entropy of b in the (unnormalized) post-measurement state op(rho).
+
+    Its probability tr[op(rho) b] is taken through the dual, tr[rho dual(b)].
+    """
     b = as_matrix(b)
-    p = prob(apply(op, as_matrix(rho)), b, tol)
-    t = float(np.trace(b).real)
-    return _term(p, t, tol)
+    return _term(prob(rho, dual_apply(op, b), tol), float(np.trace(b).real), tol)
 
 
 def sequential_entropy_dominated(op: Operation, b, tol: Tolerance = DEFAULT_TOL) -> bool:

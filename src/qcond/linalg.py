@@ -121,12 +121,18 @@ def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     return bool(np.linalg.eigvalsh(diff)[0] >= -tol.psd_tol)
 
 
-def trace_product(a, b) -> complex:
-    """tr(a @ b) without forming the product matrix."""
+def trace_product(a, b):
+    """tr(a @ b) without forming the product matrix.
+
+    ``a`` may also be an (n, d, d) stack; then the result is the (n,) complex
+    array of tr(a[s] @ b), from one contraction over the stack.
+    """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0] or a.shape[0] != b.shape[1]:
+    if a.ndim not in (2, 3) or b.ndim != 2 or a.shape[-2:] != b.shape[::-1]:
         raise DimMismatchError(f"cannot trace product of shapes {a.shape} and {b.shape}")
+    if a.ndim == 3:
+        return np.einsum("sij,ji->s", a, b)
     return complex(np.einsum("ij,ji->", a, b))
 
 

@@ -20,7 +20,10 @@ over blocks of at most d**2 operators, so no temporary outgrows that bound.
 
 Conditional probabilities, updated states and sequential products take the
 operation alone: they condition on op.effect, so the effect they divide by is
-always the one the operation measures.
+always the one the operation measures.  Conditional probabilities and the
+second-rule residual go through the dual, tr[op(rho) b] = tr[rho dual(b)]:
+that is linear in rho, so they also take an (n, d, d) stack of states and
+judge it with one dual_apply and one contraction, never forming op(rho).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Violation, prob
+from .core import Violation, _per_state, prob
 from .errors import DimMismatchError, ZeroProbabilityConditionError
 from .linalg import (
     DEFAULT_TOL,
@@ -258,46 +261,51 @@ def sequential_product(op: Operation, b) -> np.ndarray:
     return dual_apply(op, b)
 
 
-def conditional_prob(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL) -> float:
+def _conditioning_prob(rho, a, tol: Tolerance):
+    """P = tr(rho a) per state; raises ZeroProbabilityConditionError if any P <= eq_tol."""
+    p = prob(rho, a, tol)
+    if np.count_nonzero(p <= tol.eq_tol):
+        raise ZeroProbabilityConditionError(f"conditioning effect has probability {np.min(p):.3e}")
+    return p
+
+
+def conditional_prob(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL):
     """Probability of b given that op's measurement occurred on rho.
 
-    tr[op(rho) b] / tr[rho a], a = op.effect; raises ZeroProbabilityConditionError
-    when the conditioning probability is below eq_tol.
+    tr[op(rho) b] / tr[rho a], a = op.effect, computed through the dual as
+    tr[rho dual(b)] / tr[rho a]; values within eq_tol of [0, 1] are clamped
+    into it.  rho is one state (a float result) or an (n, d, d) stack (one
+    value per state, from one dual_apply and one contraction).  Raises
+    ZeroProbabilityConditionError when a conditioning probability is at most
+    eq_tol.
     """
-    p = prob(rho, op.effect, tol)
-    if p <= tol.eq_tol:
-        raise ZeroProbabilityConditionError(f"conditioning effect has probability {p:.3e}")
-    q = trace_product(apply(op, rho), as_matrix(b)).real / p
-    if -tol.eq_tol <= q <= 1.0 + tol.eq_tol:
-        q = min(max(q, 0.0), 1.0)
-    return float(q)
+    p = _conditioning_prob(rho, op.effect, tol)
+    q = trace_product(rho, dual_apply(op, b)).real / p
+    inside = (q >= -tol.eq_tol) & (q <= 1.0 + tol.eq_tol)
+    return _per_state(np.where(inside, np.minimum(np.maximum(q, 0.0), 1.0), q))
 
 
 def updated_state(rho, op: Operation, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Post-measurement state op(rho) / tr[rho a], a = op.effect."""
-    p = prob(rho, op.effect, tol)
-    if p <= tol.eq_tol:
-        raise ZeroProbabilityConditionError(f"conditioning effect has probability {p:.3e}")
-    return apply(op, rho) / p
+    return apply(op, rho) / _conditioning_prob(rho, op.effect, tol)
 
 
-def bayes2_residual(rho, op_a: Operation, op_b: Operation, tol: Tolerance = DEFAULT_TOL) -> float:
+def bayes2_residual(rho, op_a: Operation, op_b: Operation, tol: Tolerance = DEFAULT_TOL):
     """How far the pair is from the second Bayes rule at rho.
 
     | P(b|a) - P(b) P(a|b) / P(a) |, conditioning through the two operations,
-    a and b the effects they measure.  Vanishes for every rho exactly when the
-    two dual transports agree: dual_a(b) == dual_b(a).
+    a and b the effects they measure.  The P(b) factors cancel, and through
+    the duals the residual is |tr[rho (dual_a(b) - dual_b(a))]| / P(a), so it
+    vanishes for every rho exactly when the two dual transports agree.  rho
+    is one state (a float result) or an (n, d, d) stack (one per state).
     """
-    rho = as_matrix(rho)
     a, b = op_a.effect, op_b.effect
     pa = prob(rho, a, tol)
     pb = prob(rho, b, tol)
-    if pa <= tol.eq_tol or pb <= tol.eq_tol:
+    if np.count_nonzero((pa <= tol.eq_tol) | (pb <= tol.eq_tol)):
         raise ZeroProbabilityConditionError("both conditioning effects need nonzero probability")
-    lhs = trace_product(apply(op_a, rho), b).real / pa
-    # P(b) * P(a|b) / P(a): the P(b) factors cancel against P(a|b)'s denominator.
-    rhs = trace_product(apply(op_b, rho), a).real / pa
-    return float(abs(lhs - rhs))
+    gap = trace_product(rho, dual_apply(op_a, b) - dual_apply(op_b, a)).real
+    return _per_state(np.abs(gap) / pa)
 
 
 def choi_matrix(op: Operation) -> np.ndarray:

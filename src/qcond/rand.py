@@ -5,6 +5,10 @@ bit-identical stream, and :meth:`Generator.derive` produces child generators
 keyed by integers.  A child's stream depends only on the seed and its keys,
 not on the order in which siblings are derived or on any draws made from the
 parent or a sibling, so per-trial objects do not depend on other trials.
+:func:`random_states` relies on it: it draws the states of derived
+generators ``first``, ``first + 1``, ... as one (n, d, d) stack, equal bit
+for bit to drawing them one by one, so a sweep may draw its states in
+chunks of any size.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .operations import Operation
 __all__ = [
     "Generator",
     "random_state",
+    "random_states",
     "random_effect",
     "random_hermitian",
     "random_unitary",
@@ -78,11 +83,30 @@ class Generator:
         return items
 
 
+def _normalized_gram(m: np.ndarray) -> np.ndarray:
+    """G G* / tr(G G*) for one matrix G or each matrix of a stack."""
+    rho = m @ dagger(m)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def random_state(g: Generator, dim: int) -> np.ndarray:
     """Full-rank-almost-surely density matrix G G* / tr."""
-    m = g.complex_normal(dim, dim)
-    rho = m @ dagger(m)
-    return rho / np.trace(rho).real
+    return _normalized_gram(g.complex_normal(dim, dim))
+
+
+def random_states(g: Generator, dim: int, count: int, first: int = 0) -> np.ndarray:
+    """(count, dim, dim) stack whose s-th state is random_state(g.derive(first + s), dim).
+
+    Bit for bit: each state keeps its own derived generator and its normal
+    draws, while the complex arithmetic, the Gram products and the
+    traces each run once over the whole stack.
+    """
+    # parts[s] is state s's real then imaginary draw: one call fills both,
+    # in complex_normal's draw order.
+    parts = np.empty((count, 2, dim, dim))
+    for s in range(count):
+        g.derive(first + s)._rng.standard_normal(out=parts[s])
+    return _normalized_gram((parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0))
 
 
 def random_hermitian(g: Generator, dim: int) -> np.ndarray:

@@ -134,7 +134,7 @@ from .operations import (
     updated_state,
     validate_operation,
 )
-from .serialize import _is_number, matrix_from_json, value_to_json
+from .serialize import _is_number, _json_float, matrix_from_json, value_to_json
 
 __all__ = [
     "SceneObject",
@@ -357,9 +357,10 @@ def _keyed_by_labels(raw, labels, where: str, what: str) -> dict:
 def _parse_values(raw, outcomes, where: str) -> dict[str, float]:
     out = {}
     for x, v in _keyed_by_labels(raw, outcomes, where, "values").items():
-        if not _is_number(v) or not math.isfinite(v):
+        v = _json_float(v)
+        if v is None or not math.isfinite(v):
             raise SceneParseError(f"{where}: value for outcome {x!r} must be a finite number")
-        out[str(x)] = float(v)
+        out[str(x)] = v
     return out
 
 
@@ -519,9 +520,10 @@ _ACCEPTED_KINDS = {
 
 def _coerce_arg(kind: str, raw, check_where: str, objects: Mapping[str, SceneObject]):
     if kind == "number":
-        if not _is_number(raw):
+        value = _json_float(raw)
+        if value is None:
             raise SceneValidationError(f"{check_where}: expected an inline number")
-        return float(raw)
+        return value
     if kind == "label":
         if not isinstance(raw, str):
             raise SceneValidationError(f"{check_where}: expected an inline label string")
@@ -591,13 +593,13 @@ def _parse_check(
     if has_expect and (expect_min is not None or expect_max is not None):
         raise SceneParseError(f"{where}: expect and expect_min/expect_max are exclusive")
     for bound, key in ((expect_min, "expect_min"), (expect_max, "expect_max")):
-        if bound is not None and not _is_number(bound):
+        if bound is not None and _json_float(bound) is None:
             raise SceneParseError(f"{where}: {key} must be a number")
     tol = raw.get("tol")
     if tol is not None:
-        if not _is_number(tol) or tol <= 0:
+        tol = _json_float(tol)
+        if tol is None or tol <= 0:
             raise SceneParseError(f"{where}: tol must be a positive number")
-        tol = float(tol)
     label = raw.get("label")
     if label is not None and not isinstance(label, str):
         raise SceneParseError(f"{where}: label must be a string")
@@ -624,10 +626,10 @@ def _parse_tolerance(raw) -> Tolerance:
     kwargs = {}
     for key in ("eq_tol", "psd_tol"):
         if key in raw:
-            value = raw[key]
-            if not _is_number(value) or value <= 0:
+            value = _json_float(raw[key])
+            if value is None or value <= 0:
                 raise SceneParseError(f"tolerance: {key} must be a positive number")
-            kwargs[key] = float(value)
+            kwargs[key] = value
     return Tolerance(**kwargs)
 
 
@@ -682,11 +684,11 @@ def load_scene(source) -> Scene:
 def _as_complex(expected, where: str) -> complex:
     if isinstance(expected, bool):
         raise SceneValidationError(f"{where}: expected a number, got a boolean")
-    if isinstance(expected, (int, float)):
-        return complex(expected)
-    if isinstance(expected, list) and len(expected) == 2 and all(map(_is_number, expected)):
-        return complex(expected[0], expected[1])
-    raise SceneValidationError(f"{where}: expected a number or [re, im] pair")
+    parts = expected if isinstance(expected, list) and len(expected) == 2 else [expected, 0.0]
+    re, im = map(_json_float, parts)
+    if re is None or im is None:
+        raise SceneValidationError(f"{where}: expected a number or [re, im] pair")
+    return complex(re, im)
 
 
 def _record_residual(computed: dict, expected, where: str) -> float:
@@ -758,7 +760,7 @@ def _residual(value, check: CheckSpec, tol: Tolerance) -> tuple[float, object]:
         # A scalar expectation pins all three routes (but not the derived
         # spread, which a scalar broadcast would nonsensically compare).
         if _is_number(expected):
-            want = float(expected)
+            want = _as_complex(expected, where).real
             return max(
                 abs(value.lhs - want), abs(value.mid - want), abs(value.rhs - want)
             ), expected

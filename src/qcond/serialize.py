@@ -45,15 +45,28 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _json_float(x) -> float | None:
+    """A JSON number as a float; None for anything else, or an integer too large for a float."""
+    if not _is_number(x):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
 def _entry_from_json(entry, where: str) -> complex:
     if isinstance(entry, bool):
         raise SceneParseError(f"{where}: matrix entries must be numbers, got a boolean")
-    if isinstance(entry, (int, float)):
-        value = complex(entry, 0.0)
-    elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
-        value = complex(entry[0], entry[1])
-    else:
-        raise SceneParseError(f"{where}: matrix entries must be numbers or [re, im] pairs")
+    try:
+        if isinstance(entry, (int, float)):
+            value = complex(entry, 0.0)
+        elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
+            value = complex(entry[0], entry[1])
+        else:
+            raise SceneParseError(f"{where}: matrix entries must be numbers or [re, im] pairs")
+    except OverflowError:  # an integer beyond float range
+        raise SceneParseError(f"{where}: matrix entries must be finite") from None
     if not (np.isfinite(value.real) and np.isfinite(value.imag)):
         raise SceneParseError(f"{where}: matrix entries must be finite")
     return value

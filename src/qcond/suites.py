@@ -17,6 +17,8 @@ A trial leaves out a law that does not apply to its draws and gives None
 for one it had to skip (skips are noted).  A trial fails, naming its laws,
 when a bound or condition breaks.  The residual is the largest bounded or
 search value.  A search that comes up short is named under ``missing``.
+Trials that sweep many states draw them as (n, d, d) stacks
+(``random_states``) and judge each stack in one call.
 
 Report schema (JSON): suite, seed, dims, trials, passes, failures
 [{trial, residual, witness, laws}], max_residual, plus missing, witnesses
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -105,6 +106,7 @@ from .rand import (
     random_projective_observable,
     random_real_values,
     random_state,
+    random_states,
     random_unitary,
 )
 from .serialize import value_to_json
@@ -243,9 +245,41 @@ def _noncommuting_effect_pair(g: Generator, dim: int, tol: Tolerance):
     raise RuntimeError("random effects kept commuting; astronomically unlikely")
 
 
-def _states(g: Generator, dim: int, count: int, first: int = 0):
-    """States drawn from g.derive(first), g.derive(first + 1), ..., count of them."""
-    return (random_state(g.derive(first + s), dim) for s in range(count))
+def _usable_states(g: Generator, dim: int, count: int, budget: int, usable) -> np.ndarray:
+    """The first count states of g.derive(0), ..., g.derive(budget - 1) that usable keeps.
+
+    usable maps an (n, d, d) stack to a boolean mask.  Each chunk draws
+    exactly the shortfall, so no state past the last one kept is drawn.
+    """
+    kept = [np.empty((0, dim, dim), dtype=np.complex128)]
+    have = drawn = 0
+    while have < count and drawn < budget:
+        chunk = random_states(g, dim, min(count - have, budget - drawn), drawn)
+        drawn += len(chunk)
+        kept.append(chunk[usable(chunk)])
+        have += len(kept[-1])
+    return np.concatenate(kept)
+
+
+def _first_hit(g: Generator, dim: int, score, threshold: float, first: int = 0):
+    """Search SEARCH_BUDGET states from g.derive(first) on for the first scoring above threshold.
+
+    score maps an (n, d, d) stack to its scores.  The states come in chunks
+    of 1, 2, 4, ..., so a hit at the first state costs one draw.  Returns
+    (that state, its score), or (None, the best score seen, at least 0).
+    """
+    best = 0.0
+    drawn, size = 0, 1
+    while drawn < SEARCH_BUDGET:
+        chunk = random_states(g, dim, min(size, SEARCH_BUDGET - drawn), first + drawn)
+        scores = score(chunk)
+        hits = np.flatnonzero(scores > threshold)
+        if len(hits):
+            return chunk[hits[0]], float(scores[hits[0]])
+        best = max(best, float(np.max(scores, initial=0.0)))
+        drawn += len(chunk)
+        size *= 2
+    return None, best
 
 
 def _luders_closure_gap(a, b, tol: Tolerance) -> float:
@@ -353,14 +387,11 @@ def _bayes2_commuting(g, dim, t, tol):
     a, b = random_codiagonal_effects(g, dim)
     op_a = luders(a, tol)
     op_b = luders(b, tol)
-    usable = (
-        rho
-        for rho in _states(g, dim, SEARCH_BUDGET)
-        if prob(rho, a, tol) > 1e-6 and prob(rho, b, tol) > 1e-6
+    states = _usable_states(
+        g, dim, 20, SEARCH_BUDGET, lambda s: (prob(s, a, tol) > 1e-6) & (prob(s, b, tol) > 1e-6)
     )
-    states = list(islice(usable, 20))
     values = {
-        "bayes2": max([0.0] + [bayes2_residual(rho, op_a, op_b, tol) for rho in states]),
+        "bayes2": float(np.max(bayes2_residual(states, op_a, op_b, tol), initial=0.0)),
         "twenty-states-checked": len(states) == 20,
     }
     return values, {"dim": dim, "a": a, "b": b}
@@ -371,16 +402,18 @@ def _bayes2_noncommuting(g, dim, t, tol):
     a, b = _noncommuting_effect_pair(g, dim, tol)
     op_a = luders(a, tol)
     op_b = luders(b, tol)
+
+    def residuals(states):
+        # States where either conditioning probability vanishes are skipped (0).
+        usable = (prob(states, a, tol) > tol.eq_tol) & (prob(states, b, tol) > tol.eq_tol)
+        r = np.zeros(len(states))
+        r[usable] = bayes2_residual(states[usable], op_a, op_b, tol)
+        return r
+
     witness = {"dim": dim, "a": a, "b": b}
-    best = 0.0
-    for rho in _states(g, dim, SEARCH_BUDGET):
-        if prob(rho, a, tol) <= tol.eq_tol or prob(rho, b, tol) <= tol.eq_tol:
-            continue
-        r = bayes2_residual(rho, op_a, op_b, tol)
-        best = max(best, r)
-        if r > WITNESS_MARGIN:
-            witness.update(state=rho, residual=r)
-            break
+    state, best = _first_hit(g, dim, residuals, WITNESS_MARGIN)
+    if state is not None:
+        witness.update(state=state, residual=best)
     return {"bayes2-violated": best}, witness
 
 
@@ -391,16 +424,15 @@ def _holevo_laws(g, dim, t, tol):
     op_h = holevo(a, alpha, tol)
     b = random_effect(g, dim)
     expected = trace_product(alpha, b).real
-    usable = (rho for rho in _states(g, dim, 500) if prob(rho, a, tol) >= 1e-2)
-    states = list(islice(usable, 50))
+    states = _usable_states(g, dim, 50, 500, lambda s: prob(s, a, tol) >= 1e-2)
     beta = random_state(g, dim)
     predicted = holevo(expected * a, beta, tol)
     ac, bc = random_codiagonal_effects(g, dim)
     an, bn = _noncommuting_effect_pair(g, dim, tol)
     gap_open = _luders_closure_gap(an, bn, tol)
     values = {
-        "conditional-prob-is-alpha-b": max(
-            [0.0] + [abs(conditional_prob(rho, op_h, b, tol) - expected) for rho in states]
+        "conditional-prob-is-alpha-b": float(
+            np.max(np.abs(conditional_prob(states, op_h, b, tol) - expected), initial=0.0)
         ),
         "fifty-states-checked": len(states) == 50,
         "holevo-composition": choi_distance(compose(op_h, holevo(b, beta, tol)), predicted),
@@ -540,8 +572,8 @@ def _uncertainty(g, dim, t, tol):
     return values, {"dim": dim, "kind": float(kind), "A": a_obs, "B": b, "C": c, "state": rho}
 
 
-def _entropy_gap(rho, op: Operation, b, tol: Tolerance) -> float:
-    """Sequential minus conditional entropy of b after op at rho."""
+def _entropy_gap(rho, op: Operation, b, tol: Tolerance):
+    """Sequential minus conditional entropy of b after op at rho (or at each state of a stack)."""
     return sequential_entropy(rho, op, b, tol) - conditional_effect_entropy(rho, op, b, tol)
 
 
@@ -561,10 +593,9 @@ def _holevo_entropy_reversal(g: Generator, dim: int, tol: Tolerance):
         op_h = holevo(ah, alh, tol)
         if sequential_entropy_dominated(op_h, bh, tol):
             continue
-        for rh in _states(gh, dim, SEARCH_BUDGET):
-            gap = _entropy_gap(rh, op_h, bh, tol)
-            if gap > WITNESS_MARGIN:
-                return {"dim": dim, "effect": ah, "alpha": alh, "b": bh, "state": rh, "gap": gap}
+        rh, gap = _first_hit(gh, dim, lambda s: _entropy_gap(s, op_h, bh, tol), WITNESS_MARGIN)
+        if rh is not None:
+            return {"dim": dim, "effect": ah, "alpha": alh, "b": bh, "state": rh, "gap": gap}
     return None
 
 
@@ -581,7 +612,8 @@ def _entropy(g, dim, t, tol):
     dominated = sequential_entropy_dominated(op, b, tol)
     worst = 0.0
     if dominated:
-        worst = max([0.0] + [_entropy_gap(rs, op, b, tol) for rs in _states(g, dim, 50, 1000)])
+        gaps = _entropy_gap(random_states(g, dim, 50, 1000), op, b, tol)
+        worst = float(np.max(gaps, initial=0.0))
 
     a1 = random_observable(g, dim, g.integer(2, dim + 1), tol)
     ins_i = random_instrument_measuring(g.derive(1), a1, 1 + t % 2, tol)
@@ -619,7 +651,7 @@ def _entropy(g, dim, t, tol):
         "effect-entropy-nonnegative": effect_entropy(rho, a, tol) >= 0.0,
         "dominated-sequential-below-conditional": worst,
         "undominated-has-reversal": dominated
-        or any(_entropy_gap(rs, op, b, tol) > 1e-12 for rs in _states(g, dim, SEARCH_BUDGET, 2000)),
+        or _first_hit(g, dim, lambda s: _entropy_gap(s, op, b, tol), 1e-12, 2000)[0] is not None,
         "luders-dominated": sequential_entropy_dominated(luders(a, tol), b, tol),
         "sequential-entropy-exceeds-conditional": lambda: _holevo_entropy_reversal(g, dim, tol),
         "double-bar-chain": max(abs(chain1 - chain2), abs(chain1 - chain3)),

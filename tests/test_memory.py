@@ -1,10 +1,13 @@
-"""Memory bounds of the instrument totals.
+"""Memory bounds of the instrument totals and of the stacked state sweeps.
 
 A d = 16 Holevo instrument with 5 outcomes holds 5 * d**2 = 1,280 rank-one
 Kraus operators (5 MiB).  Every total over its outcomes works in blocks of at
 most d**2 operators, so no call may hold more than four such blocks at once
-(4 * d**4 complex128 entries, 4 MiB).  tracemalloc sees numpy's buffers, so
-its peak is the bound checked here.
+(4 * d**4 complex128 entries, 4 MiB).  The same bound holds for judging a
+50-state stack through one of its Holevo operations (256 operators): the
+dual transports one effect, where applying the operation to every state
+would hold 50 * 256 operator-sized products (50 MiB).  tracemalloc sees
+numpy's buffers, so its peak is the bound checked here.
 """
 
 import os
@@ -18,17 +21,29 @@ import pytest
 from qcond import (
     bayes1_check,
     bayes1_expectation_check,
+    bayes2_residual,
     condition_effect,
     condition_observable,
+    conditional_effect_entropy,
     conditional_observable_entropy_double,
+    conditional_prob,
     conditioned_stochastic_operator,
     holevo_instrument,
+    sequential_entropy,
     validate_instrument,
 )
-from qcond.rand import Generator, random_effect, random_observable, random_real_values, random_state
+from qcond.rand import (
+    Generator,
+    random_effect,
+    random_observable,
+    random_real_values,
+    random_state,
+    random_states,
+)
 
 DIM = 16
 N_OUTCOMES = 5
+N_STATES = 50
 BLOCK_BYTES = DIM**4 * 16
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -42,8 +57,13 @@ def setting():
     ins = holevo_instrument(a_obs, alphas)
     assert sum(len(op.kraus) for op in ins.ops.values()) == N_OUTCOMES * DIM**2
     b_obs = random_observable(g.derive(2), DIM, 3)
+    op_a, op_b = (ins.ops[x] for x in a_obs.outcomes[:2])
+    assert len(op_a.kraus) == len(op_b.kraus) == DIM**2
     return {
         "ins": ins,
+        "op_a": op_a,
+        "op_b": op_b,
+        "states": random_states(g.derive(6), DIM, N_STATES),
         "rho": random_state(g.derive(3), DIM),
         "a": random_effect(g.derive(4), DIM),
         "b_obs": b_obs,
@@ -61,6 +81,10 @@ CALLS = {
         s["rho"], s["ins"], s["b_obs"]
     ),
     "validate_instrument": lambda s: validate_instrument(s["ins"]),
+    "conditional_prob": lambda s: conditional_prob(s["states"], s["op_a"], s["a"]),
+    "bayes2_residual": lambda s: bayes2_residual(s["states"], s["op_a"], s["op_b"]),
+    "entropy_gap": lambda s: sequential_entropy(s["states"], s["op_a"], s["a"])
+    - conditional_effect_entropy(s["states"], s["op_a"], s["a"]),
 }
 
 

@@ -422,6 +422,46 @@ def test_cli_bad_outcome_lists_exit_2(case, tmp_path, capsys):
         assert f"object 'bad': {message}" in capsys.readouterr().err
 
 
+_HUGE = 10**400  # 401 digits: a JSON integer no float can hold
+_OVERSIZED = {
+    "matrix-entry": (
+        {"state": [[_HUGE, 0], [0, 0.5]]},
+        "object 'bad' row 0 col 0: matrix entries must be finite",
+    ),
+    "outcome-value": (
+        {"observable": {"outcomes": ["0"], "effects": {"0": _ID}, "values": {"0": _HUGE}}},
+        "object 'bad': value for outcome '0' must be a finite number",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERSIZED))
+def test_cli_oversized_integer_exits_2(case, tmp_path, capsys):
+    literal, message = _OVERSIZED[case]
+    scene = _basic_scene()
+    scene["objects"]["bad"] = literal
+    path = _write(tmp_path, scene)
+    with pytest.raises(SceneParseError, match=message):
+        load_scene(path)
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
+def test_oversized_integer_in_check_numbers_is_rejected():
+    for key in ("expect_min", "tol"):
+        check = {"op": "prob", "args": ["rho", "p0"], key: _HUGE}
+        with pytest.raises(SceneParseError, match=f"{key} must be"):
+            load_scene(_basic_scene(checks=[check]))
+    with pytest.raises(SceneParseError, match="eq_tol must be a positive number"):
+        load_scene(_basic_scene(tolerance={"eq_tol": _HUGE}))
+    scene = load_scene(_basic_scene(checks=[{"op": "prob", "args": ["rho", "p0"], "expect": _HUGE}]))
+    with pytest.raises(SceneValidationError, match="expected a number or"):
+        run_scene(scene)
+
+
 def test_cli_run_missing_file_exits_2(capsys):
     rc = main(["run", "/no/such/scene.json"])
     assert rc == 2

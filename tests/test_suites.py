@@ -1,9 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
-from qcond import QcondError, SUITE_NAMES, SuiteArgumentError, UnknownSuiteError, run_suite
+from qcond import (
+    DEFAULT_TOL,
+    SUITE_NAMES,
+    QcondError,
+    SuiteArgumentError,
+    UnknownSuiteError,
+    run_suite,
+)
 from qcond import suites
+from qcond.rand import Generator
 from qcond.serialize import value_to_json
 
 ENTROPY_WITNESS_LAWS = [
@@ -83,6 +92,40 @@ def test_all_suites_pass_at_defaults():
         assert report.ok, (name, report.to_json().get("notes"), len(report.failures))
 
 
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_trial_order_does_not_change_the_report(name):
+    # Each trial draws only from its own derived generator (and sweeps draw
+    # their states in chunks of any size), so running the trials in shuffled
+    # order and judging them in order must give the same report bytes.
+    dims, trials, seed = (2, 3), 6, 7
+    trial, laws = suites._SUITES[name]
+    root = Generator(seed).derive(SUITE_NAMES.index(name))
+    keys = [(dim, t) for dim in dims for t in range(trials)]
+    shuffled = Generator(2024).shuffled(keys)
+    assert shuffled != keys
+    outputs = {key: trial(root.derive(*key), *key, DEFAULT_TOL) for key in shuffled}
+    run = suites._Run(suites.SuiteReport(name, seed, list(dims), 0, 0, [], 0.0), laws, DEFAULT_TOL)
+    for key in keys:
+        run.judge(*outputs[key])
+    shuffled_report = json.dumps(run.finish().to_json(), sort_keys=True)
+    in_order = json.dumps(run_suite(name, dims, trials, seed).to_json(), sort_keys=True)
+    assert shuffled_report == in_order
+
+
+#: Suites whose laws search for counterexamples; each must report witnesses.
+SEARCH_SUITES = ("bayes2-luders-noncommuting", "entropy")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("dim, trials", ((8, 3), (16, 3), (32, 2)))
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suites_pass_at_large_dims(name, dim, trials):
+    report = run_suite(name, dims=(dim,), trials=trials, seed=7)
+    assert report.ok, (name, dim, report.to_json().get("notes"), report.missing)
+    if name in SEARCH_SUITES:
+        assert report.witnesses
+
+
 def test_report_json_shape():
     report = run_suite("duality", dims=(2,), trials=3, seed=7)
     payload = report.to_json()
@@ -130,7 +173,7 @@ def test_entropy_searches_that_find_nothing_are_named_missing(monkeypatch):
 
 
 def test_noncommuting_search_beyond_allowance_is_missing(monkeypatch):
-    monkeypatch.setattr(suites, "bayes2_residual", lambda *a, **k: 0.0)
+    monkeypatch.setattr(suites, "bayes2_residual", lambda rho, *a, **k: np.zeros(len(rho)))
     report = run_suite("bayes2-luders-noncommuting", dims=(2,), trials=5, seed=7)
     assert not report.ok
     assert report.missing == ["bayes2-violated"]
