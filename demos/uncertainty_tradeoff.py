@@ -21,8 +21,7 @@ from qcond import (
     contextual_variance,
     holevo_instrument,
     luders_instrument,
-    sharp_luders_correlation,
-    sharp_luders_expectation,
+    sharp_luders_moments,
     uncertainty_report,
 )
 
@@ -66,11 +65,11 @@ print("identity residual:", rep.identity_residual)
 print("inequality slack: ", rep.inequality_slack)
 
 # The closed forms use only the blocks A_x rho A_x, never the instrument.
+closed = sharp_luders_moments(rho, Z, B, C)
 print("closed-form E(B|Z) matches:",
-      np.isclose(sharp_luders_expectation(rho, Z, B), contextual_expectation(rho, ins, B)))
+      np.isclose(closed.expectation_b, contextual_expectation(rho, ins, B)))
 print("closed-form Cor matches:   ",
-      np.isclose(sharp_luders_correlation(rho, Z, B, C),
-                 contextual_correlation(rho, ins, B, C)))
+      np.isclose(closed.correlation, contextual_correlation(rho, ins, B, C)))
 
 # Conditioning B on a Z measurement wipes its coherent part: B' = 0 here,
 # so the variance collapses and the inequality saturates trivially.

@@ -9,23 +9,17 @@ files with frozen expected values run through ``qcond run``.
 """
 
 from .context_stats import (
+    Moments,
     UncertaintyReport,
     commutator_trace,
     conditioned_stochastic_operator,
     contextual_correlation,
     contextual_covariance,
     contextual_expectation,
+    contextual_moments,
     contextual_variance,
-    holevo_commutator_trace,
-    holevo_correlation,
-    holevo_covariance,
-    holevo_expectation,
-    holevo_variance,
-    sharp_luders_commutator_trace,
-    sharp_luders_correlation,
-    sharp_luders_covariance,
-    sharp_luders_expectation,
-    sharp_luders_variance,
+    holevo_moments,
+    sharp_luders_moments,
     uncertainty_report,
 )
 from .core import (

@@ -1,24 +1,26 @@
 """Second-order statistics of observables conditioned on an instrument.
 
 Given an instrument (the *context*) and two real-valued observables B and C,
-the conditioned stochastic operators determine a complex correlation, its
-real part (covariance), variances, and the expected commutator.  These
-satisfy an exact decomposition
+the conditioned stochastic operators B', C' determine a complex correlation,
+its real part (covariance), variances, and the expected commutator.  One
+``Moments`` record holds them all, and ``contextual_moments`` computes it
+from one B', C'.  They satisfy an exact decomposition
 
     (1/4) |tr(rho [B', C'])|^2 + Cov^2 = |Cor|^2 <= Var(B) Var(C)
 
-where B', C' are the conditioned stochastic operators; uncertainty_report
-evaluates every term and the identity/inequality residuals in one pass.
+and uncertainty_report evaluates every term and the identity/inequality
+residuals in one pass.
 
-The closed forms for the two canonical contexts (Lüders instrument of a sharp
-observable, Holevo instrument) are implemented independently of the generic
-path so the two can be cross-checked.
+For the two canonical contexts (Lüders instrument of a sharp observable,
+Holevo instrument) ``sharp_luders_moments`` and ``holevo_moments`` compute
+the same record from closed forms, independently of the Kraus route, so the
+two can be cross-checked field by field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,23 +31,28 @@ from .observables import Observable, RealValuedObservable, stochastic_operator
 __all__ = [
     "conditioned_stochastic_operator",
     "contextual_expectation",
+    "Moments",
+    "contextual_moments",
     "contextual_correlation",
     "contextual_covariance",
     "contextual_variance",
     "commutator_trace",
     "UncertaintyReport",
     "uncertainty_report",
-    "sharp_luders_expectation",
-    "sharp_luders_correlation",
-    "sharp_luders_covariance",
-    "sharp_luders_variance",
-    "sharp_luders_commutator_trace",
-    "holevo_expectation",
-    "holevo_correlation",
-    "holevo_covariance",
-    "holevo_variance",
-    "holevo_commutator_trace",
+    "sharp_luders_moments",
+    "holevo_moments",
 ]
+
+
+class Moments(NamedTuple):
+    """The second-order statistics of (B | A) and (C | A) at one state."""
+
+    expectation_b: float
+    correlation: complex
+    covariance: float
+    variance_b: float
+    variance_c: float
+    commutator_trace: complex
 
 
 def conditioned_stochastic_operator(ins: Instrument, b: RealValuedObservable) -> np.ndarray:
@@ -62,44 +69,55 @@ def contextual_expectation(rho, ins: Instrument, b: RealValuedObservable) -> flo
     return trace_product(as_matrix(rho), conditioned_stochastic_operator(ins, b)).real
 
 
-def _moments(rho, ins: Instrument, b: RealValuedObservable, c: RealValuedObservable) -> tuple:
-    """(Cor(B, C | A), tr(rho [B', C']), Var(B | A), Var(C | A)) from one B', C'."""
+def contextual_moments(
+    rho, ins: Instrument, b: RealValuedObservable, c: RealValuedObservable
+) -> Moments:
+    """The moments of (B | A) and (C | A) at rho, from one B' and one C'.
+
+    Cor = tr(rho B' C') - E(B|A) E(C|A) (complex in general), Cov = Re Cor,
+    Var(B|A) = tr(rho B'^2) - E(B|A)^2 (not clamped), and tr(rho [B', C'])
+    (purely imaginary).
+    """
     rho = as_matrix(rho)
     bp = conditioned_stochastic_operator(ins, b)
     cp = bp if c is b else conditioned_stochastic_operator(ins, c)
     eb = trace_product(rho, bp).real
     ec = trace_product(rho, cp).real
     cor = complex(trace_product(rho, bp @ cp) - eb * ec)
-    ct = complex(trace_product(rho, bp @ cp - cp @ bp))
-    var_b = trace_product(rho, bp @ bp).real - eb * eb
-    var_c = trace_product(rho, cp @ cp).real - ec * ec
-    return cor, ct, var_b, var_c
+    return Moments(
+        expectation_b=eb,
+        correlation=cor,
+        covariance=cor.real,
+        variance_b=trace_product(rho, bp @ bp).real - eb * eb,
+        variance_c=trace_product(rho, cp @ cp).real - ec * ec,
+        commutator_trace=complex(trace_product(rho, bp @ cp - cp @ bp)),
+    )
 
 
 def contextual_correlation(
     rho, ins: Instrument, b: RealValuedObservable, c: RealValuedObservable
 ) -> complex:
     """Cor(B, C | A) at rho: tr(rho B' C') - E(B|A) E(C|A).  Complex in general."""
-    return _moments(rho, ins, b, c)[0]
+    return contextual_moments(rho, ins, b, c).correlation
 
 
 def contextual_covariance(
     rho, ins: Instrument, b: RealValuedObservable, c: RealValuedObservable
 ) -> float:
     """Re Cor(B, C | A)."""
-    return _moments(rho, ins, b, c)[0].real
+    return contextual_moments(rho, ins, b, c).covariance
 
 
 def contextual_variance(rho, ins: Instrument, b: RealValuedObservable) -> float:
     """Var(B | A) = Cov(B, B | A); non-negative up to round-off (not clamped)."""
-    return _moments(rho, ins, b, b)[2]
+    return contextual_moments(rho, ins, b, b).variance_b
 
 
 def commutator_trace(
     rho, ins: Instrument, b: RealValuedObservable, c: RealValuedObservable
 ) -> complex:
     """tr(rho [B', C']) over the conditioned stochastic operators; purely imaginary."""
-    return _moments(rho, ins, b, c)[1]
+    return contextual_moments(rho, ins, b, c).commutator_trace
 
 
 @dataclass(frozen=True)
@@ -137,8 +155,7 @@ def uncertainty_report(
     non-negative.  Variances whose round-off dips within eq_tol below zero
     are clamped to zero.
     """
-    cor, ct, var_b, var_c = _moments(rho, ins, b, c)
-    cov = cor.real
+    _, cor, cov, var_b, var_c, ct = contextual_moments(rho, ins, b, c)
     if -tol.eq_tol <= var_b < 0.0:
         var_b = 0.0
     if -tol.eq_tol <= var_c < 0.0:
@@ -156,157 +173,84 @@ def uncertainty_report(
     )
 
 
-# --- closed forms: Lüders instrument of a sharp observable ------------------
 
 
-def _blocks(rho: np.ndarray, a: Observable) -> dict[str, np.ndarray]:
-    return {x: a.effects[x] @ rho @ a.effects[x] for x in a.outcomes}
+# --- closed forms ------------------------------------------------------------
 
 
-def sharp_luders_expectation(rho, a: Observable, b: RealValuedObservable) -> float:
-    """sum_x tr(rho_x Btilde) with rho_x = A_x rho A_x."""
-    rho = as_matrix(rho)
-    bt = stochastic_operator(b)
-    return float(sum(trace_product(rx, bt).real for rx in _blocks(rho, a).values()))
-
-
-def sharp_luders_correlation(
+def sharp_luders_moments(
     rho, a: Observable, b: RealValuedObservable, c: RealValuedObservable
-) -> complex:
-    """sum_x tr(rho_x Btilde A_x Ctilde) - E(B|A) E(C|A)."""
+) -> Moments:
+    """The moments under the Lüders instrument of a sharp observable A, in closed form.
+
+    With rho_x = A_x rho A_x and Bt, Ct the stochastic operators of B and C:
+    E(B|A) = sum_x tr(rho_x Bt); Cor = sum_x tr(rho_x Bt A_x Ct) - E(B|A) E(C|A);
+    Cov and the variances are the symmetrized sums
+    (1/2) sum_x tr[rho_x (Bt A_x Ct + Ct A_x Bt)] - E(B|A) E(C|A); and
+    tr(rho [B', C']) = sum_x tr[rho_x (Bt A_x Ct - Ct A_x Bt)].
+    """
     rho = as_matrix(rho)
     bt = stochastic_operator(b)
     ct = stochastic_operator(c)
-    blocks = _blocks(rho, a)
-    first = sum(
-        trace_product(blocks[x], bt @ a.effects[x] @ ct) for x in a.outcomes
-    )
-    eb = sum(trace_product(rx, bt).real for rx in blocks.values())
-    ec = sum(trace_product(rx, ct).real for rx in blocks.values())
-    return complex(first - eb * ec)
+    blocks = [(a.effects[x] @ rho @ a.effects[x], a.effects[x]) for x in a.outcomes]
+    eb = sum(trace_product(rx, bt).real for rx, _ in blocks)
+    ec = sum(trace_product(rx, ct).real for rx, _ in blocks)
 
+    def symmetrized(u, v):
+        return sum(0.5 * trace_product(rx, u @ ax @ v + v @ ax @ u).real for rx, ax in blocks)
 
-def sharp_luders_covariance(
-    rho, a: Observable, b: RealValuedObservable, c: RealValuedObservable
-) -> float:
-    """Symmetrized form: (1/2) sum_x tr[rho_x (Bt A_x Ct + Ct A_x Bt)] - E E."""
-    rho = as_matrix(rho)
-    bt = stochastic_operator(b)
-    ct = stochastic_operator(c)
-    blocks = _blocks(rho, a)
-    first = sum(
-        0.5 * trace_product(blocks[x], bt @ a.effects[x] @ ct + ct @ a.effects[x] @ bt).real
-        for x in a.outcomes
-    )
-    eb = sum(trace_product(rx, bt).real for rx in blocks.values())
-    ec = sum(trace_product(rx, ct).real for rx in blocks.values())
-    return float(first - eb * ec)
-
-
-def sharp_luders_variance(rho, a: Observable, b: RealValuedObservable) -> float:
-    return sharp_luders_covariance(rho, a, b, b)
-
-
-def sharp_luders_commutator_trace(
-    rho, a: Observable, b: RealValuedObservable, c: RealValuedObservable
-) -> complex:
-    """sum_x tr[rho_x (Bt A_x Ct - Ct A_x Bt)]."""
-    rho = as_matrix(rho)
-    bt = stochastic_operator(b)
-    ct = stochastic_operator(c)
-    blocks = _blocks(rho, a)
-    return complex(
-        sum(
-            trace_product(blocks[x], bt @ a.effects[x] @ ct - ct @ a.effects[x] @ bt)
-            for x in a.outcomes
-        )
+    first = sum(trace_product(rx, bt @ ax @ ct) for rx, ax in blocks)
+    commutator = sum(trace_product(rx, bt @ ax @ ct - ct @ ax @ bt) for rx, ax in blocks)
+    return Moments(
+        expectation_b=float(eb),
+        correlation=complex(first - eb * ec),
+        covariance=float(symmetrized(bt, ct) - eb * ec),
+        variance_b=float(symmetrized(bt, bt) - eb * eb),
+        variance_c=float(symmetrized(ct, ct) - ec * ec),
+        commutator_trace=complex(commutator),
     )
 
 
-# --- closed forms: Holevo instrument ----------------------------------------
-
-
-def _holevo_weights(
-    a: Observable, alphas: Mapping[str, np.ndarray], b: RealValuedObservable
-) -> dict[str, float]:
-    bt = stochastic_operator(b)
-    return {x: trace_product(as_matrix(alphas[x]), bt).real for x in a.outcomes}
-
-
-def holevo_expectation(
-    rho, a: Observable, alphas: Mapping[str, np.ndarray], b: RealValuedObservable
-) -> float:
-    """sum_x tr(rho A_x) tr(alpha_x Btilde)."""
-    rho = as_matrix(rho)
-    tb = _holevo_weights(a, alphas, b)
-    return float(
-        sum(trace_product(rho, a.effects[x]).real * tb[x] for x in a.outcomes)
-    )
-
-
-def holevo_correlation(
+def holevo_moments(
     rho,
     a: Observable,
     alphas: Mapping[str, np.ndarray],
     b: RealValuedObservable,
     c: RealValuedObservable,
-) -> complex:
-    """sum_xx' tB(x) tC(x') [tr(rho A_x A_x') - tr(rho A_x) tr(rho A_x')]."""
+) -> Moments:
+    """The moments under the Holevo instrument of A with update states alpha_x, in closed form.
+
+    With weights tB(x) = tr(alpha_x Btilde), tC(x) likewise, and
+    p_x = tr(rho A_x): E(B|A) = sum_x p_x tB(x), and over the pairs x, x':
+    Cor = sum tB(x) tC(x') [tr(rho A_x A_x') - p_x p_x'];
+    Cov and the variances take the symmetrized tr(rho (A_x A_x' + A_x' A_x))/2
+    in place of tr(rho A_x A_x'); tr(rho [B', C']) = sum tB(x) tC(x') tr(rho [A_x, A_x']).
+    """
     rho = as_matrix(rho)
-    tb = _holevo_weights(a, alphas, b)
-    tc = _holevo_weights(a, alphas, c)
-    px = {x: trace_product(rho, a.effects[x]).real for x in a.outcomes}
-    out = 0.0 + 0.0j
-    for x in a.outcomes:
-        for y in a.outcomes:
-            joint = trace_product(rho, a.effects[x] @ a.effects[y])
-            out += tb[x] * tc[y] * (joint - px[x] * px[y])
-    return complex(out)
-
-
-def holevo_covariance(
-    rho,
-    a: Observable,
-    alphas: Mapping[str, np.ndarray],
-    b: RealValuedObservable,
-    c: RealValuedObservable,
-) -> float:
-    """Symmetrized: tB tC [tr(rho (A_x A_x' + A_x' A_x))/2 - tr(rho A_x) tr(rho A_x')]."""
-    rho = as_matrix(rho)
-    tb = _holevo_weights(a, alphas, b)
-    tc = _holevo_weights(a, alphas, c)
-    px = {x: trace_product(rho, a.effects[x]).real for x in a.outcomes}
-    out = 0.0
-    for x in a.outcomes:
-        for y in a.outcomes:
-            sym = 0.5 * trace_product(
-                rho, a.effects[x] @ a.effects[y] + a.effects[y] @ a.effects[x]
-            ).real
-            out += tb[x] * tc[y] * (sym - px[x] * px[y])
-    return float(out)
-
-
-def holevo_variance(
-    rho, a: Observable, alphas: Mapping[str, np.ndarray], b: RealValuedObservable
-) -> float:
-    return holevo_covariance(rho, a, alphas, b, b)
-
-
-def holevo_commutator_trace(
-    rho,
-    a: Observable,
-    alphas: Mapping[str, np.ndarray],
-    b: RealValuedObservable,
-    c: RealValuedObservable,
-) -> complex:
-    """sum_xx' tB(x) tC(x') tr(rho [A_x, A_x'])."""
-    rho = as_matrix(rho)
-    tb = _holevo_weights(a, alphas, b)
-    tc = _holevo_weights(a, alphas, c)
-    out = 0.0 + 0.0j
-    for x in a.outcomes:
-        for y in a.outcomes:
-            out += tb[x] * tc[y] * trace_product(
-                rho, a.effects[x] @ a.effects[y] - a.effects[y] @ a.effects[x]
-            )
-    return complex(out)
+    effects = [a.effects[x] for x in a.outcomes]
+    states = [as_matrix(alphas[x]) for x in a.outcomes]
+    bt = stochastic_operator(b)
+    ct = stochastic_operator(c)
+    tb = [trace_product(alpha, bt).real for alpha in states]
+    tc = [trace_product(alpha, ct).real for alpha in states]
+    px = [trace_product(rho, ax).real for ax in effects]
+    cor = commutator = 0.0 + 0.0j
+    cov = var_b = var_c = 0.0
+    for i, ax in enumerate(effects):
+        for j, ay in enumerate(effects):
+            xy, yx = ax @ ay, ay @ ax
+            pp = px[i] * px[j]
+            sym = 0.5 * trace_product(rho, xy + yx).real
+            cor += tb[i] * tc[j] * (trace_product(rho, xy) - pp)
+            cov += tb[i] * tc[j] * (sym - pp)
+            var_b += tb[i] * tb[j] * (sym - pp)
+            var_c += tc[i] * tc[j] * (sym - pp)
+            commutator += tb[i] * tc[j] * trace_product(rho, xy - yx)
+    return Moments(
+        expectation_b=float(sum(p * t for p, t in zip(px, tb))),
+        correlation=complex(cor),
+        covariance=float(cov),
+        variance_b=float(var_b),
+        variance_c=float(var_c),
+        commutator_trace=complex(commutator),
+    )

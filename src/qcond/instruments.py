@@ -265,7 +265,7 @@ def bayes1_expectation_check(
 
 
 def atomic_context(
-    observables: Sequence[SubObservable], tol: Tolerance = DEFAULT_TOL, seed: int = 0
+    observables: Sequence[SubObservable], tol: Tolerance = DEFAULT_TOL
 ) -> tuple[Observable, Instrument]:
     """A common atomic refinement of jointly commuting observables.
 
@@ -279,7 +279,7 @@ def atomic_context(
     if not jointly_commuting(observables, tol):
         raise NotJointlyCommutingError("effects across the family do not commute pairwise")
     mats = [o.effects[x] for o in observables for x in o.outcomes]
-    basis = simultaneous_eigenbasis(mats, tol, seed=seed)
+    basis = simultaneous_eigenbasis(mats, tol)
     outcomes = tuple(f"x{k}" for k in range(len(basis)))
     projections = {
         f"x{k}": np.outer(v, v.conj()) for k, v in enumerate(basis)

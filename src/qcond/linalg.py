@@ -147,12 +147,13 @@ def _eig_blocks(w: np.ndarray, gap: float) -> list[slice]:
 
 
 def simultaneous_eigenbasis(
-    mats: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL, seed: int = 0
+    mats: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL
 ) -> list[np.ndarray]:
     """Common orthonormal eigenbasis of a commuting Hermitian family.
 
-    Strategy: diagonalize a random (seeded, hence deterministic) real linear
-    combination of the family, then refine every degenerate eigenvalue block
+    Strategy: diagonalize a random real linear combination of the family,
+    its coefficients drawn from a generator seeded with the fixed seed 0 (so
+    the basis is deterministic), then refine every degenerate eigenvalue block
     against each family member in turn.  After refinement each block is a
     joint eigenspace, so any orthonormal basis of it is simultaneously
     diagonalizing.  Raises :class:`NotCommutingFamilyError` when some pair
@@ -175,7 +176,7 @@ def simultaneous_eigenbasis(
                     f"members {i} and {j} have commutator norm {dev:.3e}"
                 )
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     coeffs = rng.standard_normal(len(family))
     probe = sum(c * m for c, m in zip(coeffs, family))
 

@@ -19,9 +19,9 @@ import math
 import numpy as np
 
 from .core import Violation, prob, validate_effect
-from .errors import DimMismatchError, UnknownLabelError, ZeroProbabilityConditionError
+from .errors import DimMismatchError, UnknownLabelError
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, commutator, frobenius, trace_product
-from .operations import Operation, apply
+from .operations import Operation, _conditioning_prob, apply
 
 __all__ = [
     "EXTENSION_LABEL",
@@ -180,9 +180,7 @@ def conditional_expectation(
     rho, op: Operation, b: RealValuedObservable, tol: Tolerance = DEFAULT_TOL
 ) -> float:
     """Expectation of b given op's outcome occurred: tr[op(rho) Btilde] / tr[rho a], a = op.effect."""
-    p = prob(rho, op.effect, tol)
-    if p <= tol.eq_tol:
-        raise ZeroProbabilityConditionError(f"conditioning effect has probability {p:.3e}")
+    p = _conditioning_prob(rho, op.effect, tol)
     return trace_product(apply(op, rho), stochastic_operator(b)).real / p
 
 

@@ -15,7 +15,7 @@ pins it down.  A composite keeps at most min(k1*k2, d**2) Kraus operators:
 beyond the Choi rank bound d**2, ``compose`` rebuilds a minimal family from
 the composite's Choi matrix instead of forming every product, so chains of
 compositions and conditionings stay at d**2 operators.  Every Kraus sum
-(``apply``, ``dual_apply``, ``choi_matrix`` and the instrument totals) runs
+(``apply``, ``dual_apply``, Choi matrices and the instrument totals) runs
 over blocks of at most d**2 operators, so no temporary outgrows that bound.
 
 Conditional probabilities, updated states and sequential products take the
@@ -308,18 +308,25 @@ def bayes2_residual(rho, op_a: Operation, op_b: Operation, tol: Tolerance = DEFA
     return _per_state(np.abs(gap) / pa)
 
 
-def choi_matrix(op: Operation) -> np.ndarray:
-    """Choi matrix sum_ij E_ij (x) op(E_ij); equal maps have equal Choi matrices.
+def _gram(op: Operation) -> np.ndarray:
+    """sum_i vec(K_i) vec(K_i)* over op's Kraus operators, vec(K) the rows of K laid end to end.
 
-    Sums V^T conj(V) over rows v_i = vec(K_i), d**2 rows (the Choi rank bound) at
-    a time, so no temporary outgrows the d**2 x d**2 result.
+    This is the Choi matrix with its two tensor factors swapped in both
+    indices.  Sums V^T conj(V) over d**2 rows V at a time (``_kraus_blocks``),
+    so no temporary outgrows the d**2 x d**2 result.
     """
     n2 = op.dim**2
     out = np.zeros((n2, n2), dtype=np.complex128)
     for block in _kraus_blocks((op.kraus,)):
-        v = block.transpose(0, 2, 1).reshape(-1, n2)
+        v = block.reshape(-1, n2)
         out += v.T @ v.conj()
     return out
+
+
+def choi_matrix(op: Operation) -> np.ndarray:
+    """Choi matrix sum_ij E_ij (x) op(E_ij); equal maps have equal Choi matrices."""
+    d = op.dim
+    return _gram(op).reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
 
 def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
@@ -330,15 +337,13 @@ def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
 def _composite_from_choi(first: Operation, second: Operation) -> Operation:
     """A minimal Kraus family of "first, then second" (see ``compose``).
 
-    With m the stack as (k, d**2) rows vec(K), m^T conj(m) = sum vec(K) vec(K)*
-    is the Choi matrix with its tensor factors swapped; reshuffled, it is the
-    superoperator sum K (x) conj(K).  Superoperators multiply in application
-    order; reshuffled back, their product is the composite's swapped Choi
-    matrix, whose scaled eigenvectors are the vec(K) of a minimal family.
+    The Gram sum vec(K) vec(K)* (``_gram``) reshuffled is the superoperator
+    sum K (x) conj(K).  Superoperators multiply in application order;
+    reshuffled back, their product is the composite's Gram matrix, whose
+    scaled eigenvectors are the vec(K) of a minimal family.
     """
     d = first.dim
-    m1, m2 = (op.kraus.reshape(len(op.kraus), d * d) for op in (first, second))
-    product = _reshuffle(m2.T @ m2.conj(), d) @ _reshuffle(m1.T @ m1.conj(), d)
+    product = _reshuffle(_gram(second), d) @ _reshuffle(_gram(first), d)
     w, u = np.linalg.eigh(_reshuffle(product, d))
     w, u = w[::-1], u[:, ::-1]  # largest first
     keep = w > d * d * np.finfo(np.float64).eps * w[0]

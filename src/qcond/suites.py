@@ -35,21 +35,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .context_stats import (
-    commutator_trace,
-    contextual_correlation,
-    contextual_covariance,
-    contextual_expectation,
-    contextual_variance,
-    holevo_commutator_trace,
-    holevo_correlation,
-    holevo_covariance,
-    holevo_expectation,
-    holevo_variance,
-    sharp_luders_commutator_trace,
-    sharp_luders_correlation,
-    sharp_luders_covariance,
-    sharp_luders_expectation,
-    sharp_luders_variance,
+    contextual_moments,
+    holevo_moments,
+    sharp_luders_moments,
     uncertainty_report,
 )
 from .core import is_atomic, prob
@@ -536,18 +524,6 @@ def _atomic_context(g, dim, t, tol):
     return values, {"dim": dim, "B": b_obs, "C": c_obs}
 
 
-#: Closed forms the uncertainty suite pins: (generic contextual statistic,
-#: its Lüders-of-sharp form, its Holevo form, which of B and C it takes).
-_CLOSED_FORMS = (
-    (contextual_expectation, sharp_luders_expectation, holevo_expectation, "b"),
-    (contextual_correlation, sharp_luders_correlation, holevo_correlation, "bc"),
-    (contextual_covariance, sharp_luders_covariance, holevo_covariance, "bc"),
-    (contextual_variance, sharp_luders_variance, holevo_variance, "b"),
-    (contextual_variance, sharp_luders_variance, holevo_variance, "c"),
-    (commutator_trace, sharp_luders_commutator_trace, holevo_commutator_trace, "bc"),
-)
-
-
 def _uncertainty(g, dim, t, tol):
     """The uncertainty decomposition holds; closed forms match the generic path."""
     kind, a_obs, ins, alphas = _kind_instrument(
@@ -563,12 +539,12 @@ def _uncertainty(g, dim, t, tol):
         "uncertainty-inequality": rep.inequality_slack >= -tol.eq_tol,
     }
     if kind < 2:
-        pinned = (a_obs,) if kind == 0 else (a_obs, alphas)
-        diffs = []
-        for generic, *closed, which in _CLOSED_FORMS:
-            xs = [{"b": b, "c": c}[v] for v in which]
-            diffs.append(abs(closed[kind](rho, *pinned, *xs) - generic(rho, ins, *xs)))
-        values["closed-forms"] = max(diffs)
+        if kind == 0:
+            closed = sharp_luders_moments(rho, a_obs, b, c)
+        else:
+            closed = holevo_moments(rho, a_obs, alphas, b, c)
+        generic = contextual_moments(rho, ins, b, c)
+        values["closed-forms"] = max(abs(x - y) for x, y in zip(closed, generic))
     return values, {"dim": dim, "kind": float(kind), "A": a_obs, "B": b, "C": c, "state": rho}
 
 

@@ -20,16 +20,8 @@ from qcond.context_stats import (
     contextual_covariance,
     contextual_expectation,
     contextual_variance,
-    holevo_commutator_trace,
-    holevo_correlation,
-    holevo_covariance,
-    holevo_expectation,
-    holevo_variance,
-    sharp_luders_commutator_trace,
-    sharp_luders_correlation,
-    sharp_luders_covariance,
-    sharp_luders_expectation,
-    sharp_luders_variance,
+    holevo_moments,
+    sharp_luders_moments,
     uncertainty_report,
 )
 from qcond.core import is_atomic, prob
@@ -429,24 +421,12 @@ def test_criterion_09_uncertainty_identity():
         b = random_real_values(gi, random_observable(gi, dim, 2))
         c = random_real_values(gi, random_observable(gi, dim, 2))
         rho = random_state(gi, dim)
-        assert abs(
-            contextual_expectation(rho, ins, b) - sharp_luders_expectation(rho, obs_a, b)
-        ) <= 1e-9
-        assert abs(
-            contextual_correlation(rho, ins, b, c)
-            - sharp_luders_correlation(rho, obs_a, b, c)
-        ) <= 1e-9
-        assert abs(
-            contextual_covariance(rho, ins, b, c)
-            - sharp_luders_covariance(rho, obs_a, b, c)
-        ) <= 1e-9
-        assert abs(
-            contextual_variance(rho, ins, b) - sharp_luders_variance(rho, obs_a, b)
-        ) <= 1e-9
-        assert abs(
-            commutator_trace(rho, ins, b, c)
-            - sharp_luders_commutator_trace(rho, obs_a, b, c)
-        ) <= 1e-9
+        closed = sharp_luders_moments(rho, obs_a, b, c)
+        assert abs(contextual_expectation(rho, ins, b) - closed.expectation_b) <= 1e-9
+        assert abs(contextual_correlation(rho, ins, b, c) - closed.correlation) <= 1e-9
+        assert abs(contextual_covariance(rho, ins, b, c) - closed.covariance) <= 1e-9
+        assert abs(contextual_variance(rho, ins, b) - closed.variance_b) <= 1e-9
+        assert abs(commutator_trace(rho, ins, b, c) - closed.commutator_trace) <= 1e-9
 
     for i in range(20):
         dim = 2 + i % 3
@@ -457,24 +437,12 @@ def test_criterion_09_uncertainty_identity():
         b = random_real_values(gi, random_observable(gi, dim, 2))
         c = random_real_values(gi, random_observable(gi, dim, 2))
         rho = random_state(gi, dim)
-        assert abs(
-            contextual_expectation(rho, ins, b) - holevo_expectation(rho, obs_a, alphas, b)
-        ) <= 1e-9
-        assert abs(
-            contextual_correlation(rho, ins, b, c)
-            - holevo_correlation(rho, obs_a, alphas, b, c)
-        ) <= 1e-9
-        assert abs(
-            contextual_covariance(rho, ins, b, c)
-            - holevo_covariance(rho, obs_a, alphas, b, c)
-        ) <= 1e-9
-        assert abs(
-            contextual_variance(rho, ins, b) - holevo_variance(rho, obs_a, alphas, b)
-        ) <= 1e-9
-        assert abs(
-            commutator_trace(rho, ins, b, c)
-            - holevo_commutator_trace(rho, obs_a, alphas, b, c)
-        ) <= 1e-9
+        closed = holevo_moments(rho, obs_a, alphas, b, c)
+        assert abs(contextual_expectation(rho, ins, b) - closed.expectation_b) <= 1e-9
+        assert abs(contextual_correlation(rho, ins, b, c) - closed.correlation) <= 1e-9
+        assert abs(contextual_covariance(rho, ins, b, c) - closed.covariance) <= 1e-9
+        assert abs(contextual_variance(rho, ins, b) - closed.variance_b) <= 1e-9
+        assert abs(commutator_trace(rho, ins, b, c) - closed.commutator_trace) <= 1e-9
 
 
 def test_criterion_10_entropy_laws():

@@ -14,18 +14,10 @@ from qcond import (
     contextual_expectation,
     contextual_variance,
     expectation,
-    holevo_commutator_trace,
-    holevo_correlation,
-    holevo_covariance,
-    holevo_expectation,
     holevo_instrument,
-    holevo_variance,
+    holevo_moments,
     luders_instrument,
-    sharp_luders_commutator_trace,
-    sharp_luders_correlation,
-    sharp_luders_covariance,
-    sharp_luders_expectation,
-    sharp_luders_variance,
+    sharp_luders_moments,
     stochastic_operator,
     uncertainty_report,
 )
@@ -119,7 +111,7 @@ def test_expectation_reduces_without_measurement(qubit):
 def test_sharp_luders_expectation_dephasing(qubit):
     z = Observable(("0", "1"), {"0": qubit["P0"], "1": qubit["P1"]})
     b = RealValuedObservable(z, {"0": 1.0, "1": -1.0})
-    assert sharp_luders_expectation(np.eye(2) / 2, z, b) == pytest.approx(0.0)
+    assert sharp_luders_moments(np.eye(2) / 2, z, b, b).expectation_b == pytest.approx(0.0)
 
 
 def test_correlation_structure():
@@ -169,19 +161,20 @@ def test_sharp_luders_closed_forms_match_generic():
         c = random_real_values(g.derive(t, 3), random_observable(g.derive(t, 4), dim, 3))
         rho = random_state(g.derive(t, 5), dim)
         ins = luders_instrument(a)
-        assert sharp_luders_expectation(rho, a, b) == pytest.approx(
+        closed = sharp_luders_moments(rho, a, b, c)
+        assert closed.expectation_b == pytest.approx(
             contextual_expectation(rho, ins, b), abs=1e-9
         )
-        assert sharp_luders_correlation(rho, a, b, c) == pytest.approx(
+        assert closed.correlation == pytest.approx(
             contextual_correlation(rho, ins, b, c), abs=1e-9
         )
-        assert sharp_luders_covariance(rho, a, b, c) == pytest.approx(
+        assert closed.covariance == pytest.approx(
             contextual_covariance(rho, ins, b, c), abs=1e-9
         )
-        assert sharp_luders_variance(rho, a, b) == pytest.approx(
+        assert closed.variance_b == pytest.approx(
             contextual_variance(rho, ins, b), abs=1e-9
         )
-        assert sharp_luders_commutator_trace(rho, a, b, c) == pytest.approx(
+        assert closed.commutator_trace == pytest.approx(
             commutator_trace(rho, ins, b, c), abs=1e-9
         )
 
@@ -196,19 +189,20 @@ def test_holevo_closed_forms_match_generic():
         c = random_real_values(g.derive(t, 4), random_observable(g.derive(t, 5), dim, 2))
         rho = random_state(g.derive(t, 6), dim)
         ins = holevo_instrument(a, alphas)
-        assert holevo_expectation(rho, a, alphas, b) == pytest.approx(
+        closed = holevo_moments(rho, a, alphas, b, c)
+        assert closed.expectation_b == pytest.approx(
             contextual_expectation(rho, ins, b), abs=1e-9
         )
-        assert holevo_correlation(rho, a, alphas, b, c) == pytest.approx(
+        assert closed.correlation == pytest.approx(
             contextual_correlation(rho, ins, b, c), abs=1e-9
         )
-        assert holevo_covariance(rho, a, alphas, b, c) == pytest.approx(
+        assert closed.covariance == pytest.approx(
             contextual_covariance(rho, ins, b, c), abs=1e-9
         )
-        assert holevo_variance(rho, a, alphas, b) == pytest.approx(
+        assert closed.variance_b == pytest.approx(
             contextual_variance(rho, ins, b), abs=1e-9
         )
-        assert holevo_commutator_trace(rho, a, alphas, b, c) == pytest.approx(
+        assert closed.commutator_trace == pytest.approx(
             commutator_trace(rho, ins, b, c), abs=1e-9
         )
 

@@ -6,8 +6,11 @@ most d**2 operators, so no call may hold more than four such blocks at once
 (4 * d**4 complex128 entries, 4 MiB).  The same bound holds for judging a
 50-state stack through one of its Holevo operations (256 operators): the
 dual transports one effect, where applying the operation to every state
-would hold 50 * 256 operator-sized products (50 MiB).  tracemalloc sees
-numpy's buffers, so its peak is the bound checked here.
+would hold 50 * 256 operator-sized products (50 MiB).  Composing the
+instrument's bar channel with a Lüders operation takes ``compose``'s Choi
+branch, which sums the bar's Gram matrix over the same blocks, so it may hold
+five d**4-entry matrices (5 MiB), the last ones for the eigendecomposition.
+tracemalloc sees numpy's buffers, so its peak is the bound checked here.
 """
 
 import os
@@ -19,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from qcond import (
+    bar_channel,
     bayes1_check,
     bayes1_expectation_check,
     bayes2_residual,
@@ -28,7 +32,9 @@ from qcond import (
     conditional_observable_entropy_double,
     conditional_prob,
     conditioned_stochastic_operator,
+    compose,
     holevo_instrument,
+    luders,
     sequential_entropy,
     validate_instrument,
 )
@@ -88,15 +94,26 @@ CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", CALLS)
-def test_instrument_totals_stay_within_four_blocks(setting, name):
+def _peak(call) -> int:
     tracemalloc.start()
     try:
-        CALLS[name](setting)
-        _, peak = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_instrument_totals_stay_within_four_blocks(setting, name):
+    peak = _peak(lambda: CALLS[name](setting))
     assert peak <= 4 * BLOCK_BYTES, f"{name} peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_compose_of_the_bar_channel_stays_within_five_blocks(setting):
+    bar = bar_channel(setting["ins"])
+    op = luders(setting["a"])
+    peak = _peak(lambda: compose(bar, op))
+    assert peak <= 5 * BLOCK_BYTES, f"compose peaked at {peak / 2**20:.1f} MiB"
 
 
 # Two trials at d = 32 (bayes1's second is a Holevo instrument) in a fresh

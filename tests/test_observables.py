@@ -11,6 +11,7 @@ from qcond import (
     RealValuedObservable,
     SubObservable,
     UnknownLabelError,
+    ZeroProbabilityConditionError,
     conditional_expectation,
     distribution,
     expectation,
@@ -100,6 +101,8 @@ def test_conditional_expectation(qubit):
     for r in (rho, np.eye(2, dtype=complex) / 2):
         assert conditional_expectation(r, hol, b) == pytest.approx(want)
     assert conditional_expectation(np.eye(2) / 2, luders(qubit["P0"]), b) == pytest.approx(1.0)
+    with pytest.raises(ZeroProbabilityConditionError, match="probability 0.000e"):
+        conditional_expectation(qubit["P1"], luders(qubit["P0"]), b)
 
 
 def test_minimal_extension(qubit):

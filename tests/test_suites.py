@@ -6,6 +6,7 @@ import pytest
 from qcond import (
     DEFAULT_TOL,
     SUITE_NAMES,
+    Moments,
     QcondError,
     SuiteArgumentError,
     UnknownSuiteError,
@@ -214,6 +215,28 @@ def test_runner_judges_laws_by_their_declared_kind(monkeypatch):
     assert report.witnesses == [{"law": "found-once", "gap": 0.5}]
     assert len(searched) == 1  # a found once-per-run law is not searched again
     _report_counts_add_up(report)
+
+
+def _off_by_a_millionth(closed_form, field):
+    def perturbed(*args):
+        m = closed_form(*args)
+        return m._replace(**{field: getattr(m, field) + 1e-6})
+
+    return perturbed
+
+
+@pytest.mark.parametrize("field", Moments._fields)
+def test_closed_forms_law_compares_every_moment(monkeypatch, field):
+    # Trials 0 and 1 pin the Lüders and the Holevo closed forms; trial 2 has
+    # a random instrument and no closed form.
+    for name in ("sharp_luders_moments", "holevo_moments"):
+        monkeypatch.setattr(suites, name, _off_by_a_millionth(getattr(suites, name), field))
+    report = run_suite("uncertainty", dims=(2,), trials=3, seed=7)
+    assert not report.ok
+    assert [(f.trial, f.laws) for f in report.failures] == [
+        (0, ["closed-forms"]),
+        (1, ["closed-forms"]),
+    ]
 
 
 def test_undeclared_law_raises(monkeypatch):
