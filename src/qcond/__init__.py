@@ -43,6 +43,8 @@ from .entropy import (
 )
 from .errors import (
     DimMismatchError,
+    InvalidTypeError,
+    InvalidValueError,
     MissingAlphaError,
     NotCommutingFamilyError,
     NotHermitianError,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -47,6 +48,16 @@ def _parse_trials(text: str) -> int:
     return trials
 
 
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tol must be a number, got {text!r}")
+    if not 0.0 < tol < math.inf:  # also false for NaN
+        raise argparse.ArgumentTypeError("tol must be a positive finite number")
+    return tol
+
+
 def _default_seed() -> int:
     raw = os.environ.get("QCOND_SEED")
     if raw is None:
@@ -69,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a scene's checks")
     p_run.add_argument("scene", metavar="SCENE")
-    p_run.add_argument("--tol", type=float, default=None, help="default check tolerance")
+    p_run.add_argument("--tol", type=_parse_tol, default=None, help="default check tolerance")
     p_run.add_argument("--json", dest="json_out", metavar="PATH", help="write the JSON report")
 
     p_verify = sub.add_parser("verify", help="run property suites")

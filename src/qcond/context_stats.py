@@ -132,6 +132,30 @@ class UncertaintyReport:
     identity_residual: float
     inequality_slack: float
 
+    @classmethod
+    def from_moments(cls, m: Moments, tol: Tolerance = DEFAULT_TOL) -> UncertaintyReport:
+        """The decomposition's terms and residuals from one moments record.
+
+        identity_residual is |(1/4)|tr(rho[B',C'])|^2 + Cov^2 - |Cor|^2| and
+        vanishes identically; inequality_slack is Var(B) Var(C) - |Cor|^2 and is
+        non-negative.  Variances whose round-off dips within eq_tol below zero
+        are clamped to zero.
+        """
+        _, cor, cov, var_b, var_c, ct = m
+        if -tol.eq_tol <= var_b < 0.0:
+            var_b = 0.0
+        if -tol.eq_tol <= var_c < 0.0:
+            var_c = 0.0
+        return cls(
+            correlation=cor,
+            covariance=float(cov),
+            variance_b=float(var_b),
+            variance_c=float(var_c),
+            commutator_trace=ct,
+            identity_residual=float(abs(0.25 * abs(ct) ** 2 + cov**2 - abs(cor) ** 2)),
+            inequality_slack=float(var_b * var_c - abs(cor) ** 2),
+        )
+
     def to_json(self) -> dict:
         return {
             "correlation": [self.correlation.real, self.correlation.imag],
@@ -148,29 +172,8 @@ def uncertainty_report(
     rho, ins: Instrument, b: RealValuedObservable, c: RealValuedObservable,
     tol: Tolerance = DEFAULT_TOL,
 ) -> UncertaintyReport:
-    """Evaluate the uncertainty decomposition and its residuals at rho.
-
-    identity_residual is |(1/4)|tr(rho[B',C'])|^2 + Cov^2 - |Cor|^2| and
-    vanishes identically; inequality_slack is Var(B) Var(C) - |Cor|^2 and is
-    non-negative.  Variances whose round-off dips within eq_tol below zero
-    are clamped to zero.
-    """
-    _, cor, cov, var_b, var_c, ct = contextual_moments(rho, ins, b, c)
-    if -tol.eq_tol <= var_b < 0.0:
-        var_b = 0.0
-    if -tol.eq_tol <= var_c < 0.0:
-        var_c = 0.0
-    identity_residual = abs(0.25 * abs(ct) ** 2 + cov**2 - abs(cor) ** 2)
-    inequality_slack = var_b * var_c - abs(cor) ** 2
-    return UncertaintyReport(
-        correlation=cor,
-        covariance=float(cov),
-        variance_b=float(var_b),
-        variance_c=float(var_c),
-        commutator_trace=ct,
-        identity_residual=float(identity_residual),
-        inequality_slack=float(inequality_slack),
-    )
+    """Evaluate the uncertainty decomposition and its residuals at rho (see ``from_moments``)."""
+    return UncertaintyReport.from_moments(contextual_moments(rho, ins, b, c), tol)
 
 
 

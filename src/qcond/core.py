@@ -94,17 +94,18 @@ def _per_state(values):
     return float(values) if values.ndim == 0 else values
 
 
+def _zero_round_off(x, tol: Tolerance):
+    """x with values in [-eq_tol, 0) set to 0.0, by arithmetic alone (a float stays a float)."""
+    return x * ((x >= 0.0) | (x < -tol.eq_tol)) + 0.0
+
+
 def prob(rho, a, tol: Tolerance = DEFAULT_TOL):
     """Outcome probability tr(rho a), clamping round-off negatives in [-eq_tol, 0) to 0.
 
     rho is one state, giving a float, or an (n, d, d) stack of states, giving
     the (n,) array of their probabilities from one contraction.
     """
-    p = trace_product(rho, a).real
-    # Multiplying by the keep mask zeroes the round-off negatives (+ 0.0 turns
-    # the -0.0 left behind into 0.0): arithmetic alone, so one state's float
-    # stays a float and a stack's array an array.
-    return p * ((p >= 0.0) | (p < -tol.eq_tol)) + 0.0
+    return _zero_round_off(trace_product(rho, a).real, tol)
 
 
 def complement(a) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Measurement entropies of effects and observables (natural log, nats).
 
 The entropy of effect a at state rho is -p ln(p / t) with p = tr(rho a) and
-t = tr(a).  Since p <= t it is non-negative.  Conventions at the boundary:
-a term with p <= eq_tol contributes 0 (the p -> 0 limit), and an effect with
-t <= eq_tol contributes 0.  The three effect entropies take one state (a
+t = tr(a).  Since p <= t it is non-negative, and a term below -eq_tol (a not
+an effect) is returned as it is.  Conventions at the boundary: a term with
+p <= eq_tol contributes 0 (the p -> 0 limit), and an effect with t <= eq_tol
+contributes 0.  The three effect entropies take one state (a
 float result) or an (n, d, d) stack of states (one value per state); their
 probabilities go through the dual, so a stack costs one dual_apply.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _per_state, prob
+from .core import _per_state, _zero_round_off, prob
 from .instruments import Instrument, condition_effect, condition_state
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .operations import Operation, dual_apply
@@ -36,11 +37,14 @@ __all__ = [
 
 
 def _term(p, t: float, tol: Tolerance):
-    """-p ln(p/t) for each probability p (a float or an (n,) array), 0 at the boundaries."""
+    """-p ln(p/t) for each probability p (a float or an (n,) array), 0 at the boundaries.
+
+    Only round-off negatives within eq_tol become 0: a larger one means p > t.
+    """
     live = (p > tol.eq_tol) & (t > tol.eq_tol)
     t = max(t, tol.eq_tol)  # a dead term's ratio is then 1, its log 0
     h = -p * np.log(np.where(live, p, t) / t)
-    return _per_state(np.maximum(0.0, h * live))
+    return _per_state(_zero_round_off(h * live, tol))
 
 
 def effect_entropy(rho, a, tol: Tolerance = DEFAULT_TOL):

@@ -14,6 +14,14 @@ class QcondError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidValueError(QcondError, ValueError):
+    """An argument has the right type but a value the computation does not accept."""
+
+
+class InvalidTypeError(QcondError, TypeError):
+    """An argument is of a type the computation does not accept."""
+
+
 class NotHermitianError(QcondError):
     """Input matrix is not Hermitian within tolerance."""
 
@@ -54,7 +62,7 @@ class UnknownSuiteError(QcondError):
     """run_suite was asked for a suite name that is not registered."""
 
 
-class SuiteArgumentError(QcondError, ValueError):
+class SuiteArgumentError(InvalidValueError):
     """run_suite was given dims below 2 or a negative trial count."""
 
 

@@ -17,7 +17,9 @@ import numpy as np
 from .core import Violation, prob
 from .errors import (
     DimMismatchError,
+    InvalidValueError,
     MissingAlphaError,
+    NotCommutingFamilyError,
     NotJointlyCommutingError,
     UnknownLabelError,
 )
@@ -33,13 +35,11 @@ from .observables import (
     Observable,
     RealValuedObservable,
     SubObservable,
-    jointly_commuting,
     stochastic_operator,
 )
 from .operations import (
     Operation,
     _kraus_sum,
-    apply,
     compose,
     dual_apply,
     holevo,
@@ -82,7 +82,7 @@ class Instrument:
     def __init__(self, outcomes: Sequence[str], ops: Mapping[str, Operation]) -> None:
         labels = tuple(str(x) for x in outcomes)
         if len(set(labels)) != len(labels):
-            raise ValueError("outcome labels must be unique")
+            raise InvalidValueError("outcome labels must be unique")
         if set(labels) != set(ops.keys()):
             raise UnknownLabelError("operations must be keyed exactly by the outcome labels")
         opmap = dict((x, ops[x]) for x in labels)
@@ -174,9 +174,8 @@ def condition_observable(b, ins: Instrument):
 
     A RealValuedObservable keeps its values.
     """
-    if isinstance(b, RealValuedObservable):
-        return RealValuedObservable(condition_observable(b.observable, ins), b.values)
-    return Observable(b.outcomes, {y: condition_effect(b.effects[y], ins) for y in b.outcomes})
+    out = Observable(b.outcomes, {y: condition_effect(b.effects[y], ins) for y in b.outcomes})
+    return RealValuedObservable(out, b.values) if isinstance(b, RealValuedObservable) else out
 
 
 def condition_instrument(ins: Instrument, given: Instrument) -> Instrument:
@@ -199,7 +198,7 @@ def compose_instruments(first: Instrument, second: Instrument) -> Instrument:
         for y in second.outcomes:
             label = f"{x}{COMPOSITE_LABEL_SEPARATOR}{y}"
             if label in ops:
-                raise ValueError(f"composite label {label!r} is ambiguous")
+                raise InvalidValueError(f"composite label {label!r} is ambiguous")
             outcomes.append(label)
             ops[label] = compose(first.ops[x], second.ops[y])
     return Instrument(tuple(outcomes), ops)
@@ -221,47 +220,35 @@ class BayesTriple:
         return {"lhs": self.lhs, "mid": self.mid, "rhs": self.rhs, "spread": self.spread}
 
 
-def _bayes1_left(rho: np.ndarray, ins: Instrument, m: np.ndarray, tol: Tolerance) -> float:
-    """The Bayes-1 left route: sum of P(A_x) * tr[op_x(rho) m] / P(A_x) over P(A_x) > eq_tol."""
+def _bayes1(rho, ins: Instrument, m, tol: Tolerance) -> BayesTriple:
+    """The first Bayes rule at rho for m, an effect or a stochastic operator; nothing clamped.
+
+    lhs, through each outcome's dual: sum_x P(A_x) tr[rho op_x*(m)] / P(A_x)
+    over P(A_x) > eq_tol (the rest are bounded by it), the P(A_x) cancelled.
+    mid, through the total dual: tr[rho (m | A)].  rhs, through the bar
+    channel (Schrödinger): tr[bar(rho) m].
+    """
+    rho = as_matrix(rho)
     lhs = 0.0
     for x in ins.outcomes:
         op_x = ins.ops[x]
-        px = prob(rho, measured_effect(op_x), tol)
-        if px <= tol.eq_tol:
-            continue
-        lhs += px * (trace_product(apply(op_x, rho), m).real / px)
-    return float(lhs)
+        if prob(rho, op_x.effect, tol) > tol.eq_tol:
+            lhs += trace_product(rho, dual_apply(op_x, m)).real
+    mid = trace_product(rho, condition_effect(m, ins)).real
+    rhs = trace_product(condition_state(rho, ins), m).real
+    return BayesTriple(lhs, mid, rhs)
 
 
 def bayes1_check(rho, ins: Instrument, a, tol: Tolerance = DEFAULT_TOL) -> BayesTriple:
-    """The first Bayes rule at rho, computed by three independent routes.
-
-    lhs: sum over outcomes of P(A_x) * P(a | A_x), skipping outcomes whose
-    probability is below eq_tol (their contribution is bounded by it);
-    mid: the probability of the conditioned effect (a | A);
-    rhs: the probability of a in the bar-channel image of rho.
-    """
-    rho = as_matrix(rho)
-    a = as_matrix(a)
-    mid = prob(rho, condition_effect(a, ins), tol)
-    rhs = prob(condition_state(rho, ins), a, tol)
-    return BayesTriple(_bayes1_left(rho, ins, a, tol), mid, rhs)
+    """sum_x P(A_x) P(a | A_x) = P((a | A)) = P_bar(rho)(a), three routes (``_bayes1`` on a)."""
+    return _bayes1(rho, ins, a, tol)
 
 
 def bayes1_expectation_check(
     rho, ins: Instrument, b: RealValuedObservable, tol: Tolerance = DEFAULT_TOL
 ) -> BayesTriple:
-    """The expectation form of the first Bayes rule, three routes.
-
-    lhs: sum over outcomes of P(A_x) * E(B | A_x); mid: expectation of the
-    conditioned observable's stochastic operator; rhs: expectation of B in
-    the bar-channel image of rho.
-    """
-    rho = as_matrix(rho)
-    btilde = stochastic_operator(b)
-    mid = trace_product(rho, condition_effect(btilde, ins)).real
-    rhs = trace_product(condition_state(rho, ins), btilde).real
-    return BayesTriple(_bayes1_left(rho, ins, btilde, tol), float(mid), float(rhs))
+    """The first Bayes rule for expectations: ``_bayes1`` on Btilde, since the rule is linear."""
+    return _bayes1(rho, ins, stochastic_operator(b), tol)
 
 
 def atomic_context(
@@ -272,14 +259,16 @@ def atomic_context(
     Returns (A, instrument) where A is atomic (one rank-one projection per
     basis vector of a simultaneous eigenbasis) and the instrument is A's
     Lüders instrument.  Conditioning any member of the family on it leaves
-    the member unchanged.  Raises NotJointlyCommutingError otherwise.
+    the member unchanged.  Raises NotJointlyCommutingError otherwise, and
+    NotHermitianError first for a non-Hermitian effect.
     """
     if not observables:
-        raise ValueError("need at least one observable")
-    if not jointly_commuting(observables, tol):
-        raise NotJointlyCommutingError("effects across the family do not commute pairwise")
+        raise InvalidValueError("need at least one observable")
     mats = [o.effects[x] for o in observables for x in o.outcomes]
-    basis = simultaneous_eigenbasis(mats, tol)
+    try:
+        basis = simultaneous_eigenbasis(mats, tol)
+    except NotCommutingFamilyError as exc:
+        raise NotJointlyCommutingError("effects across the family do not commute pairwise") from exc
     outcomes = tuple(f"x{k}" for k in range(len(basis)))
     projections = {
         f"x{k}": np.outer(v, v.conj()) for k, v in enumerate(basis)

@@ -8,12 +8,15 @@ coherently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimMismatchError, NotCommutingFamilyError, NotHermitianError, NotPSDError
+from .errors import (
+    DimMismatchError, InvalidValueError, NotCommutingFamilyError, NotHermitianError, NotPSDError
+)
 
 __all__ = [
     "Tolerance",
@@ -33,14 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical slack: ``eq_tol`` for equalities, ``psd_tol`` for eigenvalue floors."""
+    """Finite, non-negative slack: ``eq_tol`` for equalities, ``psd_tol`` for eigenvalue floors."""
 
     eq_tol: float = 1e-9
     psd_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.eq_tol < 0 or self.psd_tol < 0:
-            raise ValueError("tolerances must be non-negative")
+        if not (0.0 <= self.eq_tol < math.inf and 0.0 <= self.psd_tol < math.inf):
+            raise InvalidValueError("tolerances must be finite and non-negative")
 
 
 DEFAULT_TOL = Tolerance()

@@ -4,9 +4,10 @@ A :class:`SubObservable` is a family of effects summing to at most the
 identity; an :class:`Observable` sums to the identity exactly (within
 tolerance).  Outcome labels are strings and keep their declared order, so
 every derived quantity (distributions, stochastic operators, serialized
-reports) is deterministic.  Real values live in a separate map
-(:class:`RealValuedObservable`) so the same effect family can be re-valued
-without rebuilding it.
+reports) is deterministic.  A :class:`RealValuedObservable` is an Observable
+that also carries a real value per outcome; it shares the effects of the
+observable it is built from, so a family can be re-valued without rebuilding
+it.  Its expectations are the probability forms applied to sum_y y B_y.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import math
 import numpy as np
 
 from .core import Violation, prob, validate_effect
-from .errors import DimMismatchError, UnknownLabelError
+from .errors import DimMismatchError, InvalidTypeError, InvalidValueError, UnknownLabelError
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, commutator, frobenius, trace_product
-from .operations import Operation, _conditioning_prob, apply
+from .operations import Operation, _conditional
 
 __all__ = [
     "EXTENSION_LABEL",
@@ -54,7 +55,7 @@ class SubObservable:
     def __init__(self, outcomes: Sequence[str], effects: Mapping[str, np.ndarray]) -> None:
         labels = tuple(str(x) for x in outcomes)
         if len(set(labels)) != len(labels):
-            raise ValueError("outcome labels must be unique")
+            raise InvalidValueError("outcome labels must be unique")
         if set(labels) != set(effects.keys()):
             raise UnknownLabelError("effects must be keyed exactly by the outcome labels")
         mats = {x: as_matrix(effects[x]) for x in labels}
@@ -78,34 +79,19 @@ class Observable(SubObservable):
 
 
 @dataclass(frozen=True, eq=False)
-class RealValuedObservable:
-    """An observable with a real value attached to each outcome."""
+class RealValuedObservable(Observable):
+    """An observable with a real value per outcome, sharing the given observable's effects."""
 
-    observable: Observable
     values: dict[str, float]
 
     def __init__(self, observable: Observable, values: Mapping[str, float]) -> None:
-        vals = {str(x): float(values[x]) for x in observable.outcomes}
+        vals = {x: float(values[x]) for x in observable.outcomes}
         for x, v in vals.items():
             if not math.isfinite(v):
-                raise ValueError(f"value for outcome {x!r} is not finite")
-        object.__setattr__(self, "observable", observable)
+                raise InvalidValueError(f"value for outcome {x!r} is not finite")
+        object.__setattr__(self, "outcomes", observable.outcomes)
+        object.__setattr__(self, "effects", observable.effects)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def outcomes(self) -> tuple[str, ...]:
-        return self.observable.outcomes
-
-    @property
-    def effects(self) -> dict[str, np.ndarray]:
-        return self.observable.effects
-
-    @property
-    def dim(self) -> int:
-        return self.observable.dim
-
-    def total(self) -> np.ndarray:
-        return self.observable.total()
 
 
 def _effect_violations(a, tol: Tolerance) -> list[Violation]:
@@ -115,10 +101,8 @@ def _effect_violations(a, tol: Tolerance) -> list[Violation]:
     return out
 
 
-def validate_subobservable(
-    a: SubObservable | RealValuedObservable, tol: Tolerance = DEFAULT_TOL
-) -> list[Violation]:
-    """Each effect of a (sub-)observable, real-valued or not, valid; the total at most I."""
+def validate_subobservable(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
+    """Each effect of a (sub-)observable valid; the total at most I."""
     out = _effect_violations(a, tol)
     total = a.total()
     w = np.linalg.eigvalsh((total + total.conj().T) / 2.0)
@@ -127,10 +111,8 @@ def validate_subobservable(
     return out
 
 
-def validate_observable(
-    a: Observable | RealValuedObservable, tol: Tolerance = DEFAULT_TOL
-) -> list[Violation]:
-    """Each effect of an observable, real-valued or not, valid; the total equal to I."""
+def validate_observable(a: Observable, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
+    """Each effect of an observable valid; the total equal to I."""
     out = _effect_violations(a, tol)
     dev = frobenius(a.total() - np.eye(a.dim))
     if dev > tol.eq_tol:
@@ -156,18 +138,13 @@ def distribution(rho, a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> dict[st
     return {x: prob(rho, a.effects[x], tol) for x in a.outcomes}
 
 
-def _unwrap(b) -> tuple[Observable, dict[str, float]]:
-    if not isinstance(b, RealValuedObservable):
-        raise TypeError("a real-valued observable is required here")
-    return b.observable, b.values
-
-
 def stochastic_operator(b: RealValuedObservable) -> np.ndarray:
     """The Hermitian operator sum_y y * B_y whose moments give B's statistics."""
-    obs, values = _unwrap(b)
-    out = np.zeros((obs.dim, obs.dim), dtype=np.complex128)
-    for y in obs.outcomes:
-        out += values[y] * obs.effects[y]
+    if not isinstance(b, RealValuedObservable):
+        raise InvalidTypeError("a real-valued observable is required here")
+    out = np.zeros((b.dim, b.dim), dtype=np.complex128)
+    for y in b.outcomes:
+        out += b.values[y] * b.effects[y]
     return out
 
 
@@ -178,10 +155,9 @@ def expectation(rho, b: RealValuedObservable) -> float:
 
 def conditional_expectation(
     rho, op: Operation, b: RealValuedObservable, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """Expectation of b given op's outcome occurred: tr[op(rho) Btilde] / tr[rho a], a = op.effect."""
-    p = _conditioning_prob(rho, op.effect, tol)
-    return trace_product(apply(op, rho), stochastic_operator(b)).real / p
+):
+    """E(b | op's effect) = tr[op(rho) Btilde] / tr[rho a]: ``_conditional`` on Btilde."""
+    return _conditional(rho, op, stochastic_operator(b), tol)
 
 
 def minimal_extension(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> Observable:
@@ -194,7 +170,7 @@ def minimal_extension(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> Observa
     if frobenius(residual) <= tol.eq_tol:
         return Observable(a.outcomes, a.effects)
     if EXTENSION_LABEL in a.outcomes:
-        raise ValueError(f"label {EXTENSION_LABEL!r} is reserved for the extension outcome")
+        raise InvalidValueError(f"label {EXTENSION_LABEL!r} is reserved for the extension outcome")
     effects = dict(a.effects)
     effects[EXTENSION_LABEL] = residual
     return Observable(a.outcomes + (EXTENSION_LABEL,), effects)

@@ -20,10 +20,10 @@ over blocks of at most d**2 operators, so no temporary outgrows that bound.
 
 Conditional probabilities, updated states and sequential products take the
 operation alone: they condition on op.effect, so the effect they divide by is
-always the one the operation measures.  Conditional probabilities and the
-second-rule residual go through the dual, tr[op(rho) b] = tr[rho dual(b)]:
-that is linear in rho, so they also take an (n, d, d) stack of states and
-judge it with one dual_apply and one contraction, never forming op(rho).
+always the one the operation measures.  Conditional probabilities and
+expectations and the second-rule residual go through the dual, tr[op(rho) b]
+= tr[rho dual(b)]: that is linear in rho, so they also take an (n, d, d)
+stack of states and judge it with one dual_apply and one contraction.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Violation, _per_state, prob
+from .core import Violation, _per_state, _zero_round_off, prob
 from .errors import DimMismatchError, ZeroProbabilityConditionError
 from .linalg import (
     DEFAULT_TOL,
@@ -269,20 +269,22 @@ def _conditioning_prob(rho, a, tol: Tolerance):
     return p
 
 
-def conditional_prob(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL):
-    """Probability of b given that op's measurement occurred on rho.
+def _conditional(rho, op: Operation, m, tol: Tolerance):
+    """tr[op(rho) m] / tr[rho a], a = op.effect, through the dual: tr[rho dual(m)] / tr[rho a].
 
-    tr[op(rho) b] / tr[rho a], a = op.effect, computed through the dual as
-    tr[rho dual(b)] / tr[rho a]; values within eq_tol of [0, 1] are clamped
-    into it.  rho is one state (a float result) or an (n, d, d) stack (one
-    value per state, from one dual_apply and one contraction).  Raises
-    ZeroProbabilityConditionError when a conditioning probability is at most
-    eq_tol.
+    m an effect gives a conditional probability, a stochastic operator a
+    conditional expectation; a float for one state, one value per state of
+    a stack.  Raises ZeroProbabilityConditionError when a conditioning
+    probability is at most eq_tol.
     """
     p = _conditioning_prob(rho, op.effect, tol)
-    q = trace_product(rho, dual_apply(op, b)).real / p
-    inside = (q >= -tol.eq_tol) & (q <= 1.0 + tol.eq_tol)
-    return _per_state(np.where(inside, np.minimum(np.maximum(q, 0.0), 1.0), q))
+    return trace_product(rho, dual_apply(op, m)).real / p
+
+
+def conditional_prob(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL):
+    """P(b | op's effect) at rho: ``_conditional`` on b, clamped into [0, 1] only within eq_tol."""
+    q = _zero_round_off(_conditional(rho, op, b, tol), tol)
+    return q - (q - 1.0) * ((q > 1.0) & (q <= 1.0 + tol.eq_tol))  # exactly 1.0 in (1, 1 + eq_tol]
 
 
 def updated_state(rho, op: Operation, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

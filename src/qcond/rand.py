@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RetryExhaustedError
+from .errors import InvalidValueError, RetryExhaustedError
 from .instruments import Instrument
 from .linalg import DEFAULT_TOL, Tolerance, dagger, psd_sqrt
 from .observables import Observable, RealValuedObservable
@@ -175,7 +175,7 @@ def random_real_values(g: Generator, a: Observable) -> RealValuedObservable:
 def random_projective_observable(g: Generator, dim: int, n_outcomes: int) -> Observable:
     """Sharp observable: orthogonal projections summing to I (n_outcomes <= dim)."""
     if n_outcomes > dim:
-        raise ValueError("a projective observable needs n_outcomes <= dim")
+        raise InvalidValueError("a projective observable needs n_outcomes <= dim")
     u = random_unitary(g, dim)
     owners = g.shuffled(list(range(n_outcomes)) + [g.integer(0, n_outcomes - 1) for _ in range(dim - n_outcomes)])
     effects = {}

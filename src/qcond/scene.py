@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -234,7 +233,7 @@ class SceneReport:
 # Kinds:
 #   state / effect / matrix      -> ndarray (matrix accepts any of the three)
 #   operation                    -> Operation (it carries the effect it measures)
-#   observable                   -> Observable or RealValuedObservable
+#   observable                   -> Observable (a RealValuedObservable is one)
 #   real_observable              -> RealValuedObservable
 #   instrument                   -> Instrument
 #   label / labels / number      -> inline literals
@@ -358,7 +357,7 @@ def _parse_values(raw, outcomes, where: str) -> dict[str, float]:
     out = {}
     for x, v in _keyed_by_labels(raw, outcomes, where, "values").items():
         v = _json_float(v)
-        if v is None or not math.isfinite(v):
+        if v is None:
             raise SceneParseError(f"{where}: value for outcome {x!r} must be a finite number")
         out[str(x)] = v
     return out
@@ -742,7 +741,7 @@ def _residual(value, check: CheckSpec, tol: Tolerance) -> tuple[float, object]:
                 f"{where}: expected a {value.shape[0]}x{value.shape[1]} matrix"
             )
         return float(frobenius(value - want)), expected
-    if isinstance(value, (Observable, SubObservable, RealValuedObservable)):
+    if isinstance(value, SubObservable):
         exp = _require_dict(expected, where)
         effects = exp.get("effects")
         if set(exp) != {"effects"} or not isinstance(effects, dict):

@@ -8,13 +8,13 @@ output stays readable and byte-deterministic for a fixed input.
 
 from __future__ import annotations
 
-from typing import Any
+import math
 
 import numpy as np
 
 from .errors import SceneParseError
 from .instruments import Instrument
-from .observables import Observable, RealValuedObservable, SubObservable
+from .observables import RealValuedObservable, SubObservable
 from .operations import Operation
 
 __all__ = [
@@ -46,13 +46,18 @@ def _is_number(x) -> bool:
 
 
 def _json_float(x) -> float | None:
-    """A JSON number as a float; None for anything else, or an integer too large for a float."""
+    """A finite JSON number as a float; None for anything else.
+
+    None also for an integer too large for a float and for NaN and Infinity,
+    which Python's json reads but JSON does not define.
+    """
     if not _is_number(x):
         return None
     try:
-        return float(x)
+        x = float(x)
     except OverflowError:
         return None
+    return x if math.isfinite(x) else None
 
 
 def _entry_from_json(entry, where: str) -> complex:
@@ -90,17 +95,13 @@ def operation_to_json(op: Operation) -> dict:
     return {"kraus": [matrix_to_json(k) for k in op.kraus]}
 
 
-def observable_to_json(a) -> dict:
-    values = None
-    if isinstance(a, RealValuedObservable):
-        values = a.values
-        a = a.observable
-    out: dict[str, Any] = {
+def observable_to_json(a: SubObservable) -> dict:
+    out = {
         "outcomes": list(a.outcomes),
         "effects": {x: matrix_to_json(a.effects[x]) for x in a.outcomes},
     }
-    if values is not None:
-        out["values"] = {x: values[x] for x in a.outcomes}
+    if isinstance(a, RealValuedObservable):
+        out["values"] = {x: a.values[x] for x in a.outcomes}
     return out
 
 
@@ -125,7 +126,7 @@ def value_to_json(value):
         return matrix_to_json(value)
     if isinstance(value, Operation):
         return operation_to_json(value)
-    if isinstance(value, (Observable, SubObservable, RealValuedObservable)):
+    if isinstance(value, SubObservable):
         return observable_to_json(value)
     if isinstance(value, Instrument):
         return instrument_to_json(value)

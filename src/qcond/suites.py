@@ -35,10 +35,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .context_stats import (
+    UncertaintyReport,
     contextual_moments,
     holevo_moments,
     sharp_luders_moments,
-    uncertainty_report,
 )
 from .core import is_atomic, prob
 from .entropy import (
@@ -533,7 +533,8 @@ def _uncertainty(g, dim, t, tol):
     c = random_real_values(g, random_observable(g, dim, g.integer(2, dim + 1), tol))
     rho = random_state(g, dim)
 
-    rep = uncertainty_report(rho, ins, b, c, tol)
+    generic = contextual_moments(rho, ins, b, c)
+    rep = UncertaintyReport.from_moments(generic, tol)
     values = {
         "uncertainty-identity": rep.identity_residual,
         "uncertainty-inequality": rep.inequality_slack >= -tol.eq_tol,
@@ -543,7 +544,6 @@ def _uncertainty(g, dim, t, tol):
             closed = sharp_luders_moments(rho, a_obs, b, c)
         else:
             closed = holevo_moments(rho, a_obs, alphas, b, c)
-        generic = contextual_moments(rho, ins, b, c)
         values["closed-forms"] = max(abs(x - y) for x, y in zip(closed, generic))
     return values, {"dim": dim, "kind": float(kind), "A": a_obs, "B": b, "C": c, "state": rho}
 

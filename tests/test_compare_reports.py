@@ -49,6 +49,7 @@ def test_identical_reports_agree(tmp_path):
     done = _compare(tmp_path, reports, copy.deepcopy(reports))
     assert done.returncode == 0, done.stdout
     assert "no numeric drift" in done.stdout
+    assert "compared 2 report pair(s), 2 byte-identical" in done.stdout
 
 
 def test_shape_flip_and_round_off_agree(tmp_path):
@@ -62,6 +63,23 @@ def test_shape_flip_and_round_off_agree(tmp_path):
     done = _compare(tmp_path, {"suite.json": SUITE, "scene.json": SCENE}, {"suite.json": suite, "scene.json": scene})
     assert done.returncode == 0, done.stdout
     assert "largest numeric drift 1e-14 at suite.json.max_residual" in done.stdout
+    assert "compared 2 report pair(s), 0 byte-identical" in done.stdout
+
+
+def test_byte_identical_pairs_are_counted(tmp_path):
+    # Equal content written with other whitespace agrees but is not byte-identical.
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    for side, indent in (("a", None), ("b", 2)):
+        (tmp_path / side / "scene.json").write_text(json.dumps(SCENE))
+        (tmp_path / side / "suite.json").write_text(json.dumps(SUITE, indent=indent))
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(tmp_path / "a"), str(tmp_path / "b")],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout
+    assert "compared 2 report pair(s), 1 byte-identical" in done.stdout
 
 
 def test_verdict_flip_differs(tmp_path):

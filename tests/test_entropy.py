@@ -39,6 +39,15 @@ def test_effect_entropy_boundaries(qubit):
     assert effect_entropy(half, np.zeros((2, 2))) == 0.0  # t = 0 convention
 
 
+def test_effect_entropy_keeps_a_negative_term(qubit):
+    # diag(1.5, -1) is no effect: p = 1.5 > t = 0.5, so -p ln(p/t) < 0 shows it.
+    h = effect_entropy(qubit["P0"], np.diag([1.5, -1.0]))
+    assert h == pytest.approx(-1.5 * math.log(3.0), abs=1e-14)
+    stacked = effect_entropy(np.stack([qubit["P0"], qubit["P1"]]), np.diag([1.5, -1.0]))
+    assert stacked[0] == pytest.approx(-1.5 * math.log(3.0), abs=1e-14)
+    assert stacked[1] == 0.0  # p = -1 is no probability: a dead term
+
+
 def test_effect_entropy_frozen_value():
     rho = np.diag([0.75, 0.25]).astype(complex)
     a = np.diag([0.5, 0.125]).astype(complex)

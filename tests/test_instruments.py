@@ -4,6 +4,7 @@ import pytest
 from qcond import (
     Instrument,
     MissingAlphaError,
+    NotHermitianError,
     NotJointlyCommutingError,
     Observable,
     Operation,
@@ -353,6 +354,12 @@ def test_atomic_context_codiagonal_pair():
 def test_atomic_context_rejects_noncommuting(qubit):
     with pytest.raises(NotJointlyCommutingError):
         atomic_context([z_obs(qubit), x_obs(qubit)])
+
+
+def test_atomic_context_checks_hermiticity_before_commutation(qubit):
+    skew = Observable(("a", "b"), {"a": qubit["P0"] + 0.5j * qubit["X"], "b": qubit["P1"]})
+    with pytest.raises(NotHermitianError):
+        atomic_context([skew, x_obs(qubit)])
 
 
 def test_conditioned_families_jointly_commute(qubit):

@@ -25,7 +25,14 @@ from qcond import (
     validate_observable,
     validate_subobservable,
 )
-from qcond.rand import Generator, random_observable, random_state
+from qcond.rand import (
+    Generator,
+    random_observable,
+    random_operation_measuring,
+    random_real_values,
+    random_state,
+    random_states,
+)
 
 
 def z_observable(qubit):
@@ -103,6 +110,28 @@ def test_conditional_expectation(qubit):
     assert conditional_expectation(np.eye(2) / 2, luders(qubit["P0"]), b) == pytest.approx(1.0)
     with pytest.raises(ZeroProbabilityConditionError, match="probability 0.000e"):
         conditional_expectation(qubit["P1"], luders(qubit["P0"]), b)
+
+
+def test_conditional_expectation_on_a_stack_matches_each_state():
+    g = Generator(31)
+    for dim in (2, 3, 5):
+        b = random_real_values(g, random_observable(g, dim, 3))
+        op = random_operation_measuring(g, random_observable(g, dim, 2).effects["x0"], 3)
+        rho = random_states(g, dim, 6)
+        stacked = conditional_expectation(rho, op, b)
+        assert stacked.shape == (6,)
+        for value, state in zip(stacked, rho):
+            assert abs(value - conditional_expectation(state, op, b)) <= 1e-13
+
+
+def test_real_valued_observable_is_an_observable(qubit):
+    z = z_observable(qubit)
+    b = RealValuedObservable(z, {"x0": 1.0, "x1": -1.0})
+    assert isinstance(b, Observable)
+    assert validate_observable(b) == []
+    # It takes over the observable's outcomes and effects without copying them.
+    assert b.outcomes is z.outcomes and b.effects is z.effects
+    assert b.dim == 2 and np.array_equal(b.total(), z.total())
 
 
 def test_minimal_extension(qubit):

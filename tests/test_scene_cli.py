@@ -7,6 +7,7 @@ and the CLI exit-code contract: 0 all passed, 1 failing checks or suites,
 """
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -544,3 +545,63 @@ def test_cli_verify_rejects_trials_below_one(trials, capsys):
         main(["verify", "--all", "--trials", trials])
     assert exc.value.code == 2
     assert "trials must be an integer >= 1" in capsys.readouterr().err
+
+
+# Python's json reads NaN and Infinity (and json.dumps writes them); JSON has no
+# such numbers, so a tolerance or bound must not accept them.
+_CHECK = {"op": "prob", "args": ["rho", "p0"]}
+_NON_FINITE = {
+    "tolerance-eq-inf": (
+        {"tolerance": {"eq_tol": math.inf}},
+        "tolerance: eq_tol must be a positive number",
+    ),
+    "tolerance-eq-nan": (
+        {"tolerance": {"eq_tol": math.nan}},
+        "tolerance: eq_tol must be a positive number",
+    ),
+    "tolerance-psd-inf": (
+        {"tolerance": {"psd_tol": math.inf}},
+        "tolerance: psd_tol must be a positive number",
+    ),
+    "expect-min-nan": (
+        {"checks": [{**_CHECK, "expect_min": math.nan}]},
+        r"check\[0\]: expect_min must be a number",
+    ),
+    "expect-max-inf": (
+        {"checks": [{**_CHECK, "expect_max": math.inf}]},
+        r"check\[0\]: expect_max must be a number",
+    ),
+    "check-tol-nan": (
+        {"checks": [{**_CHECK, "expect": 0.5, "tol": math.nan}]},
+        r"check\[0\]: tol must be a positive number",
+    ),
+    "check-tol-inf": (
+        {"checks": [{**_CHECK, "expect": 0.5, "tol": math.inf}]},
+        r"check\[0\]: tol must be a positive number",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE))
+def test_non_finite_scene_numbers_exit_2(case, tmp_path, capsys):
+    overrides, message = _NON_FINITE[case]
+    scene = _basic_scene(**overrides)
+    if "tolerance" in overrides:
+        # With an infinite eq_tol this trace-2 "state" would load.
+        scene["objects"]["big"] = {"state": [[2, 0], [0, 0]]}
+    path = _write(tmp_path, scene)
+    with pytest.raises(SceneParseError, match=message):
+        load_scene(path)
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert "must be a" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9", "abc"])
+def test_cli_run_rejects_bad_tol(tol, tmp_path, capsys):
+    path = _write(tmp_path, _basic_scene())
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "tol must be a" in capsys.readouterr().err

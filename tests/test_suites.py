@@ -10,6 +10,7 @@ from qcond import (
     QcondError,
     SuiteArgumentError,
     UnknownSuiteError,
+    contextual_moments,
     run_suite,
 )
 from qcond import suites
@@ -237,6 +238,18 @@ def test_closed_forms_law_compares_every_moment(monkeypatch, field):
         (0, ["closed-forms"]),
         (1, ["closed-forms"]),
     ]
+
+
+def test_uncertainty_trial_computes_its_moments_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return contextual_moments(*args)
+
+    monkeypatch.setattr(suites, "contextual_moments", counted)
+    report = run_suite("uncertainty", dims=(2, 3), trials=3, seed=7)
+    assert report.ok and report.trials == len(calls) == 6
 
 
 def test_undeclared_law_raises(monkeypatch):

@@ -17,6 +17,7 @@ bare real ``x`` and a pair ``[x, y]`` are read as the same complex number,
 because the serializer writes an entry whose imaginary part is exactly 0 as
 a bare real, so round-off can flip one shape into the other.  A scene
 report's ``path`` is ignored: it names the file the scene was read from.
+The tool also counts the pairs whose files are byte-identical.
 
 Exit status: 0 when the reports agree, 1 when they differ, 2 on bad input.
 """
@@ -126,12 +127,14 @@ def main(argv: list[str]) -> int:
         _bad_input("usage: python tools/compare_reports.py A B")
     cmp = Comparison()
     pairs = _pairs(Path(argv[0]), Path(argv[1]))
+    identical = 0
     for name, a, b in pairs:
         if a is None or b is None:
             cmp.problems.append(f"{name}: present only in {'B' if a is None else 'A'}")
             continue
         cmp.walk(_load(a), _load(b), name)
-    print(f"compared {len(pairs)} report pair(s)")
+        identical += a.read_bytes() == b.read_bytes()
+    print(f"compared {len(pairs)} report pair(s), {identical} byte-identical")
     if cmp.drift:
         print(f"largest numeric drift {cmp.drift:.3g} at {cmp.drift_at}")
     else:
