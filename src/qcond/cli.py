@@ -2,9 +2,15 @@
 
 Subcommands::
 
-    qcond validate SCENE [SCENE...]          structural + semantic validation
+    qcond validate SCENE [SCENE...]          load each scene: objects, ops, expectations
     qcond run SCENE [--tol T] [--json OUT]   execute a scene's checks
     qcond verify [SUITE...] [--all] [--dims 2,3] [--trials N] [--seed S] [--json OUT]
+
+``validate`` loads a scene as ``run`` does, without running its checks: it
+rejects malformed or invalid objects, ops, arguments and expectations (each
+expectation is parsed into its op's result kind).  Only what needs a
+computed value, a record's field names or a result's outcome labels, is left
+to ``run``.
 
 Exit codes: 0 all passed, 1 at least one check/suite failed, 2 bad input
 (usage errors, malformed or invalid scenes, unknown suites).  The seed

@@ -7,12 +7,14 @@ every derived quantity (distributions, stochastic operators, serialized
 reports) is deterministic.  A :class:`RealValuedObservable` is an Observable
 that also carries a real value per outcome; it shares the effects of the
 observable it is built from, so a family can be re-valued without rebuilding
-it.  Its expectations are the probability forms applied to sum_y y B_y.
+it.  Its expectations are the probability forms applied to sum_y y B_y, which
+it builds once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import math
@@ -93,6 +95,18 @@ class RealValuedObservable(Observable):
         object.__setattr__(self, "effects", observable.effects)
         object.__setattr__(self, "values", vals)
 
+    @cached_property
+    def btilde(self) -> np.ndarray:
+        """The stochastic operator sum_y y * B_y.
+
+        Computed on first read and cached on the instance; the array is read-only.
+        """
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for y in self.outcomes:
+            out += self.values[y] * self.effects[y]
+        out.flags.writeable = False
+        return out
+
 
 def _effect_violations(a, tol: Tolerance) -> list[Violation]:
     out = []
@@ -139,13 +153,10 @@ def distribution(rho, a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> dict[st
 
 
 def stochastic_operator(b: RealValuedObservable) -> np.ndarray:
-    """The Hermitian operator sum_y y * B_y whose moments give B's statistics."""
+    """The Hermitian operator sum_y y * B_y whose moments give B's statistics (read-only)."""
     if not isinstance(b, RealValuedObservable):
         raise InvalidTypeError("a real-valued observable is required here")
-    out = np.zeros((b.dim, b.dim), dtype=np.complex128)
-    for y in b.outcomes:
-        out += b.values[y] * b.effects[y]
-    return out
+    return b.btilde
 
 
 def expectation(rho, b: RealValuedObservable) -> float:

@@ -25,15 +25,35 @@ Object literals are typed by their single top-level key:
 
 Matrix entries are numbers or two-element [re, im] lists.  Checks call a
 registered operation on named objects (strings refer to objects; labels and
-numbers are written inline) and compare against "expect", or bound a numeric
+numbers are written inline) and compare against "expect", or bound a real
 result with "expect_min"/"expect_max".  A check passes when the residual is
 within its tolerance ("tol" on the check, else the runner default, else the
 scene's eq_tol).
 
+Checks are typed at load: each op declares the kind of its result, "expect"
+is parsed into that kind when the scene loads, and only a real result takes
+bounds.  The kinds, with the expectation each reads and the residual:
+
+    real, complex   a number or [re, im] pair        |value - expect|
+    bool            true or false                    0 if equal, else 1
+    matrix          d x d rows                       Frobenius distance
+    operation       a kraus, luders or holevo        Choi distance
+                    literal on d x d matrices
+    observable      {"effects": {label: rows}}       worst Frobenius distance
+    instrument      {"outcomes": [...],              worst Choi distance
+                     "ops": {label: op-literal}}
+    record          {field: number}, or one number   worst field distance
+                    for every field
+    Bayes triple    a record, or one number for      worst field distance
+                    lhs, mid and rhs
+
+What depends on the computed value (a record's fields, the outcome labels of
+an observable or instrument result) is checked when the scene runs.
+
 Malformed files raise SceneParseError, semantic problems (invalid objects,
-unknown ops, reserved labels) SceneValidationError, and dangling names
-SceneReferenceError; the command-line front end maps all three to exit
-code 2.
+unknown ops, reserved labels, expectations of the wrong kind)
+SceneValidationError, and dangling names SceneReferenceError; the
+command-line front end maps all three to exit code 2.
 """
 
 from __future__ import annotations
@@ -42,95 +62,35 @@ import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .context_stats import (
-    commutator_trace,
-    contextual_correlation,
-    contextual_covariance,
-    contextual_expectation,
-    contextual_variance,
-    uncertainty_report,
+    commutator_trace, contextual_correlation, contextual_covariance, contextual_expectation,
+    contextual_variance, uncertainty_report,
 )
-from .core import (
-    complement,
-    is_atomic,
-    is_sharp,
-    perp,
-    prob,
-    validate_effect,
-    validate_state,
-)
+from .core import complement, is_atomic, is_sharp, perp, prob, validate_effect, validate_state
 from .entropy import (
-    conditional_effect_entropy,
-    conditional_observable_entropy_double,
-    conditional_observable_entropy_single,
-    effect_entropy,
-    observable_entropy,
-    sequential_entropy,
-    sequential_entropy_dominated,
+    conditional_effect_entropy, conditional_observable_entropy_double,
+    conditional_observable_entropy_single, effect_entropy, observable_entropy,
+    sequential_entropy, sequential_entropy_dominated,
 )
-from .errors import (
-    QcondError,
-    SceneParseError,
-    SceneReferenceError,
-    SceneValidationError,
-)
+from .errors import QcondError, SceneParseError, SceneReferenceError, SceneValidationError
 from .instruments import (
-    COMPOSITE_LABEL_SEPARATOR,
-    BayesTriple,
-    Instrument,
-    bar_channel,
-    bayes1_check,
-    bayes1_expectation_check,
-    compose_instruments,
-    condition_effect,
-    condition_instrument,
-    condition_observable,
-    holevo_instrument,
-    luders_instrument,
-    measured_observable,
-    validate_instrument,
+    COMPOSITE_LABEL_SEPARATOR, Instrument, bar_channel, bayes1_check, bayes1_expectation_check,
+    compose_instruments, condition_effect, condition_instrument, condition_observable,
+    holevo_instrument, luders_instrument, measured_observable, validate_instrument,
 )
-from .linalg import (
-    Tolerance,
-    commutator,
-    frobenius,
-    loewner_leq,
-    psd_sqrt,
-    trace_product,
-)
+from .linalg import Tolerance, commutator, frobenius, loewner_leq, psd_sqrt, trace_product
 from .observables import (
-    EXTENSION_LABEL,
-    Observable,
-    RealValuedObservable,
-    SubObservable,
-    distribution,
-    expectation,
-    conditional_expectation,
-    is_commuting,
-    jointly_commuting,
-    povm,
-    stochastic_operator,
+    EXTENSION_LABEL, Observable, RealValuedObservable, SubObservable, conditional_expectation,
+    distribution, expectation, is_commuting, jointly_commuting, povm, stochastic_operator,
     validate_observable,
 )
 from .operations import (
-    Operation,
-    apply,
-    bayes2_residual,
-    choi_distance,
-    compose,
-    conditional_prob,
-    dual_apply,
-    holevo,
-    is_channel,
-    luders,
-    maps_equal,
-    measured_effect,
-    sequential_product,
-    updated_state,
+    Operation, apply, bayes2_residual, choi_distance, compose, conditional_prob, dual_apply,
+    holevo, is_channel, luders, maps_equal, measured_effect, sequential_product, updated_state,
     validate_operation,
 )
 from .serialize import _is_number, _json_float, matrix_from_json, value_to_json
@@ -161,8 +121,9 @@ class CheckSpec:
     index: int
     op: str
     args: tuple
-    expect: object = None
+    expect: object = None  # the raw JSON, echoed in the report
     has_expect: bool = False
+    want: object = None  # the expectation parsed into the op's result kind
     expect_min: float | None = None
     expect_max: float | None = None
     tol: float | None = None
@@ -224,13 +185,144 @@ class SceneReport:
         }
 
 
+# --- result kinds -------------------------------------------------------------
+#
+# A kind parses a check's "expect" at load (``parse(raw, where, d, tol)``) and
+# measures a result against it when the scene runs (``distance(value, want,
+# where)``); see the module docstring for the forms.
+
+
+@dataclass(frozen=True)
+class _Kind:
+    name: str
+    parse: Callable
+    distance: Callable
+
+
+def _parse_number(raw, where: str, *_) -> complex:
+    if isinstance(raw, bool):
+        raise SceneValidationError(f"{where}: expected a number, got a boolean")
+    parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
+    re, im = map(_json_float, parts)
+    if re is None or im is None:
+        raise SceneValidationError(f"{where}: expected a number or [re, im] pair")
+    return complex(re, im)
+
+
+def _parse_bool(raw, where: str, *_) -> bool:
+    if not isinstance(raw, bool):
+        raise SceneValidationError(f"{where}: expected true/false for a boolean result")
+    return raw
+
+
+def _parse_matrix(raw, where: str, d: int, tol=None, what: str = "expected matrix") -> np.ndarray:
+    m = matrix_from_json(raw, f"{where} {what}")
+    if m.shape != (d, d):
+        raise SceneValidationError(f"{where}: expected a {d}x{d} matrix")
+    return m
+
+
+def _parse_operation(raw, where: str, d: int, tol: Tolerance) -> Operation:
+    """A kraus/luders/holevo literal on d x d matrices; ``where`` names the expectation."""
+    raw = _require_dict(raw, where)
+    if len(raw) != 1 or next(iter(raw)) not in _OPERATION_KEYS:
+        raise SceneValidationError(f"{where}: expected a kraus/luders/holevo literal")
+    key = next(iter(raw))
+    op = _parse_operation_literal(where, key, raw[key], tol)
+    if op.dim != d:
+        raise SceneValidationError(f"{where}: expected {d}x{d} Kraus operators")
+    return op
+
+
+def _parse_effects(raw, where: str, d: int, tol) -> dict[str, np.ndarray]:
+    effects = _require_dict(raw, where).get("effects")
+    if set(raw) != {"effects"} or not isinstance(effects, dict):
+        raise SceneValidationError(
+            f"{where}: an observable result compares against {{'effects': ...}}"
+        )
+    return {
+        x: _parse_matrix(rows, where, d, what=f"expected effect {x!r}")
+        for x, rows in effects.items()
+    }
+
+
+def _parse_ops(raw, where: str, d: int, tol: Tolerance) -> dict[str, Operation]:
+    # Composite results carry reserved separators in their labels, so the
+    # expectation is parsed without the user-label restrictions.
+    ops = _require_dict(raw, where).get("ops")
+    if set(raw) != {"outcomes", "ops"} or not isinstance(ops, dict):
+        raise SceneValidationError(f"{where}: an instrument result compares against outcomes+ops")
+    return {x: _parse_operation(op, f"{where} expect op {x!r}", d, tol) for x, op in ops.items()}
+
+
+def _parse_record(raw, where: str, *_):
+    if _is_number(raw):  # one number for every field
+        return _parse_number(raw, where)
+    if not isinstance(raw, dict):
+        raise SceneValidationError(f"{where}: expected a record or a single number")
+    return {key: _parse_number(want, f"{where}.{key}") for key, want in raw.items()}
+
+
+def _parse_bayes(raw, where: str, *_):
+    if _is_number(raw):  # the three routes, not the spread derived from them
+        return dict.fromkeys(("lhs", "mid", "rhs"), _parse_number(raw, where))
+    return _parse_record(raw, where)
+
+
+def _observable_distance(value: SubObservable, want: dict, where: str) -> float:
+    worst = 0.0
+    for x, m in want.items():
+        if x not in value.effects:
+            raise SceneValidationError(f"{where}: observable result has no outcome {x!r}")
+        worst = max(worst, float(frobenius(value.effects[x] - m)))
+    return worst
+
+
+def _instrument_distance(value: Instrument, want: dict, where: str) -> float:
+    if set(want) != set(value.outcomes):
+        raise SceneValidationError(
+            f"{where}: expected outcomes {sorted(want)} != result outcomes {sorted(value.outcomes)}"
+        )
+    return max(float(choi_distance(value.ops[x], want[x])) for x in value.outcomes)
+
+
+def _record_distance(value, want, where: str) -> float:
+    """Worst distance over the fields, read from the result's JSON form."""
+    fields = value_to_json(value)
+    if not isinstance(want, dict):
+        want = dict.fromkeys(fields, want)
+    worst = 0.0
+    for key, w in want.items():
+        if key not in fields:
+            raise SceneValidationError(f"{where}: result has no field {key!r}")
+        have = fields[key]
+        have = complex(*have) if isinstance(have, list) else complex(have)
+        worst = max(worst, abs(have - w))
+    return worst
+
+
+_REAL = _Kind("real", _parse_number, lambda value, want, where: abs(value - want))
+_COMPLEX = _Kind("complex", _parse_number, _REAL.distance)
+_BOOL = _Kind("bool", _parse_bool, lambda value, want, where: 0.0 if value == want else 1.0)
+_MATRIX = _Kind("matrix", _parse_matrix, lambda value, want, where: float(frobenius(value - want)))
+_OPERATION = _Kind(
+    "operation",
+    lambda raw, where, d, tol: _parse_operation(raw, f"{where} expect", d, tol),
+    lambda value, want, where: float(choi_distance(value, want)),
+)
+_OBSERVABLE = _Kind("observable", _parse_effects, _observable_distance)
+_INSTRUMENT = _Kind("instrument", _parse_ops, _instrument_distance)
+_RECORD = _Kind("record", _parse_record, _record_distance)
+_BAYES = _Kind("Bayes triple", _parse_bayes, _record_distance)
+
+
 # --- operation registry -------------------------------------------------------
 #
-# One row per op: (name, argument kinds, library function).  A check calls the
-# function on its coerced arguments, plus tol=scene.tolerance when the
-# function has a ``tol`` parameter (``takes_tol``, read once from its
+# One row per op: (name, argument kinds, result kind, library function).  A
+# check calls the function on its coerced arguments, plus tol=scene.tolerance
+# when the function has a ``tol`` parameter (``takes_tol``, read once from its
 # signature).  Results go to value_to_json as the library returns them.
-# Kinds:
+# Argument kinds:
 #   state / effect / matrix      -> ndarray (matrix accepts any of the three)
 #   operation                    -> Operation (it carries the effect it measures)
 #   observable                   -> Observable (a RealValuedObservable is one)
@@ -242,6 +334,7 @@ class SceneReport:
 @dataclass(frozen=True)
 class _Op:
     kinds: tuple[str, ...]
+    result: _Kind
     fn: object
     takes_tol: bool
 
@@ -263,60 +356,64 @@ _CTX_STATS_PAIR = _CTX_STATS + ("real_observable",)
 _CTX_ENTROPY = ("state", "instrument", "observable")
 
 _OP_TABLE = (
-    ("prob", ("state", "effect"), prob),
-    ("complement", ("effect",), complement),
-    ("perp", ("effect", "effect"), perp),
-    ("is_sharp", ("effect",), is_sharp),
-    ("is_atomic", ("effect",), is_atomic),
-    ("loewner_leq", ("matrix", "matrix"), loewner_leq),
-    ("trace_product", ("matrix", "matrix"), trace_product),
-    ("psd_sqrt", ("matrix",), psd_sqrt),
-    ("commutator_norm", ("matrix", "matrix"), _commutator_norm),
-    ("frobenius_distance", ("matrix", "matrix"), _frobenius_distance),
-    ("apply", ("operation", "state"), apply),
-    ("dual_apply", ("operation", "matrix"), dual_apply),
-    ("measured_effect", ("operation",), measured_effect),
-    ("is_channel", ("operation",), is_channel),
-    ("compose", ("operation", "operation"), compose),
-    ("sequential_product", ("operation", "effect"), sequential_product),
-    ("conditional_prob", ("state", "operation", "effect"), conditional_prob),
-    ("updated_state", ("state", "operation"), updated_state),
-    ("bayes2_residual", ("state", "operation", "operation"), bayes2_residual),
-    ("choi_distance", ("operation", "operation"), choi_distance),
-    ("maps_equal", ("operation", "operation"), maps_equal),
-    ("povm", ("observable", "labels"), povm),
-    ("distribution", ("state", "observable"), distribution),
-    ("stochastic_operator", ("real_observable",), stochastic_operator),
-    ("expectation", ("state", "real_observable"), expectation),
-    ("conditional_expectation", ("state", "operation", "real_observable"), conditional_expectation),
-    ("is_commuting", ("observable",), is_commuting),
-    ("jointly_commuting", ("observable", "observable"), _jointly_commuting),
-    ("bar_channel", ("instrument",), bar_channel),
-    ("measured_observable", ("instrument",), measured_observable),
-    ("condition_effect", ("effect", "instrument"), condition_effect),
-    ("condition_observable", ("observable", "instrument"), condition_observable),
-    ("condition_instrument", ("instrument", "instrument"), condition_instrument),
-    ("compose_instruments", ("instrument", "instrument"), compose_instruments),
-    ("bayes1_check", ("state", "instrument", "effect"), bayes1_check),
-    ("bayes1_expectation_check", _CTX_STATS, bayes1_expectation_check),
-    ("contextual_expectation", _CTX_STATS, contextual_expectation),
-    ("contextual_correlation", _CTX_STATS_PAIR, contextual_correlation),
-    ("contextual_covariance", _CTX_STATS_PAIR, contextual_covariance),
-    ("contextual_variance", _CTX_STATS, contextual_variance),
-    ("commutator_trace", _CTX_STATS_PAIR, commutator_trace),
-    ("uncertainty_report", _CTX_STATS_PAIR, uncertainty_report),
-    ("effect_entropy", ("state", "effect"), effect_entropy),
-    ("sequential_entropy", ("state", "operation", "effect"), sequential_entropy),
-    ("conditional_effect_entropy", ("state", "operation", "effect"), conditional_effect_entropy),
-    ("sequential_entropy_dominated", ("operation", "effect"), sequential_entropy_dominated),
-    ("observable_entropy", ("state", "observable"), observable_entropy),
-    ("conditional_observable_entropy_double", _CTX_ENTROPY, conditional_observable_entropy_double),
-    ("conditional_observable_entropy_single", _CTX_ENTROPY, conditional_observable_entropy_single),
+    ("prob", ("state", "effect"), _REAL, prob),
+    ("complement", ("effect",), _MATRIX, complement),
+    ("perp", ("effect", "effect"), _BOOL, perp),
+    ("is_sharp", ("effect",), _BOOL, is_sharp),
+    ("is_atomic", ("effect",), _BOOL, is_atomic),
+    ("loewner_leq", ("matrix", "matrix"), _BOOL, loewner_leq),
+    ("trace_product", ("matrix", "matrix"), _COMPLEX, trace_product),
+    ("psd_sqrt", ("matrix",), _MATRIX, psd_sqrt),
+    ("commutator_norm", ("matrix", "matrix"), _REAL, _commutator_norm),
+    ("frobenius_distance", ("matrix", "matrix"), _REAL, _frobenius_distance),
+    ("apply", ("operation", "state"), _MATRIX, apply),
+    ("dual_apply", ("operation", "matrix"), _MATRIX, dual_apply),
+    ("measured_effect", ("operation",), _MATRIX, measured_effect),
+    ("is_channel", ("operation",), _BOOL, is_channel),
+    ("compose", ("operation", "operation"), _OPERATION, compose),
+    ("sequential_product", ("operation", "effect"), _MATRIX, sequential_product),
+    ("conditional_prob", ("state", "operation", "effect"), _REAL, conditional_prob),
+    ("updated_state", ("state", "operation"), _MATRIX, updated_state),
+    ("bayes2_residual", ("state", "operation", "operation"), _REAL, bayes2_residual),
+    ("choi_distance", ("operation", "operation"), _REAL, choi_distance),
+    ("maps_equal", ("operation", "operation"), _BOOL, maps_equal),
+    ("povm", ("observable", "labels"), _MATRIX, povm),
+    ("distribution", ("state", "observable"), _RECORD, distribution),
+    ("stochastic_operator", ("real_observable",), _MATRIX, stochastic_operator),
+    ("expectation", ("state", "real_observable"), _REAL, expectation),
+    ("conditional_expectation", ("state", "operation", "real_observable"), _REAL,
+     conditional_expectation),
+    ("is_commuting", ("observable",), _BOOL, is_commuting),
+    ("jointly_commuting", ("observable", "observable"), _BOOL, _jointly_commuting),
+    ("bar_channel", ("instrument",), _OPERATION, bar_channel),
+    ("measured_observable", ("instrument",), _OBSERVABLE, measured_observable),
+    ("condition_effect", ("effect", "instrument"), _MATRIX, condition_effect),
+    ("condition_observable", ("observable", "instrument"), _OBSERVABLE, condition_observable),
+    ("condition_instrument", ("instrument", "instrument"), _INSTRUMENT, condition_instrument),
+    ("compose_instruments", ("instrument", "instrument"), _INSTRUMENT, compose_instruments),
+    ("bayes1_check", ("state", "instrument", "effect"), _BAYES, bayes1_check),
+    ("bayes1_expectation_check", _CTX_STATS, _BAYES, bayes1_expectation_check),
+    ("contextual_expectation", _CTX_STATS, _REAL, contextual_expectation),
+    ("contextual_correlation", _CTX_STATS_PAIR, _COMPLEX, contextual_correlation),
+    ("contextual_covariance", _CTX_STATS_PAIR, _REAL, contextual_covariance),
+    ("contextual_variance", _CTX_STATS, _REAL, contextual_variance),
+    ("commutator_trace", _CTX_STATS_PAIR, _COMPLEX, commutator_trace),
+    ("uncertainty_report", _CTX_STATS_PAIR, _RECORD, uncertainty_report),
+    ("effect_entropy", ("state", "effect"), _REAL, effect_entropy),
+    ("sequential_entropy", ("state", "operation", "effect"), _REAL, sequential_entropy),
+    ("conditional_effect_entropy", ("state", "operation", "effect"), _REAL,
+     conditional_effect_entropy),
+    ("sequential_entropy_dominated", ("operation", "effect"), _BOOL, sequential_entropy_dominated),
+    ("observable_entropy", ("state", "observable"), _REAL, observable_entropy),
+    ("conditional_observable_entropy_double", _CTX_ENTROPY, _REAL,
+     conditional_observable_entropy_double),
+    ("conditional_observable_entropy_single", _CTX_ENTROPY, _REAL,
+     conditional_observable_entropy_single),
 )
 
 SCENE_OPS: dict[str, _Op] = {
-    name: _Op(kinds, fn, "tol" in inspect.signature(fn).parameters)
-    for name, kinds, fn in _OP_TABLE
+    name: _Op(kinds, result, fn, "tol" in inspect.signature(fn).parameters)
+    for name, kinds, result, fn in _OP_TABLE
 }
 
 
@@ -380,8 +477,7 @@ def _parse_observable(name: str, raw):
     return obs
 
 
-def _parse_operation_literal(name: str, key: str, raw, tol: Tolerance) -> Operation:
-    where = f"object {name!r}"
+def _parse_operation_literal(where: str, key: str, raw, tol: Tolerance) -> Operation:
     if key == "kraus":
         if not isinstance(raw, list) or not raw:
             raise SceneParseError(f"{where}: kraus must be a nonempty list of matrices")
@@ -390,7 +486,7 @@ def _parse_operation_literal(name: str, key: str, raw, tol: Tolerance) -> Operat
         )
     if key == "luders":
         a = matrix_from_json(raw, f"{where} luders effect")
-        _raise_violations(name, validate_effect(a, tol))
+        _raise_violations(where, validate_effect(a, tol))
         return luders(a, tol)
     # holevo
     raw = _require_dict(raw, f"{where} holevo")
@@ -398,7 +494,7 @@ def _parse_operation_literal(name: str, key: str, raw, tol: Tolerance) -> Operat
         raise SceneParseError(f"{where}: holevo needs exactly effect and alpha")
     a = matrix_from_json(raw["effect"], f"{where} holevo effect")
     alpha = matrix_from_json(raw["alpha"], f"{where} holevo alpha")
-    _raise_violations(name, validate_effect(a, tol) + validate_state(alpha, tol))
+    _raise_violations(where, validate_effect(a, tol) + validate_state(alpha, tol))
     return holevo(a, alpha, tol)
 
 
@@ -421,7 +517,7 @@ def _parse_instrument(
             if x not in alphas_raw:
                 raise SceneParseError(f"{where}: missing update state for outcome {x!r}")
             alpha = matrix_from_json(alphas_raw[x], f"{where} alpha {x!r}")
-            _raise_violations(f"{name}.alphas[{x}]", validate_state(alpha, tol))
+            _raise_violations(f"object {f'{name}.alphas[{x}]'!r}", validate_state(alpha, tol))
             alphas[x] = alpha
         if set(alphas_raw) - set(source.outcomes):
             raise SceneParseError(f"{where}: alphas has labels the observable lacks")
@@ -432,12 +528,12 @@ def _parse_instrument(
         ops = {}
         for x in labels:
             literal = _require_dict(ops_raw[x], f"{where} op {x!r}")
-            if len(literal) != 1 or next(iter(literal)) not in ("kraus", "luders", "holevo"):
+            if len(literal) != 1 or next(iter(literal)) not in _OPERATION_KEYS:
                 raise SceneParseError(
                     f"{where} op {x!r}: expected a kraus, luders or holevo literal"
                 )
             key = next(iter(literal))
-            ops[x] = _parse_operation_literal(f"{name}[{x}]", key, literal[key], tol)
+            ops[x] = _parse_operation_literal(f"object {f'{name}[{x}]'!r}", key, literal[key], tol)
         return Instrument(labels, ops)
     raise SceneParseError(
         f"{where}: an instrument literal is outcomes+ops, luders_of, or holevo_of"
@@ -454,22 +550,14 @@ def _resolve_observable_ref(
     return observables[ref]
 
 
-def _raise_violations(name: str, violations) -> None:
+def _raise_violations(where: str, violations) -> None:
     if violations:
         detail = "; ".join(str(v) for v in violations)
-        raise SceneValidationError(f"object {name!r}: {detail}")
+        raise SceneValidationError(f"{where}: {detail}")
 
 
-_OBJECT_KEYS = (
-    "state",
-    "effect",
-    "matrix",
-    "kraus",
-    "luders",
-    "holevo",
-    "observable",
-    "instrument",
-)
+_OPERATION_KEYS = ("kraus", "luders", "holevo")
+_OBJECT_KEYS = ("state", "effect", "matrix", *_OPERATION_KEYS, "observable", "instrument")
 
 
 def _build_object(
@@ -485,24 +573,24 @@ def _build_object(
     raw = literal[key]
     if key == "state":
         m = matrix_from_json(raw, where)
-        _raise_violations(name, validate_state(m, tol))
+        _raise_violations(where, validate_state(m, tol))
         return SceneObject(name, "state", m)
     if key == "effect":
         m = matrix_from_json(raw, where)
-        _raise_violations(name, validate_effect(m, tol))
+        _raise_violations(where, validate_effect(m, tol))
         return SceneObject(name, "effect", m)
     if key == "matrix":
         return SceneObject(name, "matrix", matrix_from_json(raw, where))
-    if key in ("kraus", "luders", "holevo"):
-        op = _parse_operation_literal(name, key, raw, tol)
-        _raise_violations(name, validate_operation(op, tol))
+    if key in _OPERATION_KEYS:
+        op = _parse_operation_literal(where, key, raw, tol)
+        _raise_violations(where, validate_operation(op, tol))
         return SceneObject(name, "operation", op)
     if key == "observable":
         obs = _parse_observable(name, raw)
-        _raise_violations(name, validate_observable(obs, tol))
+        _raise_violations(where, validate_observable(obs, tol))
         return SceneObject(name, "observable", obs)
     ins = _parse_instrument(name, raw, tol, observables)
-    _raise_violations(name, validate_instrument(ins, tol))
+    _raise_violations(where, validate_instrument(ins, tol))
     return SceneObject(name, "instrument", ins)
 
 
@@ -549,7 +637,7 @@ def _coerce_arg(kind: str, raw, check_where: str, objects: Mapping[str, SceneObj
 
 
 def _parse_check(
-    index: int, raw, objects: Mapping[str, SceneObject]
+    index: int, raw, objects: Mapping[str, SceneObject], scene_tol: Tolerance
 ) -> CheckSpec:
     where = f"check[{index}]"
     raw = _require_dict(raw, where)
@@ -577,11 +665,11 @@ def _parse_check(
         _coerce_arg(kind, arg, f"{where} ({op})", objects)
         for kind, arg in zip(spec.kinds, args_raw)
     )
-    dims = set()
-    for a, kind in zip(args, spec.kinds):
-        if kind in ("label", "labels", "number"):
-            continue
-        dims.add(a.shape[0] if isinstance(a, np.ndarray) else a.dim)
+    dims = {
+        a.shape[0] if isinstance(a, np.ndarray) else a.dim
+        for a, kind in zip(args, spec.kinds)
+        if kind not in ("label", "labels", "number")
+    }
     if len(dims) > 1:
         raise SceneValidationError(f"{where}: arguments mix dimensions {sorted(dims)}")
 
@@ -594,6 +682,10 @@ def _parse_check(
     for bound, key in ((expect_min, "expect_min"), (expect_max, "expect_max")):
         if bound is not None and _json_float(bound) is None:
             raise SceneParseError(f"{where}: {key} must be a number")
+        if bound is not None and spec.result is not _REAL:
+            raise SceneValidationError(
+                f"{where}: {key} needs a real result; op {op!r} returns {spec.result.name}"
+            )
     tol = raw.get("tol")
     if tol is not None:
         tol = _json_float(tol)
@@ -602,12 +694,14 @@ def _parse_check(
     label = raw.get("label")
     if label is not None and not isinstance(label, str):
         raise SceneParseError(f"{where}: label must be a string")
+    want = spec.result.parse(expect, where, dims.pop(), scene_tol) if has_expect else None
     return CheckSpec(
         index=index,
         op=op,
         args=args,
         expect=expect,
         has_expect=has_expect,
+        want=want,
         expect_min=None if expect_min is None else float(expect_min),
         expect_max=None if expect_max is None else float(expect_max),
         tol=tol,
@@ -673,122 +767,8 @@ def load_scene(source) -> Scene:
     raw_checks = data.get("checks", [])
     if not isinstance(raw_checks, list):
         raise SceneParseError("checks must be a list")
-    checks = tuple(_parse_check(i, c, objects) for i, c in enumerate(raw_checks))
+    checks = tuple(_parse_check(i, c, objects, tol) for i, c in enumerate(raw_checks))
     return Scene(name=name, tolerance=tol, objects=objects, checks=checks, path=path)
-
-
-# --- comparison ---------------------------------------------------------------
-
-
-def _as_complex(expected, where: str) -> complex:
-    if isinstance(expected, bool):
-        raise SceneValidationError(f"{where}: expected a number, got a boolean")
-    parts = expected if isinstance(expected, list) and len(expected) == 2 else [expected, 0.0]
-    re, im = map(_json_float, parts)
-    if re is None or im is None:
-        raise SceneValidationError(f"{where}: expected a number or [re, im] pair")
-    return complex(re, im)
-
-
-def _record_residual(computed: dict, expected, where: str) -> float:
-    """Residual between a record (dict of numbers/pairs) and its expectation.
-
-    A scalar expectation compares every field against the same number.
-    """
-    if _is_number(expected):
-        expected = {key: expected for key in computed}
-    if not isinstance(expected, dict):
-        raise SceneValidationError(f"{where}: expected a record or a single number")
-    worst = 0.0
-    for key, want in expected.items():
-        if key not in computed:
-            raise SceneValidationError(f"{where}: result has no field {key!r}")
-        have = computed[key]
-        if isinstance(have, list):
-            have = complex(have[0], have[1])
-        elif isinstance(have, (int, float)):
-            have = complex(have)
-        else:
-            raise SceneValidationError(f"{where}: field {key!r} is not numeric")
-        worst = max(worst, abs(have - _as_complex(want, f"{where}.{key}")))
-    return worst
-
-
-def _operation_from_expected(expected, where: str, tol: Tolerance) -> Operation:
-    expected = _require_dict(expected, where)
-    if len(expected) != 1 or next(iter(expected)) not in ("kraus", "luders", "holevo"):
-        raise SceneValidationError(f"{where}: expected a kraus/luders/holevo literal")
-    key = next(iter(expected))
-    return _parse_operation_literal(where, key, expected[key], tol)
-
-
-def _residual(value, check: CheckSpec, tol: Tolerance) -> tuple[float, object]:
-    """Distance between a computed value and the check's expectation."""
-    where = f"check[{check.index}]"
-    expected = check.expect
-    if isinstance(value, bool):
-        if not isinstance(expected, bool):
-            raise SceneValidationError(f"{where}: expected true/false for a boolean result")
-        return (0.0 if value == expected else 1.0), expected
-    if isinstance(value, (int, float)):
-        return abs(float(value) - _as_complex(expected, where)), expected
-    if isinstance(value, complex):
-        return abs(value - _as_complex(expected, where)), expected
-    if isinstance(value, np.ndarray):
-        want = matrix_from_json(expected, f"{where} expected matrix")
-        if want.shape != value.shape:
-            raise SceneValidationError(
-                f"{where}: expected a {value.shape[0]}x{value.shape[1]} matrix"
-            )
-        return float(frobenius(value - want)), expected
-    if isinstance(value, SubObservable):
-        exp = _require_dict(expected, where)
-        effects = exp.get("effects")
-        if set(exp) != {"effects"} or not isinstance(effects, dict):
-            raise SceneValidationError(
-                f"{where}: an observable result compares against {{'effects': ...}}"
-            )
-        worst = 0.0
-        for x, rows in effects.items():
-            if x not in value.effects:
-                raise SceneValidationError(f"{where}: observable result has no outcome {x!r}")
-            want = matrix_from_json(rows, f"{where} expected effect {x!r}")
-            worst = max(worst, float(frobenius(value.effects[x] - want)))
-        return worst, expected
-    if isinstance(value, BayesTriple):
-        # A scalar expectation pins all three routes (but not the derived
-        # spread, which a scalar broadcast would nonsensically compare).
-        if _is_number(expected):
-            want = _as_complex(expected, where).real
-            return max(
-                abs(value.lhs - want), abs(value.mid - want), abs(value.rhs - want)
-            ), expected
-        return _record_residual(value.to_json(), expected, where), expected
-    if hasattr(value, "to_json"):
-        return _record_residual(value.to_json(), expected, where), expected
-    if isinstance(value, dict):
-        return _record_residual(value, expected, where), expected
-    if isinstance(value, Operation):
-        return float(choi_distance(value, _operation_from_expected(expected, where, tol))), expected
-    if isinstance(value, Instrument):
-        exp = _require_dict(expected, where)
-        if set(exp) != {"outcomes", "ops"} or not isinstance(exp["ops"], dict):
-            raise SceneValidationError(
-                f"{where}: an instrument result compares against outcomes+ops"
-            )
-        # Composite results carry reserved separators in their labels, so the
-        # expectation is parsed without the user-label restrictions.
-        if set(exp["ops"]) != set(value.outcomes):
-            raise SceneValidationError(
-                f"{where}: expected outcomes {sorted(exp['ops'])} "
-                f"!= result outcomes {sorted(value.outcomes)}"
-            )
-        worst = 0.0
-        for x in value.outcomes:
-            want = _operation_from_expected(exp["ops"][x], f"{where} op {x!r}", tol)
-            worst = max(worst, float(choi_distance(value.ops[x], want)))
-        return worst, expected
-    raise SceneValidationError(f"{where}: cannot compare a {type(value).__name__} result")
 
 
 def run_scene(scene: Scene, default_tol: float | None = None) -> SceneReport:
@@ -820,27 +800,15 @@ def run_scene(scene: Scene, default_tol: float | None = None) -> SceneReport:
                 )
             )
             continue
-        residual = 0.0
-        passed = True
-        expected_json = None
         if check.has_expect:
-            residual, expected_json = _residual(value, check, scene.tolerance)
+            residual = op.result.distance(value, check.want, f"check[{check.index}]")
             passed = residual <= threshold
-        else:
-            numeric = _is_number(value)
+        else:  # only a real result takes bounds (checked at load)
+            residual = 0.0
             if check.expect_min is not None:
-                if not numeric:
-                    raise SceneValidationError(
-                        f"check[{check.index}]: expect_min needs a numeric result"
-                    )
                 residual = max(residual, check.expect_min - float(value))
             if check.expect_max is not None:
-                if not numeric:
-                    raise SceneValidationError(
-                        f"check[{check.index}]: expect_max needs a numeric result"
-                    )
                 residual = max(residual, float(value) - check.expect_max)
-            residual = max(0.0, residual)
             passed = residual <= 0.0
         results.append(
             CheckResult(
@@ -850,7 +818,7 @@ def run_scene(scene: Scene, default_tol: float | None = None) -> SceneReport:
                 passed=bool(passed),
                 residual=float(residual),
                 value=value_to_json(value),
-                expected=expected_json,
+                expected=check.expect if check.has_expect else None,
             )
         )
     return SceneReport(

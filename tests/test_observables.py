@@ -77,6 +77,19 @@ def test_stochastic_operator(qubit):
     assert np.allclose(stochastic_operator(b2), np.ones((2, 2)))
 
 
+def test_stochastic_operator_is_built_once_and_read_only(qubit):
+    b = RealValuedObservable(z_observable(qubit), {"x0": 0.5, "x1": -2.0})
+    bt = stochastic_operator(b)
+    assert stochastic_operator(b) is bt is b.btilde
+    assert np.array_equal(bt, 0.5 * b.effects["x0"] - 2.0 * b.effects["x1"])
+    assert not bt.flags.writeable
+    with pytest.raises(ValueError):
+        bt[0, 0] = 7.0
+    with pytest.raises(ValueError):
+        bt += np.eye(2)
+    assert np.array_equal(stochastic_operator(b), np.diag([0.5, -2.0]))
+
+
 def test_expectation(qubit):
     b = RealValuedObservable(z_observable(qubit), {"x0": 1.0, "x1": -1.0})
     assert expectation(np.eye(2) / 2, b) == pytest.approx(0.0)

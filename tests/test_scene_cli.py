@@ -9,6 +9,7 @@ and the CLI exit-code contract: 0 all passed, 1 failing checks or suites,
 import json
 import math
 import pathlib
+import re
 
 import pytest
 
@@ -458,9 +459,91 @@ def test_oversized_integer_in_check_numbers_is_rejected():
             load_scene(_basic_scene(checks=[check]))
     with pytest.raises(SceneParseError, match="eq_tol must be a positive number"):
         load_scene(_basic_scene(tolerance={"eq_tol": _HUGE}))
-    scene = load_scene(_basic_scene(checks=[{"op": "prob", "args": ["rho", "p0"], "expect": _HUGE}]))
     with pytest.raises(SceneValidationError, match="expected a number or"):
-        run_scene(scene)
+        load_scene(_basic_scene(checks=[{"op": "prob", "args": ["rho", "p0"], "expect": _HUGE}]))
+
+
+_Z = {"outcomes": ["0", "1"], "effects": {"0": [[1, 0], [0, 0]], "1": [[0, 0], [0, 1]]}}
+_MALFORMED_EXPECT = {
+    "nan-on-real": (
+        {"op": "prob", "args": ["rho", "p0"], "expect": math.nan},
+        SceneValidationError, "check[0]: expected a number or [re, im] pair",
+    ),
+    "string-on-real": (
+        {"op": "prob", "args": ["rho", "p0"], "expect": "half"},
+        SceneValidationError, "check[0]: expected a number or [re, im] pair",
+    ),
+    "oversized-on-real": (
+        {"op": "prob", "args": ["rho", "p0"], "expect": _HUGE},
+        SceneValidationError, "check[0]: expected a number or [re, im] pair",
+    ),
+    "one-on-bool": (
+        {"op": "is_sharp", "args": ["p0"], "expect": 1},
+        SceneValidationError, "check[0]: expected true/false for a boolean result",
+    ),
+    "bad-kraus-on-compose": (
+        {"op": "compose", "args": ["meas", "meas"], "expect": {"kraus": "oops"}},
+        SceneParseError, "check[0] expect: kraus must be a nonempty list of matrices",
+    ),
+    "bad-kraus-in-instrument": (
+        {"op": "compose_instruments", "args": ["lz", "lz"],
+         "expect": {"outcomes": ["0,0"], "ops": {"0,0": {"kraus": []}}}},
+        SceneParseError, "check[0] expect op '0,0': kraus must be a nonempty list of matrices",
+    ),
+    "operation-of-another-dimension": (
+        {"op": "compose", "args": ["meas", "meas"], "expect": {"kraus": [[[1, 0, 0]] * 3]}},
+        SceneValidationError, "check[0] expect: expected 2x2 Kraus operators",
+    ),
+    "3x3-on-qubit-complement": (
+        {"op": "complement", "args": ["p0"], "expect": [[0, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        SceneValidationError, "check[0]: expected a 2x2 matrix",
+    ),
+    "3x3-effect-on-qubit-observable": (
+        {"op": "measured_observable", "args": ["lz"],
+         "expect": {"effects": {"0": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}}},
+        SceneValidationError, "check[0]: expected a 2x2 matrix",
+    ),
+    "observable-without-effects": (
+        {"op": "measured_observable", "args": ["lz"], "expect": {"outcomes": ["0", "1"]}},
+        SceneValidationError,
+        "check[0]: an observable result compares against {'effects': ...}",
+    ),
+    "instrument-without-ops": (
+        {"op": "compose_instruments", "args": ["lz", "lz"], "expect": {"outcomes": ["0,0"]}},
+        SceneValidationError, "check[0]: an instrument result compares against outcomes+ops",
+    ),
+    "expect-min-on-bool": (
+        {"op": "is_sharp", "args": ["p0"], "expect_min": 0},
+        SceneValidationError,
+        "check[0]: expect_min needs a real result; op 'is_sharp' returns bool",
+    ),
+    "expect-min-on-trace-product": (
+        {"op": "trace_product", "args": ["rho", "p0"], "expect_min": 0},
+        SceneValidationError,
+        "check[0]: expect_min needs a real result; op 'trace_product' returns complex",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_EXPECT))
+def test_malformed_expectation_fails_validate(case, tmp_path, capsys):
+    # Each op declares its result kind, so an expectation it could never meet
+    # fails at load: validate rejects what run would.
+    check, error, message = _MALFORMED_EXPECT[case]
+    scene = _basic_scene(checks=[check])
+    scene["objects"].update(
+        meas={"luders": [[1, 0], [0, 0]]},
+        zv={"observable": _Z},
+        lz={"instrument": {"luders_of": "zv"}},
+    )
+    path = _write(tmp_path, scene)
+    with pytest.raises(error, match=re.escape(message)):
+        load_scene(path)
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
 
 def test_cli_run_missing_file_exits_2(capsys):

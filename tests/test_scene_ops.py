@@ -2,8 +2,9 @@
 
 ``tests/scenes/every-op.json`` holds one check per entry of ``SCENE_OPS`` on
 qubit objects.  The registry hands library results to the report unchanged,
-so scalar results must already be builtin bool/float/complex: the residual
-comparison rejects a ``numpy.bool_`` against a JSON boolean.
+so scalar results must already be builtin bool/float/complex, and each
+result must be of the kind its row declares: the expectation is parsed into
+that kind at load, and the kind's distance is all the runner compares with.
 """
 
 import numbers
@@ -11,7 +12,9 @@ import pathlib
 
 import numpy as np
 
+from qcond import BayesTriple, Instrument, Operation, SubObservable
 from qcond.scene import SCENE_OPS, load_scene, run_scene
+from qcond.serialize import value_to_json
 
 EVERY_OP = pathlib.Path(__file__).resolve().parent / "scenes" / "every-op.json"
 
@@ -51,3 +54,35 @@ def test_takes_tol_follows_the_signature():
     assert not SCENE_OPS["apply"].takes_tol
     assert not SCENE_OPS["contextual_correlation"].takes_tol
     assert not SCENE_OPS["commutator_norm"].takes_tol
+
+
+def _numeric_fields(value) -> bool:
+    fields = value_to_json(value)
+    return isinstance(fields, dict) and all(
+        type(v) is float or (isinstance(v, list) and [type(x) for x in v] == [float, float])
+        for v in fields.values()
+    )
+
+
+_IS_KIND = {
+    "real": lambda v, d: type(v) is float,
+    "complex": lambda v, d: type(v) is complex,
+    "bool": lambda v, d: type(v) is bool,
+    "matrix": lambda v, d: isinstance(v, np.ndarray) and v.shape == (d, d),
+    "operation": lambda v, d: isinstance(v, Operation) and v.dim == d,
+    "observable": lambda v, d: isinstance(v, SubObservable) and v.dim == d,
+    "instrument": lambda v, d: isinstance(v, Instrument) and v.dim == d,
+    "record": lambda v, d: not isinstance(v, BayesTriple) and _numeric_fields(v),
+    "Bayes triple": lambda v, d: isinstance(v, BayesTriple) and _numeric_fields(v),
+}
+
+
+def test_declared_result_kinds_match_values():
+    # The runner trusts the row's kind; a row that lies would compare a result
+    # with a distance made for another kind.
+    scene = load_scene(EVERY_OP)
+    assert {op.result.name for op in SCENE_OPS.values()} == set(_IS_KIND)
+    for check in scene.checks:
+        kind = SCENE_OPS[check.op].result.name
+        value = _call(SCENE_OPS[check.op], check.args, scene.tolerance)
+        assert _IS_KIND[kind](value, 2), (check.op, kind, type(value))
