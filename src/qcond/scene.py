@@ -32,7 +32,8 @@ scene's eq_tol).
 
 Checks are typed at load: each op declares the kind of its result, "expect"
 is parsed into that kind when the scene loads, and only a real result takes
-bounds.  The kinds, with the expectation each reads and the residual:
+bounds (a NaN or infinite result meets none).  The kinds, with the
+expectation each reads and the residual:
 
     real, complex   a number or [re, im] pair        |value - expect|
     bool            true or false                    0 if equal, else 1
@@ -60,6 +61,8 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -76,7 +79,9 @@ from .entropy import (
     conditional_observable_entropy_single, effect_entropy, observable_entropy,
     sequential_entropy, sequential_entropy_dominated,
 )
-from .errors import QcondError, SceneParseError, SceneReferenceError, SceneValidationError
+from .errors import (
+    QcondError, SceneError, SceneParseError, SceneReferenceError, SceneValidationError,
+)
 from .instruments import (
     COMPOSITE_LABEL_SEPARATOR, Instrument, bar_channel, bayes1_check, bayes1_expectation_check,
     compose_instruments, condition_effect, condition_instrument, condition_observable,
@@ -228,7 +233,8 @@ def _parse_operation(raw, where: str, d: int, tol: Tolerance) -> Operation:
     if len(raw) != 1 or next(iter(raw)) not in _OPERATION_KEYS:
         raise SceneValidationError(f"{where}: expected a kraus/luders/holevo literal")
     key = next(iter(raw))
-    op = _parse_operation_literal(where, key, raw[key], tol)
+    with _naming(where):
+        op = _parse_operation_literal(where, key, raw[key], tol)
     if op.dim != d:
         raise SceneValidationError(f"{where}: expected {d}x{d} Kraus operators")
     return op
@@ -550,6 +556,19 @@ def _resolve_observable_ref(
     return observables[ref]
 
 
+@contextmanager
+def _naming(where: str):
+    """Re-raise a library error from the constructors inside (operands of
+    different sizes in one literal, say) as a SceneValidationError naming
+    ``where``, so the CLI reports it like any other invalid literal."""
+    try:
+        yield
+    except SceneError:
+        raise
+    except QcondError as exc:
+        raise SceneValidationError(f"{where}: {exc}") from exc
+
+
 def _raise_violations(where: str, violations) -> None:
     if violations:
         detail = "; ".join(str(v) for v in violations)
@@ -571,27 +590,28 @@ def _build_object(
         )
     key = next(iter(literal))
     raw = literal[key]
-    if key == "state":
-        m = matrix_from_json(raw, where)
-        _raise_violations(where, validate_state(m, tol))
-        return SceneObject(name, "state", m)
-    if key == "effect":
-        m = matrix_from_json(raw, where)
-        _raise_violations(where, validate_effect(m, tol))
-        return SceneObject(name, "effect", m)
-    if key == "matrix":
-        return SceneObject(name, "matrix", matrix_from_json(raw, where))
-    if key in _OPERATION_KEYS:
-        op = _parse_operation_literal(where, key, raw, tol)
-        _raise_violations(where, validate_operation(op, tol))
-        return SceneObject(name, "operation", op)
-    if key == "observable":
-        obs = _parse_observable(name, raw)
-        _raise_violations(where, validate_observable(obs, tol))
-        return SceneObject(name, "observable", obs)
-    ins = _parse_instrument(name, raw, tol, observables)
-    _raise_violations(where, validate_instrument(ins, tol))
-    return SceneObject(name, "instrument", ins)
+    with _naming(where):
+        if key == "state":
+            m = matrix_from_json(raw, where)
+            _raise_violations(where, validate_state(m, tol))
+            return SceneObject(name, "state", m)
+        if key == "effect":
+            m = matrix_from_json(raw, where)
+            _raise_violations(where, validate_effect(m, tol))
+            return SceneObject(name, "effect", m)
+        if key == "matrix":
+            return SceneObject(name, "matrix", matrix_from_json(raw, where))
+        if key in _OPERATION_KEYS:
+            op = _parse_operation_literal(where, key, raw, tol)
+            _raise_violations(where, validate_operation(op, tol))
+            return SceneObject(name, "operation", op)
+        if key == "observable":
+            obs = _parse_observable(name, raw)
+            _raise_violations(where, validate_observable(obs, tol))
+            return SceneObject(name, "observable", obs)
+        ins = _parse_instrument(name, raw, tol, observables)
+        _raise_violations(where, validate_instrument(ins, tol))
+        return SceneObject(name, "instrument", ins)
 
 
 _ACCEPTED_KINDS = {
@@ -804,11 +824,12 @@ def run_scene(scene: Scene, default_tol: float | None = None) -> SceneReport:
             residual = op.result.distance(value, check.want, f"check[{check.index}]")
             passed = residual <= threshold
         else:  # only a real result takes bounds (checked at load)
-            residual = 0.0
+            x = float(value)
+            residual = 0.0 if math.isfinite(x) else math.inf  # NaN meets no bound
             if check.expect_min is not None:
-                residual = max(residual, check.expect_min - float(value))
+                residual = max(residual, check.expect_min - x)
             if check.expect_max is not None:
-                residual = max(residual, float(value) - check.expect_max)
+                residual = max(residual, x - check.expect_max)
             passed = residual <= 0.0
         results.append(
             CheckResult(

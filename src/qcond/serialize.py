@@ -9,6 +9,7 @@ output stays readable and byte-deterministic for a fixed input.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -60,35 +61,87 @@ def _json_float(x) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _entry_from_json(entry, where: str) -> complex:
+_REAL = frozenset((int, float))  # the exact types json gives a number
+
+
+def _entry_error(entry) -> str | None:
+    """What is wrong with one matrix entry, or None for a legal one."""
     if isinstance(entry, bool):
-        raise SceneParseError(f"{where}: matrix entries must be numbers, got a boolean")
+        return "matrix entries must be numbers, got a boolean"
+    if _is_number(entry):
+        parts = (entry,)
+    elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
+        parts = entry
+    else:
+        return "matrix entries must be numbers or [re, im] pairs"
+    if any(_json_float(part) is None for part in parts):
+        return "matrix entries must be finite"
+    return None
+
+
+def _screened(rows, n: int) -> list | None:
+    """The literal's numbers in row-major order (a pair as re, im) when it is
+    n rows of n plain numbers, or of n [re, im] pairs of plain numbers; None
+    otherwise.
+
+    The checks run over the whole literal at C speed; anything unusual (a
+    bool, a number subclass, scalars mixed with pairs, a bad row) is left to
+    `_walk`.
+    """
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {n}:
+        return None
+    entries = list(chain.from_iterable(rows))
+    kinds = set(map(type, entries))
+    if kinds <= _REAL:
+        return entries
+    if kinds == {list} and set(map(len, entries)) == {2}:
+        parts = list(chain.from_iterable(entries))
+        if set(map(type, parts)) <= _REAL:
+            return parts
+    return None
+
+
+def _finite(numbers: list) -> np.ndarray | None:
+    """The numbers as one float64 array, or None if any is not finite."""
     try:
-        if isinstance(entry, (int, float)):
-            value = complex(entry, 0.0)
-        elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
-            value = complex(entry[0], entry[1])
-        else:
-            raise SceneParseError(f"{where}: matrix entries must be numbers or [re, im] pairs")
+        values = np.array(numbers, dtype=np.float64)
     except OverflowError:  # an integer beyond float range
-        raise SceneParseError(f"{where}: matrix entries must be finite") from None
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-        raise SceneParseError(f"{where}: matrix entries must be finite")
-    return value
+        return None
+    return values if np.isfinite(values).all() else None
 
 
-def matrix_from_json(rows, where: str = "matrix") -> np.ndarray:
-    """Parse the matrix literal; raises SceneParseError with a location string."""
-    if not isinstance(rows, list) or not rows:
-        raise SceneParseError(f"{where}: expected a non-empty array of rows")
-    n = len(rows)
-    out = np.zeros((n, n), dtype=np.complex128)
+def _walk(rows, n: int, where: str) -> list:
+    """The row-major walk: raise at the first bad row or entry, else the
+    literal's numbers with every entry as a pair re, im."""
+    numbers = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise SceneParseError(f"{where} row {i}: expected {n} entries (square matrix)")
         for j, entry in enumerate(row):
-            out[i, j] = _entry_from_json(entry, f"{where} row {i} col {j}")
-    return out
+            error = _entry_error(entry)
+            if error is not None:
+                raise SceneParseError(f"{where} row {i} col {j}: {error}")
+            numbers.extend(entry if isinstance(entry, list) else (entry, 0.0))
+    return numbers
+
+
+def matrix_from_json(rows, where: str = "matrix") -> np.ndarray:
+    """Parse the matrix literal; raises SceneParseError with a location string.
+
+    Each entry x or [re, im] becomes complex(x, 0.0) or complex(re, im), bit
+    for bit, through one float64 conversion of the whole literal.  An error
+    names the first bad row or entry in row-major order.
+    """
+    if not isinstance(rows, list) or not rows:
+        raise SceneParseError(f"{where}: expected a non-empty array of rows")
+    n = len(rows)
+    numbers = _screened(rows, n)
+    values = None if numbers is None else _finite(numbers)
+    if values is None:
+        values = np.array(_walk(rows, n, where), dtype=np.float64)
+    if values.size == n * n:  # plain numbers; pairs give 2 n^2
+        return values.astype(np.complex128).reshape(n, n)
+    return values.view(np.complex128).reshape(n, n)
 
 
 def operation_to_json(op: Operation) -> dict:

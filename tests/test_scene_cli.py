@@ -232,6 +232,30 @@ def test_expect_bounds_pass_and_fail():
     assert not report.passed
 
 
+@pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+def test_non_finite_result_fails_every_bound(tmp_path, capsys):
+    # [x, z] has entries near 1e400, so its norm is not finite (NaN here).
+    scene = {
+        "objects": {
+            "x": {"matrix": [[0, 1e200], [1e200, 0]]},
+            "z": {"matrix": [[1e200, 0], [0, -1e200]]},
+        },
+        "checks": [
+            {"op": "commutator_norm", "args": ["x", "z"], "expect_max": 1.0},
+            {"op": "commutator_norm", "args": ["x", "z"], "expect_min": 0.0},
+            {"op": "commutator_norm", "args": ["x", "z"], "expect_min": 0.0, "expect_max": 1.0},
+        ],
+    }
+    report = run_scene(load_scene(scene))
+    assert not math.isfinite(report.checks[0].value)
+    assert [c.passed for c in report.checks] == [False, False, False]
+    assert [c.residual for c in report.checks] == [math.inf] * 3
+    out_path = tmp_path / "report.json"
+    assert main(["run", _write(tmp_path, scene), "--json", str(out_path)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert json.loads(out_path.read_text())["passed"] is False
+
+
 def test_check_tolerance_precedence():
     # check tol > runner --tol > scene eq_tol.
     scene = _basic_scene()
@@ -334,6 +358,46 @@ def test_cli_validate_rejects_malformed(tmp_path, capsys):
     assert rc == 2
     assert "ok" in captured.out
     assert "invalid" in captured.err
+
+
+_I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+_MIXED_SIZES = {
+    "kraus": (
+        {"k": {"kraus": [[[1, 0], [0, 1]], _I3]}},
+        [],
+        "object 'k': Kraus operators have mixed dimensions",
+    ),
+    "observable": (
+        {"o": {"observable": {"outcomes": ["0", "1"], "effects": {"0": [[1, 0], [0, 1]], "1": _I3}}}},
+        [],
+        "object 'o': effects have mixed dimensions [2, 3]",
+    ),
+    "holevo": (
+        {"h": {"holevo": {"effect": [[1, 0], [0, 0]], "alpha": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}}},
+        [],
+        "object 'h': effect and update state must share a dimension",
+    ),
+    "expected-kraus": (
+        {"a": {"luders": [[1, 0], [0, 0]]}},
+        [{"op": "compose", "args": ["a", "a"], "expect": {"kraus": [[[1, 0], [0, 1]], _I3]}}],
+        "check[0] expect: Kraus operators have mixed dimensions",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MIXED_SIZES))
+def test_cli_validate_names_a_literal_of_mixed_sizes(case, tmp_path, capsys):
+    objects, checks, message = _MIXED_SIZES[case]
+    mixed = _write(tmp_path, {"objects": objects, "checks": checks}, "a.json")
+    good = _write(tmp_path, _basic_scene(), "b.json")
+    with pytest.raises(SceneValidationError, match=re.escape(message)):
+        load_scene(mixed)
+    assert main(["validate", mixed, good]) == 2
+    captured = capsys.readouterr()
+    assert f"invalid {mixed}: {message}" in captured.err
+    assert f"ok {good}" in captured.out
+    assert main(["run", mixed]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_cli_run_passes_and_writes_json(tmp_path, capsys):
