@@ -13,7 +13,8 @@ computed value, a record's field names or a result's outcome labels, is left
 to ``run``.
 
 Exit codes: 0 all passed, 1 at least one check/suite failed, 2 bad input
-(usage errors, malformed or invalid scenes, unknown suites).  The seed
+(usage errors, malformed or invalid scenes, unknown suites, a malformed
+QCOND_SEED, a --json path that cannot be written).  The seed
 defaults to the QCOND_SEED environment variable when set, otherwise 7;
 --seed always wins.  All reports are deterministic in (inputs, seed).
 """
@@ -27,7 +28,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import QcondError, SceneError, UnknownSuiteError
+from .errors import InvalidValueError, QcondError, SceneError, UnknownSuiteError
 from .scene import load_scene, run_scene
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
 
@@ -71,7 +72,14 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"error: QCOND_SEED must be an integer, got {raw!r}")
+        raise InvalidValueError(f"QCOND_SEED must be an integer, got {raw!r}") from None
+
+
+def _write_json(path: str, payload: dict) -> None:
+    try:
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    except OSError as exc:
+        raise InvalidValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,7 +141,7 @@ def _cmd_run(args) -> int:
     tail = "" if failed == 0 else f" ({failed} failed)"
     print(f"scene {report.scene}: {len(report.checks) - failed}/{len(report.checks)} checks passed{tail}")
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps(report.to_json(), indent=2) + "\n")
+        _write_json(args.json_out, report.to_json())
     return 0 if report.passed else 1
 
 
@@ -175,7 +183,7 @@ def _cmd_verify(args) -> int:
             "passed": ok,
             "suites": [r.to_json() for r in reports],
         }
-        Path(args.json_out).write_text(json.dumps(payload, indent=2) + "\n")
+        _write_json(args.json_out, payload)
     return 0 if ok else 1
 
 

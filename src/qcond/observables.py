@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import math
@@ -192,14 +193,15 @@ def is_commuting(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> bool:
     return jointly_commuting([a], tol)
 
 
+def _commutator_norms(observables: Sequence[SubObservable]):
+    """Lazily, ||[X, Y]|| (Frobenius) for each pair of effects across all the families."""
+    mats = [o.effects[x] for o in observables for x in o.outcomes]
+    return (frobenius(commutator(x, y)) for x, y in combinations(mats, 2))
+
+
 def jointly_commuting(observables: Sequence[SubObservable], tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Do all effects across all the families commute pairwise?
+    """Do all effects across all the families commute pairwise (a NaN norm does not)?
 
     This subsumes each family being commuting on its own.
     """
-    mats = [o.effects[x] for o in observables for x in o.outcomes]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if frobenius(commutator(mats[i], mats[j])) > tol.eq_tol:
-                return False
-    return True
+    return all(n <= tol.eq_tol for n in _commutator_norms(observables))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidValueError, RetryExhaustedError
 from .instruments import Instrument
-from .linalg import DEFAULT_TOL, Tolerance, dagger, psd_sqrt
+from .linalg import dagger, psd_sqrt
 from .observables import Observable, RealValuedObservable
 from .operations import Operation
 
@@ -144,9 +144,7 @@ def random_projection(g: Generator, dim: int, rank: int) -> np.ndarray:
     return cols @ dagger(cols)
 
 
-def random_observable(
-    g: Generator, dim: int, n_outcomes: int, tol: Tolerance = DEFAULT_TOL
-) -> Observable:
+def random_observable(g: Generator, dim: int, n_outcomes: int) -> Observable:
     """Random POVM: A_i = S**(-1/2) M_i S**(-1/2) for random PSD M_i, S = sum M_i.
 
     Retries when S is too ill-conditioned to invert stably; raises
@@ -225,20 +223,16 @@ def random_channel(g: Generator, dim: int, n_kraus: int) -> Operation:
     return Operation._adopt(_stacked_isometry(g, dim, n_kraus))
 
 
-def random_operation_measuring(
-    g: Generator, a: np.ndarray, n_kraus: int, tol: Tolerance = DEFAULT_TOL
-) -> Operation:
+def random_operation_measuring(g: Generator, a: np.ndarray, n_kraus: int) -> Operation:
     """Random operation with dual(I) = a: Kraus C_i a**(1/2) over a random channel."""
-    root = psd_sqrt(a, tol)
+    root = psd_sqrt(a)
     return Operation._adopt(_stacked_isometry(g, a.shape[0], n_kraus) @ root)
 
 
-def random_instrument_measuring(
-    g: Generator, a: Observable, n_kraus: int, tol: Tolerance = DEFAULT_TOL
-) -> Instrument:
+def random_instrument_measuring(g: Generator, a: Observable, n_kraus: int) -> Instrument:
     """Random instrument measuring the observable a, n_kraus operators per outcome."""
     ops = {
-        x: random_operation_measuring(g.derive(i), a.effects[x], n_kraus, tol)
+        x: random_operation_measuring(g.derive(i), a.effects[x], n_kraus)
         for i, x in enumerate(a.outcomes)
     }
     return Instrument(a.outcomes, ops)

@@ -169,6 +169,16 @@ def test_commutation_checks(qubit):
     assert jointly_commuting([xo, xo]) == is_commuting(xo)
 
 
+def test_a_nan_commutator_does_not_commute(qubit):
+    # NaN > eq_tol is false, so a pairwise loop that looks for a large norm
+    # would call this family commuting.
+    broken = qubit["P0"].copy()
+    broken[0, 1] = np.nan
+    o = Observable(("x0", "x1"), {"x0": broken, "x1": qubit["P1"]})
+    assert not is_commuting(o)
+    assert not jointly_commuting([o, z_observable(qubit)])
+
+
 def test_observable_validation(qubit):
     incomplete = SubObservable(("x0",), {"x0": qubit["P0"]})
     assert validate_subobservable(incomplete) == []

@@ -659,10 +659,29 @@ def test_cli_verify_seed_flag_beats_env(monkeypatch, capsys):
     assert "(seed 3)" in capsys.readouterr().out
 
 
-def test_cli_verify_invalid_env_seed(monkeypatch):
+def test_cli_verify_invalid_env_seed(monkeypatch, capsys):
+    # Exit 1 means a suite failed; a malformed seed is bad input.
     monkeypatch.setenv("QCOND_SEED", "seven")
-    with pytest.raises(SystemExit, match="QCOND_SEED"):
-        main(["verify", "duality", "--dims", "2", "--trials", "1"])
+    assert main(["verify", "duality", "--dims", "2", "--trials", "1"]) == 2
+    assert "error: QCOND_SEED must be an integer, got 'seven'" in capsys.readouterr().err
+
+
+def test_cli_run_unwritable_json_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    assert main(["run", _write(tmp_path, _basic_scene()), "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "checks passed" in captured.out
+    assert f"error: cannot write {out}: " in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+
+
+def test_cli_verify_unwritable_json_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    assert main(["verify", "duality", "--dims", "2", "--trials", "1", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "1/1 suites passed" in captured.out
+    assert f"error: cannot write {out}: " in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
 
 
 def test_cli_verify_json_deterministic(tmp_path, capsys):

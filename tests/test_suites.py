@@ -1,10 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from qcond import (
-    DEFAULT_TOL,
     SUITE_NAMES,
     Moments,
     QcondError,
@@ -105,8 +105,8 @@ def test_trial_order_does_not_change_the_report(name):
     keys = [(dim, t) for dim in dims for t in range(trials)]
     shuffled = Generator(2024).shuffled(keys)
     assert shuffled != keys
-    outputs = {key: trial(root.derive(*key), *key, DEFAULT_TOL) for key in shuffled}
-    run = suites._Run(suites.SuiteReport(name, seed, list(dims), 0, 0, [], 0.0), laws, DEFAULT_TOL)
+    outputs = {key: trial(root.derive(*key), *key) for key in shuffled}
+    run = suites._Run(suites.SuiteReport(name, seed, list(dims), 0, 0, [], 0.0), laws)
     for key in keys:
         run.judge(*outputs[key])
     shuffled_report = json.dumps(run.finish().to_json(), sort_keys=True)
@@ -191,7 +191,7 @@ def test_runner_judges_laws_by_their_declared_kind(monkeypatch):
         searched.append(1)
         return {"gap": 0.5}
 
-    def trial(g, dim, t, tol):
+    def trial(g, dim, t):
         values = {"small": 1e-12, "large": 0.25 if t == 1 else 0.0, "cond": t != 2}
         values["skippable"] = None if t == 0 else 0.0
         values["found-once"] = search
@@ -253,7 +253,53 @@ def test_uncertainty_trial_computes_its_moments_once(monkeypatch):
 
 
 def test_undeclared_law_raises(monkeypatch):
-    trial = lambda g, dim, t, tol: ({"duality": 0.0, "no-such-law": 0.0}, {})  # noqa: E731
+    trial = lambda g, dim, t: ({"duality": 0.0, "no-such-law": 0.0}, {})  # noqa: E731
     monkeypatch.setitem(suites._SUITES, "duality", (trial, {"duality": 1.0}))
     with pytest.raises(KeyError, match="no-such-law"):
         run_suite("duality", dims=(2,), trials=1)
+
+
+# The three laws below were once judged inside their trials; each is now a
+# residual bounded in the table.  Pushing its value just past the bound must
+# fail every trial on that law alone, and just inside it must pass.
+
+
+def _failed_laws(report):
+    return [f.laws for f in report.failures]
+
+
+@pytest.mark.parametrize("slack, ok", ((-2e-9, False), (-0.5e-9, True)))
+def test_uncertainty_inequality_is_bounded_by_one_eq_tol(monkeypatch, slack, ok):
+    real = suites.UncertaintyReport.from_moments
+
+    def shifted(m):
+        return dataclasses.replace(real(m), inequality_slack=slack)
+
+    monkeypatch.setattr(suites.UncertaintyReport, "from_moments", shifted)
+    report = run_suite("uncertainty", dims=(2,), trials=3, seed=7)
+    assert report.ok is ok
+    assert _failed_laws(report) == ([] if ok else [["uncertainty-inequality"]] * 3)
+
+
+@pytest.mark.parametrize("norms, ok", (([0.0, 1.5e-8], False), ([0.0, 0.5e-8], True), ([0.0, np.nan], False)))
+def test_conditioned_family_commutes_is_bounded_by_ten_eq_tol(monkeypatch, norms, ok):
+    # The NaN comes second: a plain max would drop it and pass.
+    monkeypatch.setattr(suites, "_commutator_norms", lambda fam: iter(norms))
+    report = run_suite("atomic-context", dims=(2, 3), trials=2, seed=7)
+    assert report.ok is ok
+    assert _failed_laws(report) == ([] if ok else [["conditioned-family-commutes"]] * 4)
+
+
+@pytest.mark.parametrize("level", (1.0, 0.0))
+@pytest.mark.parametrize("size, ok", ((1.5e-10, False), (0.5e-10, True)))
+def test_atomic_coefficient_is_bounded_by_a_tenth_of_eq_tol(monkeypatch, level, size, ok):
+    # With every drawn effect level * I the atomic coefficient is level (1 or
+    # 0) up to round-off; the shift moves it just outside [0, 1], which the
+    # proportionality law (bound 10 eq_tol) absorbs.
+    real = suites.trace_product
+    shift = size if level else -size
+    monkeypatch.setattr(suites, "random_effect", lambda g, dim: level * np.eye(dim, dtype=complex))
+    monkeypatch.setattr(suites, "trace_product", lambda x, y: real(x, y) + shift)
+    report = run_suite("sequential-product-bounds", dims=(2, 3), trials=2, seed=7)
+    assert report.ok is ok
+    assert _failed_laws(report) == ([] if ok else [["atomic-coefficient-in-unit-interval"]] * 4)
