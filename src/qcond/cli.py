@@ -22,7 +22,6 @@ defaults to the QCOND_SEED environment variable when set, otherwise 7;
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -30,6 +29,7 @@ from pathlib import Path
 
 from .errors import InvalidValueError, QcondError, SceneError, UnknownSuiteError
 from .scene import load_scene, run_scene
+from .serialize import strict_json
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
 
 __all__ = ["main"]
@@ -77,7 +77,7 @@ def _default_seed() -> int:
 
 def _write_json(path: str, payload: dict) -> None:
     try:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(path).write_text(strict_json(payload, indent=2) + "\n")
     except OSError as exc:
         raise InvalidValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

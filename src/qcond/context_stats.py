@@ -27,6 +27,7 @@ import numpy as np
 from .instruments import Instrument, condition_effect
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, trace_product
 from .observables import Observable, RealValuedObservable, stochastic_operator
+from .serialize import complex_to_json
 
 __all__ = [
     "conditioned_stochastic_operator",
@@ -158,11 +159,11 @@ class UncertaintyReport:
 
     def to_json(self) -> dict:
         return {
-            "correlation": [self.correlation.real, self.correlation.imag],
+            "correlation": complex_to_json(self.correlation),
             "covariance": self.covariance,
             "variance_b": self.variance_b,
             "variance_c": self.variance_c,
-            "commutator_trace": [self.commutator_trace.real, self.commutator_trace.imag],
+            "commutator_trace": complex_to_json(self.commutator_trace),
             "identity_residual": self.identity_residual,
             "inequality_slack": self.inequality_slack,
         }

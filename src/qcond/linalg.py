@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +70,11 @@ def frobenius(m: np.ndarray) -> float:
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
+
+
+def _commutator_norms(mats: Sequence[np.ndarray]):
+    """Lazily, ||[X, Y]|| (Frobenius) for each pair of the matrices, in ``combinations`` order."""
+    return (frobenius(commutator(x, y)) for x, y in combinations(mats, 2))
 
 
 def _hermitian_defect(m: np.ndarray, tol: Tolerance) -> float | None:
@@ -160,7 +166,7 @@ def simultaneous_eigenbasis(
     against each family member in turn.  After refinement each block is a
     joint eigenspace, so any orthonormal basis of it is simultaneously
     diagonalizing.  Raises :class:`NotCommutingFamilyError` when some pair
-    fails ``||[A, B]|| <= eq_tol``.
+    fails ``||[A, B]|| <= eq_tol`` (a NaN norm fails it).
     """
     family = [as_matrix(m) for m in mats]
     if not family:
@@ -171,13 +177,9 @@ def simultaneous_eigenbasis(
             raise DimMismatchError("family members have mixed dimensions")
         if (dev := _hermitian_defect(m, tol)) is not None:
             raise NotHermitianError(f"family member deviates from Hermitian by {dev:.3e}")
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            dev = frobenius(commutator(family[i], family[j]))
-            if dev > tol.eq_tol:
-                raise NotCommutingFamilyError(
-                    f"members {i} and {j} have commutator norm {dev:.3e}"
-                )
+    for (i, j), dev in zip(combinations(range(len(family)), 2), _commutator_norms(family)):
+        if not dev <= tol.eq_tol:
+            raise NotCommutingFamilyError(f"members {i} and {j} have commutator norm {dev:.3e}")
 
     rng = np.random.default_rng(0)
     coeffs = rng.standard_normal(len(family))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import math
@@ -24,7 +23,7 @@ import numpy as np
 
 from .core import Violation, prob, validate_effect
 from .errors import DimMismatchError, InvalidTypeError, InvalidValueError, UnknownLabelError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, commutator, frobenius, trace_product
+from .linalg import DEFAULT_TOL, Tolerance, _commutator_norms, as_matrix, frobenius, trace_product
 from .operations import Operation, _conditional
 
 __all__ = [
@@ -193,15 +192,10 @@ def is_commuting(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> bool:
     return jointly_commuting([a], tol)
 
 
-def _commutator_norms(observables: Sequence[SubObservable]):
-    """Lazily, ||[X, Y]|| (Frobenius) for each pair of effects across all the families."""
-    mats = [o.effects[x] for o in observables for x in o.outcomes]
-    return (frobenius(commutator(x, y)) for x, y in combinations(mats, 2))
-
-
 def jointly_commuting(observables: Sequence[SubObservable], tol: Tolerance = DEFAULT_TOL) -> bool:
     """Do all effects across all the families commute pairwise (a NaN norm does not)?
 
     This subsumes each family being commuting on its own.
     """
-    return all(n <= tol.eq_tol for n in _commutator_norms(observables))
+    mats = [o.effects[x] for o in observables for x in o.outcomes]
+    return all(n <= tol.eq_tol for n in _commutator_norms(mats))

@@ -2,12 +2,13 @@
 
 The matrix literal shared by scene files and reports: a matrix is an array
 of rows, each entry either a plain number (real) or a two-element array
-[re, im].  Serialization emits plain numbers for exactly-real entries, so
-output stays readable and byte-deterministic for a fixed input.
+[re, im].  Reports write a real as a plain number, any complex value as
+[re, im] pairs and a non-finite number as a string, so they are strict JSON.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import chain
 
@@ -20,25 +21,19 @@ from .operations import Operation
 
 __all__ = [
     "complex_to_json",
-    "matrix_to_json",
     "matrix_from_json",
     "operation_to_json",
     "observable_to_json",
     "instrument_to_json",
     "value_to_json",
+    "strict_json",
 ]
 
 
-def complex_to_json(z: complex):
-    z = complex(z)
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=np.complex128)
-    return [[complex_to_json(entry) for entry in row] for row in m.tolist()]
+def complex_to_json(z) -> list:
+    """A complex scalar, matrix or Kraus stack as nested [re, im] pairs, in one array conversion."""
+    z = np.asarray(z, dtype=np.complex128)
+    return np.stack((z.real, z.imag), -1).tolist()
 
 
 def _is_number(x) -> bool:
@@ -145,13 +140,13 @@ def matrix_from_json(rows, where: str = "matrix") -> np.ndarray:
 
 
 def operation_to_json(op: Operation) -> dict:
-    return {"kraus": [matrix_to_json(k) for k in op.kraus]}
+    return {"kraus": complex_to_json(op.kraus)}
 
 
 def observable_to_json(a: SubObservable) -> dict:
     out = {
         "outcomes": list(a.outcomes),
-        "effects": {x: matrix_to_json(a.effects[x]) for x in a.outcomes},
+        "effects": {x: complex_to_json(a.effects[x]) for x in a.outcomes},
     }
     if isinstance(a, RealValuedObservable):
         out["values"] = {x: a.values[x] for x in a.outcomes}
@@ -173,10 +168,8 @@ def value_to_json(value):
         return value
     if isinstance(value, (int, float, np.integer)):
         return float(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, np.ndarray):
-        return matrix_to_json(value)
+    if isinstance(value, (complex, np.ndarray)):  # np.complex128 is a complex
+        return complex_to_json(value)
     if isinstance(value, Operation):
         return operation_to_json(value)
     if isinstance(value, SubObservable):
@@ -190,3 +183,12 @@ def value_to_json(value):
     if hasattr(value, "to_json"):
         return value.to_json()
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def strict_json(payload, **kwargs) -> str:
+    """``json.dumps(payload, **kwargs)`` as strict JSON: NaN and ±Infinity written as strings."""
+    try:
+        return json.dumps(payload, allow_nan=False, **kwargs)
+    except ValueError:  # json reads each non-finite token back as its name, a string
+        named = json.loads(json.dumps(payload), parse_constant=str)
+        return json.dumps(named, allow_nan=False, **kwargs)

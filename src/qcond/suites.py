@@ -66,8 +66,8 @@ from .instruments import (
     luders_instrument,
     measured_observable,
 )
-from .linalg import DEFAULT_TOL, commutator, dagger, frobenius, trace_product
-from .observables import _commutator_norms, jointly_commuting
+from .linalg import DEFAULT_TOL, _commutator_norms, commutator, dagger, frobenius, trace_product
+from .observables import jointly_commuting
 from .operations import (
     Operation,
     apply,
@@ -173,7 +173,7 @@ class _Run:
 
     def judge(self, values: dict, witness: dict) -> None:
         out = self.report
-        residual = 0.0
+        bounded: list[float] = []
         broken: list[str] = []
         for law, value in values.items():
             if law not in self.laws:
@@ -190,7 +190,7 @@ class _Run:
                 if not value:
                     broken.append(law)
             else:
-                residual = max(residual, float(value))
+                bounded.append(float(value))
                 if kind != _SEARCH:
                     if not value <= kind * DEFAULT_TOL.eq_tol:
                         broken.append(law)
@@ -198,7 +198,8 @@ class _Run:
                     out.witnesses.append(value_to_json(witness))
                 else:
                     self.unfound[law] += 1
-        out.max_residual = max(out.max_residual, residual)
+        residual = float(np.max(bounded, initial=0.0))  # unlike max, np.max keeps a NaN
+        out.max_residual = float(np.max([out.max_residual, residual]))
         if broken:
             out.failures.append(TrialFailure(out.trials, residual, value_to_json(witness), broken))
         else:
@@ -519,8 +520,8 @@ def _atomic_context(g, dim, t):
     atom_obs = random_atomic_observable(g, dim)
     ins_d = random_instrument_measuring(g.derive(5), atom_obs, 1 + t % 2)
     fam = [condition_observable(random_observable(g, dim, 2), ins_d) for _ in range(2)]
-    # np.max, unlike max, keeps a NaN norm wherever it falls
-    values["conditioned-family-commutes"] = float(np.max([*_commutator_norms(fam)]))
+    norms = [*_commutator_norms([m for o in fam for m in o.effects.values()])]
+    values["conditioned-family-commutes"] = float(np.max(norms))  # unlike max, keeps a NaN
     return values, {"dim": dim, "B": b_obs, "C": c_obs}
 
 

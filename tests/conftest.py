@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,16 @@ from qcond import Tolerance
 @pytest.fixture
 def tol():
     return Tolerance()
+
+
+@pytest.fixture
+def strict_loads():
+    """json.loads that raises on NaN, Infinity and -Infinity, which JSON does not define."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return lambda text: json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture

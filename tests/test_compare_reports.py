@@ -1,7 +1,8 @@
 """tools/compare_reports.py on small hand-made reports.
 
-Numbers may drift by 1e-13 and flip between a bare real and an [re, im]
-pair; a changed verdict, count or list length is a difference.
+Numbers may drift by 1e-13, and a bare real matches an [re, im] pair, so a
+report set compares with one written when exactly-real entries were bare
+reals; a changed verdict, count or list length is a difference.
 """
 
 import copy

@@ -356,6 +356,15 @@ def test_atomic_context_rejects_noncommuting(qubit):
         atomic_context([z_obs(qubit), x_obs(qubit)])
 
 
+@pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+def test_atomic_context_rejects_a_nan_commutator():
+    # Hermitian effects whose commutator overflows to a NaN norm.
+    x = np.array([[0, 1e200], [1e200, 0]], dtype=complex)
+    z = np.diag([1e200, -1e200]).astype(complex)
+    with pytest.raises(NotJointlyCommutingError):
+        atomic_context([Observable(("x",), {"x": x}), Observable(("z",), {"z": z})])
+
+
 def test_atomic_context_checks_hermiticity_before_commutation(qubit):
     skew = Observable(("a", "b"), {"a": qubit["P0"] + 0.5j * qubit["X"], "b": qubit["P1"]})
     with pytest.raises(NotHermitianError):

@@ -157,6 +157,16 @@ def test_simultaneous_eigenbasis_rejects_noncommuting():
         simultaneous_eigenbasis([np.array([[0.0, 1.0], [0.0, 0.0]])])
 
 
+@pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+def test_simultaneous_eigenbasis_rejects_a_nan_commutator():
+    # Hermitian, but [x, z] has entries near 1e400, so its norm is NaN: no
+    # evidence that the pair commutes.
+    x = np.array([[0, 1e200], [1e200, 0]], dtype=complex)
+    z = np.diag([1e200, -1e200]).astype(complex)
+    with pytest.raises(NotCommutingFamilyError, match="members 1 and 2 have commutator norm nan"):
+        simultaneous_eigenbasis([np.eye(2), x, z])
+
+
 def test_simultaneous_eigenbasis_degenerate_family():
     """Shared degenerate blocks still come out jointly diagonal."""
     g = Generator(15)

@@ -1,4 +1,5 @@
-"""tools/report_set.py on a cut-down report set: it runs, and is deterministic.
+"""tools/report_set.py on a cut-down report set: it runs, is deterministic and
+writes strict JSON.
 
 The benchmark job lists are patched to their smoke-test sizes here and the
 suites run with one trial, so the set takes a few seconds; comparing two such
@@ -21,7 +22,7 @@ def _load_tool():
     return tool
 
 
-def test_report_set_compares_equal_to_itself(tmp_path, monkeypatch, capsys):
+def test_report_set_compares_equal_to_itself(tmp_path, monkeypatch, capsys, strict_loads):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends its checkout
     tool = _load_tool()
     monkeypatch.setattr(tool, "VERIFY_TRIALS", 1)
@@ -32,6 +33,8 @@ def test_report_set_compares_equal_to_itself(tmp_path, monkeypatch, capsys):
     assert [str(p) for p in files[-2:]] == ["verify-2,3.json", "verify-4,6.json"]
     assert len([p for p in files if p.parts[0] == "scenes"]) == 10
     assert {p.parts[1] for p in files if p.parts[0] == "jobs"} == set(tool.WORKLOADS)
+    for p in files:
+        strict_loads((tmp_path / "a" / p).read_text())
     sides = [str(tmp_path / "a"), str(tmp_path / "b")]
     compare = str(TOOLS / "compare_reports.py")
     proc = subprocess.run([sys.executable, compare, *sides], capture_output=True, text=True)

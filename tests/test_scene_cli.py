@@ -232,14 +232,17 @@ def test_expect_bounds_pass_and_fail():
     assert not report.passed
 
 
+# [x, z] has entries near 1e400, so its norm is not finite (NaN here).
+_OVERFLOW_OBJECTS = {
+    "x": {"matrix": [[0, 1e200], [1e200, 0]]},
+    "z": {"matrix": [[1e200, 0], [0, -1e200]]},
+}
+
+
 @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
 def test_non_finite_result_fails_every_bound(tmp_path, capsys):
-    # [x, z] has entries near 1e400, so its norm is not finite (NaN here).
     scene = {
-        "objects": {
-            "x": {"matrix": [[0, 1e200], [1e200, 0]]},
-            "z": {"matrix": [[1e200, 0], [0, -1e200]]},
-        },
+        "objects": _OVERFLOW_OBJECTS,
         "checks": [
             {"op": "commutator_norm", "args": ["x", "z"], "expect_max": 1.0},
             {"op": "commutator_norm", "args": ["x", "z"], "expect_min": 0.0},
@@ -254,6 +257,21 @@ def test_non_finite_result_fails_every_bound(tmp_path, capsys):
     assert main(["run", _write(tmp_path, scene), "--json", str(out_path)]) == 1
     assert "FAIL" in capsys.readouterr().out
     assert json.loads(out_path.read_text())["passed"] is False
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+def test_run_json_names_non_finite_numbers(tmp_path, capsys, strict_loads):
+    # A NaN result fails its bound with residual inf.  Strict JSON has no
+    # such numbers, so the report writes them as strings.
+    scene = {
+        "objects": _OVERFLOW_OBJECTS,
+        "checks": [{"op": "commutator_norm", "args": ["x", "z"], "expect_max": 1.0}],
+    }
+    out_path = tmp_path / "report.json"
+    assert main(["run", _write(tmp_path, scene), "--json", str(out_path)]) == 1
+    capsys.readouterr()
+    check = strict_loads(out_path.read_text())["checks"][0]
+    assert (check["residual"], check["value"]) == ("Infinity", "NaN")
 
 
 def test_check_tolerance_precedence():

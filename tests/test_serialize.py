@@ -1,20 +1,25 @@
-"""The matrix literal parser against a per-entry reference.
+"""The matrix literal parser against a per-entry reference, and the report forms.
 
 `_reference` below parses a literal one entry at a time: each entry is
 complex(x, 0.0) or complex(re, im), checked in row-major order.  The
 library's `matrix_from_json` must give the same bits for every literal the
 reference accepts, and the same error message, naming the same entry, for
 every literal it rejects.
+
+Reports write every complex value as [re, im] pairs, whatever its imaginary
+parts, and a non-finite number as a string, so they are strict JSON.
 """
 
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from qcond import Operation
 from qcond.errors import SceneParseError
-from qcond.serialize import matrix_from_json
+from qcond.serialize import matrix_from_json, strict_json, value_to_json
 
 
 def _is_number(x):
@@ -195,3 +200,58 @@ def test_seeded_corruptions_match_the_reference():
             want = _outcome(_reference, rows)
             assert want[0] == "error"
             assert _outcome(matrix_from_json, rows) == want, rows
+
+
+# --- report forms: one JSON form per type ---------------------------------------
+
+
+def _shape(x):
+    """The nesting of a JSON value, its numbers blanked out."""
+    return [_shape(v) for v in x] if isinstance(x, list) else type(x).__name__
+
+
+def test_round_off_cannot_change_a_matrix_shape():
+    m = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
+    jittered = m + 1j * np.array([[1e-17, -1e-17], [0.0, -0.0]])
+    assert _shape(value_to_json(m)) == _shape(value_to_json(jittered)) == [[["float"] * 2] * 2] * 2
+    assert value_to_json(m)[0] == [[0.5, 0.0], [0.25, 0.0]]
+
+
+def test_every_complex_value_is_pairs():
+    assert value_to_json(1 + 2j) == [1.0, 2.0]
+    assert value_to_json(np.complex128(3.0)) == [3.0, 0.0]
+    assert value_to_json(np.array(-1j)) == [-0.0, -1.0]
+    stack = np.arange(8).reshape(2, 2, 2) + 0.5j
+    kraus = value_to_json(Operation(stack))["kraus"]
+    assert np.array(kraus).shape == (2, 2, 2, 2)
+    assert kraus[1][0] == [[4.0, 0.5], [5.0, 0.5]]
+    # Reals stay plain numbers.
+    assert value_to_json({"p": np.float64(0.25), "n": 3}) == {"p": 0.25, "n": 3.0}
+
+
+def test_a_matrix_round_trips_bit_for_bit():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    m[0, 0], m[1, 2] = complex(-0.0, -0.0), complex(0.0, -0.0)
+    back = matrix_from_json(json.loads(json.dumps(value_to_json(m))))
+    assert back.tobytes() == m.tobytes()
+
+
+def test_strict_json_names_non_finite_numbers(strict_loads):
+    payload = {
+        "r": math.inf,
+        "v": [math.nan, -math.inf, 1.5],
+        "m": value_to_json(np.array([[math.nan]])),
+        "t": (0.0, math.inf),
+        "note": "NaN",
+    }
+    text = strict_json(payload, sort_keys=True)
+    assert strict_loads(text) == {
+        "r": "Infinity",
+        "v": ["NaN", "-Infinity", 1.5],
+        "m": [[["NaN", 0.0]]],
+        "t": [0.0, "Infinity"],
+        "note": "NaN",
+    }
+    finite = {"a": [1.0, [2.0, -0.0]], "b": "x", "c": None, "d": True}
+    assert strict_json(finite, indent=2) == json.dumps(finite, indent=2)

@@ -14,6 +14,7 @@ from qcond import (
     run_suite,
 )
 from qcond import suites
+from qcond.cli import main
 from qcond.rand import Generator
 from qcond.serialize import value_to_json
 
@@ -288,6 +289,32 @@ def test_conditioned_family_commutes_is_bounded_by_ten_eq_tol(monkeypatch, norms
     report = run_suite("atomic-context", dims=(2, 3), trials=2, seed=7)
     assert report.ok is ok
     assert _failed_laws(report) == ([] if ok else [["conditioned-family-commutes"]] * 4)
+
+
+def _nan_commutator_norms(monkeypatch):
+    # The family law's NaN comes after a finite norm; the other laws stay finite.
+    monkeypatch.setattr(suites, "_commutator_norms", lambda fam: iter([0.0, np.nan]))
+
+
+def test_a_nan_residual_sticks_in_the_failures_and_max_residual(monkeypatch):
+    _nan_commutator_norms(monkeypatch)
+    report = run_suite("atomic-context", dims=(2,), trials=2, seed=7)
+    assert _failed_laws(report) == [["conditioned-family-commutes"]] * 2
+    assert [np.isnan(f.residual) for f in report.failures] == [True, True]
+    assert np.isnan(report.max_residual)
+
+
+def test_cli_verify_json_writes_a_nan_residual_as_a_string(
+    monkeypatch, tmp_path, capsys, strict_loads
+):
+    _nan_commutator_norms(monkeypatch)
+    out = tmp_path / "verify.json"
+    argv = ["verify", "atomic-context", "--dims", "2", "--trials", "2", "--seed", "7"]
+    assert main([*argv, "--json", str(out)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    suite = strict_loads(out.read_text())["suites"][0]
+    assert suite["max_residual"] == "NaN"
+    assert [f["residual"] for f in suite["failures"]] == ["NaN", "NaN"]
 
 
 @pytest.mark.parametrize("level", (1.0, 0.0))

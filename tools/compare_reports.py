@@ -13,10 +13,11 @@ The two sides must have the same structure: the same keys, the same list
 lengths, the same strings, booleans and integers.  So pass/fail verdicts,
 pass and failure counts and witness counts must match, or the comparison
 fails and names the place.  Other numbers may differ by at most 1e-13.  A
-bare real ``x`` and a pair ``[x, y]`` are read as the same complex number,
-because the serializer writes an entry whose imaginary part is exactly 0 as
-a bare real, so round-off can flip one shape into the other.  A scene
-report's ``path`` is ignored: it names the file the scene was read from.
+bare real ``x`` and a pair ``[x, y]`` are read as the same complex number:
+reports now write every complex value as pairs, but reports written before
+that wrote an entry whose imaginary part was exactly 0 as a bare real, so a
+new report set still compares with an old one.  A scene report's ``path``
+is ignored: it names the file the scene was read from.
 The tool also counts the pairs whose files are byte-identical.
 
 Exit status: 0 when the reports agree, 1 when they differ, 2 on bad input.

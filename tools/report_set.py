@@ -14,6 +14,9 @@ OUT receives, all computed from this checkout's ``src``:
   ``verify-default``, ``large-d`` and ``scene-batch`` benchmark workloads at
   seed 1009, as built by ``perfbench.workloads.build``.
 
+Every file is strict JSON, written as ``qcond`` writes its reports (a
+non-finite number is the string "NaN", "Infinity" or "-Infinity").
+
 The benchmark's files are only read (no bytecode is written next to them).
 To compare two checkouts, write a set from each and run::
 
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import json
 import os
 import re
 import sys
@@ -34,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from qcond import cli  # noqa: E402
+from qcond.serialize import strict_json  # noqa: E402
 
 _write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 from perfbench import workloads  # noqa: E402
@@ -78,7 +81,7 @@ def write_report_set(out: Path) -> int:
         for i, job in enumerate(jobs):
             _ok, _text, payload = job.run()
             name = f"{i:03d}-{re.sub(r'[^A-Za-z0-9.,-]+', '_', job.key)}.json"
-            (folder / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            (folder / name).write_text(strict_json(payload, indent=2, sort_keys=True) + "\n")
         written += len(jobs)
     return written
 
