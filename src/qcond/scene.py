@@ -48,8 +48,15 @@ expectation each reads and the residual:
     Bayes triple    a record, or one number for      worst field distance
                     lhs, mid and rhs
 
-What depends on the computed value (a record's fields, the outcome labels of
-an observable or instrument result) is checked when the scene runs.
+Objects and expectations share one reader per literal kind: matrix,
+operation, observable and instrument.  An expectation is read at the size of
+its check's arguments, so each of its matrices is d x d.  Its outcome labels
+follow the object rules (an instrument's "outcomes" is a nonempty list of
+unique labels that keys "ops" exactly) except that they may carry the
+reserved separators of composite results.  Objects are validated once read;
+expectations are not.  What depends on the computed value (a record's
+fields, the outcome labels of an observable or instrument result) is checked
+when the scene runs.
 
 Malformed files raise SceneParseError, semantic problems (invalid objects,
 unknown ops, reserved labels, expectations of the wrong kind)
@@ -190,9 +197,180 @@ class SceneReport:
         }
 
 
+# --- literal readers ---------------------------------------------------------
+#
+# ``_read_<kind>(raw, where, tol, d=None)`` reads one literal kind for an object
+# (d None; _build_object validates the result) and for an expectation (d of
+# the check's arguments); the module docstring says what differs.
+
+
+def _require_dict(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SceneParseError(f"{where} must be a JSON object")
+    return value
+
+
+def _read_labels(outcomes, where: str, reserved: bool = True) -> list[str]:
+    """Outcome labels: a nonempty list, unique and, if ``reserved``, free of reserved characters."""
+    if not isinstance(outcomes, list) or not outcomes:
+        raise SceneParseError(f"{where}: outcomes must be a nonempty list of labels")
+    labels = [str(x) for x in outcomes]
+    if len(set(labels)) != len(labels):
+        raise SceneValidationError(f"{where}: outcome labels must be unique, got {labels}")
+    for x in labels if reserved else ():
+        for bad in _RESERVED_LABELS:
+            if bad in x:
+                raise SceneValidationError(
+                    f"{where}: outcome label {x!r} contains reserved character {bad!r}"
+                )
+    return labels
+
+
+def _keyed_by_labels(raw, labels, where: str, what: str) -> dict:
+    """A JSON object whose keys are exactly the outcome labels."""
+    raw = _require_dict(raw, f"{where} {what}")
+    if set(raw.keys()) != set(labels):
+        raise SceneParseError(f"{where}: {what} must be keyed exactly by the outcome labels")
+    return raw
+
+
+def _parse_values(raw, outcomes, where: str) -> dict[str, float]:
+    out = {}
+    for x, v in _keyed_by_labels(raw, outcomes, where, "values").items():
+        v = _json_float(v)
+        if v is None:
+            raise SceneParseError(f"{where}: value for outcome {x!r} must be a finite number")
+        out[str(x)] = v
+    return out
+
+
+@contextmanager
+def _naming(where: str):
+    """Re-raise a library error from the constructors inside (operands of
+    different sizes in one literal, say) as a SceneValidationError naming
+    ``where``, so the CLI reports it like any other invalid literal."""
+    try:
+        yield
+    except SceneError:
+        raise
+    except QcondError as exc:
+        raise SceneValidationError(f"{where}: {exc}") from exc
+
+
+def _raise_violations(where: str, violations) -> None:
+    if violations:
+        detail = "; ".join(str(v) for v in violations)
+        raise SceneValidationError(f"{where}: {detail}")
+
+
+def _read_matrix(raw, where: str, tol=None, d: int | None = None, what: str | None = None):
+    """A matrix literal (``what`` names it within ``where``), d x d when d is given."""
+    m = matrix_from_json(raw, where if what is None else f"{where} {what}")
+    if d is not None and m.shape != (d, d):
+        raise SceneValidationError(f"{where}: expected a {d}x{d} matrix")
+    return m
+
+
+_OPERATION_KEYS = ("kraus", "luders", "holevo")
+
+
+def _read_operation(raw, where: str, tol: Tolerance, d: int | None = None) -> Operation:
+    """A one-key kraus, luders or holevo literal; the Lüders effect and the
+    Holevo effect and update state must be valid, so the operation exists."""
+    raw = _require_dict(raw, where)
+    if len(raw) != 1 or next(iter(raw)) not in _OPERATION_KEYS:
+        raise SceneValidationError(f"{where}: expected a kraus, luders or holevo literal")
+    [(key, body)] = raw.items()
+    with _naming(where):
+        if key == "kraus":
+            if not isinstance(body, list) or not body:
+                raise SceneParseError(f"{where}: kraus must be a nonempty list of matrices")
+            mats = [_read_matrix(k, where, what=f"kraus[{i}]") for i, k in enumerate(body)]
+            op = Operation(tuple(mats))
+        elif key == "luders":
+            a = _read_matrix(body, where, what="luders effect")
+            _raise_violations(where, validate_effect(a, tol))
+            op = luders(a, tol)
+        else:
+            body = _require_dict(body, f"{where} holevo")
+            if set(body) != {"effect", "alpha"}:
+                raise SceneParseError(f"{where}: holevo needs exactly effect and alpha")
+            a = _read_matrix(body["effect"], where, what="holevo effect")
+            alpha = _read_matrix(body["alpha"], where, what="holevo alpha")
+            _raise_violations(where, validate_effect(a, tol) + validate_state(alpha, tol))
+            op = holevo(a, alpha, tol)
+    if d is not None and op.dim != d:
+        raise SceneValidationError(f"{where}: expected {d}x{d} Kraus operators")
+    return op
+
+
+def _read_observable(raw, where: str, tol=None, d: int | None = None):
+    """An object's {outcomes, effects, values?}, or an expectation's {effects},
+    which may name a subset of the result's outcomes (a dict of effects)."""
+    raw = _require_dict(raw, where)
+    if d is not None:
+        effects = raw.get("effects")
+        if set(raw) != {"effects"} or not isinstance(effects, dict):
+            raise SceneValidationError(
+                f"{where}: an observable result compares against {{'effects': ...}}"
+            )
+        labels = list(effects)
+    elif set(raw) - {"outcomes", "effects", "values"} or not {"outcomes", "effects"} <= set(raw):
+        raise SceneParseError(f"{where}: an observable needs outcomes and effects")
+    else:
+        labels = _read_labels(raw["outcomes"], where)
+        effects = _keyed_by_labels(raw["effects"], labels, where, "effects")
+    effects = {x: _read_matrix(effects[x], where, tol, d, f"effect {x!r}") for x in labels}
+    if d is not None:
+        return effects
+    obs = Observable(labels, effects)
+    if "values" in raw:
+        return RealValuedObservable(obs, _parse_values(raw["values"], labels, where))
+    return obs
+
+
+def _read_instrument(raw, where: str, tol: Tolerance, d: int | None = None, objects=None):
+    """An outcomes+ops literal; an object may instead be the luders_of or
+    holevo_of an observable among ``objects``."""
+    raw = _require_dict(raw, where)
+    if d is None and set(raw) == {"luders_of"}:
+        return luders_instrument(_observable_named(raw["luders_of"], where, objects), tol)
+    if d is None and set(raw) == {"holevo_of"}:
+        spec = _require_dict(raw["holevo_of"], f"{where} holevo_of")
+        if set(spec) != {"observable", "alphas"}:
+            raise SceneParseError(f"{where}: holevo_of needs exactly observable and alphas")
+        source = _observable_named(spec["observable"], where, objects)
+        alphas = _keyed_by_labels(spec["alphas"], source.outcomes, where, "alphas")
+        alphas = {x: _read_matrix(alphas[x], where, what=f"alpha {x!r}") for x in source.outcomes}
+        for x, alpha in alphas.items():
+            _raise_violations(f"{where} alpha {x!r}", validate_state(alpha, tol))
+        return holevo_instrument(source, alphas, tol)
+    if set(raw) != {"outcomes", "ops"}:
+        if d is not None:
+            raise SceneValidationError(
+                f"{where}: an instrument result compares against outcomes+ops"
+            )
+        raise SceneParseError(
+            f"{where}: an instrument literal is outcomes+ops, luders_of, or holevo_of"
+        )
+    labels = _read_labels(raw["outcomes"], where, reserved=d is None)
+    ops = _keyed_by_labels(raw["ops"], labels, where, "ops")
+    at = where if d is None else f"{where} expect"
+    ops = {x: _read_operation(ops[x], f"{at} op {x!r}", tol, d) for x in labels}
+    return Instrument(labels, ops)
+
+
+def _observable_named(ref, where: str, objects: Mapping[str, SceneObject]) -> Observable:
+    if not isinstance(ref, str):
+        raise SceneParseError(f"{where}: observable reference must be a name string")
+    if ref not in objects or objects[ref].kind != "observable":
+        raise SceneReferenceError(f"{where}: no observable named {ref!r}")
+    return objects[ref].value
+
+
 # --- result kinds -------------------------------------------------------------
 #
-# A kind parses a check's "expect" at load (``parse(raw, where, d, tol)``) and
+# A kind parses a check's "expect" at load (``parse(raw, where, tol, d)``) and
 # measures a result against it when the scene runs (``distance(value, want,
 # where)``); see the module docstring for the forms.
 
@@ -220,47 +398,6 @@ def _parse_bool(raw, where: str, *_) -> bool:
     return raw
 
 
-def _parse_matrix(raw, where: str, d: int, tol=None, what: str = "expected matrix") -> np.ndarray:
-    m = matrix_from_json(raw, f"{where} {what}")
-    if m.shape != (d, d):
-        raise SceneValidationError(f"{where}: expected a {d}x{d} matrix")
-    return m
-
-
-def _parse_operation(raw, where: str, d: int, tol: Tolerance) -> Operation:
-    """A kraus/luders/holevo literal on d x d matrices; ``where`` names the expectation."""
-    raw = _require_dict(raw, where)
-    if len(raw) != 1 or next(iter(raw)) not in _OPERATION_KEYS:
-        raise SceneValidationError(f"{where}: expected a kraus/luders/holevo literal")
-    key = next(iter(raw))
-    with _naming(where):
-        op = _parse_operation_literal(where, key, raw[key], tol)
-    if op.dim != d:
-        raise SceneValidationError(f"{where}: expected {d}x{d} Kraus operators")
-    return op
-
-
-def _parse_effects(raw, where: str, d: int, tol) -> dict[str, np.ndarray]:
-    effects = _require_dict(raw, where).get("effects")
-    if set(raw) != {"effects"} or not isinstance(effects, dict):
-        raise SceneValidationError(
-            f"{where}: an observable result compares against {{'effects': ...}}"
-        )
-    return {
-        x: _parse_matrix(rows, where, d, what=f"expected effect {x!r}")
-        for x, rows in effects.items()
-    }
-
-
-def _parse_ops(raw, where: str, d: int, tol: Tolerance) -> dict[str, Operation]:
-    # Composite results carry reserved separators in their labels, so the
-    # expectation is parsed without the user-label restrictions.
-    ops = _require_dict(raw, where).get("ops")
-    if set(raw) != {"outcomes", "ops"} or not isinstance(ops, dict):
-        raise SceneValidationError(f"{where}: an instrument result compares against outcomes+ops")
-    return {x: _parse_operation(op, f"{where} expect op {x!r}", d, tol) for x, op in ops.items()}
-
-
 def _parse_record(raw, where: str, *_):
     if _is_number(raw):  # one number for every field
         return _parse_number(raw, where)
@@ -275,21 +412,25 @@ def _parse_bayes(raw, where: str, *_):
     return _parse_record(raw, where)
 
 
+# A distance is the largest of its components, reduced by np.max from 0.0:
+# unlike max, np.max keeps a NaN, so a NaN component fails the check.
+
+
 def _observable_distance(value: SubObservable, want: dict, where: str) -> float:
-    worst = 0.0
-    for x, m in want.items():
+    for x in want:
         if x not in value.effects:
             raise SceneValidationError(f"{where}: observable result has no outcome {x!r}")
-        worst = max(worst, float(frobenius(value.effects[x] - m)))
-    return worst
+    return float(np.max([frobenius(value.effects[x] - m) for x, m in want.items()], initial=0.0))
 
 
-def _instrument_distance(value: Instrument, want: dict, where: str) -> float:
-    if set(want) != set(value.outcomes):
+def _instrument_distance(value: Instrument, want: Instrument, where: str) -> float:
+    if set(want.outcomes) != set(value.outcomes):
         raise SceneValidationError(
-            f"{where}: expected outcomes {sorted(want)} != result outcomes {sorted(value.outcomes)}"
+            f"{where}: expected outcomes {sorted(want.outcomes)} "
+            f"!= result outcomes {sorted(value.outcomes)}"
         )
-    return max(float(choi_distance(value.ops[x], want[x])) for x in value.outcomes)
+    distances = [choi_distance(value.ops[x], want.ops[x]) for x in value.outcomes]
+    return float(np.max(distances, initial=0.0))
 
 
 def _record_distance(value, want, where: str) -> float:
@@ -297,27 +438,26 @@ def _record_distance(value, want, where: str) -> float:
     fields = value_to_json(value)
     if not isinstance(want, dict):
         want = dict.fromkeys(fields, want)
-    worst = 0.0
+    distances = []
     for key, w in want.items():
         if key not in fields:
             raise SceneValidationError(f"{where}: result has no field {key!r}")
         have = fields[key]
-        have = complex(*have) if isinstance(have, list) else complex(have)
-        worst = max(worst, abs(have - w))
-    return worst
+        distances.append(abs((complex(*have) if isinstance(have, list) else complex(have)) - w))
+    return float(np.max(distances, initial=0.0))
 
 
 _REAL = _Kind("real", _parse_number, lambda value, want, where: abs(value - want))
 _COMPLEX = _Kind("complex", _parse_number, _REAL.distance)
 _BOOL = _Kind("bool", _parse_bool, lambda value, want, where: 0.0 if value == want else 1.0)
-_MATRIX = _Kind("matrix", _parse_matrix, lambda value, want, where: float(frobenius(value - want)))
+_MATRIX = _Kind("matrix", _read_matrix, lambda value, want, where: float(frobenius(value - want)))
 _OPERATION = _Kind(
     "operation",
-    lambda raw, where, d, tol: _parse_operation(raw, f"{where} expect", d, tol),
+    lambda raw, where, tol, d: _read_operation(raw, f"{where} expect", tol, d),
     lambda value, want, where: float(choi_distance(value, want)),
 )
-_OBSERVABLE = _Kind("observable", _parse_effects, _observable_distance)
-_INSTRUMENT = _Kind("instrument", _parse_ops, _instrument_distance)
+_OBSERVABLE = _Kind("observable", _read_observable, _observable_distance)
+_INSTRUMENT = _Kind("instrument", _read_instrument, _instrument_distance)
 _RECORD = _Kind("record", _parse_record, _record_distance)
 _BAYES = _Kind("Bayes triple", _parse_bayes, _record_distance)
 
@@ -423,164 +563,23 @@ SCENE_OPS: dict[str, _Op] = {
 }
 
 
-# --- parsing -------------------------------------------------------------------
+# --- loading -------------------------------------------------------------------
 
 
-def _require_dict(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise SceneParseError(f"{where} must be a JSON object")
-    return value
-
-
-def _parse_labels(outcomes, where: str) -> list[str]:
-    """An outcomes list as its labels: nonempty, unique, free of reserved characters."""
-    if not isinstance(outcomes, list) or not outcomes:
-        raise SceneParseError(f"{where}: outcomes must be a nonempty list of labels")
-    labels = [str(x) for x in outcomes]
-    if len(set(labels)) != len(labels):
-        raise SceneValidationError(f"{where}: outcome labels must be unique, got {labels}")
-    for x in labels:
-        for bad in _RESERVED_LABELS:
-            if bad in x:
-                raise SceneValidationError(
-                    f"{where}: outcome label {x!r} contains reserved character {bad!r}"
-                )
-    return labels
-
-
-def _keyed_by_labels(raw, labels, where: str, what: str) -> dict:
-    """A JSON object whose keys are exactly the outcome labels."""
-    raw = _require_dict(raw, f"{where} {what}")
-    if set(raw.keys()) != set(labels):
-        raise SceneParseError(f"{where}: {what} must be keyed exactly by the outcome labels")
-    return raw
-
-
-def _parse_values(raw, outcomes, where: str) -> dict[str, float]:
-    out = {}
-    for x, v in _keyed_by_labels(raw, outcomes, where, "values").items():
-        v = _json_float(v)
-        if v is None:
-            raise SceneParseError(f"{where}: value for outcome {x!r} must be a finite number")
-        out[str(x)] = v
-    return out
-
-
-def _parse_observable(name: str, raw):
-    where = f"object {name!r}"
-    raw = _require_dict(raw, where)
-    extra = set(raw) - {"outcomes", "effects", "values"}
-    if extra or "outcomes" not in raw or "effects" not in raw:
-        raise SceneParseError(f"{where}: an observable needs outcomes and effects")
-    labels = _parse_labels(raw["outcomes"], where)
-    effects_raw = _keyed_by_labels(raw["effects"], labels, where, "effects")
-    effects = {
-        x: matrix_from_json(effects_raw[x], f"{where} effect {x!r}") for x in labels
-    }
-    obs = Observable(labels, effects)
-    if "values" in raw:
-        return RealValuedObservable(obs, _parse_values(raw["values"], labels, where))
-    return obs
-
-
-def _parse_operation_literal(where: str, key: str, raw, tol: Tolerance) -> Operation:
-    if key == "kraus":
-        if not isinstance(raw, list) or not raw:
-            raise SceneParseError(f"{where}: kraus must be a nonempty list of matrices")
-        return Operation(
-            tuple(matrix_from_json(k, f"{where} kraus[{i}]") for i, k in enumerate(raw))
-        )
-    if key == "luders":
-        a = matrix_from_json(raw, f"{where} luders effect")
-        _raise_violations(where, validate_effect(a, tol))
-        return luders(a, tol)
-    # holevo
-    raw = _require_dict(raw, f"{where} holevo")
-    if set(raw) != {"effect", "alpha"}:
-        raise SceneParseError(f"{where}: holevo needs exactly effect and alpha")
-    a = matrix_from_json(raw["effect"], f"{where} holevo effect")
-    alpha = matrix_from_json(raw["alpha"], f"{where} holevo alpha")
-    _raise_violations(where, validate_effect(a, tol) + validate_state(alpha, tol))
-    return holevo(a, alpha, tol)
-
-
-def _parse_instrument(
-    name: str, raw, tol: Tolerance, observables: Mapping[str, SceneObject]
-) -> Instrument:
-    where = f"object {name!r}"
-    raw = _require_dict(raw, where)
-    if set(raw) == {"luders_of"}:
-        source = _resolve_observable_ref(raw["luders_of"], where, observables)
-        return luders_instrument(source.value, tol)
-    if set(raw) == {"holevo_of"}:
-        spec = _require_dict(raw["holevo_of"], f"{where} holevo_of")
-        if set(spec) != {"observable", "alphas"}:
-            raise SceneParseError(f"{where}: holevo_of needs exactly observable and alphas")
-        source = _resolve_observable_ref(spec["observable"], where, observables).value
-        alphas_raw = _require_dict(spec["alphas"], f"{where} alphas")
-        alphas = {}
-        for x in source.outcomes:
-            if x not in alphas_raw:
-                raise SceneParseError(f"{where}: missing update state for outcome {x!r}")
-            alpha = matrix_from_json(alphas_raw[x], f"{where} alpha {x!r}")
-            _raise_violations(f"object {f'{name}.alphas[{x}]'!r}", validate_state(alpha, tol))
-            alphas[x] = alpha
-        if set(alphas_raw) - set(source.outcomes):
-            raise SceneParseError(f"{where}: alphas has labels the observable lacks")
-        return holevo_instrument(source, alphas, tol)
-    if set(raw) == {"outcomes", "ops"}:
-        labels = _parse_labels(raw["outcomes"], where)
-        ops_raw = _keyed_by_labels(raw["ops"], labels, where, "ops")
-        ops = {}
-        for x in labels:
-            literal = _require_dict(ops_raw[x], f"{where} op {x!r}")
-            if len(literal) != 1 or next(iter(literal)) not in _OPERATION_KEYS:
-                raise SceneParseError(
-                    f"{where} op {x!r}: expected a kraus, luders or holevo literal"
-                )
-            key = next(iter(literal))
-            ops[x] = _parse_operation_literal(f"object {f'{name}[{x}]'!r}", key, literal[key], tol)
-        return Instrument(labels, ops)
-    raise SceneParseError(
-        f"{where}: an instrument literal is outcomes+ops, luders_of, or holevo_of"
-    )
-
-
-def _resolve_observable_ref(
-    ref, where: str, observables: Mapping[str, SceneObject]
-) -> SceneObject:
-    if not isinstance(ref, str):
-        raise SceneParseError(f"{where}: observable reference must be a name string")
-    if ref not in observables:
-        raise SceneReferenceError(f"{where}: no observable named {ref!r}")
-    return observables[ref]
-
-
-@contextmanager
-def _naming(where: str):
-    """Re-raise a library error from the constructors inside (operands of
-    different sizes in one literal, say) as a SceneValidationError naming
-    ``where``, so the CLI reports it like any other invalid literal."""
-    try:
-        yield
-    except SceneError:
-        raise
-    except QcondError as exc:
-        raise SceneValidationError(f"{where}: {exc}") from exc
-
-
-def _raise_violations(where: str, violations) -> None:
-    if violations:
-        detail = "; ".join(str(v) for v in violations)
-        raise SceneValidationError(f"{where}: {detail}")
-
-
-_OPERATION_KEYS = ("kraus", "luders", "holevo")
+# Object kind -> the validator of what its reader returns (kraus/luders/holevo: "operation").
+_VALIDATORS = {
+    "state": validate_state,
+    "effect": validate_effect,
+    "matrix": lambda m, tol: (),
+    "operation": validate_operation,
+    "observable": validate_observable,
+    "instrument": validate_instrument,
+}
 _OBJECT_KEYS = ("state", "effect", "matrix", *_OPERATION_KEYS, "observable", "instrument")
 
 
 def _build_object(
-    name: str, literal, tol: Tolerance, observables: Mapping[str, SceneObject]
+    name: str, literal, tol: Tolerance, objects: Mapping[str, SceneObject]
 ) -> SceneObject:
     where = f"object {name!r}"
     literal = _require_dict(literal, where)
@@ -588,30 +587,18 @@ def _build_object(
         raise SceneParseError(
             f"{where} must have exactly one of the keys {', '.join(_OBJECT_KEYS)}"
         )
-    key = next(iter(literal))
-    raw = literal[key]
+    [(kind, raw)] = literal.items()
     with _naming(where):
-        if key == "state":
-            m = matrix_from_json(raw, where)
-            _raise_violations(where, validate_state(m, tol))
-            return SceneObject(name, "state", m)
-        if key == "effect":
-            m = matrix_from_json(raw, where)
-            _raise_violations(where, validate_effect(m, tol))
-            return SceneObject(name, "effect", m)
-        if key == "matrix":
-            return SceneObject(name, "matrix", matrix_from_json(raw, where))
-        if key in _OPERATION_KEYS:
-            op = _parse_operation_literal(where, key, raw, tol)
-            _raise_violations(where, validate_operation(op, tol))
-            return SceneObject(name, "operation", op)
-        if key == "observable":
-            obs = _parse_observable(name, raw)
-            _raise_violations(where, validate_observable(obs, tol))
-            return SceneObject(name, "observable", obs)
-        ins = _parse_instrument(name, raw, tol, observables)
-        _raise_violations(where, validate_instrument(ins, tol))
-        return SceneObject(name, "instrument", ins)
+        if kind == "observable":
+            value = _read_observable(raw, where, tol)
+        elif kind == "instrument":
+            value = _read_instrument(raw, where, tol, objects=objects)
+        elif kind in ("state", "effect", "matrix"):
+            value = _read_matrix(raw, where)
+        else:
+            kind, value = "operation", _read_operation(literal, where, tol)
+        _raise_violations(where, _VALIDATORS[kind](value, tol))
+    return SceneObject(name, kind, value)
 
 
 _ACCEPTED_KINDS = {
@@ -714,7 +701,7 @@ def _parse_check(
     label = raw.get("label")
     if label is not None and not isinstance(label, str):
         raise SceneParseError(f"{where}: label must be a string")
-    want = spec.result.parse(expect, where, dims.pop(), scene_tol) if has_expect else None
+    want = spec.result.parse(expect, where, scene_tol, dims.pop()) if has_expect else None
     return CheckSpec(
         index=index,
         op=op,
@@ -730,19 +717,14 @@ def _parse_check(
 
 
 def _parse_tolerance(raw) -> Tolerance:
-    if raw is None:
-        return Tolerance()
-    raw = _require_dict(raw, "tolerance")
+    raw = _require_dict({} if raw is None else raw, "tolerance")
     extra = set(raw) - {"eq_tol", "psd_tol"}
     if extra:
         raise SceneParseError(f"tolerance: unknown keys {sorted(extra)}")
-    kwargs = {}
-    for key in ("eq_tol", "psd_tol"):
-        if key in raw:
-            value = _json_float(raw[key])
-            if value is None or value <= 0:
-                raise SceneParseError(f"tolerance: {key} must be a positive number")
-            kwargs[key] = value
+    kwargs = {key: _json_float(raw[key]) for key in ("eq_tol", "psd_tol") if key in raw}
+    for key, value in kwargs.items():
+        if value is None or value <= 0:
+            raise SceneParseError(f"tolerance: {key} must be a positive number")
     return Tolerance(**kwargs)
 
 
@@ -756,11 +738,9 @@ def load_scene(source) -> Scene:
         p = Path(source)
         path = str(p)
         try:
-            text = p.read_text(encoding="utf-8")
+            data = json.loads(p.read_text(encoding="utf-8"))
         except OSError as exc:
             raise SceneParseError(f"cannot read scene file {p}: {exc}") from exc
-        try:
-            data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SceneParseError(f"{p} is not valid JSON: {exc}") from exc
         name = str(data.get("name", p.stem)) if isinstance(data, dict) else p.stem
@@ -772,17 +752,11 @@ def load_scene(source) -> Scene:
 
     objects: dict[str, SceneObject] = {}
     raw_objects = _require_dict(data.get("objects", {}), "objects")
-    # Instruments may refer to observables by name, so build them last.
-    deferred = []
-    for obj_name, literal in raw_objects.items():
-        obj_name = str(obj_name)
-        literal_dict = _require_dict(literal, f"object {obj_name!r}")
-        if set(literal_dict) == {"instrument"}:
-            deferred.append((obj_name, literal_dict))
-        else:
-            objects[obj_name] = _build_object(obj_name, literal_dict, tol, objects)
-    for obj_name, literal_dict in deferred:
-        objects[obj_name] = _build_object(obj_name, literal_dict, tol, objects)
+    # Instruments may refer to observables by name, so a stable sort builds them last.
+    for obj_name, literal in sorted(
+        raw_objects.items(), key=lambda kv: isinstance(kv[1], dict) and set(kv[1]) == {"instrument"}
+    ):
+        objects[str(obj_name)] = _build_object(str(obj_name), literal, tol, objects)
 
     raw_checks = data.get("checks", [])
     if not isinstance(raw_checks, list):
@@ -800,46 +774,35 @@ def run_scene(scene: Scene, default_tol: float | None = None) -> SceneReport:
     base_tol = scene.tolerance.eq_tol if default_tol is None else float(default_tol)
     results = []
     for check in scene.checks:
-        threshold = base_tol if check.tol is None else check.tol
         op = SCENE_OPS[check.op]
+        # an expectation passes within the tolerance, bounds only when met
+        limit = (base_tol if check.tol is None else check.tol) if check.has_expect else 0.0
         try:
-            if op.takes_tol:
-                value = op.fn(*check.args, tol=scene.tolerance)
-            else:
-                value = op.fn(*check.args)
+            value = op.fn(*check.args, **({"tol": scene.tolerance} if op.takes_tol else {}))
         except QcondError as exc:
-            results.append(
-                CheckResult(
-                    index=check.index,
-                    op=check.op,
-                    label=check.label,
-                    passed=False,
-                    residual=float("inf"),
-                    value=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        if check.has_expect:
-            residual = op.result.distance(value, check.want, f"check[{check.index}]")
-            passed = residual <= threshold
-        else:  # only a real result takes bounds (checked at load)
-            x = float(value)
-            residual = 0.0 if math.isfinite(x) else math.inf  # NaN meets no bound
-            if check.expect_min is not None:
-                residual = max(residual, check.expect_min - x)
-            if check.expect_max is not None:
-                residual = max(residual, x - check.expect_max)
-            passed = residual <= 0.0
+            value, error, residual = None, f"{type(exc).__name__}: {exc}", math.inf
+        else:
+            error = None
+            if check.has_expect:
+                residual = op.result.distance(value, check.want, f"check[{check.index}]")
+            else:  # only a real result takes bounds (checked at load)
+                x = float(value)
+                residual = 0.0 if math.isfinite(x) else math.inf  # NaN meets no bound
+                if check.expect_min is not None:
+                    residual = max(residual, check.expect_min - x)
+                if check.expect_max is not None:
+                    residual = max(residual, x - check.expect_max)
+            value = value_to_json(value)
         results.append(
             CheckResult(
                 index=check.index,
                 op=check.op,
                 label=check.label,
-                passed=bool(passed),
+                passed=bool(residual <= limit),
                 residual=float(residual),
-                value=value_to_json(value),
-                expected=check.expect if check.has_expect else None,
+                value=value,
+                expected=None if error else check.expect,
+                error=error,
             )
         )
     return SceneReport(

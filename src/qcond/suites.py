@@ -278,7 +278,7 @@ def _luders_closure_gap(a, b) -> float:
 
 def _effects_gap(a, b) -> float:
     """Largest Frobenius distance between same-labelled effects, over b's outcomes."""
-    return max(frobenius(a.effects[y] - b.effects[y]) for y in b.outcomes)
+    return float(np.max([frobenius(a.effects[y] - b.effects[y]) for y in b.outcomes], initial=0.0))
 
 
 def _kind_instrument(g: Generator, dim: int, t: int, sharp_observable):
@@ -327,8 +327,10 @@ def _sequential_product_bounds(g, dim, t):
     lam = trace_product(atom, transported).real
     gap = a - sequential_product(op, b)
     values = {
-        # minus the lowest eigenvalue of a - op's transport of b, if negative
-        "transport-below-effect": max(0.0, -np.linalg.eigvalsh((gap + dagger(gap)) / 2.0)[0]),
+        # minus the lowest eigenvalue of a - op's transport of b, if negative; NaN stays NaN
+        "transport-below-effect": float(
+            np.max(-np.linalg.eigvalsh((gap + dagger(gap)) / 2.0)[:1], initial=0.0)
+        ),
         "sharp-transport-commutes": frobenius(commutator(sequential_product(op_p, b2), p)),
         "atomic-transport-proportional": frobenius(transported - lam * atom),
         # how far the coefficient lies outside [0, 1]; NaN stays NaN
@@ -459,7 +461,7 @@ def _conditioning_laws(g, dim, t):
         "bar-of-composite": choi_distance(
             bar_channel(comp), compose(bar_channel(ins_i), bar_channel(ins_j))
         ),
-        "composite-marginals": max([0.0] + marginals),
+        "composite-marginals": float(np.max(marginals, initial=0.0)),
     }
     return values, {"dim": dim, "A": a_obs, "B": b_obs, "C": c_obs}
 
@@ -504,9 +506,8 @@ def _atomic_context(g, dim, t):
     if values["codiagonal-pair-commutes"]:
         a_obs, ins = atomic_context([b_obs, c_obs])
         values["context-is-atomic"] = all(is_atomic(a_obs.effects[x]) for x in a_obs.outcomes)
-        values["context-fixes-pair"] = max(
-            _effects_gap(condition_observable(o, ins), o) for o in (b_obs, c_obs)
-        )
+        gaps = [_effects_gap(condition_observable(o, ins), o) for o in (b_obs, c_obs)]
+        values["context-fixes-pair"] = float(np.max(gaps, initial=0.0))
 
     d1 = random_observable(g, dim, 2)
     d2 = random_observable(g, dim, 2)
@@ -546,7 +547,8 @@ def _uncertainty(g, dim, t):
             closed = sharp_luders_moments(rho, a_obs, b, c)
         else:
             closed = holevo_moments(rho, a_obs, alphas, b, c)
-        values["closed-forms"] = max(abs(x - y) for x, y in zip(closed, generic))
+        gaps = [abs(x - y) for x, y in zip(closed, generic)]
+        values["closed-forms"] = float(np.max(gaps, initial=0.0))
     return values, {"dim": dim, "kind": float(kind), "A": a_obs, "B": b, "C": c, "state": rho}
 
 
@@ -632,7 +634,9 @@ def _entropy(g, dim, t):
         or _first_hit(g, dim, lambda s: _entropy_gap(s, op, b), 1e-12, 2000)[0] is not None,
         "luders-dominated": sequential_entropy_dominated(luders(a), b),
         "sequential-entropy-exceeds-conditional": lambda: _holevo_entropy_reversal(g, dim),
-        "double-bar-chain": max(abs(chain1 - chain2), abs(chain1 - chain3)),
+        "double-bar-chain": float(
+            np.max([abs(chain1 - chain2), abs(chain1 - chain3)], initial=0.0)
+        ),
         "single-bar-differs-from-double-bar": single_double_gap,
         "single-bar-chain": abs(left - conditional_observable_entropy_single(rho, cond, c1)),
         "single-bar-chain-fails-for-fresh-measurement": fresh_chain_failure,

@@ -1,8 +1,7 @@
 """tools/compare_reports.py on small hand-made reports.
 
-Numbers may drift by 1e-13, and a bare real matches an [re, im] pair, so a
-report set compares with one written when exactly-real entries were bare
-reals; a changed verdict, count or list length is a difference.
+Numbers may drift by 1e-13; a changed verdict, count or list length is a
+difference, and so is a bare real where the other side has an [re, im] pair.
 """
 
 import copy
@@ -53,18 +52,28 @@ def test_identical_reports_agree(tmp_path):
     assert "compared 2 report pair(s), 2 byte-identical" in done.stdout
 
 
-def test_shape_flip_and_round_off_agree(tmp_path):
+def test_round_off_agrees(tmp_path):
     suite = copy.deepcopy(SUITE)
-    suite["witnesses"][0]["a"][0][0] = [0.5, 1e-17]  # bare real -> pair
     suite["witnesses"][0]["a"][0][1] = [0.25 + 2e-16, 0.125]
     suite["max_residual"] = 0.0633 + 1e-14
     scene = copy.deepcopy(SCENE)
     scene["path"] = None  # where the scene was read from is not compared
-    scene["checks"][0]["value"] = [0.5, 0.0]  # pair -> same real
     done = _compare(tmp_path, {"suite.json": SUITE, "scene.json": SCENE}, {"suite.json": suite, "scene.json": scene})
     assert done.returncode == 0, done.stdout
     assert "largest numeric drift 1e-14 at suite.json.max_residual" in done.stdout
     assert "compared 2 report pair(s), 0 byte-identical" in done.stdout
+
+
+def test_shape_flip_differs(tmp_path):
+    suite = copy.deepcopy(SUITE)
+    suite["witnesses"][0]["a"][0][0] = [0.5, 0.0]  # bare real -> pair
+    scene = copy.deepcopy(SCENE)
+    scene["checks"][0]["value"] = [0.5, 0.0]  # bare real -> pair
+    done = _compare(tmp_path, {"suite.json": SUITE, "scene.json": SCENE}, {"suite.json": suite, "scene.json": scene})
+    assert done.returncode == 1, done.stdout
+    assert "suite.json.witnesses[0].a[0][0]: 0.5 != [0.5, 0.0]" in done.stdout
+    assert "scene.json.checks[0].value: 0.5 != [0.5, 0.0]" in done.stdout
+    assert "DIFFERENT: 2 difference(s)" in done.stdout
 
 
 def test_byte_identical_pairs_are_counted(tmp_path):

@@ -6,6 +6,7 @@ and the CLI exit-code contract: 0 all passed, 1 failing checks or suites,
 2 malformed input / unknown names.
 """
 
+import itertools
 import json
 import math
 import pathlib
@@ -19,6 +20,7 @@ from qcond.errors import (
     SceneReferenceError,
     SceneValidationError,
 )
+from qcond import scene as scene_module
 from qcond.scene import load_scene, run_scene
 
 SCENE_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "scenes"
@@ -626,6 +628,139 @@ def test_malformed_expectation_fails_validate(case, tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+
+# --- one reader per literal kind ----------------------------------------------
+
+
+_P0, _P1, _ZERO = [[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]]
+# The composite of the Lüders instrument of Z with itself: P_y P_x for "x,y".
+# Its labels carry the separator that an object's labels may not, and it loads
+# and passes (test_a_nan_distance_component_fails_the_check runs it unpatched).
+_LZ_TWICE = {
+    "outcomes": ["0,0", "0,1", "1,0", "1,1"],
+    "ops": {"0,0": {"kraus": [_P0]}, "0,1": {"kraus": [_ZERO]},
+            "1,0": {"kraus": [_ZERO]}, "1,1": {"kraus": [_P1]}},
+}
+
+
+def _instrument_scene(*checks, **objects):
+    scene = _basic_scene(checks=list(checks))
+    scene["objects"].update(zv={"observable": _Z}, lz={"instrument": {"luders_of": "zv"}})
+    scene["objects"].update(objects)
+    return scene
+
+
+_BAD_EXPECTED_OUTCOMES = {
+    "not-a-list": ("0,0", SceneParseError, "check[0]: outcomes must be a nonempty list of labels"),
+    "empty": ([], SceneParseError, "check[0]: outcomes must be a nonempty list of labels"),
+    "repeated": (
+        ["0,0", "0,1", "1,0", "1,1", "0,0"],
+        SceneValidationError, "check[0]: outcome labels must be unique",
+    ),
+    "not-the-ops-keys": (
+        ["0,0", "0,1", "1,0"],
+        SceneParseError, "check[0]: ops must be keyed exactly by the outcome labels",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_EXPECTED_OUTCOMES))
+def test_instrument_expectation_outcomes_are_checked_at_load(case, tmp_path, capsys):
+    outcomes, error, message = _BAD_EXPECTED_OUTCOMES[case]
+    expect = {**_LZ_TWICE, "outcomes": outcomes}
+    path = _write(tmp_path, _instrument_scene(
+        {"op": "compose_instruments", "args": ["lz", "lz"], "expect": expect}
+    ))
+    with pytest.raises(error, match=re.escape(message)):
+        load_scene(path)
+    assert main(["validate", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+_BAD_OP_KEYS = {
+    "instrument-object": (
+        {"bad": {"instrument": {"outcomes": ["0"], "ops": {"0": {"unitary": _P0}}}}},
+        [],
+        "object 'bad' op '0': expected a kraus, luders or holevo literal",
+    ),
+    "instrument-expect": (
+        {},
+        [{"op": "compose_instruments", "args": ["lz", "lz"],
+          "expect": {**_LZ_TWICE, "ops": {**_LZ_TWICE["ops"], "1,0": {"unitary": _P0}}}}],
+        "check[0] expect op '1,0': expected a kraus, luders or holevo literal",
+    ),
+    "operation-expect": (
+        {},
+        [{"op": "bar_channel", "args": ["lz"], "expect": {"unitary": _P0}}],
+        "check[0] expect: expected a kraus, luders or holevo literal",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_OP_KEYS))
+def test_a_bad_op_key_names_its_location(case, tmp_path, capsys):
+    # Objects and expectations read operation literals through the same code.
+    objects, checks, message = _BAD_OP_KEYS[case]
+    path = _write(tmp_path, _instrument_scene(*checks, **objects))
+    with pytest.raises(SceneValidationError, match=re.escape(message)):
+        load_scene(path)
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "literal", ({"luders_of": "rho"}, {"holevo_of": {"observable": "p0", "alphas": {}}})
+)
+def test_an_instrument_source_must_be_an_observable(literal, tmp_path, capsys):
+    path = _write(tmp_path, _instrument_scene(bad={"instrument": literal}))
+    with pytest.raises(SceneReferenceError, match="no observable named"):
+        load_scene(path)
+    assert main(["validate", path]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _nan_after_first_call(real):
+    calls = itertools.count()
+    return lambda *args: math.nan if next(calls) else real(*args)
+
+
+def _nan_in_last_field(real):
+    def poisoned(value):
+        fields = real(value)
+        return {**fields, list(fields)[-1]: math.nan}
+
+    return poisoned
+
+
+_NAN_COMPONENTS = {
+    "observable": (
+        "frobenius", _nan_after_first_call,
+        {"op": "measured_observable", "args": ["lz"], "expect": {"effects": _Z["effects"]}},
+    ),
+    "instrument": (
+        "choi_distance", _nan_after_first_call,
+        {"op": "compose_instruments", "args": ["lz", "lz"], "expect": _LZ_TWICE},
+    ),
+    "record": (
+        "value_to_json", _nan_in_last_field,
+        {"op": "distribution", "args": ["rho", "zv"], "expect": {"0": 0.5, "1": 0.5}},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NAN_COMPONENTS))
+def test_a_nan_distance_component_fails_the_check(kind, monkeypatch):
+    # The NaN comes after a finite component, which a running max would keep.
+    target, poison, check = _NAN_COMPONENTS[kind]
+    scene = load_scene(_instrument_scene(check))
+    assert run_scene(scene).passed
+    monkeypatch.setattr(scene_module, target, poison(getattr(scene_module, target)))
+    result = run_scene(scene).checks[0]
+    assert not result.passed
+    assert math.isnan(result.residual)
 
 
 def test_cli_run_missing_file_exits_2(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from qcond import (
     SUITE_NAMES,
     Moments,
+    Observable,
+    Operation,
     QcondError,
     SuiteArgumentError,
     UnknownSuiteError,
@@ -315,6 +318,62 @@ def test_cli_verify_json_writes_a_nan_residual_as_a_string(
     suite = strict_loads(out.read_text())["suites"][0]
     assert suite["max_residual"] == "NaN"
     assert [f["residual"] for f in suite["failures"]] == ["NaN", "NaN"]
+
+
+class _Patched:
+    """``base`` with some attributes replaced; every other one is read from ``base``."""
+
+    def __init__(self, base, **replaced):
+        self._base = base
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(self._base, name)
+
+
+def test_a_nan_eigenvalue_fails_transport_below_effect(monkeypatch):
+    # Only the suites module's eigvalsh returns NaN; max(0.0, nan) gives 0.0.
+    linalg = _Patched(np.linalg, eigvalsh=lambda m: np.full(m.shape[-1], np.nan))
+    monkeypatch.setattr(suites, "np", _Patched(np, linalg=linalg))
+    report = run_suite("sequential-product-bounds", dims=(2,), trials=2, seed=7)
+    assert not report.ok
+    assert _failed_laws(report) == [["transport-below-effect"]] * 2
+    assert np.isnan(report.max_residual)
+
+
+def test_effects_gap_keeps_a_nan_after_a_finite_gap():
+    eye = np.eye(2, dtype=complex)
+    b = Observable(["0", "1"], {"0": eye, "1": 0 * eye})
+    a = types.SimpleNamespace(effects={"0": eye, "1": np.full((2, 2), np.nan)})
+    assert np.isnan(suites._effects_gap(a, b))
+
+
+@pytest.mark.parametrize(
+    "suite, target, poison, law, trials",
+    (
+        # trial 1 draws a Holevo instrument, whose moments have a closed form
+        ("uncertainty", "holevo_moments", lambda m: m._replace(commutator_trace=np.nan),
+         "closed-forms", [1]),
+        # the chain's third route, compared after its second
+        ("entropy", "observable_entropy", lambda h: np.nan, "double-bar-chain", [0, 1]),
+        # each outcome's marginal of the composite; the list used to start at 0.0
+        ("conditioning-laws", "Operation", lambda op: Operation(np.nan * op.kraus),
+         "composite-marginals", [0, 1]),
+    ),
+)
+def test_a_nan_after_a_finite_value_fails_its_law(monkeypatch, suite, target, poison, law, trials):
+    real = getattr(suites, target)
+    monkeypatch.setattr(suites, target, lambda *args: poison(real(*args)))
+    report = run_suite(suite, dims=(2,), trials=2, seed=7)
+    assert [(f.trial, f.laws) for f in report.failures] == [(t, [law]) for t in trials]
+    assert np.isnan(report.max_residual)
+
+
+def test_a_holds_condition_fails_on_nan(monkeypatch):
+    # A holds law is a comparison, and every comparison with NaN is False.
+    monkeypatch.setattr(suites, "effect_entropy", lambda rho, a: np.nan)
+    report = run_suite("entropy", dims=(2,), trials=2, seed=7)
+    assert _failed_laws(report) == [["effect-entropy-nonnegative"]] * 2
 
 
 @pytest.mark.parametrize("level", (1.0, 0.0))

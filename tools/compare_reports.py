@@ -12,12 +12,11 @@ of one suite or scene report.
 The two sides must have the same structure: the same keys, the same list
 lengths, the same strings, booleans and integers.  So pass/fail verdicts,
 pass and failure counts and witness counts must match, or the comparison
-fails and names the place.  Other numbers may differ by at most 1e-13.  A
-bare real ``x`` and a pair ``[x, y]`` are read as the same complex number:
-reports now write every complex value as pairs, but reports written before
-that wrote an entry whose imaginary part was exactly 0 as a bare real, so a
-new report set still compares with an old one.  A scene report's ``path``
-is ignored: it names the file the scene was read from.
+fails and names the place.  Other numbers may differ by at most 1e-13.
+qcond writes every complex value as an ``[re, im]`` pair, so a bare real
+facing a pair is a change of shape and a difference, even when the pair's
+imaginary part is 0.  A scene report's ``path`` is ignored: it names the
+file the scene was read from.
 The tool also counts the pairs whose files are byte-identical.
 
 Exit status: 0 when the reports agree, 1 when they differ, 2 on bad input.
@@ -42,15 +41,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _as_complex(x):
-    """x as a complex number when it is a real or an [re, im] pair, else None."""
-    if _is_number(x):
-        return complex(x)
-    if isinstance(x, list) and len(x) == 2 and all(_is_number(p) for p in x):
-        return complex(x[0], x[1])
-    return None
-
-
 class Comparison:
     def __init__(self) -> None:
         self.problems: list[str] = []
@@ -61,8 +51,8 @@ class Comparison:
         if _is_int(a) and _is_int(b):
             if a != b:
                 self.problems.append(f"{where}: {a} != {b}")
-        elif (_is_number(a) or _is_number(b)) and None not in (_as_complex(a), _as_complex(b)):
-            self._drift(_as_complex(a), _as_complex(b), where)
+        elif _is_number(a) and _is_number(b):
+            self._drift(a, b, where)
         elif isinstance(a, dict) and isinstance(b, dict):
             self._dict(a, b, where)
         elif isinstance(a, list) and isinstance(b, list):
@@ -82,18 +72,14 @@ class Comparison:
         for key in sorted((set(a) & set(b)) - ignored):
             self.walk(a[key], b[key], f"{where}.{key}")
 
-    def _drift(self, x: complex, y: complex, where: str) -> None:
-        if x == y or (_nan(x) and _nan(y)):
+    def _drift(self, x: float, y: float, where: str) -> None:
+        if x == y or (math.isnan(x) and math.isnan(y)):
             return
         drift = abs(x - y)
         if not drift <= MAX_DRIFT:
             self.problems.append(f"{where}: {_short(x)} != {_short(y)} (drift {drift:.3g})")
         elif drift > self.drift:
             self.drift, self.drift_at = drift, where
-
-
-def _nan(z: complex) -> bool:
-    return math.isnan(z.real) or math.isnan(z.imag)
 
 
 def _short(x) -> str:
