@@ -9,9 +9,19 @@ parent or a sibling, so per-trial objects do not depend on other trials.
 generators ``first``, ``first + 1``, ... as one (n, d, d) stack, equal bit
 for bit to drawing them one by one, so a sweep may draw its states in
 chunks of any size.
+
+Stream contract: the generator at key (seed, *keys) draws exactly what
+``np.random.PCG64(np.random.SeedSequence(key))`` draws, each key coerced to
+its uint32 words as SeedSequence does.  A child is seeded by continuing its
+parent's SeedSequence pool with its own key words, which SeedSequence allows
+once the parent's key holds four words; a shallower parent has numpy mix the
+child's whole key.  :func:`random_states` continues the pool for a whole
+stack at once, in uint32 lanes, and then builds one PCG64 per state.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -44,6 +54,140 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _RETRIES = 100
 
+# numpy's SeedSequence hash and mix constants (O'Neill's seed_seq_fe with a
+# pool of four uint32 words).  Every derived stream stays bit for bit
+# np.random.PCG64(np.random.SeedSequence(key)); these only let a child
+# continue its parent's pool instead of mixing its whole key again.
+_M32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_L = 0xCA01F9DD
+_MIX_R = 0x4973F715
+
+
+def _hash_run(h: int, n: int, mult: int = _MULT_A) -> list[int]:
+    """h and the n hash constants after it: hash j xors run[j] and multiplies by run[j + 1]."""
+    run = [h]
+    for _ in range(n):
+        run.append(run[-1] * mult & _M32)
+    return run
+
+
+# generate_state(4, uint64) hashes the pool cycled twice with a fresh INIT_B run.
+_STATE_RUN = _hash_run(_INIT_B, 8, _MULT_B)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed sequence PCG64 takes from this module, built at the first draw.
+
+    Its base class lives in numpy.random, which ``import qcond`` does not load.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """The generate_state(4, uint64) words of a SeedSequence, mixed by this module.
+
+        PCG64 asks its seed sequence for exactly these four words, so handing
+        them over seeds it as that SeedSequence would.
+        """
+
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("SeedWords holds only the 4 uint64 words PCG64 asks for")
+            return self.words
+
+    return SeedWords
+
+
+def _pcg64(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+
+
+def _seed(key: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int, np.random.Generator]:
+    """(pool, hash constant, stream) of SeedSequence(key), its pool mixed by numpy.
+
+    The pool can be continued only when the key holds at least four uint32
+    words: a shorter key is zero-padded, and then the pool's cross-mix has
+    run over words that a longer key would replace.  Such a pool is None.
+    """
+    pool = np.random.SeedSequence(key).pool.tolist()
+    rng = _pcg64(_state_words(pool))
+    n_words = sum((k.bit_length() + 31) // 32 or 1 for k in key)
+    if n_words < 4:
+        return None, 0, rng
+    # Mixing n >= 4 words runs 4n hashmixes: 4 fill the pool, 12 cross-mix
+    # it and each word past the fourth is hashed once per pool word.
+    return tuple(pool), _INIT_A * pow(_MULT_A, 4 * n_words, 1 << 32) & _M32, rng
+
+
+def _mix_in(pool: list[int], h: int, key: int) -> int:
+    """Mix key's uint32 words into pool in place, as SeedSequence does past its fourth word.
+
+    Returns the hash constant after them.
+    """
+    while True:
+        word = key & _M32
+        for i in range(4):
+            v = word ^ h
+            h = h * _MULT_A & _M32
+            v = v * h & _M32
+            v ^= v >> 16
+            x = (_MIX_L * pool[i] - _MIX_R * v) & _M32
+            pool[i] = x ^ (x >> 16)
+        key >>= 32
+        if not key:
+            return h
+
+
+def _state_words(pool: list[int]) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) of one pool."""
+    w = []
+    for j in range(8):
+        v = (pool[j & 3] ^ _STATE_RUN[j]) * _STATE_RUN[j + 1] & _M32
+        w.append(v ^ (v >> 16))
+    # little-endian uint64 pairs of uint32 words, as SeedSequence reads them
+    return np.array(
+        [w[0] | w[1] << 32, w[2] | w[3] << 32, w[4] | w[5] << 32, w[6] | w[7] << 32], dtype=np.uint64
+    )
+
+
+# The stacked path works in uint32 lanes, whose products wrap mod 2**32 as
+# SeedSequence's do.
+_LANE_MIX_L = np.uint32(_MIX_L)
+_LANE_MIX_R = np.uint32(_MIX_R)
+_LANE_16 = np.uint32(16)
+_LANE_STATE_XOR = np.array(_STATE_RUN[:8], dtype=np.uint32)
+_LANE_STATE_MUL = np.array(_STATE_RUN[1:], dtype=np.uint32)
+
+
+def _mix_lanes(pools: np.ndarray, words: np.ndarray, h: int) -> np.ndarray:
+    """_mix_in of one uint32 word per row into uint32 pools, all four lanes at once.
+
+    pools is (4,) or (n, 4), words (n,); the mixed pools are (n, 4).
+    """
+    run = np.array(_hash_run(h, 4), dtype=np.uint32)
+    v = (words[:, None] ^ run[:4]) * run[1:]
+    v ^= v >> _LANE_16
+    x = _LANE_MIX_L * pools - _LANE_MIX_R * v
+    x ^= x >> _LANE_16
+    return x
+
+
+def _lane_state_words(pools: np.ndarray) -> np.ndarray:
+    """_state_words of each row of (n, 4) uint32 pools: an (n, 4) uint64 array."""
+    v = (np.concatenate((pools, pools), axis=1) ^ _LANE_STATE_XOR) * _LANE_STATE_MUL
+    v ^= v >> _LANE_16
+    # SeedSequence reads its uint32 words as little-endian uint64 pairs.
+    return v.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
 
 class Generator:
     """Deterministic random source keyed by a 64-bit seed (plus derive keys)."""
@@ -51,23 +195,44 @@ class Generator:
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._key: tuple[int, ...] = (self.seed,)
-        self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self._key)))
+        self._pool, self._hash, self._rng = _seed(self._key)
 
     def derive(self, *keys: int) -> "Generator":
         """Child generator at (seed, *keys); independent of this one's draw count."""
         child = object.__new__(Generator)
         child.seed = self.seed
-        child._key = self._key + tuple(int(k) & _MASK64 for k in keys)
-        child._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(child._key)))
+        new = tuple(int(k) & _MASK64 for k in keys)
+        child._key = self._key + new
+        if self._pool is None:
+            child._pool, child._hash, child._rng = _seed(child._key)
+            return child
+        pool, h = list(self._pool), self._hash
+        for k in new:
+            h = _mix_in(pool, h, k)
+        child._pool, child._hash = tuple(pool), h
+        child._rng = _pcg64(_state_words(pool))
         return child
+
+    def _child_streams(self, first: int, count: int) -> list[np.random.Generator]:
+        """The streams of derive(first), ..., derive(first + count - 1), seeded as one stack."""
+        if self._pool is None:
+            return [self.derive(first + s)._rng for s in range(count)]
+        start = first & _MASK64
+        keys = np.arange(count, dtype=np.uint64) + np.uint64(start)  # wraps as derive's keys do
+        pools = np.array(self._pool, dtype=np.uint32)
+        pools = _mix_lanes(pools, keys.astype(np.uint32), self._hash)
+        if start + count > 1 << 32:  # some keys hold a second uint32 word
+            wide = keys >> np.uint64(32) != 0
+            high = (keys[wide] >> np.uint64(32)).astype(np.uint32)
+            pools[wide] = _mix_lanes(pools[wide], high, _hash_run(self._hash, 4)[4])
+        return [_pcg64(words) for words in _lane_state_words(pools)]
 
     def normal(self, *shape: int) -> np.ndarray:
         return self._rng.standard_normal(shape)
 
     def complex_normal(self, *shape: int) -> np.ndarray:
-        re = self._rng.standard_normal(shape)
-        im = self._rng.standard_normal(shape)
-        return (re + 1j * im) / np.sqrt(2.0)
+        parts = self._rng.standard_normal((2, *shape))
+        return (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
 
     def uniform(self, low: float, high: float, *shape: int):
         out = self._rng.uniform(low, high, shape)
@@ -104,8 +269,8 @@ def random_states(g: Generator, dim: int, count: int, first: int = 0) -> np.ndar
     # parts[s] is state s's real then imaginary draw: one call fills both,
     # in complex_normal's draw order.
     parts = np.empty((count, 2, dim, dim))
-    for s in range(count):
-        g.derive(first + s)._rng.standard_normal(out=parts[s])
+    for s, rng in enumerate(g._child_streams(first, count)):
+        rng.standard_normal(out=parts[s])
     return _normalized_gram((parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0))
 
 

@@ -56,7 +56,8 @@ unique labels that keys "ops" exactly) except that they may carry the
 reserved separators of composite results.  Objects are validated once read;
 expectations are not.  What depends on the computed value (a record's
 fields, the outcome labels of an observable or instrument result) is checked
-when the scene runs.
+when the scene runs: a label the result lacks fails that check alone, with
+residual inf and the SceneValidationError as its error.
 
 Malformed files raise SceneParseError, semantic problems (invalid objects,
 unknown ops, reserved labels, expectations of the wrong kind)
@@ -784,7 +785,12 @@ def run_scene(scene: Scene, default_tol: float | None = None) -> SceneReport:
         else:
             error = None
             if check.has_expect:
-                residual = op.result.distance(value, check.want, f"check[{check.index}]")
+                # A result may lack a label the expectation names, which only
+                # running the check can show: that check fails, not the scene.
+                try:
+                    residual = op.result.distance(value, check.want, f"check[{check.index}]")
+                except SceneValidationError as exc:
+                    error, residual = f"{type(exc).__name__}: {exc}", math.inf
             else:  # only a real result takes bounds (checked at load)
                 x = float(value)
                 residual = 0.0 if math.isfinite(x) else math.inf  # NaN meets no bound
@@ -801,7 +807,7 @@ def run_scene(scene: Scene, default_tol: float | None = None) -> SceneReport:
                 passed=bool(residual <= limit),
                 residual=float(residual),
                 value=value,
-                expected=None if error else check.expect,
+                expected=None if value is None else check.expect,
                 error=error,
             )
         )

@@ -31,6 +31,7 @@ from qcond.rand import (
     random_projective_observable,
     random_real_values,
     random_state,
+    random_states,
     random_unitary,
 )
 
@@ -174,3 +175,76 @@ def test_uniform_and_integer_ranges():
     ks = [g.integer(2, 5) for _ in range(50)]
     assert set(ks) <= {2, 3, 4, 5}
     assert min(ks) >= 2 and max(ks) <= 5
+
+
+# --- the stream contract, pinned against numpy itself ----------------------
+#
+# A generator at key (seed, *keys) draws exactly what
+# np.random.PCG64(np.random.SeedSequence(key)) draws, however the key was
+# reached: keys of one or two uint32 words each, roots shorter than
+# SeedSequence's four-word pool, and chains that continue a parent's pool.
+
+_WORDS = (0, 1, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1)
+
+
+def _numpy_stream(key):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
+def _numpy_state(key, dim):
+    parts = _numpy_stream(key).standard_normal((2, dim, dim))
+    m = (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("root", (0, 7, 2**32 - 1, 2**32, 2**64 - 1))
+def test_derived_streams_are_numpy_seed_sequences(root):
+    rng = random.Random(root)
+    for chain in range(12):
+        g, key = Generator(root), (root,)
+        assert np.array_equal(g.normal(5), _numpy_stream(key).standard_normal(5))
+        # one to three keys per step, up to seven steps: from one word to 20+
+        for _step in range(1 + chain % 7):
+            keys = tuple(rng.choice(_WORDS) for _ in range(1 + rng.randrange(3)))
+            g, key = g.derive(*keys), key + keys
+            assert np.array_equal(g.normal(5), _numpy_stream(key).standard_normal(5)), key
+
+
+def test_grandchildren_of_continued_children_are_numpy_seed_sequences():
+    g = Generator(1009).derive(3).derive(2, 5)  # four words: continued from here on
+    for i in range(3):
+        child = g.derive(i)
+        for j in (0, 2**32 + i, 2**64 - 1):
+            grandchild = child.derive(j)
+            key = (1009, 3, 2, 5, i, j)
+            assert np.array_equal(grandchild.normal(4), _numpy_stream(key).standard_normal(4))
+            great = grandchild.derive(j, i)
+            assert np.array_equal(great.normal(4), _numpy_stream(key + (j, i)).standard_normal(4))
+
+
+@pytest.mark.parametrize(
+    "parent", ((5,), (5, 1), (5, 2, 3), (5, 2, 3, 4), (2**40, 1, 2**64 - 1)), ids=str
+)
+@pytest.mark.parametrize("first", (0, 2**32 - 3, 2**64 - 2))
+def test_random_states_are_numpy_seed_sequences(parent, first):
+    # 2**32 - 3 crosses from one-word to two-word keys within the stack;
+    # 2**64 - 2 wraps, as derive's 64-bit keys do.
+    g = Generator(parent[0]).derive(*parent[1:])
+    dim, count = 3, 6
+    stack = random_states(g, dim, count, first)
+    for s in range(count):
+        key = parent + ((first + s) % 2**64,)
+        assert np.array_equal(stack[s], _numpy_state(key, dim)), key
+
+
+def test_complex_normal_is_two_standard_normal_calls_bit_for_bit():
+    # One draw of shape (2, *shape) fills the real parts, then the imaginary
+    # parts, and leaves the stream where two separate draws would.
+    for seed in range(200):
+        for shape in ((), (1,), (3,), (2, 2), (3, 3), (4, 2)):
+            g, rng = Generator(seed), _numpy_stream((seed,))
+            re = rng.standard_normal(shape)
+            im = rng.standard_normal(shape)
+            assert np.array_equal(g.complex_normal(*shape), (re + 1j * im) / np.sqrt(2.0))
+            assert np.array_equal(g.normal(3), rng.standard_normal(3))

@@ -763,6 +763,44 @@ def test_a_nan_distance_component_fails_the_check(kind, monkeypatch):
     assert math.isnan(result.residual)
 
 
+# Expectations that load (their labels are only checked against the result)
+# but name a label the result lacks.
+_RESULT_LACKS_LABEL = {
+    "observable": (
+        {"op": "measured_observable", "args": ["lz"], "expect": {"effects": {"7": _P0}}},
+        "observable result has no outcome '7'",
+    ),
+    "instrument": (
+        {"op": "compose_instruments", "args": ["lz", "lz"],
+         "expect": {"outcomes": ["0", "1"], "ops": {"0": {"kraus": [_P0]}, "1": {"kraus": [_P1]}}}},
+        "expected outcomes ['0', '1'] != result outcomes ['0,0', '0,1', '1,0', '1,1']",
+    ),
+    "record": (
+        {"op": "distribution", "args": ["rho", "zv"], "expect": {"7": 0.5}},
+        "result has no field '7'",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RESULT_LACKS_LABEL))
+def test_a_label_the_result_lacks_fails_that_check_alone(kind, tmp_path, capsys):
+    check, message = _RESULT_LACKS_LABEL[kind]
+    path = _write(tmp_path, _instrument_scene(
+        {"op": "prob", "args": ["rho", "p0"], "expect": 0.5}, check
+    ))
+    assert main(["validate", path]) == 0
+    report = run_scene(load_scene(path))
+    passing, failing = report.checks
+    assert passing.passed and not report.passed
+    assert not failing.passed and failing.residual == math.inf
+    assert failing.error == f"SceneValidationError: check[1]: {message}"
+    assert failing.value is not None and failing.expected == check["expect"]
+    json_path = tmp_path / "report.json"
+    assert main(["run", path, "--json", str(json_path)]) == 1
+    assert message in capsys.readouterr().out
+    assert json.loads(json_path.read_text())["failed"] == 1
+
+
 def test_cli_run_missing_file_exits_2(capsys):
     rc = main(["run", "/no/such/scene.json"])
     assert rc == 2
