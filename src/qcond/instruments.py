@@ -9,6 +9,7 @@ product outcome labels "x,y" (comma reserved).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -214,7 +215,11 @@ class BayesTriple:
 
     @property
     def spread(self) -> float:
-        return max(self.lhs, self.mid, self.rhs) - min(self.lhs, self.mid, self.rhs)
+        """Largest minus smallest route; NaN if any route is NaN (max and min can drop one)."""
+        routes = (self.lhs, self.mid, self.rhs)
+        if any(map(math.isnan, routes)):
+            return math.nan
+        return max(routes) - min(routes)
 
     def to_json(self) -> dict:
         return {"lhs": self.lhs, "mid": self.mid, "rhs": self.rhs, "spread": self.spread}

@@ -92,12 +92,20 @@ def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
 
     Returns ``(w, v)`` with eigenvalues ``w`` real and ascending and the
     columns of ``v`` an orthonormal eigenbasis, so that
-    ``m == (v * w) @ v.conj().T`` within tolerance.  Raises
-    :class:`NotHermitianError` when ``m`` is not Hermitian within ``eq_tol``.
+    ``m == (v * w) @ v.conj().T`` within tolerance.  ``m`` may also be an
+    (n, d, d) stack: then ``w`` is (n, d) and ``v`` (n, d, d), from one
+    stacked ``eigh`` and equal bit for bit to per-matrix calls.  Raises
+    :class:`NotHermitianError` when ``m`` (any matrix of a stack) is not
+    Hermitian within ``eq_tol``.
     """
-    m = as_matrix(m)
-    if (dev := _hermitian_defect(m, tol)) is not None:
-        raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
+    m = np.array(m, dtype=np.complex128)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise DimMismatchError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    # A stack's defect screens all its matrices at once; each is judged on its own.
+    if _hermitian_defect(m, tol) is not None:
+        for one in m.reshape(-1, *m.shape[-2:]):
+            if (dev := _hermitian_defect(one, tol)) is not None:
+                raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
     w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
     return w, v
 
@@ -108,13 +116,15 @@ def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues within ``psd_tol`` of zero are treated as numerical noise
     and clamped to 0 — the square root would otherwise amplify round-off
     (sqrt turns a 1e-16 perturbation of a projection into a 1e-8 one).
-    Anything below ``-psd_tol`` raises :class:`NotPSDError`.
+    Anything below ``-psd_tol`` raises :class:`NotPSDError`.  An (n, d, d)
+    stack gives the stack of roots, matrix by matrix as ``hermitian_eig``.
     """
     w, v = hermitian_eig(m, tol)
-    if w[0] < -tol.psd_tol:
-        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -psd_tol")
+    below = w.T[0] < -tol.psd_tol  # a bool for one matrix, one per matrix of a stack
+    if below.any() if below.ndim else below:
+        raise NotPSDError(f"matrix has eigenvalue {np.min(w):.3e} below -psd_tol")
     w = np.where(w < tol.psd_tol, 0.0, w)
-    return (v * np.sqrt(w)) @ dagger(v)
+    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
 def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -133,13 +143,21 @@ def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
 def trace_product(a, b):
     """tr(a @ b) without forming the product matrix.
 
-    ``a`` may also be an (n, d, d) stack; then the result is the (n,) complex
-    array of tr(a[s] @ b), from one contraction over the stack.
+    ``a`` may also be an (n, d, d) stack, and then ``b`` one matrix or an
+    (n, d, d) stack too: the result is the (n,) complex array of tr(a[s] @ b)
+    or tr(a[s] @ b[s]), from one contraction over the stack.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if a.ndim not in (2, 3) or b.ndim != 2 or a.shape[-2:] != b.shape[::-1]:
+    if (
+        a.ndim not in (2, 3)
+        or b.ndim not in (2, a.ndim)
+        or a.shape[-2:] != b.shape[-2:][::-1]
+        or b.ndim == 3 and len(a) != len(b)
+    ):
         raise DimMismatchError(f"cannot trace product of shapes {a.shape} and {b.shape}")
+    if b.ndim == 3:
+        return np.einsum("sij,sji->s", a, b)
     if a.ndim == 3:
         return np.einsum("sij,ji->s", a, b)
     return complex(np.einsum("ij,ji->", a, b))

@@ -106,10 +106,15 @@ class Operation:
 
         Computed on first read and cached on the instance; the array is read-only.
         """
-        m = self.kraus.reshape(-1, self.dim)
-        effect = dagger(m) @ m
+        effect = _measured(self.kraus)
         effect.flags.writeable = False
         return effect
+
+
+def _measured(kraus: np.ndarray) -> np.ndarray:
+    """M* M with M a (..., k, d, d) Kraus stack read as (..., k*d, d): what it measures."""
+    m = kraus.reshape(kraus.shape[:-3] + (-1, kraus.shape[-1]))
+    return dagger(m) @ m
 
 
 def validate_operation(op: Operation, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
@@ -135,17 +140,20 @@ def dual_apply(op: Operation, a) -> np.ndarray:
 
 
 def _kraus_blocks(stacks: Sequence[np.ndarray]) -> Iterable[np.ndarray]:
-    """The rows of a sequence of (k_i, d, d) Kraus stacks, in order, in blocks of <= d**2.
+    """The rows of a sequence of (..., k_i, d, d) Kraus stacks, in order, in blocks of <= d**2.
 
     Consecutive small stacks are concatenated while they fit in d**2 rows (the
     Choi rank bound) and a larger stack is sliced into d**2-row pieces; the
     blocks are made one at a time.  A lone stack of at most d**2 rows is the
     one block, as it is, without a copy.
     """
-    n2 = stacks[0].shape[1] ** 2
-    if sum(map(len, stacks)) <= n2:
-        # One block in all, the common case: no generator's per-call cost.
-        return stacks if len(stacks) == 1 else (np.concatenate(stacks),)
+    n2 = stacks[0].shape[-1] ** 2
+    # One block in all, the common case: no generator's per-call cost.
+    if len(stacks) == 1:
+        if stacks[0].shape[-3] <= n2:
+            return stacks
+    elif sum(map(len, stacks)) <= n2:  # several stacks are each (k_i, d, d)
+        return (np.concatenate(stacks),)
     return _grouped_blocks(stacks, n2)
 
 
@@ -153,17 +161,18 @@ def _grouped_blocks(stacks: Sequence[np.ndarray], n2: int) -> Iterator[np.ndarra
     pending: list[np.ndarray] = []
     rows = 0
     for stack in stacks:
-        if len(stack) <= n2:
+        k = stack.shape[-3]
+        if k <= n2:
             pieces = (stack,)
         else:
-            pieces = (stack[start : start + n2] for start in range(0, len(stack), n2))
+            pieces = (stack[..., start : start + n2, :, :] for start in range(0, k, n2))
         for piece in pieces:
-            if rows + len(piece) > n2:
-                yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+            if rows + piece.shape[-3] > n2:
+                yield pending[0] if len(pending) == 1 else np.concatenate(pending, axis=-3)
                 pending, rows = [], 0
             pending.append(piece)
-            rows += len(piece)
-    yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+            rows += piece.shape[-3]
+    yield pending[0] if len(pending) == 1 else np.concatenate(pending, axis=-3)
 
 
 def _kraus_sum(stacks: Sequence[np.ndarray], m, dual: bool = False) -> np.ndarray:
@@ -175,18 +184,27 @@ def _kraus_sum(stacks: Sequence[np.ndarray], m, dual: bool = False) -> np.ndarra
     like ``Operation.effect``: the dual sum is V* (m V) with V the block, and
     sum K m K* is (m^T T)^T conj(T) with T the block of transposes K^T.
     Raises DimMismatchError unless m is a d x d matrix.
+
+    The stacks may also carry one leading axis, (n, k_i, d, d), with m an
+    (n, d, d) stack: then each of the n operations sums against its own
+    matrix, in the same matrix products over the whole stack and equal bit
+    for bit to n separate sums.
     """
-    m = as_matrix(m)
-    dim = stacks[0].shape[1]
-    if m.shape[0] != dim:
+    dim = stacks[0].shape[-1]
+    if stacks[0].ndim == 3:
+        m = as_matrix(m)
+    else:  # operation s's matrix m[s] against each of its operators
+        m = m[:, None]
+    if m.shape[-1] != dim:
         raise DimMismatchError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
     total = None
     for block in _kraus_blocks(stacks):
+        rows = block.shape[:-3] + (-1, dim)
         if dual:
-            term = dagger(block.reshape(-1, dim)) @ (m @ block).reshape(-1, dim)
+            term = dagger(block.reshape(rows)) @ (m @ block).reshape(rows)
         else:
-            t = block.swapaxes(1, 2)
-            term = (m.T @ t).reshape(-1, dim).T @ t.reshape(-1, dim).conj()
+            t = block.swapaxes(-1, -2)
+            term = (m.swapaxes(-1, -2) @ t).reshape(rows).swapaxes(-1, -2) @ t.reshape(rows).conj()
         if total is None:
             total = term
         else:
@@ -220,8 +238,14 @@ def compose(first: Operation, second: Operation) -> Operation:
         raise DimMismatchError(f"cannot compose dims {first.dim} and {second.dim}")
     if len(first.kraus) * len(second.kraus) > first.dim**2:
         return _composite_from_choi(first, second)
-    products = second.kraus[:, None] @ first.kraus[None, :]
-    return Operation._adopt(products.reshape(-1, first.dim, first.dim))
+    return Operation._adopt(_kraus_products(first.kraus, second.kraus))
+
+
+def _kraus_products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """All products L_j K_i of two (..., k, d, d) Kraus stacks, j outer and i inner."""
+    d = first.shape[-1]
+    products = second[..., :, None, :, :] @ first[..., None, :, :, :]
+    return products.reshape(products.shape[:-4] + (-1, d, d))
 
 
 def luders(a, tol: Tolerance = DEFAULT_TOL) -> Operation:
@@ -283,7 +307,12 @@ def _conditional(rho, op: Operation, m, tol: Tolerance):
 
 def conditional_prob(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL):
     """P(b | op's effect) at rho: ``_conditional`` on b, clamped into [0, 1] only within eq_tol."""
-    q = _zero_round_off(_conditional(rho, op, b, tol), tol)
+    return _probability(_conditional(rho, op, b, tol), tol)
+
+
+def _probability(q, tol: Tolerance):
+    """q (a float or an array) with round-off below 0 or above 1, within eq_tol, clamped onto [0, 1]."""
+    q = _zero_round_off(q, tol)
     return q - (q - 1.0) * ((q > 1.0) & (q <= 1.0 + tol.eq_tol))  # exactly 1.0 in (1, 1 + eq_tol]
 
 
@@ -342,11 +371,15 @@ def _composite_from_choi(first: Operation, second: Operation) -> Operation:
     The Gram sum vec(K) vec(K)* (``_gram``) reshuffled is the superoperator
     sum K (x) conj(K).  Superoperators multiply in application order;
     reshuffled back, their product is the composite's Gram matrix, whose
-    scaled eigenvectors are the vec(K) of a minimal family.
+    scaled eigenvectors are the vec(K) of a minimal family.  A map eigh
+    cannot factor (one with a non-finite entry) is one NaN operator.
     """
     d = first.dim
     product = _reshuffle(_gram(second), d) @ _reshuffle(_gram(first), d)
-    w, u = np.linalg.eigh(_reshuffle(product, d))
+    try:
+        w, u = np.linalg.eigh(_reshuffle(product, d))
+    except np.linalg.LinAlgError:
+        return Operation._adopt(np.full((1, d, d), np.nan, dtype=np.complex128))
     w, u = w[::-1], u[:, ::-1]  # largest first
     keep = w > d * d * np.finfo(np.float64).eps * w[0]
     if not keep.any():

@@ -12,11 +12,12 @@ chunks of any size.
 
 Stream contract: the generator at key (seed, *keys) draws exactly what
 ``np.random.PCG64(np.random.SeedSequence(key))`` draws, each key coerced to
-its uint32 words as SeedSequence does.  A child is seeded by continuing its
-parent's SeedSequence pool with its own key words, which SeedSequence allows
-once the parent's key holds four words; a shallower parent has numpy mix the
-child's whole key.  :func:`random_states` continues the pool for a whole
-stack at once, in uint32 lanes, and then builds one PCG64 per state.
+its uint32 words as SeedSequence does.  This module mixes the SeedSequence
+pool itself.  A child continues its parent's pool with its own key words,
+which SeedSequence allows once the parent's key holds four words; a
+shallower parent mixes the child's whole key.  A stack of children (the
+states of :func:`random_states`, a suite's trials) is mixed at once, one
+uint32 lane per child, and then gets one PCG64 each.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ _RETRIES = 100
 
 # numpy's SeedSequence hash and mix constants (O'Neill's seed_seq_fe with a
 # pool of four uint32 words).  Every derived stream stays bit for bit
-# np.random.PCG64(np.random.SeedSequence(key)); these only let a child
-# continue its parent's pool instead of mixing its whole key again.
+# np.random.PCG64(np.random.SeedSequence(key)); mixing the pool here lets a
+# child continue its parent's pool, and lets a stack of keys be mixed at once.
 _M32 = 0xFFFFFFFF
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -67,7 +68,7 @@ _MIX_L = 0xCA01F9DD
 _MIX_R = 0x4973F715
 
 
-def _hash_run(h: int, n: int, mult: int = _MULT_A) -> list[int]:
+def _hash_run(h: int, n: int, mult: int) -> list[int]:
     """h and the n hash constants after it: hash j xors run[j] and multiplies by run[j + 1]."""
     run = [h]
     for _ in range(n):
@@ -111,21 +112,58 @@ def _pcg64(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
 
-def _seed(key: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int, np.random.Generator]:
-    """(pool, hash constant, stream) of SeedSequence(key), its pool mixed by numpy.
+# Below, a word or pool word is an int or an array of uint32 lanes, one lane
+# per key of a stack.  Lane products wrap mod 2**32 as SeedSequence's do; the
+# masks do the same for ints.
 
-    The pool can be continued only when the key holds at least four uint32
-    words: a shorter key is zero-padded, and then the pool's cross-mix has
-    run over words that a longer key would replace.  Such a pool is None.
+
+def _key_words(key: tuple[int, ...]) -> list[int]:
+    """The uint32 words SeedSequence reads from a key of non-negative ints, low word first."""
+    words = []
+    for k in key:
+        words.append(k & _M32)
+        while k := k >> 32:
+            words.append(k & _M32)
+    return words
+
+
+def _u32(x):
+    """x mod 2**32: an int is masked, uint32 lanes wrap by themselves."""
+    return x & _M32 if isinstance(x, int) else x
+
+
+def _hashmix(value, h: int):
+    """SeedSequence's hash of value at hash constant h: (the hashed value, the next constant)."""
+    h_next = h * _MULT_A & _M32
+    v = _u32((value ^ h) * h_next)
+    return v ^ (v >> 16), h_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of the hashed word y into the pool word x."""
+    r = _u32(_u32(_MIX_L * x) - _u32(_MIX_R * y))
+    return r ^ (r >> 16)
+
+
+def _fill(words: list) -> tuple[list, int]:
+    """(pool, hash constant) after SeedSequence fills its pool with a key's first four words.
+
+    Missing words are zero, and the pool is then cross-mixed.  So a pool can
+    be continued (``_mix_in``) only once its key holds four words: a shorter
+    key is padded with words that a longer key would replace.  Used for a
+    stack of keys (numpy mixes a lone key, ``_seed``), whose shared words
+    are ints and whose own words are lanes.
     """
-    pool = np.random.SeedSequence(key).pool.tolist()
-    rng = _pcg64(_state_words(pool))
-    n_words = sum((k.bit_length() + 31) // 32 or 1 for k in key)
-    if n_words < 4:
-        return None, 0, rng
-    # Mixing n >= 4 words runs 4n hashmixes: 4 fill the pool, 12 cross-mix
-    # it and each word past the fourth is hashed once per pool word.
-    return tuple(pool), _INIT_A * pow(_MULT_A, 4 * n_words, 1 << 32) & _M32, rng
+    pool, h = [], _INIT_A
+    for i in range(4):
+        v, h = _hashmix(words[i] if i < len(words) else 0, h)
+        pool.append(v)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    return pool, h
 
 
 def _mix_in(pool: list[int], h: int, key: int) -> int:
@@ -136,15 +174,28 @@ def _mix_in(pool: list[int], h: int, key: int) -> int:
     while True:
         word = key & _M32
         for i in range(4):
-            v = word ^ h
-            h = h * _MULT_A & _M32
-            v = v * h & _M32
+            v = (word ^ h) * (h := h * _MULT_A & _M32) & _M32
             v ^= v >> 16
             x = (_MIX_L * pool[i] - _MIX_R * v) & _M32
             pool[i] = x ^ (x >> 16)
         key >>= 32
         if not key:
             return h
+
+
+def _seed(key: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int, np.random.Generator]:
+    """(pool, hash constant, stream) of a whole key, its pool mixed by numpy's SeedSequence.
+
+    The pool is None when the key holds fewer than four words (see ``_fill``).
+    """
+    pool = np.random.SeedSequence(key).pool.tolist()
+    rng = _pcg64(_state_words(pool))
+    n_words = len(_key_words(key))
+    if n_words < 4:
+        return None, 0, rng
+    # n >= 4 words take 4n hashes: 4 fill the pool, 12 cross-mix it and each
+    # word past the fourth is hashed once per pool word.
+    return tuple(pool), _INIT_A * pow(_MULT_A, 4 * n_words, 1 << 32) & _M32, rng
 
 
 def _state_words(pool: list[int]) -> np.ndarray:
@@ -159,8 +210,6 @@ def _state_words(pool: list[int]) -> np.ndarray:
     )
 
 
-# The stacked path works in uint32 lanes, whose products wrap mod 2**32 as
-# SeedSequence's do.
 _LANE_MIX_L = np.uint32(_MIX_L)
 _LANE_MIX_R = np.uint32(_MIX_R)
 _LANE_16 = np.uint32(16)
@@ -168,17 +217,19 @@ _LANE_STATE_XOR = np.array(_STATE_RUN[:8], dtype=np.uint32)
 _LANE_STATE_MUL = np.array(_STATE_RUN[1:], dtype=np.uint32)
 
 
-def _mix_lanes(pools: np.ndarray, words: np.ndarray, h: int) -> np.ndarray:
-    """_mix_in of one uint32 word per row into uint32 pools, all four lanes at once.
+def _mix_lanes(pools: np.ndarray, h: int, words: list) -> tuple[np.ndarray, int]:
+    """_mix_in of a stack, all four pool words at once: (n, 4) uint32 pools out.
 
-    pools is (4,) or (n, 4), words (n,); the mixed pools are (n, 4).
+    pools is (4,) or (n, 4); each word an int or (n,) uint32 lanes.
     """
-    run = np.array(_hash_run(h, 4), dtype=np.uint32)
-    v = (words[:, None] ^ run[:4]) * run[1:]
-    v ^= v >> _LANE_16
-    x = _LANE_MIX_L * pools - _LANE_MIX_R * v
-    x ^= x >> _LANE_16
-    return x
+    for word in words:
+        run = np.array(_hash_run(h, 4, _MULT_A), dtype=np.uint32)
+        h = int(run[4])
+        v = (np.asarray(word, dtype=np.uint32)[..., None] ^ run[:4]) * run[1:]
+        v ^= v >> _LANE_16
+        pools = _LANE_MIX_L * pools - _LANE_MIX_R * v
+        pools ^= pools >> _LANE_16
+    return pools, h
 
 
 def _lane_state_words(pools: np.ndarray) -> np.ndarray:
@@ -187,6 +238,12 @@ def _lane_state_words(pools: np.ndarray) -> np.ndarray:
     v ^= v >> _LANE_16
     # SeedSequence reads its uint32 words as little-endian uint64 pairs.
     return v.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+#: Stacks of fewer keys derive one by one: mixing in lanes costs a fixed
+#: 15-60 µs of numpy calls (more for a parent too short to continue), about
+#: what three or four derives cost.
+_LANES_MIN = 4
 
 
 class Generator:
@@ -199,10 +256,9 @@ class Generator:
 
     def derive(self, *keys: int) -> "Generator":
         """Child generator at (seed, *keys); independent of this one's draw count."""
-        child = object.__new__(Generator)
-        child.seed = self.seed
         new = tuple(int(k) & _MASK64 for k in keys)
-        child._key = self._key + new
+        child = object.__new__(Generator)
+        child.seed, child._key = self.seed, self._key + new
         if self._pool is None:
             child._pool, child._hash, child._rng = _seed(child._key)
             return child
@@ -213,19 +269,61 @@ class Generator:
         child._rng = _pcg64(_state_words(pool))
         return child
 
+    def _stack_pools(self, keys: tuple, first: int, count: int):
+        """The pools of derive(*keys, first + s) for s < count, mixed as stacks in uint32 lanes.
+
+        Last keys wrap as derive's do.  Yields (rows of the stack, their last
+        keys, (n, 4) pools, hash constant, continuable) for each run of last
+        keys of one width (one uint32 word or two), which are mixed apart.
+        """
+        new = tuple(int(k) & _MASK64 for k in keys)
+        start = first & _MASK64
+        last = np.arange(count, dtype=np.uint64) + np.uint64(start)
+        if start + count <= 1 << 32:  # every last key one word: the common case
+            runs = ((range(count), last, False),)
+        else:
+            wide = last >> np.uint64(32) != 0
+            runs = ((np.flatnonzero(wide == is_wide), last[wide == is_wide], is_wide)
+                    for is_wide in (False, True))
+        for rows, part, is_wide in runs:
+            if not len(part):
+                continue
+            lanes = [part.astype(np.uint32)]  # the low word
+            if is_wide:
+                lanes.append((part >> np.uint64(32)).astype(np.uint32))
+            if self._pool is None:
+                words = _key_words(self._key + new) + lanes
+                pool, h = _fill(words)
+                pools = np.empty((len(part), 4), dtype=np.uint32)
+                for i, word in enumerate(pool):
+                    pools[:, i] = word
+                pools, h = _mix_lanes(pools, h, words[4:])
+                yield rows, part, pools, h, len(words) >= 4
+            else:
+                pool = np.array(self._pool, dtype=np.uint32)
+                yield rows, part, *_mix_lanes(pool, self._hash, _key_words(new) + lanes), True
+
+    def _derive_stack(self, keys: tuple, first: int, count: int) -> list["Generator"]:
+        """[derive(*keys, first + s) for s < count], their pools mixed as one stack."""
+        if count < _LANES_MIN:
+            return [self.derive(*keys, first + s) for s in range(count)]
+        prefix = self._key + tuple(int(k) & _MASK64 for k in keys)
+        out: list = [None] * count
+        for rows, last, pools, h, continuable in self._stack_pools(keys, first, count):
+            children = _generators(self.seed, [prefix + (k,) for k in last.tolist()], pools, h, continuable)
+            for r, child in zip(rows, children):
+                out[r] = child
+        return out
+
     def _child_streams(self, first: int, count: int) -> list[np.random.Generator]:
         """The streams of derive(first), ..., derive(first + count - 1), seeded as one stack."""
-        if self._pool is None:
+        if count < _LANES_MIN:
             return [self.derive(first + s)._rng for s in range(count)]
-        start = first & _MASK64
-        keys = np.arange(count, dtype=np.uint64) + np.uint64(start)  # wraps as derive's keys do
-        pools = np.array(self._pool, dtype=np.uint32)
-        pools = _mix_lanes(pools, keys.astype(np.uint32), self._hash)
-        if start + count > 1 << 32:  # some keys hold a second uint32 word
-            wide = keys >> np.uint64(32) != 0
-            high = (keys[wide] >> np.uint64(32)).astype(np.uint32)
-            pools[wide] = _mix_lanes(pools[wide], high, _hash_run(self._hash, 4)[4])
-        return [_pcg64(words) for words in _lane_state_words(pools)]
+        out: list = [None] * count
+        for rows, _, pools, _, _ in self._stack_pools((), first, count):
+            for r, words in zip(rows, _lane_state_words(pools)):
+                out[r] = _pcg64(words)
+        return out
 
     def normal(self, *shape: int) -> np.ndarray:
         return self._rng.standard_normal(shape)
@@ -248,6 +346,33 @@ class Generator:
         return items
 
 
+def _generators(seed: int, keys: list, pools: np.ndarray, h: int, continuable: bool) -> list[Generator]:
+    """The generators at keys, from their (n, 4) pools and hash constant."""
+    rows = pools.tolist() if continuable else [None] * len(keys)
+    out = []
+    for key, row, words in zip(keys, rows, _lane_state_words(pools)):
+        g = object.__new__(Generator)
+        g.seed, g._key, g._rng = seed, key, _pcg64(words)
+        g._pool, g._hash = (tuple(row), h) if continuable else (None, 0)
+        out.append(g)
+    return out
+
+
+def _derive_each(gens: list[Generator], *keys: int) -> list[Generator]:
+    """[g.derive(*keys) for g in gens], their pools continued as one stack in uint32 lanes.
+
+    Fewer than _LANES_MIN generators, or generators that cannot share one
+    pass (a pool not continuable, or keys of different lengths), derive one
+    by one.
+    """
+    h = gens[0]._hash
+    if len(gens) < _LANES_MIN or gens[0]._pool is None or any(g._hash != h for g in gens):
+        return [g.derive(*keys) for g in gens]
+    new = tuple(int(k) & _MASK64 for k in keys)
+    pools, h = _mix_lanes(np.array([g._pool for g in gens], dtype=np.uint32), h, _key_words(new))
+    return _generators(gens[0].seed, [g._key + new for g in gens], pools, h, True)
+
+
 def _normalized_gram(m: np.ndarray) -> np.ndarray:
     """G G* / tr(G G*) for one matrix G or each matrix of a stack."""
     rho = m @ dagger(m)
@@ -266,47 +391,92 @@ def random_states(g: Generator, dim: int, count: int, first: int = 0) -> np.ndar
     draws, while the complex arithmetic, the Gram products and the
     traces each run once over the whole stack.
     """
-    # parts[s] is state s's real then imaginary draw: one call fills both,
-    # in complex_normal's draw order.
-    parts = np.empty((count, 2, dim, dim))
-    for s, rng in enumerate(g._child_streams(first, count)):
+    return _normalized_gram(_complex_normals(g._child_streams(first, count), 1, dim, dim)[:, 0])
+
+
+# Several random_<kind> functions below apply a private transform to their
+# generator's draws.  _hermitian, _unit_spectrum, _unitary, _normalized_gram,
+# _isometry and _measuring_kraus also map a stack of draws (leading axis n)
+# to a stack of objects, matrix by matrix bit for bit, so a stacked suite
+# draws per trial (_draws) and transforms once.
+
+
+def _complex_normals(streams: list, count: int, *shape: int) -> np.ndarray:
+    """(n, count, *shape): count complex_normal(*shape) draws from each of n numpy streams.
+
+    Each stream fills its count draws in one standard_normal call, in
+    complex_normal's order (real then imaginary part, draw after draw).
+    """
+    parts = np.empty((len(streams), count, 2, *shape))
+    for s, rng in enumerate(streams):
         rng.standard_normal(out=parts[s])
-    return _normalized_gram((parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0))
+    return (parts[:, :, 0] + 1j * parts[:, :, 1]) / np.sqrt(2.0)
+
+
+def _draws(gens: list[Generator], count: int, *shape: int) -> np.ndarray:
+    """(n, count, *shape): count complex_normal(*shape) draws from each of n generators."""
+    return _complex_normals([g._rng for g in gens], count, *shape)
+
+
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    return (m + dagger(m)) / 2.0
 
 
 def random_hermitian(g: Generator, dim: int) -> np.ndarray:
-    m = g.complex_normal(dim, dim)
-    return (m + dagger(m)) / 2.0
+    return _hermitian(g.complex_normal(dim, dim))
+
+
+def _unit_spectrum(h: np.ndarray) -> np.ndarray:
+    """Hermitian h rescaled so its spectrum fills [0, 1]; 0.5 I if its spectrum is flat."""
+    w = np.linalg.eigvalsh(h)
+    if w.ndim == 1:
+        low, spread = w[0], w[-1] - w[0]
+    else:  # a stack: one (1, 1) block per matrix
+        low = w[..., :1, None]
+        spread = w[..., -1:, None] - low
+    eye = np.eye(h.shape[-1])
+    flat = spread < 1e-12
+    if np.count_nonzero(flat):
+        return np.where(flat, 0.5 * eye, (h - low * eye) / np.where(flat, 1.0, spread))
+    return (h - low * eye) / spread
 
 
 def random_effect(g: Generator, dim: int) -> np.ndarray:
     """Random Hermitian rescaled so its spectrum fills [0, 1]."""
-    h = random_hermitian(g, dim)
-    w = np.linalg.eigvalsh(h)
-    spread = float(w[-1] - w[0])
-    if spread < 1e-12:
-        return 0.5 * np.eye(dim, dtype=np.complex128)
-    return (h - w[0] * np.eye(dim)) / spread
+    return _unit_spectrum(random_hermitian(g, dim))
+
+
+def _unitary(m: np.ndarray) -> np.ndarray:
+    q, r = np.linalg.qr(m)
+    # Fix the phase convention so the distribution does not depend on QR's sign choices.
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
 def random_unitary(g: Generator, dim: int) -> np.ndarray:
     """Haar-ish unitary from the QR of a complex Gaussian matrix."""
-    q, r = np.linalg.qr(g.complex_normal(dim, dim))
-    # Fix the phase convention so the distribution does not depend on QR's sign choices.
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return _unitary(g.complex_normal(dim, dim))
 
 
-def random_atomic_effect(g: Generator, dim: int) -> np.ndarray:
-    v = g.complex_normal(dim)
+def _atomic(v: np.ndarray) -> np.ndarray:
+    """The projection onto one complex vector v (not a stack)."""
     v = v / np.linalg.norm(v)
     return np.outer(v, v.conj())
 
 
-def random_projection(g: Generator, dim: int, rank: int) -> np.ndarray:
-    """Projection onto a random rank-dimensional subspace."""
-    u = random_unitary(g, dim)
+def random_atomic_effect(g: Generator, dim: int) -> np.ndarray:
+    return _atomic(g.complex_normal(dim))
+
+
+def _projection(u: np.ndarray, rank: int) -> np.ndarray:
+    """The projection onto the first rank columns of the unitary u (not a stack)."""
     cols = u[:, :rank]
     return cols @ dagger(cols)
+
+
+def random_projection(g: Generator, dim: int, rank: int) -> np.ndarray:
+    """Projection onto a random rank-dimensional subspace."""
+    return _projection(random_unitary(g, dim), rank)
 
 
 def random_observable(g: Generator, dim: int, n_outcomes: int) -> Observable:
@@ -378,20 +548,28 @@ def random_codiagonal_observable(
     return Observable(tuple(f"x{i}" for i in range(n_outcomes)), effects)
 
 
-def _stacked_isometry(g: Generator, dim: int, n_kraus: int) -> np.ndarray:
-    """(n_kraus, dim, dim) blocks C_i with sum C_i* C_i = I (QR of a stacked Gaussian)."""
-    q, _ = np.linalg.qr(g.complex_normal(n_kraus * dim, dim))
-    return q.reshape(n_kraus, dim, dim)
+def _isometry(m: np.ndarray, n_kraus: int) -> np.ndarray:
+    """(..., n_kraus, d, d) blocks C_i with sum C_i* C_i = I, from the QR of Gaussians m.
+
+    m is (..., n_kraus * d, d).
+    """
+    q, _ = np.linalg.qr(m)
+    return q.reshape(m.shape[:-2] + (n_kraus, m.shape[-1], m.shape[-1]))
 
 
 def random_channel(g: Generator, dim: int, n_kraus: int) -> Operation:
-    return Operation._adopt(_stacked_isometry(g, dim, n_kraus))
+    return Operation._adopt(_isometry(g.complex_normal(n_kraus * dim, dim), n_kraus))
+
+
+def _measuring_kraus(m: np.ndarray, a: np.ndarray, n_kraus: int) -> np.ndarray:
+    """Kraus C_i a**(1/2) of an operation measuring a, C the isometry of the Gaussians m."""
+    return _isometry(m, n_kraus) @ psd_sqrt(a)[..., None, :, :]
 
 
 def random_operation_measuring(g: Generator, a: np.ndarray, n_kraus: int) -> Operation:
     """Random operation with dual(I) = a: Kraus C_i a**(1/2) over a random channel."""
-    root = psd_sqrt(a)
-    return Operation._adopt(_stacked_isometry(g, a.shape[0], n_kraus) @ root)
+    dim = a.shape[0]
+    return Operation._adopt(_measuring_kraus(g.complex_normal(n_kraus * dim, dim), a, n_kraus))
 
 
 def random_instrument_measuring(g: Generator, a: Observable, n_kraus: int) -> Instrument:

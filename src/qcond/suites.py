@@ -1,9 +1,10 @@
 """Seeded property suites: run a law over many random instances, report residuals.
 
-Each suite is one row of ``_SUITES``: a trial function and its table of
-named laws.  The runner (``run_suite`` and ``_Run``) loops over dims and
-trials, gives each trial its own derived generator, and judges the
-``{law: value}`` the trial returns by the kind the table declares:
+Each suite is one row of ``_SUITES``: a stacked trial function and its
+table of named laws.  The runner (``run_suite`` and ``_Run``) hands the
+trial function, per dim, the generators of all the dim's trials and their
+indices, and judges the ``({law: value}, witness)`` row it returns for
+each trial, in trial order, by the kind the table declares:
 
 - a number s: a residual bounded by s × the default eq_tol;
 - ``_HOLDS``: an exact condition (a count, predicate, sign or search margin);
@@ -13,6 +14,18 @@ trials, gives each trial its own derived generator, and judges the
 - ``_ONCE``: a function returning a witness payload or None, called until
   it succeeds once in the run.
 
+The stacked trial contract: ``trial(gens, dim, ts)`` gets the generators
+``root.derive(dim, t)`` of trials ``ts``, seeded as one stack, and returns
+one row per trial.  Trial t draws only from its own generator, in the same
+order alone or in a stack, and no law value depends on which other trials
+share its stack, so results are chunk-invariant: the runner hands a dim's
+trials over in stacks of at most ``_STACK_TRIALS``, and one-trial stacks
+in any order give the same report bytes.  ``duality``,
+``sequential-product-bounds`` and ``composition-laws`` run their linear
+algebra once per stack, each residue class of t (which fixes the Kraus
+counts) as one stack, bit for bit as trial by trial; the other suites run a
+per-trial function through ``_per_trial``.
+
 No law is compared with a tolerance inside a trial: the table holds every
 bound, and trials call the library at its default tolerance.  A trial
 leaves out a law that does not apply to its draws and gives None for one it
@@ -21,6 +34,22 @@ or condition breaks.  The residual is the largest bounded or search value.
 A search that comes up short is named under ``missing``.  Trials that sweep
 many states draw them as (n, d, d) stacks (``random_states``) and judge
 each stack in one call.
+
+Which laws check which claim of the paper's abstract:
+
+- the conditional probability P_rho(b | a) = tr[I(rho) b] / P_rho(a):
+  ``duality``, ``conditional-prob-is-alpha-b`` (holevo-laws),
+  ``conditional-probability-chain`` (composition-laws);
+- operations and the effects they measure, sequential products:
+  sequential-product-bounds, the other composition-laws;
+- when Bayes' second rule holds: bayes2-luders-commuting (``bayes2``),
+  bayes2-luders-noncommuting (``bayes2-violated``);
+- Lüders and Holevo operations: holevo-laws;
+- (B | A) and the instrument that measures it: conditioning-laws;
+- Bayes' first rule and its form for expectations: bayes1;
+- jointly commuting iff an atomic A fixes both: atomic-context;
+- the uncertainty principle for conditioned observables: uncertainty;
+- observable conditioned entropies: entropy.
 
 Report schema (JSON): suite, seed, dims, trials, passes, failures
 [{trial, residual, witness, laws}], max_residual, plus missing, witnesses
@@ -52,7 +81,9 @@ from .entropy import (
     sequential_entropy,
     sequential_entropy_dominated,
 )
-from .errors import NotJointlyCommutingError, SuiteArgumentError, UnknownSuiteError
+from .errors import (
+    NotJointlyCommutingError, RetryExhaustedError, SuiteArgumentError, UnknownSuiteError
+)
 from .instruments import (
     atomic_context,
     bar_channel,
@@ -70,29 +101,38 @@ from .linalg import DEFAULT_TOL, _commutator_norms, commutator, dagger, frobeniu
 from .observables import jointly_commuting
 from .operations import (
     Operation,
-    apply,
+    _conditioning_prob,
+    _kraus_products,
+    _kraus_sum,
+    _measured,
+    _probability,
     choi_distance,
     compose,
     conditional_prob,
     bayes2_residual,
-    dual_apply,
     luders,
     holevo,
-    measured_effect,
     sequential_product,
 )
 from .rand import (
     Generator,
+    _atomic,
+    _derive_each,
+    _draws,
+    _hermitian,
+    _measuring_kraus,
+    _normalized_gram,
+    _projection,
+    _unit_spectrum,
+    _unitary,
     random_atomic_effect,
     random_atomic_observable,
     random_codiagonal_effects,
     random_codiagonal_observable,
     random_effect,
-    random_hermitian,
     random_instrument_measuring,
     random_observable,
     random_operation_measuring,
-    random_projection,
     random_projective_observable,
     random_real_values,
     random_state,
@@ -111,6 +151,10 @@ WITNESS_MARGIN = 1e-6
 SEARCH_BUDGET = 200
 #: Fraction of search trials allowed to come up empty (noted, not failed).
 UNFOUND_TOLERANCE = 0.02
+#: Most trials of one dim handed to a trial function at once: enough to
+#: spread each numpy call's overhead, few enough that a run's memory does
+#: not grow with its trial count.
+_STACK_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -230,7 +274,7 @@ def _noncommuting_effect_pair(g: Generator, dim: int):
         gap = frobenius(sequential_product(luders(a), b) - sequential_product(luders(b), a))
         if gap >= 1e-3:
             return a, b
-    raise RuntimeError("random effects kept commuting; astronomically unlikely")
+    raise RetryExhaustedError("random effects kept commuting (or their gap was NaN) in 100 draws")
 
 
 def _usable_states(g: Generator, dim: int, count: int, budget: int, usable) -> np.ndarray:
@@ -297,80 +341,162 @@ def _kind_instrument(g: Generator, dim: int, t: int, sharp_observable):
     return kind, a_obs, random_instrument_measuring(g.derive(0), a_obs, 1 + t % 2), None
 
 
-# --- trial functions: (generator, dim, trial index) -> ({law: value}, witness) ---
+# --- trial functions.  Stacked: (generators, dim, trial indices) -> [({law: value}, witness)];
+# per trial: (generator, dim, t) -> ({law: value}, witness), run through _per_trial. ---
 
 
-def _duality(g, dim, t):
+def _per_trial(trial):
+    """The stacked form of a trial function of one generator: (generator, dim, t) -> row."""
+
+    def stacked(gens, dim, ts):
+        return [trial(g, dim, t) for g, t in zip(gens, ts)]
+
+    return stacked
+
+
+def _by_residue(period: int, trial):
+    """The stacked form of a trial function that takes trials sharing t % period.
+
+    Those trials draw operations with the same Kraus counts, so each residue
+    class is one stack; the rows come back in the order of ts.
+    """
+
+    def stacked(gens, dim, ts):
+        rows: list = [None] * len(ts)
+        for r in range(period):
+            picked = [i for i, t in enumerate(ts) if t % period == r]
+            if picked:
+                group = trial([gens[i] for i in picked], dim, [ts[i] for i in picked])
+                for i, row in zip(picked, group):
+                    rows[i] = row
+        return rows
+
+    return stacked
+
+
+def _measuring_stack(gens, key: int, a: np.ndarray, n_kraus: int) -> np.ndarray:
+    """(n, n_kraus, d, d): per trial, the Kraus stack of random_operation_measuring.
+
+    Trial s's is that of random_operation_measuring(g.derive(key), a[s], n_kraus).
+    """
+    dim = a.shape[-1]
+    return _measuring_kraus(_draws(_derive_each(gens, key), 1, n_kraus * dim, dim)[:, 0], a, n_kraus)
+
+
+def _dual(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """dual_apply of each trial's operation (an (n, k, d, d) stack) to its matrix of m."""
+    return _kraus_sum((kraus,), m, dual=True)
+
+
+def _conditional_probs(rho: np.ndarray, kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """conditional_prob(rho[s], op_s, m[s]) for each trial's operation op_s of an (n, k, d, d) stack.
+
+    Raises ZeroProbabilityConditionError when any conditioning probability is at most eq_tol.
+    """
+    p = _conditioning_prob(rho, _measured(kraus), DEFAULT_TOL)
+    return _probability(trace_product(rho, _dual(kraus, m)).real / p, DEFAULT_TOL)
+
+
+def _duality(gens, dim, ts):
     """tr[op(rho) h] == tr[rho dual(h)] for random operations, states, probes."""
-    a = random_effect(g, dim)
-    op = random_operation_measuring(g.derive(0), a, 1 + t % 3)
-    rho = random_state(g, dim)
-    h = random_hermitian(g, dim)
-    r = abs(trace_product(apply(op, rho), h) - trace_product(rho, dual_apply(op, h)))
-    return {"duality": r}, {"dim": dim, "effect": a, "operation": op, "state": rho, "probe": h}
+    n_kraus = 1 + ts[0] % 3
+    draws = _draws(gens, 3, dim, dim)
+    a = _unit_spectrum(_hermitian(draws[:, 0]))
+    ops = _measuring_stack(gens, 0, a, n_kraus)
+    rho = _normalized_gram(draws[:, 1])
+    h = _hermitian(draws[:, 2])
+    gaps = trace_product(_kraus_sum((ops,), rho), h) - trace_product(rho, _dual(ops, h))
+    return [
+        ({"duality": abs(gap)},  # Python's complex abs, whose last bit np.abs does not always match
+         {"dim": dim, "effect": a[s], "operation": Operation._adopt(ops[s]), "state": rho[s],
+          "probe": h[s]})
+        for s, gap in enumerate(gaps.tolist())
+    ]
 
 
-def _sequential_product_bounds(g, dim, t):
+def _sequential_product_bounds(gens, dim, ts):
     """Transported effects sit below the measured effect; sharp/atomic structure.
 
     The atomic coefficient may leave [0, 1] by at most 0.1 eq_tol.
     """
-    a = random_effect(g, dim)
-    op = random_operation_measuring(g.derive(0), a, 1 + t % 3)
-    b = random_effect(g, dim)
-    p = random_projection(g, dim, g.integer(1, dim))
-    op_p = random_operation_measuring(g.derive(1), p, 1 + (t + 1) % 3)
-    b2 = random_effect(g, dim)
-    atom = random_atomic_effect(g, dim)
-    op_atom = random_operation_measuring(g.derive(2), atom, 1 + (t + 2) % 3)
-    transported = sequential_product(op_atom, random_effect(g, dim))
+    t = ts[0]
+    a, b = _unit_spectrum(_hermitian(_draws(gens, 2, dim, dim))).swapaxes(0, 1)
+    op = _measuring_stack(gens, 0, a, 1 + t % 3)
+    ranks = [g.integer(1, dim) for g in gens]
+    u, b2 = _draws(gens, 2, dim, dim).swapaxes(0, 1)
+    p = np.stack([_projection(one, rank) for one, rank in zip(_unitary(u), ranks)])
+    op_p = _measuring_stack(gens, 1, p, 1 + (t + 1) % 3)
+    b2 = _unit_spectrum(_hermitian(b2))
+    atom = np.stack([_atomic(v) for v in _draws(gens, 1, dim)[:, 0]])
+    op_atom = _measuring_stack(gens, 2, atom, 1 + (t + 2) % 3)
+    transported = _dual(op_atom, _unit_spectrum(_hermitian(_draws(gens, 1, dim, dim)[:, 0])))
     lam = trace_product(atom, transported).real
-    gap = a - sequential_product(op, b)
-    values = {
-        # minus the lowest eigenvalue of a - op's transport of b, if negative; NaN stays NaN
-        "transport-below-effect": float(
-            np.max(-np.linalg.eigvalsh((gap + dagger(gap)) / 2.0)[:1], initial=0.0)
-        ),
-        "sharp-transport-commutes": frobenius(commutator(sequential_product(op_p, b2), p)),
-        "atomic-transport-proportional": frobenius(transported - lam * atom),
-        # how far the coefficient lies outside [0, 1]; NaN stays NaN
-        "atomic-coefficient-in-unit-interval": max(-lam, lam - 1.0, 0.0),
-    }
-    return values, {"dim": dim, "effect": a, "sharp": p, "atom": atom, "coefficient": lam}
+    gap = a - _dual(op, b)
+    gap = (gap + dagger(gap)) / 2.0
+    # LAPACK rejects a non-finite matrix; its lowest eigenvalue stays NaN
+    finite = np.isfinite(gap).all(axis=(-2, -1))
+    lowest = np.full((len(gens), 1), np.nan)
+    lowest[finite] = np.linalg.eigvalsh(gap[finite])[:, :1]
+    commutators = commutator(_dual(op_p, b2), p)
+    rows = []
+    for s, coefficient in enumerate(lam.tolist()):
+        values = {
+            # minus the lowest eigenvalue of a - op's transport of b, if negative; NaN stays NaN
+            "transport-below-effect": float(np.max(-lowest[s], initial=0.0)),
+            "sharp-transport-commutes": frobenius(commutators[s]),
+            "atomic-transport-proportional": frobenius(transported[s] - coefficient * atom[s]),
+            # how far the coefficient lies outside [0, 1]; NaN stays NaN
+            "atomic-coefficient-in-unit-interval": max(-coefficient, coefficient - 1.0, 0.0),
+        }
+        witness = {
+            "dim": dim, "effect": a[s], "sharp": p[s], "atom": atom[s], "coefficient": coefficient,
+        }
+        rows.append((values, witness))
+    return rows
 
 
-def _composition_laws(g, dim, t):
+def _composition_laws(gens, dim, ts):
     """Duals, measured effects and conditional probabilities of composed operations.
 
     The conditional-probability chain is skipped when a conditioning
-    probability is at most eq_tol.
+    probability is at most eq_tol.  With one or two Kraus operators each,
+    a composite has k1 k2 = 2 <= d**2 products: compose's product family.
     """
-    a = random_effect(g, dim)
-    op_i = random_operation_measuring(g.derive(0), a, 1 + t % 2)
-    b = random_effect(g, dim)
-    op_j = random_operation_measuring(g.derive(1), b, 1 + (t + 1) % 2)
-    c = random_effect(g, dim)
-    rho = random_state(g, dim)
-    h = random_hermitian(g, dim)
+    t = ts[0]
+    draws = _draws(gens, 5, dim, dim)
+    a, b, c = _unit_spectrum(_hermitian(draws[:, :3])).swapaxes(0, 1)
+    op_i = _measuring_stack(gens, 0, a, 1 + t % 2)
+    op_j = _measuring_stack(gens, 1, b, 1 + (t + 1) % 2)
+    rho = _normalized_gram(draws[:, 3])
+    h = _hermitian(draws[:, 4])
 
-    comp = compose(op_i, op_j)
-    a_then_b = sequential_product(op_i, b)
+    comp = _kraus_products(op_i, op_j)
+    a_then_b = _dual(op_i, b)
+    j_then_c = _dual(op_j, c)
     pa = prob(rho, a)
     pab = prob(rho, a_then_b)
-    chain = None
-    if pa > DEFAULT_TOL.eq_tol and pab > DEFAULT_TOL.eq_tol:
-        lhs = pa * conditional_prob(rho, op_i, sequential_product(op_j, c))
-        chain = abs(lhs - pab * conditional_prob(rho, comp, c))
-    values = {
-        # dual of "first i then j" applies j's dual first
-        "dual-of-composite": frobenius(dual_apply(comp, h) - dual_apply(op_i, dual_apply(op_j, h))),
-        "composite-measures-sequential-effect": frobenius(measured_effect(comp) - a_then_b),
-        "sequential-products-associate": frobenius(
-            sequential_product(op_i, sequential_product(op_j, c)) - dual_apply(comp, c)
-        ),
-        "conditional-probability-chain": chain,
-    }
-    return values, {"dim": dim, "a": a, "b": b, "c": c, "state": rho}
+    chain: list = [None] * len(gens)
+    # skipped only at a probability of at most eq_tol: a NaN one is judged, and fails
+    usable = np.flatnonzero(~((pa <= DEFAULT_TOL.eq_tol) | (pab <= DEFAULT_TOL.eq_tol)))
+    if len(usable):
+        rho_u = rho[usable]
+        lhs = pa[usable] * _conditional_probs(rho_u, op_i[usable], j_then_c[usable])
+        gaps = np.abs(lhs - pab[usable] * _conditional_probs(rho_u, comp[usable], c[usable]))
+        for s, gap in zip(usable.tolist(), gaps.tolist()):
+            chain[s] = gap
+    # dual of "first i then j" applies j's dual first
+    dual_gap = _dual(comp, h) - _dual(op_i, _dual(op_j, h))
+    effect_gap = _measured(comp) - a_then_b
+    associate_gap = _dual(op_i, j_then_c) - _dual(comp, c)
+    return [
+        ({
+            "dual-of-composite": frobenius(dual_gap[s]),
+            "composite-measures-sequential-effect": frobenius(effect_gap[s]),
+            "sequential-products-associate": frobenius(associate_gap[s]),
+            "conditional-probability-chain": chain[s],
+        }, {"dim": dim, "a": a[s], "b": b[s], "c": c[s], "state": rho[s]})
+        for s in range(len(gens))
+    ]
 
 
 def _bayes2_commuting(g, dim, t):
@@ -644,57 +770,57 @@ def _entropy(g, dim, t):
     return values, {"dim": dim, "state": rho, "a": a, "b": b}
 
 
-#: suite name -> (trial function, {law: kind}); the order salts each suite's stream.
+#: suite name -> (stacked trial function, {law: kind}); the order salts each suite's stream.
 _SUITES = {
-    "duality": (_duality, {"duality": 1.0}),
-    "sequential-product-bounds": (_sequential_product_bounds, {
+    "duality": (_by_residue(3, _duality), {"duality": 1.0}),
+    "sequential-product-bounds": (_by_residue(3, _sequential_product_bounds), {
         "transport-below-effect": 10.0,
         "sharp-transport-commutes": 10.0,
         "atomic-transport-proportional": 10.0,
         "atomic-coefficient-in-unit-interval": 0.1,
     }),
-    "composition-laws": (_composition_laws, {
+    "composition-laws": (_by_residue(2, _composition_laws), {
         "dual-of-composite": 1.0,
         "composite-measures-sequential-effect": 1.0,
         "sequential-products-associate": 1.0,
         "conditional-probability-chain": 1.0,
     }),
-    "bayes2-luders-commuting": (_bayes2_commuting, {
+    "bayes2-luders-commuting": (_per_trial(_bayes2_commuting), {
         "bayes2": 1.0,
         "twenty-states-checked": _HOLDS,
     }),
-    "bayes2-luders-noncommuting": (_bayes2_noncommuting, {"bayes2-violated": _SEARCH}),
-    "holevo-laws": (_holevo_laws, {
+    "bayes2-luders-noncommuting": (_per_trial(_bayes2_noncommuting), {"bayes2-violated": _SEARCH}),
+    "holevo-laws": (_per_trial(_holevo_laws), {
         "conditional-prob-is-alpha-b": 0.1,
         "fifty-states-checked": _HOLDS,
         "holevo-composition": 1.0,
         "luders-closed-when-commuting": 1.0,
         "luders-open-when-noncommuting": _HOLDS,
     }),
-    "conditioning-laws": (_conditioning_laws, {
+    "conditioning-laws": (_per_trial(_conditioning_laws), {
         "measures-conditioned-observable": 1.0,
         "conditioning-chains": 1.0,
         "bar-of-composite": 1.0,
         "composite-marginals": 1.0,
     }),
-    "bayes1": (_bayes1, {
+    "bayes1": (_per_trial(_bayes1), {
         "bayes1-probability": 1.0,
         "bayes1-expectation": 1.0,
         "closed-form": 1.0,
     }),
-    "atomic-context": (_atomic_context, {
+    "atomic-context": (_per_trial(_atomic_context), {
         "codiagonal-pair-commutes": _HOLDS,
         "context-is-atomic": _HOLDS,
         "context-fixes-pair": 10.0,
         "noncommuting-rejected": _HOLDS,
         "conditioned-family-commutes": 10.0,
     }),
-    "uncertainty": (_uncertainty, {
+    "uncertainty": (_per_trial(_uncertainty), {
         "uncertainty-identity": 1.0,
         "uncertainty-inequality": 1.0,
         "closed-forms": 1.0,
     }),
-    "entropy": (_entropy, {
+    "entropy": (_per_trial(_entropy), {
         "effect-entropy-nonnegative": _HOLDS,
         "dominated-sequential-below-conditional": 1.0,
         "undominated-has-reversal": _HOLDS,
@@ -732,6 +858,8 @@ def run_suite(name: str, dims=(2, 3), trials: int = 25, seed: int = DEFAULT_SEED
     # Salt the stream with the suite index so suites see unrelated objects.
     root = Generator(seed).derive(SUITE_NAMES.index(name))
     for dim in dims:
-        for t in range(trials):
-            run.judge(*trial(root.derive(dim, t), dim, t))
+        for first in range(0, trials, _STACK_TRIALS):
+            ts = list(range(first, min(first + _STACK_TRIALS, trials)))
+            for values, witness in trial(root._derive_stack((dim,), first, len(ts)), dim, ts):
+                run.judge(values, witness)
     return run.finish()

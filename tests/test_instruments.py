@@ -327,6 +327,16 @@ def test_bayes_triple_serialization():
     assert t.to_json() == {"lhs": 0.5, "mid": 0.5, "rhs": 0.5, "spread": 0.0}
 
 
+@pytest.mark.parametrize("routes", ((np.nan, 0.3, 0.3), (0.3, np.nan, 0.3), (0.3, 0.3, np.nan)))
+def test_bayes_triple_spread_keeps_a_nan_route(routes):
+    from qcond import BayesTriple
+
+    # Python's max and min keep their running value against a NaN that is
+    # not their first argument, which made the last two spreads 0.0.
+    assert np.isnan(BayesTriple(*routes).spread)
+    assert BayesTriple(0.25, 0.75, 0.5).spread == 0.5
+
+
 def test_atomic_context_sharp_observable(qubit):
     atoms, ins = atomic_context([z_obs(qubit)])
     assert len(atoms.outcomes) == 2

@@ -18,6 +18,7 @@ from qcond import (
 )
 from qcond.rand import (
     Generator,
+    _derive_each,
     random_atomic_effect,
     random_channel,
     random_codiagonal_effects,
@@ -248,3 +249,36 @@ def test_complex_normal_is_two_standard_normal_calls_bit_for_bit():
             im = rng.standard_normal(shape)
             assert np.array_equal(g.complex_normal(*shape), (re + 1j * im) / np.sqrt(2.0))
             assert np.array_equal(g.normal(3), rng.standard_normal(3))
+
+
+@pytest.mark.parametrize("seed", (5, 2**32 - 1, 2**32 + 5, 2**64 - 1))
+@pytest.mark.parametrize("parent", ((), (3,), (3, 2**40)), ids=str)
+@pytest.mark.parametrize("first", (0, 2**32 - 2, 2**64 - 3))
+def test_stacked_children_are_numpy_seed_sequences(seed, parent, first):
+    # A parent key of one to five uint32 words hands out children (*keys,
+    # first + s) as one stack, as the suite runner does with (dim, t); each
+    # child's derive(0) and derive(1, 2**33) are derived as a stack too, and
+    # the grandchildren keep continuing their parents' pools.
+    g = Generator(seed).derive(*parent)
+    base = (seed, *parent)
+    children = g._derive_stack((4,), first, 5)
+    for s, child in enumerate(children):
+        key = base + (4, (first + s) % 2**64)
+        assert child._key == key
+        assert np.array_equal(child.normal(3), _numpy_stream(key).standard_normal(3)), key
+    for keys in ((0,), (1, 2**33)):
+        for s, grandchild in enumerate(_derive_each(children, *keys)):
+            key = base + (4, (first + s) % 2**64, *keys)
+            assert np.array_equal(grandchild.normal(3), _numpy_stream(key).standard_normal(3)), key
+            great = grandchild.derive(2**64 - 1)
+            assert np.array_equal(great.normal(3), _numpy_stream(key + (2**64 - 1,)).standard_normal(3))
+
+
+def test_a_stack_of_children_equals_deriving_them_one_by_one():
+    g = Generator(1009).derive(2)
+    stack = g._derive_stack((8,), 0, 4)
+    one_by_one = [g.derive(8, t) for t in range(4)]
+    for a, b in zip(stack, one_by_one):
+        assert (a._key, a._pool, a._hash) == (b._key, b._pool, b._hash)
+        assert np.array_equal(a.normal(6), b.normal(6))
+    assert g._derive_stack((8,), 0, 0) == []

@@ -101,15 +101,19 @@ def test_all_suites_pass_at_defaults():
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_trial_order_does_not_change_the_report(name):
     # Each trial draws only from its own derived generator (and sweeps draw
-    # their states in chunks of any size), so running the trials in shuffled
-    # order and judging them in order must give the same report bytes.
+    # their states in chunks of any size), and no law value depends on which
+    # other trials share its stack.  So evaluating the trials as one-trial
+    # stacks in shuffled order and judging them in order must give the bytes
+    # of run_suite, which hands each dim's trials over as one stack.
     dims, trials, seed = (2, 3), 6, 7
     trial, laws = suites._SUITES[name]
     root = Generator(seed).derive(SUITE_NAMES.index(name))
     keys = [(dim, t) for dim in dims for t in range(trials)]
     shuffled = Generator(2024).shuffled(keys)
     assert shuffled != keys
-    outputs = {key: trial(root.derive(*key), *key) for key in shuffled}
+    outputs = {}
+    for dim, t in shuffled:
+        [outputs[dim, t]] = trial([root.derive(dim, t)], dim, [t])
     run = suites._Run(suites.SuiteReport(name, seed, list(dims), 0, 0, [], 0.0), laws)
     for key in keys:
         run.judge(*outputs[key])
@@ -208,7 +212,7 @@ def test_runner_judges_laws_by_their_declared_kind(monkeypatch):
         "skippable": 0.1,
         "found-once": suites._ONCE,
     }
-    monkeypatch.setitem(suites._SUITES, "duality", (trial, laws))
+    monkeypatch.setitem(suites._SUITES, "duality", (suites._per_trial(trial), laws))
     report = run_suite("duality", dims=(2,), trials=4, seed=7)
     assert [(f.trial, f.laws, f.residual) for f in report.failures] == [
         (1, ["large"], 0.25),
@@ -258,7 +262,7 @@ def test_uncertainty_trial_computes_its_moments_once(monkeypatch):
 
 def test_undeclared_law_raises(monkeypatch):
     trial = lambda g, dim, t: ({"duality": 0.0, "no-such-law": 0.0}, {})  # noqa: E731
-    monkeypatch.setitem(suites._SUITES, "duality", (trial, {"duality": 1.0}))
+    monkeypatch.setitem(suites._SUITES, "duality", (suites._per_trial(trial), {"duality": 1.0}))
     with pytest.raises(KeyError, match="no-such-law"):
         run_suite("duality", dims=(2,), trials=1)
 
@@ -333,7 +337,7 @@ class _Patched:
 
 def test_a_nan_eigenvalue_fails_transport_below_effect(monkeypatch):
     # Only the suites module's eigvalsh returns NaN; max(0.0, nan) gives 0.0.
-    linalg = _Patched(np.linalg, eigvalsh=lambda m: np.full(m.shape[-1], np.nan))
+    linalg = _Patched(np.linalg, eigvalsh=lambda m: np.full(m.shape[:-1], np.nan))
     monkeypatch.setattr(suites, "np", _Patched(np, linalg=linalg))
     report = run_suite("sequential-product-bounds", dims=(2,), trials=2, seed=7)
     assert not report.ok
@@ -369,6 +373,18 @@ def test_a_nan_after_a_finite_value_fails_its_law(monkeypatch, suite, target, po
     assert np.isnan(report.max_residual)
 
 
+@pytest.mark.parametrize("law, target", (
+    ("bayes1-probability", "bayes1_check"),
+    ("bayes1-expectation", "bayes1_expectation_check"),
+))
+def test_a_nan_bayes_route_fails_its_law(monkeypatch, law, target):
+    real = getattr(suites, target)
+    monkeypatch.setattr(suites, target, lambda *args: dataclasses.replace(real(*args), rhs=np.nan))
+    report = run_suite("bayes1", dims=(2,), trials=3, seed=7)
+    assert _failed_laws(report) == [[law]] * 3
+    assert np.isnan(report.max_residual)
+
+
 def test_a_holds_condition_fails_on_nan(monkeypatch):
     # A holds law is a comparison, and every comparison with NaN is False.
     monkeypatch.setattr(suites, "effect_entropy", lambda rho, a: np.nan)
@@ -384,7 +400,8 @@ def test_atomic_coefficient_is_bounded_by_a_tenth_of_eq_tol(monkeypatch, level, 
     # proportionality law (bound 10 eq_tol) absorbs.
     real = suites.trace_product
     shift = size if level else -size
-    monkeypatch.setattr(suites, "random_effect", lambda g, dim: level * np.eye(dim, dtype=complex))
+    eye = lambda h: np.broadcast_to(np.eye(h.shape[-1], dtype=complex), h.shape)  # noqa: E731
+    monkeypatch.setattr(suites, "_unit_spectrum", lambda h: level * eye(h))
     monkeypatch.setattr(suites, "trace_product", lambda x, y: real(x, y) + shift)
     report = run_suite("sequential-product-bounds", dims=(2, 3), trials=2, seed=7)
     assert report.ok is ok
