@@ -119,6 +119,8 @@ def validate_subobservable(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> li
     """Each effect of a (sub-)observable valid; the total at most I."""
     out = _effect_violations(a, tol)
     total = a.total()
+    if not np.all(np.isfinite(total.view(np.float64))):
+        return out
     w = np.linalg.eigvalsh((total + total.conj().T) / 2.0)
     if w[-1] > 1.0 + tol.psd_tol:
         out.append(Violation("total-below-identity", float(w[-1] - 1.0)))

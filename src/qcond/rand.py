@@ -15,9 +15,11 @@ Stream contract: the generator at key (seed, *keys) draws exactly what
 its uint32 words as SeedSequence does.  This module mixes the SeedSequence
 pool itself.  A child continues its parent's pool with its own key words,
 which SeedSequence allows once the parent's key holds four words; a
-shallower parent mixes the child's whole key.  A stack of children (the
-states of :func:`random_states`, a suite's trials) is mixed at once, one
-uint32 lane per child, and then gets one PCG64 each.
+shallower parent mixes the child's whole key.  A stack of children (a
+suite's trials, the states of :func:`random_states`) is mixed at once, one
+uint32 lane per child, and then gets one PCG64 each, if it has at least
+``_LANES_MIN`` children, child keys of four or more words and last keys of
+one word, as every such stack the suites make has; others derive one by one.
 """
 
 from __future__ import annotations
@@ -56,9 +58,7 @@ _MASK64 = (1 << 64) - 1
 _RETRIES = 100
 
 # numpy's SeedSequence hash and mix constants (O'Neill's seed_seq_fe with a
-# pool of four uint32 words).  Every derived stream stays bit for bit
-# np.random.PCG64(np.random.SeedSequence(key)); mixing the pool here lets a
-# child continue its parent's pool, and lets a stack of keys be mixed at once.
+# pool of four uint32 words), so that this module can mix the pool itself.
 _M32 = 0xFFFFFFFF
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -112,11 +112,6 @@ def _pcg64(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
 
-# Below, a word or pool word is an int or an array of uint32 lanes, one lane
-# per key of a stack.  Lane products wrap mod 2**32 as SeedSequence's do; the
-# masks do the same for ints.
-
-
 def _key_words(key: tuple[int, ...]) -> list[int]:
     """The uint32 words SeedSequence reads from a key of non-negative ints, low word first."""
     words = []
@@ -125,45 +120,6 @@ def _key_words(key: tuple[int, ...]) -> list[int]:
         while k := k >> 32:
             words.append(k & _M32)
     return words
-
-
-def _u32(x):
-    """x mod 2**32: an int is masked, uint32 lanes wrap by themselves."""
-    return x & _M32 if isinstance(x, int) else x
-
-
-def _hashmix(value, h: int):
-    """SeedSequence's hash of value at hash constant h: (the hashed value, the next constant)."""
-    h_next = h * _MULT_A & _M32
-    v = _u32((value ^ h) * h_next)
-    return v ^ (v >> 16), h_next
-
-
-def _mix(x, y):
-    """SeedSequence's mix of the hashed word y into the pool word x."""
-    r = _u32(_u32(_MIX_L * x) - _u32(_MIX_R * y))
-    return r ^ (r >> 16)
-
-
-def _fill(words: list) -> tuple[list, int]:
-    """(pool, hash constant) after SeedSequence fills its pool with a key's first four words.
-
-    Missing words are zero, and the pool is then cross-mixed.  So a pool can
-    be continued (``_mix_in``) only once its key holds four words: a shorter
-    key is padded with words that a longer key would replace.  Used for a
-    stack of keys (numpy mixes a lone key, ``_seed``), whose shared words
-    are ints and whose own words are lanes.
-    """
-    pool, h = [], _INIT_A
-    for i in range(4):
-        v, h = _hashmix(words[i] if i < len(words) else 0, h)
-        pool.append(v)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    return pool, h
 
 
 def _mix_in(pool: list[int], h: int, key: int) -> int:
@@ -186,7 +142,7 @@ def _mix_in(pool: list[int], h: int, key: int) -> int:
 def _seed(key: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int, np.random.Generator]:
     """(pool, hash constant, stream) of a whole key, its pool mixed by numpy's SeedSequence.
 
-    The pool is None when the key holds fewer than four words (see ``_fill``).
+    The pool is None when the key holds fewer than four words (see ``_fill_lanes``).
     """
     pool = np.random.SeedSequence(key).pool.tolist()
     rng = _pcg64(_state_words(pool))
@@ -215,6 +171,7 @@ _LANE_MIX_R = np.uint32(_MIX_R)
 _LANE_16 = np.uint32(16)
 _LANE_STATE_XOR = np.array(_STATE_RUN[:8], dtype=np.uint32)
 _LANE_STATE_MUL = np.array(_STATE_RUN[1:], dtype=np.uint32)
+_FILL_RUN = np.array(_hash_run(_INIT_A, 16, _MULT_A), dtype=np.uint32)
 
 
 def _mix_lanes(pools: np.ndarray, h: int, words: list) -> tuple[np.ndarray, int]:
@@ -232,6 +189,28 @@ def _mix_lanes(pools: np.ndarray, h: int, words: list) -> tuple[np.ndarray, int]
     return pools, h
 
 
+def _fill_lanes(words: list, n: int) -> tuple[np.ndarray, int]:
+    """((n, 4) uint32 pools, hash constant) after SeedSequence mixes a key of four or more words.
+
+    Each word is an int or (n,) uint32 lanes.  4 hashes fill the pool, 12 hash each pool word
+    in turn into the three others, then words past the fourth are mixed in.  A shorter key is
+    padded with zero words that a longer key would replace, so its pool cannot be continued.
+    """
+    pools = np.empty((n, 4), dtype=np.uint32)
+    for i in range(4):
+        pools[:, i] = words[i]
+    pools = (pools ^ _FILL_RUN[:4]) * _FILL_RUN[1:5]
+    pools ^= pools >> _LANE_16
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        run = _FILL_RUN[4 + 3 * src : 8 + 3 * src]
+        v = (pools[:, src, None] ^ run[:3]) * run[1:]
+        v ^= v >> _LANE_16
+        mixed = _LANE_MIX_L * pools[:, dst] - _LANE_MIX_R * v
+        pools[:, dst] = mixed ^ (mixed >> _LANE_16)
+    return _mix_lanes(pools, int(_FILL_RUN[16]), words[4:])
+
+
 def _lane_state_words(pools: np.ndarray) -> np.ndarray:
     """_state_words of each row of (n, 4) uint32 pools: an (n, 4) uint64 array."""
     v = (np.concatenate((pools, pools), axis=1) ^ _LANE_STATE_XOR) * _LANE_STATE_MUL
@@ -240,9 +219,10 @@ def _lane_state_words(pools: np.ndarray) -> np.ndarray:
     return v.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-#: Stacks of fewer keys derive one by one: mixing in lanes costs a fixed
+#: Stacks of fewer children derive one by one: mixing in lanes costs a fixed
 #: 15-60 µs of numpy calls (more for a parent too short to continue), about
-#: what three or four derives cost.
+#: what three or four derives cost.  So verify's default 3-trial stacks
+#: derive one by one, and its 25-trial stacks use lanes.
 _LANES_MIN = 4
 
 
@@ -269,61 +249,47 @@ class Generator:
         child._rng = _pcg64(_state_words(pool))
         return child
 
-    def _stack_pools(self, keys: tuple, first: int, count: int):
-        """The pools of derive(*keys, first + s) for s < count, mixed as stacks in uint32 lanes.
+    def _lanes(self, keys: tuple, first: int, count: int):
+        """(key prefix, (n, 4) uint32 pools, hash constant) of derive(*keys, first + s), s < count.
 
-        Last keys wrap as derive's do.  Yields (rows of the stack, their last
-        keys, (n, 4) pools, hash constant, continuable) for each run of last
-        keys of one width (one uint32 word or two), which are mixed apart.
+        None, for the caller to derive one by one, when there are fewer than
+        _LANES_MIN children, a last key outside one uint32 word, or child
+        keys of fewer than four words.
         """
+        if count < _LANES_MIN or not 0 <= first <= (1 << 32) - count:
+            return None
         new = tuple(int(k) & _MASK64 for k in keys)
-        start = first & _MASK64
-        last = np.arange(count, dtype=np.uint64) + np.uint64(start)
-        if start + count <= 1 << 32:  # every last key one word: the common case
-            runs = ((range(count), last, False),)
+        words = _key_words(new) + [np.arange(first, first + count, dtype=np.uint32)]
+        if self._pool is not None:
+            pools, h = _mix_lanes(np.array(self._pool, dtype=np.uint32), self._hash, words)
+        elif len(words := _key_words(self._key) + words) >= 4:
+            pools, h = _fill_lanes(words, count)
         else:
-            wide = last >> np.uint64(32) != 0
-            runs = ((np.flatnonzero(wide == is_wide), last[wide == is_wide], is_wide)
-                    for is_wide in (False, True))
-        for rows, part, is_wide in runs:
-            if not len(part):
-                continue
-            lanes = [part.astype(np.uint32)]  # the low word
-            if is_wide:
-                lanes.append((part >> np.uint64(32)).astype(np.uint32))
-            if self._pool is None:
-                words = _key_words(self._key + new) + lanes
-                pool, h = _fill(words)
-                pools = np.empty((len(part), 4), dtype=np.uint32)
-                for i, word in enumerate(pool):
-                    pools[:, i] = word
-                pools, h = _mix_lanes(pools, h, words[4:])
-                yield rows, part, pools, h, len(words) >= 4
-            else:
-                pool = np.array(self._pool, dtype=np.uint32)
-                yield rows, part, *_mix_lanes(pool, self._hash, _key_words(new) + lanes), True
+            return None
+        return self._key + new, pools, h
 
     def _derive_stack(self, keys: tuple, first: int, count: int) -> list["Generator"]:
-        """[derive(*keys, first + s) for s < count], their pools mixed as one stack."""
-        if count < _LANES_MIN:
+        """[derive(*keys, first + s) for s < count], mixed as one stack if ``_lanes`` can.
+
+        The suite runner's trial chunks: four or more trials use lanes (its
+        trial keys hold four words), verify's default three derive one by one.
+        """
+        lanes = self._lanes(keys, first, count)
+        if lanes is None:
             return [self.derive(*keys, first + s) for s in range(count)]
-        prefix = self._key + tuple(int(k) & _MASK64 for k in keys)
-        out: list = [None] * count
-        for rows, last, pools, h, continuable in self._stack_pools(keys, first, count):
-            children = _generators(self.seed, [prefix + (k,) for k in last.tolist()], pools, h, continuable)
-            for r, child in zip(rows, children):
-                out[r] = child
-        return out
+        prefix, pools, h = lanes
+        return _generators(self.seed, [prefix + (first + s,) for s in range(count)], pools, h)
 
     def _child_streams(self, first: int, count: int) -> list[np.random.Generator]:
-        """The streams of derive(first), ..., derive(first + count - 1), seeded as one stack."""
-        if count < _LANES_MIN:
+        """The streams of derive(first), ..., derive(first + count - 1), seeded as one stack.
+
+        random_states' chunks of four or more states use lanes when the parent's
+        key holds three words or more (a suite's trial generators hold four).
+        """
+        lanes = self._lanes((), first, count)
+        if lanes is None:
             return [self.derive(first + s)._rng for s in range(count)]
-        out: list = [None] * count
-        for rows, _, pools, _, _ in self._stack_pools((), first, count):
-            for r, words in zip(rows, _lane_state_words(pools)):
-                out[r] = _pcg64(words)
-        return out
+        return [_pcg64(words) for words in _lane_state_words(lanes[1])]
 
     def normal(self, *shape: int) -> np.ndarray:
         return self._rng.standard_normal(shape)
@@ -346,14 +312,13 @@ class Generator:
         return items
 
 
-def _generators(seed: int, keys: list, pools: np.ndarray, h: int, continuable: bool) -> list[Generator]:
+def _generators(seed: int, keys: list, pools: np.ndarray, h: int) -> list[Generator]:
     """The generators at keys, from their (n, 4) pools and hash constant."""
-    rows = pools.tolist() if continuable else [None] * len(keys)
     out = []
-    for key, row, words in zip(keys, rows, _lane_state_words(pools)):
+    for key, row, words in zip(keys, pools.tolist(), _lane_state_words(pools)):
         g = object.__new__(Generator)
         g.seed, g._key, g._rng = seed, key, _pcg64(words)
-        g._pool, g._hash = (tuple(row), h) if continuable else (None, 0)
+        g._pool, g._hash = tuple(row), h
         out.append(g)
     return out
 
@@ -361,16 +326,15 @@ def _generators(seed: int, keys: list, pools: np.ndarray, h: int, continuable: b
 def _derive_each(gens: list[Generator], *keys: int) -> list[Generator]:
     """[g.derive(*keys) for g in gens], their pools continued as one stack in uint32 lanes.
 
-    Fewer than _LANES_MIN generators, or generators that cannot share one
-    pass (a pool not continuable, or keys of different lengths), derive one
-    by one.
+    Fewer than _LANES_MIN generators, or generators that cannot share one pass (a pool
+    not continuable, or keys of different lengths), derive one by one.
     """
     h = gens[0]._hash
     if len(gens) < _LANES_MIN or gens[0]._pool is None or any(g._hash != h for g in gens):
         return [g.derive(*keys) for g in gens]
     new = tuple(int(k) & _MASK64 for k in keys)
     pools, h = _mix_lanes(np.array([g._pool for g in gens], dtype=np.uint32), h, _key_words(new))
-    return _generators(gens[0].seed, [g._key + new for g in gens], pools, h, True)
+    return _generators(gens[0].seed, [g._key + new for g in gens], pools, h)
 
 
 def _normalized_gram(m: np.ndarray) -> np.ndarray:

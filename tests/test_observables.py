@@ -11,6 +11,7 @@ from qcond import (
     RealValuedObservable,
     SubObservable,
     UnknownLabelError,
+    Violation,
     ZeroProbabilityConditionError,
     conditional_expectation,
     distribution,
@@ -190,6 +191,15 @@ def test_observable_validation(qubit):
     valued = RealValuedObservable(short, {"x0": 1.0})
     assert validate_observable(valued) == validate_observable(short)
     assert validate_subobservable(valued) == validate_subobservable(short) == []
+
+
+@pytest.mark.parametrize(
+    "effect", (np.diag([0.5, np.nan, 0.2]), np.array([[np.nan, 1.0], [1.0, np.nan]])), ids=("diag", "off")
+)
+def test_a_non_finite_effect_is_one_violation_not_a_spectrum(effect):
+    # LAPACK either raises on the NaN total or reads a spurious eigenvalue from it.
+    sub = SubObservable(("a",), {"a": effect})
+    assert validate_subobservable(sub) == [Violation("effect[a].finite", math.inf)]
 
 
 def test_constructor_rejects_bad_labels(qubit):

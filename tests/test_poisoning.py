@@ -4,7 +4,8 @@ Each kernel is patched, one at a time and in every qcond module that holds
 it, to return NaN in place of its result.  Every suite that calls it must
 then fail or raise a typed QcondError, and so must the scene that runs every
 scene operation.  The stacked suites' private paths (``_kraus_products``,
-``_measured`` and the stacked form of ``_kraus_sum``) are poisoned too.
+``_measured`` and the stacked form of ``_kraus_sum``) are poisoned too, and
+so are the transforms ``rand`` applies to its draws, which only suites reach.
 """
 
 import json
@@ -27,12 +28,21 @@ KERNELS = (
     ("operations", "_kraus_sum"),
     ("operations", "_kraus_products"),
     ("operations", "_measured"),
+    ("entropy", "_term"),
+    ("context_stats", "contextual_moments"),
+)
+# Reached by the suites' draws only: no scene draws a random object.
+SUITE_KERNELS = KERNELS + (
+    ("rand", "_unit_spectrum"),
+    ("rand", "_normalized_gram"),
+    ("rand", "_unitary"),
 )
 
 
 def _nan_like(result):
-    if isinstance(result, tuple):
-        return tuple(_nan_like(part) for part in result)
+    if isinstance(result, tuple):  # a NamedTuple is rebuilt as its own type
+        parts = [_nan_like(part) for part in result]
+        return type(result)(*parts) if hasattr(result, "_fields") else tuple(parts)
     return result * np.nan  # a float, a complex or an array, each entry NaN
 
 
@@ -52,7 +62,7 @@ def _poison(monkeypatch, layer: str, name: str) -> list[int]:
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("kernel", KERNELS, ids=".".join)
+@pytest.mark.parametrize("kernel", SUITE_KERNELS, ids=".".join)
 def test_a_nan_kernel_fails_every_suite_that_reaches_it(monkeypatch, kernel):
     calls = _poison(monkeypatch, *kernel)
     reached = []

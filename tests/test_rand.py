@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,8 @@ from qcond.rand import (
     random_states,
     random_unitary,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_same_seed_same_stream():
@@ -274,11 +280,45 @@ def test_stacked_children_are_numpy_seed_sequences(seed, parent, first):
             assert np.array_equal(great.normal(3), _numpy_stream(key + (2**64 - 1,)).standard_normal(3))
 
 
-def test_a_stack_of_children_equals_deriving_them_one_by_one():
-    g = Generator(1009).derive(2)
-    stack = g._derive_stack((8,), 0, 4)
-    one_by_one = [g.derive(8, t) for t in range(4)]
-    for a, b in zip(stack, one_by_one):
-        assert (a._key, a._pool, a._hash) == (b._key, b._pool, b._hash)
-        assert np.array_equal(a.normal(6), b.normal(6))
+# (parent key, keys, first, count, derive calls): the stacks the suites make are
+# mixed in lanes without a derive call; any other stack derives each child.
+_STACKS = (
+    ((1009, 2), (8,), 0, 4, 0),  # a suite root's chunk of trials
+    ((1009, 2), (8,), 0, 64, 0),
+    ((2**40, 2), (8,), 7, 5, 0),  # a root whose fourth word is a key, not the lane
+    ((1009, 2, 8, 0), (), 0, 6, 0),  # a trial generator's states
+    ((1009, 2, 8, 0), (), 100, 50, 0),
+    ((1009, 2), (8,), 0, 3, 3),  # too few children
+    ((1009, 2), (8,), 2**32 - 2, 5, 5),  # last keys crossing 2**32
+    ((1009,), (8,), 0, 6, 6),  # child keys of three words
+)
+
+
+def test_a_stack_of_children_equals_deriving_them_one_by_one(monkeypatch):
+    derive, calls = Generator.derive, []
+    monkeypatch.setattr(Generator, "derive", lambda g, *keys: calls.append(keys) or derive(g, *keys))
+    for parent, keys, first, count, derives in _STACKS:
+        g = derive(Generator(parent[0]), *parent[1:])
+        calls.clear()
+        stack = g._derive_stack(keys, first, count)
+        assert len(calls) == derives, (parent, keys, first, count)
+        one_by_one = [derive(g, *keys, first + t) for t in range(count)]
+        for a, b in zip(stack, one_by_one, strict=True):
+            assert (a._key, a._pool, a._hash) == (b._key, b._pool, b._hash)
+            assert np.array_equal(a.normal(6), b.normal(6))
+        if not keys:  # random_states seeds the same stack
+            calls.clear()
+            states = random_states(g, 3, count, first)
+            assert len(calls) == derives, (parent, first, count)
+            for s, state in enumerate(states):
+                assert np.array_equal(state, random_state(derive(g, first + s), 3))
     assert g._derive_stack((8,), 0, 0) == []
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random costs import time and memory; qcond loads it at the first draw.
+    code = "import sys, qcond, qcond.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
