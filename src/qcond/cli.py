@@ -27,7 +27,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import InvalidValueError, QcondError, SceneError, UnknownSuiteError
+from .errors import InvalidValueError, QcondError, SceneError
 from .scene import load_scene, run_scene
 from .serialize import strict_json
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
@@ -121,12 +121,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        scene = load_scene(args.scene)
-        report = run_scene(scene, default_tol=args.tol)
-    except SceneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_scene(load_scene(args.scene), default_tol=args.tol)
     for r in report.checks:
         status = "pass" if r.passed else "FAIL"
         bits = [f"[{status}] #{r.index} {r.op}"]
@@ -153,11 +148,7 @@ def _cmd_verify(args) -> int:
     seed = _default_seed() if args.seed is None else args.seed
     reports = []
     for name in names:
-        try:
-            report = run_suite(name, dims=args.dims, trials=args.trials, seed=seed)
-        except UnknownSuiteError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = run_suite(name, dims=args.dims, trials=args.trials, seed=seed)
         reports.append(report)
         status = "pass" if report.ok else "FAIL"
         line = (

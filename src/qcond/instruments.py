@@ -18,6 +18,7 @@ import numpy as np
 from .core import Violation, prob
 from .errors import (
     DimMismatchError,
+    InvalidTypeError,
     InvalidValueError,
     MissingAlphaError,
     NotCommutingFamilyError,
@@ -82,11 +83,15 @@ class Instrument:
 
     def __init__(self, outcomes: Sequence[str], ops: Mapping[str, Operation]) -> None:
         labels = tuple(str(x) for x in outcomes)
+        if not labels:
+            raise InvalidValueError("a family needs at least one outcome")
         if len(set(labels)) != len(labels):
             raise InvalidValueError("outcome labels must be unique")
         if set(labels) != set(ops.keys()):
             raise UnknownLabelError("operations must be keyed exactly by the outcome labels")
         opmap = dict((x, ops[x]) for x in labels)
+        if not all(isinstance(op, Operation) for op in opmap.values()):
+            raise InvalidTypeError("an instrument maps each outcome to an Operation")
         dims = {op.dim for op in opmap.values()}
         if len(dims) != 1:
             raise DimMismatchError(f"operations have mixed dimensions {sorted(dims)}")

@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    DimMismatchError, InvalidValueError, NotCommutingFamilyError, NotHermitianError, NotPSDError
+    DimMismatchError, InvalidTypeError, InvalidValueError, NotCommutingFamilyError,
+    NotHermitianError, NotPSDError,
 )
 
 __all__ = [
@@ -52,7 +53,12 @@ DEFAULT_TOL = Tolerance()
 
 def as_matrix(m) -> np.ndarray:
     """Coerce array-like input to a square complex128 matrix (copies)."""
-    a = np.array(m, dtype=np.complex128)
+    try:
+        a = np.array(m, dtype=np.complex128)
+    except ValueError as exc:  # a ragged or non-numeric literal
+        raise InvalidValueError(f"not a matrix of numbers: {exc}") from None
+    except TypeError as exc:
+        raise InvalidTypeError(f"not a matrix of numbers: {exc}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatchError(f"expected a square matrix, got shape {a.shape}")
     return a

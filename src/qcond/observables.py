@@ -56,6 +56,8 @@ class SubObservable:
 
     def __init__(self, outcomes: Sequence[str], effects: Mapping[str, np.ndarray]) -> None:
         labels = tuple(str(x) for x in outcomes)
+        if not labels:
+            raise InvalidValueError("a family needs at least one outcome")
         if len(set(labels)) != len(labels):
             raise InvalidValueError("outcome labels must be unique")
         if set(labels) != set(effects.keys()):
@@ -87,6 +89,8 @@ class RealValuedObservable(Observable):
     values: dict[str, float]
 
     def __init__(self, observable: Observable, values: Mapping[str, float]) -> None:
+        if set(values) != set(observable.outcomes):
+            raise UnknownLabelError("values must be keyed exactly by the outcome labels")
         vals = {x: float(values[x]) for x in observable.outcomes}
         for x, v in vals.items():
             if not math.isfinite(v):
@@ -139,6 +143,8 @@ def validate_observable(a: Observable, tol: Tolerance = DEFAULT_TOL) -> list[Vio
 def povm(a: SubObservable, delta: Iterable[str]) -> np.ndarray:
     """The effect of an event: sum of the effects over a set of labels."""
     labels = list(delta)
+    if len(set(labels)) != len(labels):  # an event is a set of outcomes
+        raise InvalidValueError(f"an event names each outcome once, got {labels}")
     for x in labels:
         if x not in a.effects:
             raise UnknownLabelError(f"unknown outcome label {x!r}")

@@ -24,8 +24,8 @@ Object literals are typed by their single top-level key:
     {"instrument": {"holevo_of": {"observable": name, "alphas": {...}}}}
 
 Matrix entries are numbers or two-element [re, im] lists.  Checks call a
-registered operation on named objects (strings refer to objects; labels and
-numbers are written inline) and compare against "expect", or bound a real
+registered operation on named objects (strings refer to objects; label lists
+are written inline) and compare against "expect", or bound a real
 result with "expect_min"/"expect_max".  A check passes when the residual is
 within its tolerance ("tol" on the check, else the runner default, else the
 scene's eq_tol).
@@ -135,8 +135,7 @@ class CheckSpec:
     op: str
     args: tuple
     expect: object = None  # the raw JSON, echoed in the report
-    has_expect: bool = False
-    want: object = None  # the expectation parsed into the op's result kind
+    want: object = None  # the expectation parsed into the op's result kind; None when absent
     expect_min: float | None = None
     expect_max: float | None = None
     tol: float | None = None
@@ -475,7 +474,7 @@ _BAYES = _Kind("Bayes triple", _parse_bayes, _record_distance)
 #   observable                   -> Observable (a RealValuedObservable is one)
 #   real_observable              -> RealValuedObservable
 #   instrument                   -> Instrument
-#   label / labels / number      -> inline literals
+#   labels                       -> an inline list of outcome labels
 
 
 @dataclass(frozen=True)
@@ -614,15 +613,6 @@ _ACCEPTED_KINDS = {
 
 
 def _coerce_arg(kind: str, raw, check_where: str, objects: Mapping[str, SceneObject]):
-    if kind == "number":
-        value = _json_float(raw)
-        if value is None:
-            raise SceneValidationError(f"{check_where}: expected an inline number")
-        return value
-    if kind == "label":
-        if not isinstance(raw, str):
-            raise SceneValidationError(f"{check_where}: expected an inline label string")
-        return raw
     if kind == "labels":
         if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
             raise SceneValidationError(f"{check_where}: expected an inline list of labels")
@@ -676,7 +666,7 @@ def _parse_check(
     dims = {
         a.shape[0] if isinstance(a, np.ndarray) else a.dim
         for a, kind in zip(args, spec.kinds)
-        if kind not in ("label", "labels", "number")
+        if kind != "labels"
     }
     if len(dims) > 1:
         raise SceneValidationError(f"{where}: arguments mix dimensions {sorted(dims)}")
@@ -708,7 +698,6 @@ def _parse_check(
         op=op,
         args=args,
         expect=expect,
-        has_expect=has_expect,
         want=want,
         expect_min=None if expect_min is None else float(expect_min),
         expect_max=None if expect_max is None else float(expect_max),
@@ -777,14 +766,14 @@ def run_scene(scene: Scene, default_tol: float | None = None) -> SceneReport:
     for check in scene.checks:
         op = SCENE_OPS[check.op]
         # an expectation passes within the tolerance, bounds only when met
-        limit = (base_tol if check.tol is None else check.tol) if check.has_expect else 0.0
+        limit = (base_tol if check.tol is None else check.tol) if check.want is not None else 0.0
         try:
             value = op.fn(*check.args, **({"tol": scene.tolerance} if op.takes_tol else {}))
         except QcondError as exc:
             value, error, residual = None, f"{type(exc).__name__}: {exc}", math.inf
         else:
             error = None
-            if check.has_expect:
+            if check.want is not None:
                 # A result may lack a label the expectation names, which only
                 # running the check can show: that check fails, not the scene.
                 try:

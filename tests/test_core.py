@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from qcond import (
+    Violation,
     complement,
     is_atomic,
     is_sharp,
@@ -76,3 +79,8 @@ def test_validate_effect():
 def test_violation_reports_magnitude():
     (v,) = validate_state(np.diag([0.5, 0.4]))
     assert v.magnitude == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("bad", (math.inf, math.nan), ids=("inf", "nan"))
+def test_validate_state_of_a_non_finite_matrix_is_one_violation(bad):
+    assert validate_state(np.diag([bad, 0.5])) == [Violation("finite", math.inf)]

@@ -21,10 +21,13 @@ from qcond import (
     SubObservable,
     SuiteArgumentError,
     Tolerance,
+    UnknownLabelError,
+    as_matrix,
     atomic_context,
     compose_instruments,
     luders,
     minimal_extension,
+    povm,
     run_suite,
     stochastic_operator,
 )
@@ -62,6 +65,12 @@ _SITES = {
     "tolerance-eq-inf": (ValueError, lambda: Tolerance(eq_tol=math.inf)),
     "tolerance-psd-nan": (ValueError, lambda: Tolerance(psd_tol=math.nan)),
     "tolerance-psd-inf": (ValueError, lambda: Tolerance(psd_tol=math.inf)),
+    "matrix-ragged": (ValueError, lambda: as_matrix([[1, 2], [3]])),
+    "matrix-entry-not-a-number": (TypeError, lambda: Observable(("x",), {"x": object()})),
+    "instrument-value-not-an-operation": (TypeError, lambda: Instrument(("x",), {"x": np.eye(2)})),
+    "observable-without-outcomes": (ValueError, lambda: Observable((), {})),
+    "instrument-without-outcomes": (ValueError, lambda: Instrument((), {})),
+    "povm-repeated-label": (ValueError, lambda: povm(_Z, ["0", "0"])),
 }
 
 
@@ -79,3 +88,10 @@ def test_one_class_per_builtin():
     assert issubclass(SuiteArgumentError, InvalidValueError)
     with pytest.raises(SuiteArgumentError):
         run_suite("duality", dims=[1], trials=1)
+
+
+@pytest.mark.parametrize("values", ({"0": 1.0}, {"0": 1.0, "1": -1.0, "2": 0.0}), ids=("missing", "extra"))
+def test_real_values_are_keyed_exactly_by_the_outcome_labels(values):
+    # A missing label used to raise a bare KeyError, and an extra one was dropped.
+    with pytest.raises(UnknownLabelError, match="keyed exactly"):
+        RealValuedObservable(_Z, values)

@@ -23,6 +23,7 @@ from qcond import (
 from qcond.rand import (
     Generator,
     _derive_each,
+    _unit_spectrum,
     random_atomic_effect,
     random_channel,
     random_codiagonal_effects,
@@ -322,3 +323,14 @@ def test_import_leaves_numpy_random_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_a_flat_spectrum_maps_to_half_the_identity_alone_and_in_a_stack():
+    flat = 3.0 * np.eye(3, dtype=np.complex128)
+    assert np.array_equal(_unit_spectrum(flat), 0.5 * np.eye(3))
+    g = Generator(5)
+    stack = np.stack([random_hermitian(g, 3), flat, random_hermitian(g, 3), -flat])
+    out = _unit_spectrum(stack)
+    for h, one in zip(stack, out):
+        assert np.array_equal(one, _unit_spectrum(h))
+    assert np.array_equal(out[1], 0.5 * np.eye(3)) and np.array_equal(out[3], 0.5 * np.eye(3))

@@ -633,6 +633,22 @@ def test_malformed_expectation_fails_validate(case, tmp_path, capsys):
 # --- one reader per literal kind ----------------------------------------------
 
 
+def test_one_number_pins_every_field_of_a_record():
+    objects = {"rho": {"state": [[0.5, 0], [0, 0.5]]}, "z": {"observable": _Z}}
+    checks = [{"op": "distribution", "args": ["rho", "z"], "expect": want} for want in (0.5, 0.4)]
+    exact, off = run_scene(load_scene({"objects": objects, "checks": checks})).checks
+    assert exact.passed and exact.residual == 0.0
+    assert not off.passed and off.residual == pytest.approx(0.1)
+
+
+def test_a_repeated_event_label_fails_its_povm_check():
+    # An event is a set of outcomes: povm(z, ["0", "0"]) is no effect 2 Z0.
+    checks = [{"op": "povm", "args": ["z", ["0", "0"]], "expect": [[2, 0], [0, 0]]}]
+    [check] = run_scene(load_scene({"objects": {"z": {"observable": _Z}}, "checks": checks})).checks
+    assert not check.passed and check.residual == math.inf
+    assert check.error.startswith("InvalidValueError: an event names each outcome once")
+
+
 _P0, _P1, _ZERO = [[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]]
 # The composite of the Lüders instrument of Z with itself: P_y P_x for "x,y".
 # Its labels carry the separator that an object's labels may not, and it loads
@@ -902,6 +918,21 @@ def test_cli_verify_rejects_trials_below_one(trials, capsys):
         main(["verify", "--all", "--trials", trials])
     assert exc.value.code == 2
     assert "trials must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (["--dims", "a,b"], "argument --dims: dims must be comma-separated integers, got 'a,b'"),
+        (["--trials", "x"], "argument --trials: trials must be an integer, got 'x'"),
+    ),
+    ids=("dims", "trials"),
+)
+def test_cli_verify_rejects_non_integer_arguments(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "duality", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 # Python's json reads NaN and Infinity (and json.dumps writes them); JSON has no

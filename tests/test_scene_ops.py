@@ -13,7 +13,8 @@ import pathlib
 import numpy as np
 
 from qcond import BayesTriple, Instrument, Operation, SubObservable
-from qcond.scene import SCENE_OPS, load_scene, run_scene
+from qcond.errors import SceneValidationError
+from qcond.scene import SCENE_OPS, SceneObject, _coerce_arg, load_scene, run_scene
 from qcond.serialize import value_to_json
 
 EVERY_OP = pathlib.Path(__file__).resolve().parent / "scenes" / "every-op.json"
@@ -28,7 +29,7 @@ def _call(op, args, tolerance):
 def test_every_op_has_a_check():
     scene = load_scene(EVERY_OP)
     assert {check.op for check in scene.checks} == set(SCENE_OPS)
-    assert all(check.has_expect for check in scene.checks)
+    assert all(check.want is not None for check in scene.checks)
 
 
 def test_every_op_scene_passes():
@@ -45,6 +46,16 @@ def test_scalar_results_are_builtin():
         for v in scalars:
             if isinstance(v, (numbers.Number, np.generic)):
                 assert type(v) in (bool, float, complex), (check.op, type(v))
+
+
+def test_every_declared_argument_kind_is_read():
+    # An argument kind _coerce_arg does not read fails with a KeyError, not a scene error.
+    objects = {"rho": SceneObject("rho", "state", np.eye(2) / 2)}
+    for kind in {kind for op in SCENE_OPS.values() for kind in op.kinds}:
+        try:
+            _coerce_arg(kind, "rho", "check", objects)
+        except SceneValidationError:
+            pass  # read, and refused: a state is no argument of this kind
 
 
 def test_takes_tol_follows_the_signature():
