@@ -24,6 +24,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from .core import _zero_round_off
 from .instruments import Instrument, condition_effect
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, trace_product
 from .observables import Observable, RealValuedObservable, stochastic_operator
@@ -143,10 +144,7 @@ class UncertaintyReport:
         are clamped to zero.
         """
         _, cor, cov, var_b, var_c, ct = m
-        if -tol.eq_tol <= var_b < 0.0:
-            var_b = 0.0
-        if -tol.eq_tol <= var_c < 0.0:
-            var_c = 0.0
+        var_b, var_c = _zero_round_off(var_b, tol), _zero_round_off(var_c, tol)
         return cls(
             correlation=cor,
             covariance=float(cov),

@@ -20,10 +20,9 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _hermitian_defect,
+    _spectrum,
     as_matrix,
-    dagger,
     frobenius,
-    is_hermitian,
     loewner_leq,
     trace_product,
 )
@@ -51,22 +50,31 @@ class Violation:
         return f"{self.invariant} (by {self.magnitude:.3e})"
 
 
-def _hermitian_violation(m: np.ndarray, tol: Tolerance) -> list[Violation]:
-    dev = _hermitian_defect(m, tol)
-    return [] if dev is None else [Violation("hermitian", dev)]
+def _spectral_violations(m: np.ndarray, tol: Tolerance, effect: bool) -> list[Violation]:
+    """Finite, then Hermitian, then the spectrum: at least 0 and, for an effect, at most 1.
+
+    A non-finite m is reported alone.  NaN eigenvalues (a Hermitian part past
+    the float64 limit) break both spectrum bounds.
+    """
+    if not np.all(np.isfinite(m.view(np.float64))):
+        return [Violation("finite", float("inf"))]
+    if (dev := _hermitian_defect(m, tol)) is not None:
+        return [Violation("hermitian", dev)]
+    w = _spectrum(m)
+    out = []
+    if not w[0] >= -tol.psd_tol:
+        out.append(Violation("positive", float(-w[0])))
+    if effect and not w[-1] <= 1.0 + tol.psd_tol:
+        out.append(Violation("below-identity", float(w[-1] - 1.0)))
+    return out
 
 
 def validate_state(rho, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
-    """Check Hermiticity, positivity and unit trace; empty list means valid."""
+    """Check finiteness, Hermiticity, positivity and unit trace; empty list means valid."""
     rho = as_matrix(rho)
-    out = []
-    if not np.all(np.isfinite(rho.view(np.float64))):
-        return [Violation("finite", float("inf"))]
-    out += _hermitian_violation(rho, tol)
-    if not out:
-        lo = float(np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)[0])
-        if lo < -tol.psd_tol:
-            out.append(Violation("positive", -lo))
+    out = _spectral_violations(rho, tol, effect=False)
+    if out and out[0].invariant == "finite":
+        return out
     tr_dev = abs(complex(np.trace(rho)) - 1.0)
     if tr_dev > tol.eq_tol:
         out.append(Violation("unit-trace", float(tr_dev)))
@@ -74,19 +82,8 @@ def validate_state(rho, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
 
 
 def validate_effect(a, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
-    """Check Hermiticity and that the spectrum sits in [0, 1]."""
-    a = as_matrix(a)
-    out = []
-    if not np.all(np.isfinite(a.view(np.float64))):
-        return [Violation("finite", float("inf"))]
-    out += _hermitian_violation(a, tol)
-    if not out:
-        w = np.linalg.eigvalsh((a + dagger(a)) / 2.0)
-        if w[0] < -tol.psd_tol:
-            out.append(Violation("positive", float(-w[0])))
-        if w[-1] > 1.0 + tol.psd_tol:
-            out.append(Violation("below-identity", float(w[-1] - 1.0)))
-    return out
+    """Check finiteness, Hermiticity and that the spectrum sits in [0, 1]."""
+    return _spectral_violations(as_matrix(a), tol, effect=True)
 
 
 def _per_state(values):
@@ -130,7 +127,7 @@ def is_sharp(a, tol: Tolerance = DEFAULT_TOL) -> bool:
 def is_atomic(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Atomic means rank-one projection: spectrum is one 1 and the rest 0."""
     a = as_matrix(a)
-    if not is_hermitian(a, tol):
+    if _hermitian_defect(a, tol) is not None:
         return False
-    w = np.linalg.eigvalsh((a + dagger(a)) / 2.0)
+    w = _spectrum(a)
     return bool(abs(w[-1] - 1.0) <= tol.eq_tol and np.all(np.abs(w[:-1]) <= tol.eq_tol))

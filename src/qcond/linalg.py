@@ -51,14 +51,23 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce array-like input to a square complex128 matrix (copies)."""
+def _complex_array(m, copy: bool = False) -> np.ndarray:
+    """Array-like input as a complex128 array, a copy when copy is set (else only if needed).
+
+    The one conversion of matrix arguments: a ragged or non-numeric input
+    raises InvalidValueError or InvalidTypeError, not numpy's bare builtin.
+    """
     try:
-        a = np.array(m, dtype=np.complex128)
+        return (np.array if copy else np.asarray)(m, dtype=np.complex128)
     except ValueError as exc:  # a ragged or non-numeric literal
         raise InvalidValueError(f"not a matrix of numbers: {exc}") from None
     except TypeError as exc:
         raise InvalidTypeError(f"not a matrix of numbers: {exc}") from None
+
+
+def as_matrix(m) -> np.ndarray:
+    """Coerce array-like input to a square complex128 matrix (copies)."""
+    a = _complex_array(m, copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatchError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -78,6 +87,23 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m*) / 2, of one matrix or of each matrix of a stack."""
+    return (m + dagger(m)) / 2.0
+
+
+def _spectrum(m: np.ndarray, vectors: bool = False):
+    """Ascending eigenvalues of m's Hermitian part (one matrix or each of a stack).
+
+    With ``vectors`` the pair ``(w, v)`` from ``eigh``, the columns of v the
+    eigenvectors.  A non-finite Hermitian part (an entry near the float64
+    limit doubles past it) gives NaN eigenvalues, which no bound written as
+    ``not w <= bound`` lets pass.
+    """
+    h = _hermitian_part(m)
+    return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+
+
 def _commutator_norms(mats: Sequence[np.ndarray]):
     """Lazily, ||[X, Y]|| (Frobenius) for each pair of the matrices, in ``combinations`` order."""
     return (frobenius(commutator(x, y)) for x, y in combinations(mats, 2))
@@ -89,8 +115,8 @@ def _hermitian_defect(m: np.ndarray, tol: Tolerance) -> float | None:
     return None if dev <= tol.eq_tol else dev
 
 
-def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return _hermitian_defect(m, tol) is None
+def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
+    return _hermitian_defect(as_matrix(m), tol) is None
 
 
 def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +130,7 @@ def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     :class:`NotHermitianError` when ``m`` (any matrix of a stack) is not
     Hermitian within ``eq_tol``.
     """
-    m = np.array(m, dtype=np.complex128)
+    m = _complex_array(m)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise DimMismatchError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     # A stack's defect screens all its matrices at once; each is judged on its own.
@@ -112,8 +138,7 @@ def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
         for one in m.reshape(-1, *m.shape[-2:]):
             if (dev := _hermitian_defect(one, tol)) is not None:
                 raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
-    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
-    return w, v
+    return _spectrum(m, vectors=True)
 
 
 def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -122,12 +147,11 @@ def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues within ``psd_tol`` of zero are treated as numerical noise
     and clamped to 0 — the square root would otherwise amplify round-off
     (sqrt turns a 1e-16 perturbation of a projection into a 1e-8 one).
-    Anything below ``-psd_tol`` raises :class:`NotPSDError`.  An (n, d, d)
-    stack gives the stack of roots, matrix by matrix as ``hermitian_eig``.
+    Anything below ``-psd_tol``, or NaN, raises :class:`NotPSDError`.  An
+    (n, d, d) stack gives the stack of roots, matrix by matrix as ``hermitian_eig``.
     """
     w, v = hermitian_eig(m, tol)
-    below = w.T[0] < -tol.psd_tol  # a bool for one matrix, one per matrix of a stack
-    if below.any() if below.ndim else below:
+    if not (w[..., 0] >= -tol.psd_tol).all():
         raise NotPSDError(f"matrix has eigenvalue {np.min(w):.3e} below -psd_tol")
     w = np.where(w < tol.psd_tol, 0.0, w)
     return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
@@ -142,8 +166,7 @@ def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     for name, m in (("a", a), ("b", b)):
         if (dev := _hermitian_defect(m, tol)) is not None:
             raise NotHermitianError(f"operand {name} deviates from Hermitian by {dev:.3e}")
-    diff = (b - a + dagger(b - a)) / 2.0
-    return bool(np.linalg.eigvalsh(diff)[0] >= -tol.psd_tol)
+    return bool(_spectrum(b - a)[0] >= -tol.psd_tol)
 
 
 def trace_product(a, b):
@@ -153,8 +176,8 @@ def trace_product(a, b):
     (n, d, d) stack too: the result is the (n,) complex array of tr(a[s] @ b)
     or tr(a[s] @ b[s]), from one contraction over the stack.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    a = _complex_array(a)
+    b = _complex_array(b)
     if (
         a.ndim not in (2, 3)
         or b.ndim not in (2, a.ndim)
@@ -162,11 +185,8 @@ def trace_product(a, b):
         or b.ndim == 3 and len(a) != len(b)
     ):
         raise DimMismatchError(f"cannot trace product of shapes {a.shape} and {b.shape}")
-    if b.ndim == 3:
-        return np.einsum("sij,sji->s", a, b)
-    if a.ndim == 3:
-        return np.einsum("sij,ji->s", a, b)
-    return complex(np.einsum("ij,ji->", a, b))
+    out = np.einsum("...ij,...ji->...", a, b)
+    return out if out.ndim else complex(out)
 
 
 def _eig_blocks(w: np.ndarray, gap: float) -> list[slice]:
@@ -214,7 +234,7 @@ def simultaneous_eigenbasis(
     # Refining with the probe first splits everything generic; the family
     # pass guarantees correctness even where the probe stays degenerate.
     for m in [probe, *family]:
-        scale = max(1.0, float(np.abs(np.linalg.eigvalsh((m + dagger(m)) / 2.0)).max()))
+        scale = max(1.0, float(np.abs(_spectrum(m)).max()))
         gap = max(100.0 * tol.eq_tol, 1e-7) * scale
         new_blocks: list[slice] = []
         for blk in blocks:
@@ -222,7 +242,7 @@ def simultaneous_eigenbasis(
                 new_blocks.append(blk)
                 continue
             sub = dagger(basis[:, blk]) @ m @ basis[:, blk]
-            w, u = np.linalg.eigh((sub + dagger(sub)) / 2.0)
+            w, u = _spectrum(sub, vectors=True)
             basis[:, blk] = basis[:, blk] @ u
             for inner in _eig_blocks(w, gap):
                 new_blocks.append(slice(blk.start + inner.start, blk.start + inner.stop))

@@ -23,8 +23,10 @@ import numpy as np
 
 from .core import Violation, prob, validate_effect
 from .errors import DimMismatchError, InvalidTypeError, InvalidValueError, UnknownLabelError
-from .linalg import DEFAULT_TOL, Tolerance, _commutator_norms, as_matrix, frobenius, trace_product
-from .operations import Operation, _conditional
+from .linalg import (
+    DEFAULT_TOL, Tolerance, _commutator_norms, _spectrum, as_matrix, frobenius, trace_product,
+)
+from .operations import Operation, _conditional, dual_apply
 
 __all__ = [
     "EXTENSION_LABEL",
@@ -125,8 +127,8 @@ def validate_subobservable(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> li
     total = a.total()
     if not np.all(np.isfinite(total.view(np.float64))):
         return out
-    w = np.linalg.eigvalsh((total + total.conj().T) / 2.0)
-    if w[-1] > 1.0 + tol.psd_tol:
+    w = _spectrum(total)
+    if not w[-1] <= 1.0 + tol.psd_tol:  # NaN breaks it too
         out.append(Violation("total-below-identity", float(w[-1] - 1.0)))
     return out
 
@@ -176,7 +178,7 @@ def conditional_expectation(
     rho, op: Operation, b: RealValuedObservable, tol: Tolerance = DEFAULT_TOL
 ):
     """E(b | op's effect) = tr[op(rho) Btilde] / tr[rho a]: ``_conditional`` on Btilde."""
-    return _conditional(rho, op, stochastic_operator(b), tol)
+    return _conditional(rho, op.effect, dual_apply(op, stochastic_operator(b)), tol)
 
 
 def minimal_extension(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> Observable:

@@ -39,6 +39,8 @@ from .errors import DimMismatchError, ZeroProbabilityConditionError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _complex_array,
+    _spectrum,
     as_matrix,
     dagger,
     frobenius,
@@ -79,10 +81,10 @@ class Operation:
 
     def __init__(self, kraus) -> None:
         if not isinstance(kraus, np.ndarray):
-            kraus = [np.asarray(k, dtype=np.complex128) for k in kraus]
+            kraus = [_complex_array(k) for k in kraus]
             if len({k.shape for k in kraus}) > 1:
                 raise DimMismatchError("Kraus operators have mixed dimensions")
-        stack = np.array(kraus, dtype=np.complex128)
+        stack = _complex_array(kraus, copy=True)
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not len(stack):
             raise DimMismatchError(f"expected a nonempty (k, d, d) Kraus stack, got {stack.shape}")
         stack.flags.writeable = False
@@ -123,8 +125,8 @@ def validate_operation(op: Operation, tol: Tolerance = DEFAULT_TOL) -> list[Viol
     out = []
     if not np.all(np.isfinite(s.view(np.float64))):
         return [Violation("finite", float("inf"))]
-    w = np.linalg.eigvalsh((s + dagger(s)) / 2.0)
-    if w[-1] > 1.0 + tol.psd_tol:
+    w = _spectrum(s)
+    if not w[-1] <= 1.0 + tol.psd_tol:  # NaN breaks it too
         out.append(Violation("kraus-trace-bound", float(w[-1] - 1.0)))
     return out
 
@@ -293,21 +295,21 @@ def _conditioning_prob(rho, a, tol: Tolerance):
     return p
 
 
-def _conditional(rho, op: Operation, m, tol: Tolerance):
-    """tr[op(rho) m] / tr[rho a], a = op.effect, through the dual: tr[rho dual(m)] / tr[rho a].
+def _conditional(rho, a, dual_m, tol: Tolerance):
+    """tr[rho dual(m)] / tr[rho a], dual the dual of an operation op that measures a.
 
-    m an effect gives a conditional probability, a stochastic operator a
-    conditional expectation; a float for one state, one value per state of
-    a stack.  Raises ZeroProbabilityConditionError when a conditioning
-    probability is at most eq_tol.
+    That is tr[op(rho) m] / tr[rho a]: m an effect gives a conditional
+    probability, a stochastic operator a conditional expectation; a float for
+    one state, one value per state of a stack.  Raises
+    ZeroProbabilityConditionError when a conditioning probability is at most eq_tol.
     """
-    p = _conditioning_prob(rho, op.effect, tol)
-    return trace_product(rho, dual_apply(op, m)).real / p
+    p = _conditioning_prob(rho, a, tol)
+    return trace_product(rho, dual_m).real / p
 
 
 def conditional_prob(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL):
     """P(b | op's effect) at rho: ``_conditional`` on b, clamped into [0, 1] only within eq_tol."""
-    return _probability(_conditional(rho, op, b, tol), tol)
+    return _probability(_conditional(rho, op.effect, dual_apply(op, b), tol), tol)
 
 
 def _probability(q, tol: Tolerance):
@@ -331,10 +333,8 @@ def bayes2_residual(rho, op_a: Operation, op_b: Operation, tol: Tolerance = DEFA
     is one state (a float result) or an (n, d, d) stack (one per state).
     """
     a, b = op_a.effect, op_b.effect
-    pa = prob(rho, a, tol)
-    pb = prob(rho, b, tol)
-    if np.count_nonzero((pa <= tol.eq_tol) | (pb <= tol.eq_tol)):
-        raise ZeroProbabilityConditionError("both conditioning effects need nonzero probability")
+    pa = _conditioning_prob(rho, a, tol)
+    _conditioning_prob(rho, b, tol)
     gap = trace_product(rho, dual_apply(op_a, b) - dual_apply(op_b, a)).real
     return _per_state(np.abs(gap) / pa)
 

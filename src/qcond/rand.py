@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidValueError, RetryExhaustedError
 from .instruments import Instrument
-from .linalg import dagger, psd_sqrt
+from .linalg import _hermitian_part, dagger, psd_sqrt
 from .observables import Observable, RealValuedObservable
 from .operations import Operation
 
@@ -359,10 +359,10 @@ def random_states(g: Generator, dim: int, count: int, first: int = 0) -> np.ndar
 
 
 # Several random_<kind> functions below apply a private transform to their
-# generator's draws.  _hermitian, _unit_spectrum, _unitary, _normalized_gram,
-# _isometry and _measuring_kraus also map a stack of draws (leading axis n)
-# to a stack of objects, matrix by matrix bit for bit, so a stacked suite
-# draws per trial (_draws) and transforms once.
+# generator's draws.  _unit_spectrum, _unitary, _normalized_gram, _isometry
+# and _measuring_kraus, like linalg's _hermitian_part, also map a stack of
+# draws (leading axis n) to a stack of objects, matrix by matrix bit for bit,
+# so a stacked suite draws per trial (_draws) and transforms once.
 
 
 def _complex_normals(streams: list, count: int, *shape: int) -> np.ndarray:
@@ -382,22 +382,15 @@ def _draws(gens: list[Generator], count: int, *shape: int) -> np.ndarray:
     return _complex_normals([g._rng for g in gens], count, *shape)
 
 
-def _hermitian(m: np.ndarray) -> np.ndarray:
-    return (m + dagger(m)) / 2.0
-
-
 def random_hermitian(g: Generator, dim: int) -> np.ndarray:
-    return _hermitian(g.complex_normal(dim, dim))
+    return _hermitian_part(g.complex_normal(dim, dim))
 
 
 def _unit_spectrum(h: np.ndarray) -> np.ndarray:
     """Hermitian h rescaled so its spectrum fills [0, 1]; 0.5 I if its spectrum is flat."""
     w = np.linalg.eigvalsh(h)
-    if w.ndim == 1:
-        low, spread = w[0], w[-1] - w[0]
-    else:  # a stack: one (1, 1) block per matrix
-        low = w[..., :1, None]
-        spread = w[..., -1:, None] - low
+    low = w[..., :1, None]  # one (1, 1) block per matrix
+    spread = w[..., -1:, None] - low
     eye = np.eye(h.shape[-1])
     flat = spread < 1e-12
     if np.count_nonzero(flat):

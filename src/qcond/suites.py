@@ -97,11 +97,14 @@ from .instruments import (
     luders_instrument,
     measured_observable,
 )
-from .linalg import DEFAULT_TOL, _commutator_norms, commutator, dagger, frobenius, trace_product
+from .linalg import (
+    DEFAULT_TOL, _commutator_norms, _hermitian_part, _spectrum, commutator, frobenius,
+    trace_product,
+)
 from .observables import jointly_commuting
 from .operations import (
     Operation,
-    _conditioning_prob,
+    _conditional,
     _kraus_products,
     _kraus_sum,
     _measured,
@@ -119,7 +122,6 @@ from .rand import (
     _atomic,
     _derive_each,
     _draws,
-    _hermitian,
     _measuring_kraus,
     _normalized_gram,
     _projection,
@@ -393,18 +395,18 @@ def _conditional_probs(rho: np.ndarray, kraus: np.ndarray, m: np.ndarray) -> np.
 
     Raises ZeroProbabilityConditionError when any conditioning probability is at most eq_tol.
     """
-    p = _conditioning_prob(rho, _measured(kraus), DEFAULT_TOL)
-    return _probability(trace_product(rho, _dual(kraus, m)).real / p, DEFAULT_TOL)
+    q = _conditional(rho, _measured(kraus), _dual(kraus, m), DEFAULT_TOL)
+    return _probability(q, DEFAULT_TOL)
 
 
 def _duality(gens, dim, ts):
     """tr[op(rho) h] == tr[rho dual(h)] for random operations, states, probes."""
     n_kraus = 1 + ts[0] % 3
     draws = _draws(gens, 3, dim, dim)
-    a = _unit_spectrum(_hermitian(draws[:, 0]))
+    a = _unit_spectrum(_hermitian_part(draws[:, 0]))
     ops = _measuring_stack(gens, 0, a, n_kraus)
     rho = _normalized_gram(draws[:, 1])
-    h = _hermitian(draws[:, 2])
+    h = _hermitian_part(draws[:, 2])
     gaps = trace_product(_kraus_sum((ops,), rho), h) - trace_product(rho, _dual(ops, h))
     return [
         ({"duality": abs(gap)},  # Python's complex abs, whose last bit np.abs does not always match
@@ -420,23 +422,22 @@ def _sequential_product_bounds(gens, dim, ts):
     The atomic coefficient may leave [0, 1] by at most 0.1 eq_tol.
     """
     t = ts[0]
-    a, b = _unit_spectrum(_hermitian(_draws(gens, 2, dim, dim))).swapaxes(0, 1)
+    a, b = _unit_spectrum(_hermitian_part(_draws(gens, 2, dim, dim))).swapaxes(0, 1)
     op = _measuring_stack(gens, 0, a, 1 + t % 3)
     ranks = [g.integer(1, dim) for g in gens]
     u, b2 = _draws(gens, 2, dim, dim).swapaxes(0, 1)
     p = np.stack([_projection(one, rank) for one, rank in zip(_unitary(u), ranks)])
     op_p = _measuring_stack(gens, 1, p, 1 + (t + 1) % 3)
-    b2 = _unit_spectrum(_hermitian(b2))
+    b2 = _unit_spectrum(_hermitian_part(b2))
     atom = np.stack([_atomic(v) for v in _draws(gens, 1, dim)[:, 0]])
     op_atom = _measuring_stack(gens, 2, atom, 1 + (t + 2) % 3)
-    transported = _dual(op_atom, _unit_spectrum(_hermitian(_draws(gens, 1, dim, dim)[:, 0])))
+    transported = _dual(op_atom, _unit_spectrum(_hermitian_part(_draws(gens, 1, dim, dim)[:, 0])))
     lam = trace_product(atom, transported).real
     gap = a - _dual(op, b)
-    gap = (gap + dagger(gap)) / 2.0
-    # LAPACK rejects a non-finite matrix; its lowest eigenvalue stays NaN
+    # LAPACK may reject a non-finite matrix; its lowest eigenvalue stays NaN
     finite = np.isfinite(gap).all(axis=(-2, -1))
     lowest = np.full((len(gens), 1), np.nan)
-    lowest[finite] = np.linalg.eigvalsh(gap[finite])[:, :1]
+    lowest[finite] = _spectrum(gap[finite])[:, :1]
     commutators = commutator(_dual(op_p, b2), p)
     rows = []
     for s, coefficient in enumerate(lam.tolist()):
@@ -464,11 +465,11 @@ def _composition_laws(gens, dim, ts):
     """
     t = ts[0]
     draws = _draws(gens, 5, dim, dim)
-    a, b, c = _unit_spectrum(_hermitian(draws[:, :3])).swapaxes(0, 1)
+    a, b, c = _unit_spectrum(_hermitian_part(draws[:, :3])).swapaxes(0, 1)
     op_i = _measuring_stack(gens, 0, a, 1 + t % 2)
     op_j = _measuring_stack(gens, 1, b, 1 + (t + 1) % 2)
     rho = _normalized_gram(draws[:, 3])
-    h = _hermitian(draws[:, 4])
+    h = _hermitian_part(draws[:, 4])
 
     comp = _kraus_products(op_i, op_j)
     a_then_b = _dual(op_i, b)

@@ -84,3 +84,13 @@ def test_violation_reports_magnitude():
 @pytest.mark.parametrize("bad", (math.inf, math.nan), ids=("inf", "nan"))
 def test_validate_state_of_a_non_finite_matrix_is_one_violation(bad):
     assert validate_state(np.diag([bad, 0.5])) == [Violation("finite", math.inf)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_spectrum_past_the_float64_limit_breaks_both_bounds():
+    # (m + m*)/2 overflows to inf and eigvalsh returns NaN, which no "<" or ">" bound caught.
+    big = np.full((2, 2), 1e308)
+    effect = validate_effect(big)
+    assert [v.invariant for v in effect] == ["positive", "below-identity"]
+    assert all(math.isnan(v.magnitude) for v in effect)
+    assert [v.invariant for v in validate_state(big)] == ["positive", "unit-trace"]

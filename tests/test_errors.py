@@ -16,6 +16,7 @@ from qcond import (
     InvalidTypeError,
     InvalidValueError,
     Observable,
+    Operation,
     QcondError,
     RealValuedObservable,
     SubObservable,
@@ -24,12 +25,20 @@ from qcond import (
     UnknownLabelError,
     as_matrix,
     atomic_context,
+    bayes2_residual,
     compose_instruments,
+    conditional_prob,
+    effect_entropy,
+    hermitian_eig,
+    is_hermitian,
     luders,
     minimal_extension,
     povm,
+    prob,
+    psd_sqrt,
     run_suite,
     stochastic_operator,
+    trace_product,
 )
 from qcond.rand import Generator, random_projective_observable
 
@@ -72,6 +81,23 @@ _SITES = {
     "instrument-without-outcomes": (ValueError, lambda: Instrument((), {})),
     "povm-repeated-label": (ValueError, lambda: povm(_Z, ["0", "0"])),
 }
+
+# Each function that reads a matrix argument, given a ragged or a non-numeric one.
+_MATRIX_READERS = {
+    "psd_sqrt": psd_sqrt,
+    "luders": luders,
+    "hermitian_eig": hermitian_eig,
+    "trace_product": lambda m: trace_product(m, np.eye(2)),
+    "prob": lambda m: prob(m, _P0),
+    "conditional_prob": lambda m: conditional_prob(m, luders(_P0), _P0),
+    "bayes2_residual": lambda m: bayes2_residual(m, luders(_P0), luders(_P0)),
+    "effect_entropy": lambda m: effect_entropy(m, _P0),
+    "Operation": lambda m: Operation([m]),
+    "is_hermitian": is_hermitian,
+}
+for _name, _read in _MATRIX_READERS.items():
+    _SITES[f"{_name}-ragged"] = (ValueError, lambda read=_read: read([[1, 2], [3]]))
+    _SITES[f"{_name}-not-a-number"] = (TypeError, lambda read=_read: read([[1, object()], [0, 1]]))
 
 
 @pytest.mark.parametrize("site", sorted(_SITES))

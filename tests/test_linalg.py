@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qcond
 from qcond import (
     DimMismatchError,
     NotCommutingFamilyError,
@@ -190,3 +193,12 @@ def test_commutator_and_frobenius():
     c = commutator(x, z)
     assert np.allclose(c, x @ z - z @ x)
     assert frobenius(np.zeros((2, 2))) == 0.0
+
+
+def test_the_hermitian_part_is_formed_only_in_linalg():
+    # One (m + m*)/2, linalg._hermitian_part, so one place decides how it is taken.
+    holders = {
+        path.name: path.read_text(encoding="utf-8").count("+ dagger(")
+        for path in sorted(Path(qcond.__file__).parent.glob("*.py"))
+    }
+    assert {name: n for name, n in holders.items() if n} == {"linalg.py": 1}

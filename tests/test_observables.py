@@ -211,3 +211,12 @@ def test_constructor_rejects_bad_labels(qubit):
         Observable(("a", "b"), {"a": np.eye(2), "b": np.eye(3)})
     with pytest.raises(ValueError):
         RealValuedObservable(z_observable(qubit), {"x0": math.inf, "x1": 0.0})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_effect_past_the_float64_limit_is_invalid():
+    # Its Hermitian part, and the total's, overflow: the spectra are NaN.
+    sub = SubObservable(("a",), {"a": np.full((2, 2), 1e308)})
+    assert [v.invariant for v in validate_subobservable(sub)] == [
+        "effect[a].positive", "effect[a].below-identity", "total-below-identity",
+    ]

@@ -249,3 +249,10 @@ def test_validation_helpers(qubit):
     assert validate_operation(ok) == []
     too_big = Operation((np.eye(2) * 1.2,))
     assert any(v.invariant == "kraus-trace-bound" for v in validate_operation(too_big))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kraus_operators_near_the_float64_limit_break_the_trace_bound():
+    # sum K*K is finite (entries 1.6e308) but its Hermitian part is not, so its spectrum is NaN.
+    (v,) = validate_operation(Operation((np.full((2, 2), 9e153),)))
+    assert v.invariant == "kraus-trace-bound" and np.isnan(v.magnitude)

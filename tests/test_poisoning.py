@@ -21,6 +21,7 @@ from qcond.scene import load_scene, run_scene
 EVERY_OP = pathlib.Path(__file__).resolve().parent / "scenes" / "every-op.json"
 
 KERNELS = (
+    ("linalg", "_spectrum"),
     ("linalg", "hermitian_eig"),
     ("linalg", "psd_sqrt"),
     ("linalg", "trace_product"),

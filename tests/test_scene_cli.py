@@ -369,6 +369,16 @@ def test_cli_validate_ok(capsys):
     assert out.count("ok ") == len(SCENE_FILES)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_rejects_an_effect_past_the_float64_limit(tmp_path, capsys):
+    scene = _basic_scene()
+    scene["objects"]["p0"] = {"effect": [[1e308, 1e308], [1e308, 1e308]]}
+    path = _write(tmp_path, scene)
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        assert "below-identity" in capsys.readouterr().err
+
+
 def test_cli_validate_rejects_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
