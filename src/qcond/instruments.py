@@ -30,6 +30,8 @@ from .linalg import (
     Tolerance,
     as_matrix,
     frobenius,
+    hermitian_eig,
+    psd_sqrt,
     simultaneous_eigenbasis,
     trace_product,
 )
@@ -41,11 +43,10 @@ from .observables import (
 )
 from .operations import (
     Operation,
+    _holevo_kraus,
     _kraus_sum,
     compose,
     dual_apply,
-    holevo,
-    luders,
     measured_effect,
     validate_operation,
 )
@@ -126,8 +127,8 @@ def bar_channel(ins: Instrument) -> Operation:
 
     Materialized only where an Operation is needed: ``condition_instrument``
     composes it with each outcome, and the scenes and suites compare it as a
-    map.  Totals of one matrix (``condition_effect``, ``condition_state``, and
-    through them ``condition_observable``) sum over the outcome stacks block
+    map.  Totals of one matrix (``condition_effect``, ``condition_state``) or
+    of a stack (``condition_observable``) sum over the outcome stacks block
     by block instead, never holding the whole union.
     """
     return Operation._adopt(np.concatenate(_outcome_stacks(ins)))
@@ -138,9 +139,15 @@ def measured_observable(ins: Instrument) -> Observable:
     return Observable(ins.outcomes, {x: measured_effect(ins.ops[x]) for x in ins.outcomes})
 
 
+def _effect_stack(a: SubObservable) -> np.ndarray:
+    """The (n, d, d) stack of a family's effects, in outcome order."""
+    return np.stack([a.effects[x] for x in a.outcomes])
+
+
 def luders_instrument(a: Observable, tol: Tolerance = DEFAULT_TOL) -> Instrument:
-    """The Lüders instrument of an observable: Kraus A_x**(1/2) per outcome."""
-    return Instrument(a.outcomes, {x: luders(a.effects[x], tol) for x in a.outcomes})
+    """The Lüders instrument of an observable: Kraus A_x**(1/2) per outcome, one stacked root."""
+    roots = psd_sqrt(_effect_stack(a), tol)
+    return Instrument(a.outcomes, {x: Operation._adopt(roots[i, None]) for i, x in enumerate(a.outcomes)})
 
 
 def holevo_instrument(
@@ -148,17 +155,27 @@ def holevo_instrument(
 ) -> Instrument:
     """The Holevo instrument rho -> tr(rho A_x) alpha_x.
 
-    Raises MissingAlphaError when an outcome has no update state.
+    Raises MissingAlphaError when an outcome has no update state.  The
+    effects and the update states are each diagonalized as one stack; each
+    outcome's Kraus family is then that of ``holevo``, bit for bit.
     """
     missing = [x for x in a.outcomes if x not in alphas]
     if missing:
         raise MissingAlphaError(f"no update state for outcomes {missing}")
-    return Instrument(a.outcomes, {x: holevo(a.effects[x], alphas[x], tol) for x in a.outcomes})
+    states = [as_matrix(alphas[x]) for x in a.outcomes]
+    if any(alpha.shape != (a.dim, a.dim) for alpha in states):
+        raise DimMismatchError("effect and update state must share a dimension")
+    nu, v = hermitian_eig(_effect_stack(a), tol)
+    mu, w = hermitian_eig(np.stack(states), tol)
+    return Instrument(
+        a.outcomes,
+        {x: Operation._adopt(_holevo_kraus(nu[i], v[i], mu[i], w[i], tol)) for i, x in enumerate(a.outcomes)},
+    )
 
 
 def condition_effect(a, ins: Instrument) -> np.ndarray:
     """The effect (a | A): total dual transport of a through the instrument."""
-    return _kraus_sum(_outcome_stacks(ins), a, dual=True)
+    return _kraus_sum(_outcome_stacks(ins), as_matrix(a), dual=True)
 
 
 def condition_state(rho, ins: Instrument) -> np.ndarray:
@@ -167,20 +184,26 @@ def condition_state(rho, ins: Instrument) -> np.ndarray:
     The Schrödinger twin of condition_effect: tr[condition_state(rho) a] =
     tr[rho condition_effect(a)].
     """
-    return _kraus_sum(_outcome_stacks(ins), rho)
+    return _kraus_sum(_outcome_stacks(ins), as_matrix(rho))
 
 
 def condition_subobservable(a: SubObservable, op: Operation) -> SubObservable:
-    """The sub-observable (A | b): every effect transported through the operation measuring b."""
-    return SubObservable(a.outcomes, {x: dual_apply(op, a.effects[x]) for x in a.outcomes})
+    """The sub-observable (A | b): every effect transported through the operation measuring b.
+
+    The effects go through the dual as one stack.
+    """
+    conditioned = _kraus_sum((op.kraus,), _effect_stack(a), dual=True)
+    return SubObservable(a.outcomes, dict(zip(a.outcomes, conditioned)))
 
 
 def condition_observable(b, ins: Instrument):
     """The observable (B | A): every effect conditioned on the instrument.
 
-    A RealValuedObservable keeps its values.
+    The effects go through the total dual as one stack, each equal bit for
+    bit to its ``condition_effect``.  A RealValuedObservable keeps its values.
     """
-    out = Observable(b.outcomes, {y: condition_effect(b.effects[y], ins) for y in b.outcomes})
+    conditioned = _kraus_sum(_outcome_stacks(ins), _effect_stack(b), dual=True)
+    out = Observable(b.outcomes, dict(zip(b.outcomes, conditioned)))
     return RealValuedObservable(out, b.values) if isinstance(b, RealValuedObservable) else out
 
 

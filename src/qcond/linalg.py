@@ -151,10 +151,21 @@ def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     (n, d, d) stack gives the stack of roots, matrix by matrix as ``hermitian_eig``.
     """
     w, v = hermitian_eig(m, tol)
-    if not (w[..., 0] >= -tol.psd_tol).all():
-        raise NotPSDError(f"matrix has eigenvalue {np.min(w):.3e} below -psd_tol")
+    _psd_floor(w, tol)
     w = np.where(w < tol.psd_tol, 0.0, w)
     return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
+
+
+def _psd_floor(w: np.ndarray, tol: Tolerance) -> None:
+    """Raise NotPSDError unless each ascending spectrum in w starts at -psd_tol or above (NaN fails).
+
+    w is one spectrum or an (n, d) stack of them; the error names the lowest
+    eigenvalue of the first spectrum that fails, as a call on that matrix alone would.
+    """
+    above = w[..., 0] >= -tol.psd_tol
+    if not above.all():
+        first = w.reshape(-1, w.shape[-1])[np.argmin(above.reshape(-1))]
+        raise NotPSDError(f"matrix has eigenvalue {np.min(first):.3e} below -psd_tol")
 
 
 def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -16,7 +16,9 @@ beyond the Choi rank bound d**2, ``compose`` rebuilds a minimal family from
 the composite's Choi matrix instead of forming every product, so chains of
 compositions and conditionings stay at d**2 operators.  Every Kraus sum
 (``apply``, ``dual_apply``, Choi matrices and the instrument totals) runs
-over blocks of at most d**2 operators, so no temporary outgrows that bound.
+over blocks of at most d**2 operators, and a stack of matrices transported
+together (a conditioned observable's effects) meets each block in chunks
+small enough that no product holds more: no temporary outgrows that bound.
 
 Conditional probabilities, updated states and sequential products take the
 operation alone: they condition on op.effect, so the effect they divide by is
@@ -40,6 +42,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _complex_array,
+    _psd_floor,
     _spectrum,
     as_matrix,
     dagger,
@@ -133,12 +136,12 @@ def validate_operation(op: Operation, tol: Tolerance = DEFAULT_TOL) -> list[Viol
 
 def apply(op: Operation, rho) -> np.ndarray:
     """sum_i K_i rho K_i*"""
-    return _kraus_sum((op.kraus,), rho)
+    return _kraus_sum((op.kraus,), as_matrix(rho))
 
 
 def dual_apply(op: Operation, a) -> np.ndarray:
     """Dual (Heisenberg) action on effects: sum_i K_i* a K_i."""
-    return _kraus_sum((op.kraus,), a, dual=True)
+    return _kraus_sum((op.kraus,), as_matrix(a), dual=True)
 
 
 def _kraus_blocks(stacks: Sequence[np.ndarray]) -> Iterable[np.ndarray]:
@@ -177,7 +180,7 @@ def _grouped_blocks(stacks: Sequence[np.ndarray], n2: int) -> Iterator[np.ndarra
     yield pending[0] if len(pending) == 1 else np.concatenate(pending, axis=-3)
 
 
-def _kraus_sum(stacks: Sequence[np.ndarray], m, dual: bool = False) -> np.ndarray:
+def _kraus_sum(stacks: Sequence[np.ndarray], m: np.ndarray, dual: bool = False) -> np.ndarray:
     """sum K m K* over every Kraus operator K of the (k_i, d, d) stacks (dual: sum K* m K).
 
     Works block by block (``_kraus_blocks``), so no temporary holds more than
@@ -185,28 +188,42 @@ def _kraus_sum(stacks: Sequence[np.ndarray], m, dual: bool = False) -> np.ndarra
     over K runs inside one matrix product, with the block read as (k*d, d)
     like ``Operation.effect``: the dual sum is V* (m V) with V the block, and
     sum K m K* is (m^T T)^T conj(T) with T the block of transposes K^T.
-    Raises DimMismatchError unless m is a d x d matrix.
+    Raises DimMismatchError unless m's matrices are d x d.
 
-    The stacks may also carry one leading axis, (n, k_i, d, d), with m an
-    (n, d, d) stack: then each of the n operations sums against its own
-    matrix, in the same matrix products over the whole stack and equal bit
-    for bit to n separate sums.
+    m may also be an (n, d, d) stack: then the result is the stack of the n
+    sums, in the same matrix products over the whole stack and equal bit for
+    bit to n separate sums.  Against a block of k operators the stack goes in
+    chunks of at most d**2 // k matrices, so no product outgrows d**2
+    operators either.  The stacks may instead carry one leading axis,
+    (n, k_i, d, d), one operation per matrix of m: then each of the n
+    operations sums against its own matrix, unchunked.
     """
     dim = stacks[0].shape[-1]
-    if stacks[0].ndim == 3:
-        m = as_matrix(m)
-    else:  # operation s's matrix m[s] against each of its operators
-        m = m[:, None]
-    if m.shape[-1] != dim:
-        raise DimMismatchError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
+    if m.shape[-2:] != (dim, dim):
+        raise DimMismatchError(f"expected a {dim}x{dim} matrix, got shape {m.shape[-2:]}")
+    if m.ndim == 2:
+        return _block_sum(stacks, m, dual)
+    if stacks[0].ndim == 4:  # operation s's matrix m[s] against each of its operators
+        return _block_sum(stacks, m[:, None], dual)
+    # Every block holds at most min(d**2, k) of the stacks' k operators.
+    step = max(1, dim * dim // min(dim * dim, sum(map(len, stacks))))
+    return np.concatenate([_block_sum(stacks, m[s : s + step, None], dual) for s in range(0, len(m), step)])
+
+
+def _block_sum(stacks: Sequence[np.ndarray], m: np.ndarray, dual: bool) -> np.ndarray:
+    """``_kraus_sum``'s total, block by block, with m broadcast against each block."""
+    dim = m.shape[-1]
     total = None
     for block in _kraus_blocks(stacks):
-        rows = block.shape[:-3] + (-1, dim)
+        kraus_rows = block.shape[:-3] + (-1, dim)
         if dual:
-            term = dagger(block.reshape(rows)) @ (m @ block).reshape(rows)
+            product = m @ block
+            term = dagger(block.reshape(kraus_rows)) @ product.reshape(product.shape[:-3] + (-1, dim))
         else:
             t = block.swapaxes(-1, -2)
-            term = (m.swapaxes(-1, -2) @ t).reshape(rows).swapaxes(-1, -2) @ t.reshape(rows).conj()
+            product = m.swapaxes(-1, -2) @ t
+            product_rows = product.reshape(product.shape[:-3] + (-1, dim))
+            term = product_rows.swapaxes(-1, -2) @ t.reshape(kraus_rows).conj()
         if total is None:
             total = term
         else:
@@ -264,22 +281,33 @@ def holevo(a, alpha, tol: Tolerance = DEFAULT_TOL) -> Operation:
     Kraus operators are sqrt(mu_j nu_k) |w_j><v_k| over the spectral
     decompositions alpha = sum mu_j |w_j><w_j| and a = sum nu_k |v_k><v_k|,
     keeping eigenvalues above eq_tol.  The dual action is
-    b -> tr(alpha b) a, with a's dropped eigenvalues left out of what it measures.
+    b -> tr(alpha b) a, with a's dropped eigenvalues left out of what it
+    measures.  Raises NotPSDError when either spectrum has an eigenvalue
+    below -psd_tol or a NaN one (an entry near the float64 limit).
     """
     a = as_matrix(a)
     alpha = as_matrix(alpha)
     if a.shape != alpha.shape:
         raise DimMismatchError("effect and update state must share a dimension")
-    nu, v = hermitian_eig(a, tol)
-    mu, w = hermitian_eig(alpha, tol)
+    return Operation._adopt(_holevo_kraus(*hermitian_eig(a, tol), *hermitian_eig(alpha, tol), tol))
+
+
+def _holevo_kraus(nu: np.ndarray, v: np.ndarray, mu: np.ndarray, w: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The Kraus stack of ``holevo`` from the spectra (nu, v) of its effect and (mu, w) of its update state.
+
+    Raises NotPSDError as ``psd_sqrt`` does when either spectrum fails its floor.
+    A Holevo operation that keeps no eigenvalue is one zero operator.
+    """
+    _psd_floor(nu, tol)
+    _psd_floor(mu, tol)
     keep_mu, keep_nu = mu > tol.eq_tol, nu > tol.eq_tol
     # kraus[j, k] = sqrt(mu_j nu_k) |w_j><v_k|, j-major over the kept eigenvalues.
     outer = w.T[keep_mu][:, None, :, None] * v.T.conj()[keep_nu][None, :, None, :]
     scale = np.sqrt(mu[keep_mu][:, None] * nu[keep_nu])
-    kraus = (scale[:, :, None, None] * outer).reshape(-1, *a.shape)
+    kraus = (scale[:, :, None, None] * outer).reshape(-1, *v.shape)
     if not len(kraus):
-        kraus = np.zeros((1, *a.shape), dtype=np.complex128)
-    return Operation._adopt(kraus)
+        kraus = np.zeros((1, *v.shape), dtype=np.complex128)
+    return kraus
 
 
 def sequential_product(op: Operation, b) -> np.ndarray:

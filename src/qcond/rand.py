@@ -16,8 +16,9 @@ its uint32 words as SeedSequence does.  This module mixes the SeedSequence
 pool itself.  A child continues its parent's pool with its own key words,
 which SeedSequence allows once the parent's key holds four words; a
 shallower parent mixes the child's whole key.  A stack of children (a
-suite's trials, the states of :func:`random_states`) is mixed at once, one
-uint32 lane per child, and then gets one PCG64 each, if it has at least
+suite's trials, the states of :func:`random_states`, the outcomes of
+:func:`random_instrument_measuring`) is mixed at once, one uint32 lane per
+child, and then gets one PCG64 each, if it has at least
 ``_LANES_MIN`` children, child keys of four or more words and last keys of
 one word, as every such stack the suites make has; others derive one by one.
 """
@@ -29,7 +30,7 @@ import functools
 import numpy as np
 
 from .errors import InvalidValueError, RetryExhaustedError
-from .instruments import Instrument
+from .instruments import Instrument, _effect_stack
 from .linalg import _hermitian_part, dagger, psd_sqrt
 from .observables import Observable, RealValuedObservable
 from .operations import Operation
@@ -362,7 +363,8 @@ def random_states(g: Generator, dim: int, count: int, first: int = 0) -> np.ndar
 # generator's draws.  _unit_spectrum, _unitary, _normalized_gram, _isometry
 # and _measuring_kraus, like linalg's _hermitian_part, also map a stack of
 # draws (leading axis n) to a stack of objects, matrix by matrix bit for bit,
-# so a stacked suite draws per trial (_draws) and transforms once.
+# so a stacked suite draws per trial (_draws) and transforms once, and so
+# does random_instrument_measuring per outcome.
 
 
 def _complex_normals(streams: list, count: int, *shape: int) -> np.ndarray:
@@ -442,18 +444,18 @@ def random_observable(g: Generator, dim: int, n_outcomes: int) -> Observable:
     Retries when S is too ill-conditioned to invert stably; raises
     RetryExhaustedError after the retry budget.
     """
+    labels = tuple(f"x{i}" for i in range(n_outcomes))
     for _ in range(_RETRIES):
-        mats = []
-        for _i in range(n_outcomes):
-            m = g.complex_normal(dim, dim)
-            mats.append(m @ dagger(m))
-        total = sum(mats)
-        w, v = np.linalg.eigh(total)
+        # One draw of n_outcomes complex_normal(dim, dim) matrices, as one stack.
+        m = _draws([g], n_outcomes, dim, dim)[0]
+        mats = m @ dagger(m)
+        # Summed over the leading axis of a C-ordered stack, the matrices add
+        # in order, as Python's sum adds them.
+        w, v = np.linalg.eigh(mats.sum(axis=0))
         if w[0] <= 1e-8 * w[-1]:
             continue
         inv_sqrt = (v / np.sqrt(w)) @ dagger(v)
-        effects = {f"x{i}": inv_sqrt @ mats[i] @ inv_sqrt for i in range(n_outcomes)}
-        return Observable(tuple(f"x{i}" for i in range(n_outcomes)), effects)
+        return Observable(labels, dict(zip(labels, inv_sqrt @ mats @ inv_sqrt)))
     raise RetryExhaustedError(f"no well-conditioned POVM in {_RETRIES} tries")
 
 
@@ -530,9 +532,13 @@ def random_operation_measuring(g: Generator, a: np.ndarray, n_kraus: int) -> Ope
 
 
 def random_instrument_measuring(g: Generator, a: Observable, n_kraus: int) -> Instrument:
-    """Random instrument measuring the observable a, n_kraus operators per outcome."""
-    ops = {
-        x: random_operation_measuring(g.derive(i), a.effects[x], n_kraus)
-        for i, x in enumerate(a.outcomes)
-    }
-    return Instrument(a.outcomes, ops)
+    """Random instrument measuring the observable a, n_kraus operators per outcome.
+
+    Outcome i's operation is random_operation_measuring(g.derive(i), A_i,
+    n_kraus), bit for bit: the children are derived as one stack, and their
+    draws, QRs and effect roots each run once over the outcomes.
+    """
+    dim = a.dim
+    m = _draws(g._derive_stack((), 0, len(a.outcomes)), 1, n_kraus * dim, dim)[:, 0]
+    kraus = _measuring_kraus(m, _effect_stack(a), n_kraus)
+    return Instrument(a.outcomes, {x: Operation._adopt(kraus[i]) for i, x in enumerate(a.outcomes)})

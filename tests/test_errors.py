@@ -15,6 +15,8 @@ from qcond import (
     Instrument,
     InvalidTypeError,
     InvalidValueError,
+    NotHermitianError,
+    NotPSDError,
     Observable,
     Operation,
     QcondError,
@@ -30,6 +32,8 @@ from qcond import (
     conditional_prob,
     effect_entropy,
     hermitian_eig,
+    holevo,
+    holevo_instrument,
     is_hermitian,
     luders,
     minimal_extension,
@@ -121,3 +125,27 @@ def test_real_values_are_keyed_exactly_by_the_outcome_labels(values):
     # A missing label used to raise a bare KeyError, and an extra one was dropped.
     with pytest.raises(UnknownLabelError, match="keyed exactly"):
         RealValuedObservable(_Z, values)
+
+
+# A Holevo spectrum must clear psd_sqrt's floor: an effect or update state
+# whose Hermitian part overflows (1e308 entries) has NaN eigenvalues, and a
+# cutoff that dropped them would return the zero operation.
+_HOLEVO_BAD = {
+    "nan": (NotHermitianError, np.full((2, 2), math.nan)),
+    "1e308": (NotPSDError, np.full((2, 2), 1e308)),
+    "eigenvalue-minus-1e-6": (NotPSDError, np.diag([-1e-6, 1.0])),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("side", ("effect", "update-state"))
+@pytest.mark.parametrize("case", sorted(_HOLEVO_BAD))
+def test_holevo_rejects_a_spectrum_below_the_floor(case, side):
+    error, bad = _HOLEVO_BAD[case]
+    a, alpha = (bad, np.eye(2) / 2) if side == "effect" else (_P0, bad)
+    with pytest.raises(error):
+        holevo(a, alpha)
+    obs = Observable(("0", "1"), {"0": _P0, "1": a})
+    with pytest.raises(error):
+        holevo_instrument(obs, {"0": np.eye(2) / 2, "1": alpha})

@@ -10,7 +10,10 @@ would hold 50 * 256 operator-sized products (50 MiB).  Composing the
 instrument's bar channel with a Lüders operation takes ``compose``'s Choi
 branch, which sums the bar's Gram matrix over the same blocks, so it may hold
 five d**4-entry matrices (5 MiB), the last ones for the eigendecomposition.
-tracemalloc sees numpy's buffers, so its peak is the bound checked here.
+Conditioning a 40-outcome observable on an instrument of 32 operators
+transports its effects as one stack, taken d**2 // 32 = 8 effects at a time,
+where the whole stack at once would hold 40 * 32 operator-sized products
+(5 MiB).  tracemalloc sees numpy's buffers, so its peak is the bound checked here.
 """
 
 import os
@@ -41,6 +44,7 @@ from qcond import (
 from qcond.rand import (
     Generator,
     random_effect,
+    random_instrument_measuring,
     random_observable,
     random_real_values,
     random_state,
@@ -50,6 +54,7 @@ from qcond.rand import (
 DIM = 16
 N_OUTCOMES = 5
 N_STATES = 50
+N_MANY = 40
 BLOCK_BYTES = DIM**4 * 16
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -74,6 +79,8 @@ def setting():
         "a": random_effect(g.derive(4), DIM),
         "b_obs": b_obs,
         "b": random_real_values(g.derive(5), b_obs),
+        "many_obs": random_observable(g.derive(7), DIM, N_MANY),
+        "few_ins": random_instrument_measuring(g.derive(8), random_observable(g.derive(9), DIM, 8), 4),
     }
 
 
@@ -82,6 +89,7 @@ CALLS = {
     "bayes1_expectation_check": lambda s: bayes1_expectation_check(s["rho"], s["ins"], s["b"]),
     "condition_effect": lambda s: condition_effect(s["a"], s["ins"]),
     "condition_observable": lambda s: condition_observable(s["b_obs"], s["ins"]),
+    "condition_observable-many-outcomes": lambda s: condition_observable(s["many_obs"], s["few_ins"]),
     "conditioned_stochastic_operator": lambda s: conditioned_stochastic_operator(s["ins"], s["b"]),
     "conditional_observable_entropy_double": lambda s: conditional_observable_entropy_double(
         s["rho"], s["ins"], s["b_obs"]

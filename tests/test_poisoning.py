@@ -37,6 +37,8 @@ SUITE_KERNELS = KERNELS + (
     ("rand", "_unit_spectrum"),
     ("rand", "_normalized_gram"),
     ("rand", "_unitary"),
+    ("rand", "_measuring_kraus"),
+    ("rand", "_isometry"),
 )
 
 
