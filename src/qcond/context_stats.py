@@ -25,7 +25,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .core import _zero_round_off
-from .instruments import Instrument, condition_effect
+from .errors import DimMismatchError
+from .instruments import Instrument, _update_states, condition_effect
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, trace_product
 from .observables import Observable, RealValuedObservable, stochastic_operator
 from .serialize import complex_to_json
@@ -190,8 +191,11 @@ def sharp_luders_moments(
     Cov and the variances are the symmetrized sums
     (1/2) sum_x tr[rho_x (Bt A_x Ct + Ct A_x Bt)] - E(B|A) E(C|A); and
     tr(rho [B', C']) = sum_x tr[rho_x (Bt A_x Ct - Ct A_x Bt)].
+    Raises DimMismatchError unless rho is d x d.
     """
     rho = as_matrix(rho)
+    if rho.shape != (a.dim, a.dim):
+        raise DimMismatchError(f"expected a {a.dim}x{a.dim} state, got shape {rho.shape}")
     bt = stochastic_operator(b)
     ct = stochastic_operator(c)
     blocks = [(a.effects[x] @ rho @ a.effects[x], a.effects[x]) for x in a.outcomes]
@@ -227,10 +231,11 @@ def holevo_moments(
     Cor = sum tB(x) tC(x') [tr(rho A_x A_x') - p_x p_x'];
     Cov and the variances take the symmetrized tr(rho (A_x A_x' + A_x' A_x))/2
     in place of tr(rho A_x A_x'); tr(rho [B', C']) = sum tB(x) tC(x') tr(rho [A_x, A_x']).
+    Raises MissingAlphaError, as ``holevo_instrument`` does, when an outcome has no update state.
     """
     rho = as_matrix(rho)
     effects = [a.effects[x] for x in a.outcomes]
-    states = [as_matrix(alphas[x]) for x in a.outcomes]
+    states = _update_states(a, alphas)
     bt = stochastic_operator(b)
     ct = stochastic_operator(c)
     tb = [trace_product(alpha, bt).real for alpha in states]

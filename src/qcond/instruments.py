@@ -5,12 +5,19 @@ An instrument assigns an operation to each outcome so that the *bar channel*
 x -> dual_x(I).  Conditioning runs through instruments: effects, observables
 and other instruments can all be conditioned on one, and composition carries
 product outcome labels "x,y" (comma reserved).
+
+An instrument holds its Kraus operators once, as one read-only (K, d, d)
+stack in outcome order, the union over its outcomes.  Each outcome's
+operation is a view of its rows, the bar channel wraps the whole stack, and
+every total over the outcomes sums over that one stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,7 +30,6 @@ from .errors import (
     MissingAlphaError,
     NotCommutingFamilyError,
     NotJointlyCommutingError,
-    UnknownLabelError,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -39,6 +45,7 @@ from .observables import (
     Observable,
     RealValuedObservable,
     SubObservable,
+    _outcome_family,
     stochastic_operator,
 )
 from .operations import (
@@ -77,31 +84,50 @@ COMPOSITE_LABEL_SEPARATOR = ","
 
 @dataclass(frozen=True, eq=False)
 class Instrument:
-    """Ordered outcome labels with one operation per label."""
+    """Ordered outcome labels with one operation per label, over one Kraus stack.
+
+    ``kraus`` is the read-only (K, d, d) complex128 union of the outcomes'
+    Kraus operators in outcome order, as ``Operation.kraus`` is one
+    operation's.  ``ops[x]`` is an Operation over outcome x's rows of it, and
+    ``ops`` is a read-only mapping.  The constructor copies the operations'
+    stacks once, by concatenating them.
+    """
 
     outcomes: tuple[str, ...]
-    ops: dict[str, Operation] = field(repr=False)
+    kraus: np.ndarray = field(repr=False)
+    ops: Mapping[str, Operation] = field(repr=False)
 
     def __init__(self, outcomes: Sequence[str], ops: Mapping[str, Operation]) -> None:
-        labels = tuple(str(x) for x in outcomes)
-        if not labels:
-            raise InvalidValueError("a family needs at least one outcome")
-        if len(set(labels)) != len(labels):
-            raise InvalidValueError("outcome labels must be unique")
-        if set(labels) != set(ops.keys()):
-            raise UnknownLabelError("operations must be keyed exactly by the outcome labels")
-        opmap = dict((x, ops[x]) for x in labels)
-        if not all(isinstance(op, Operation) for op in opmap.values()):
-            raise InvalidTypeError("an instrument maps each outcome to an Operation")
-        dims = {op.dim for op in opmap.values()}
-        if len(dims) != 1:
-            raise DimMismatchError(f"operations have mixed dimensions {sorted(dims)}")
+        labels, stacks = _outcome_family(outcomes, ops, "operations", _kraus_of)
+        self._hold(labels, np.concatenate(stacks), [len(k) for k in stacks])
+
+    @classmethod
+    def _adopt(cls, labels: Sequence[str], kraus: np.ndarray, counts: Sequence[int]) -> Instrument:
+        """Wrap a (K, d, d) complex128 union the caller has just built, without copying it.
+
+        Outcome i of labels holds the next counts[i] rows, in order.
+        """
+        ins = cls.__new__(cls)
+        ins._hold(tuple(labels), kraus, counts)
+        return ins
+
+    def _hold(self, labels: tuple[str, ...], kraus: np.ndarray, counts: Sequence[int]) -> None:
+        kraus.setflags(write=False)
+        ends = [0, *accumulate(counts)]
+        ops = {x: Operation._adopt(kraus[start:end]) for x, start, end in zip(labels, ends, ends[1:])}
         object.__setattr__(self, "outcomes", labels)
-        object.__setattr__(self, "ops", opmap)
+        object.__setattr__(self, "kraus", kraus)
+        object.__setattr__(self, "ops", MappingProxyType(ops))
 
     @property
     def dim(self) -> int:
-        return next(iter(self.ops.values())).dim
+        return self.kraus.shape[-1]
+
+
+def _kraus_of(op: Operation) -> np.ndarray:
+    if not isinstance(op, Operation):
+        raise InvalidTypeError("an instrument maps each outcome to an Operation")
+    return op.kraus
 
 
 def validate_instrument(ins: Instrument, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
@@ -118,20 +144,9 @@ def validate_instrument(ins: Instrument, tol: Tolerance = DEFAULT_TOL) -> list[V
     return out
 
 
-def _outcome_stacks(ins: Instrument) -> list[np.ndarray]:
-    return [ins.ops[x].kraus for x in ins.outcomes]
-
-
 def bar_channel(ins: Instrument) -> Operation:
-    """The total operation: Kraus union over all outcomes.
-
-    Materialized only where an Operation is needed: ``condition_instrument``
-    composes it with each outcome, and the scenes and suites compare it as a
-    map.  Totals of one matrix (``condition_effect``, ``condition_state``) or
-    of a stack (``condition_observable``) sum over the outcome stacks block
-    by block instead, never holding the whole union.
-    """
-    return Operation._adopt(np.concatenate(_outcome_stacks(ins)))
+    """The total operation, whose Kraus family is the instrument's whole stack (not copied)."""
+    return Operation._adopt(ins.kraus)
 
 
 def measured_observable(ins: Instrument) -> Observable:
@@ -146,8 +161,7 @@ def _effect_stack(a: SubObservable) -> np.ndarray:
 
 def luders_instrument(a: Observable, tol: Tolerance = DEFAULT_TOL) -> Instrument:
     """The Lüders instrument of an observable: Kraus A_x**(1/2) per outcome, one stacked root."""
-    roots = psd_sqrt(_effect_stack(a), tol)
-    return Instrument(a.outcomes, {x: Operation._adopt(roots[i, None]) for i, x in enumerate(a.outcomes)})
+    return Instrument._adopt(a.outcomes, psd_sqrt(_effect_stack(a), tol), [1] * len(a.outcomes))
 
 
 def holevo_instrument(
@@ -156,8 +170,21 @@ def holevo_instrument(
     """The Holevo instrument rho -> tr(rho A_x) alpha_x.
 
     Raises MissingAlphaError when an outcome has no update state.  The
-    effects and the update states are each diagonalized as one stack; each
-    outcome's Kraus family is then that of ``holevo``, bit for bit.
+    effects and the update states are each diagonalized as one stack, and
+    the outcomes' families, each that of ``holevo`` bit for bit, are written
+    into one union.
+    """
+    states = _update_states(a, alphas)
+    nu, v = hermitian_eig(_effect_stack(a), tol)
+    mu, w = hermitian_eig(states, tol)
+    return Instrument._adopt(a.outcomes, *_holevo_kraus(nu, v, mu, w, tol))
+
+
+def _update_states(a: Observable, alphas: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The (n, d, d) stack of a Holevo instrument's update states, in a's outcome order.
+
+    Raises MissingAlphaError when an outcome has none, DimMismatchError when
+    one is not d x d.
     """
     missing = [x for x in a.outcomes if x not in alphas]
     if missing:
@@ -165,17 +192,12 @@ def holevo_instrument(
     states = [as_matrix(alphas[x]) for x in a.outcomes]
     if any(alpha.shape != (a.dim, a.dim) for alpha in states):
         raise DimMismatchError("effect and update state must share a dimension")
-    nu, v = hermitian_eig(_effect_stack(a), tol)
-    mu, w = hermitian_eig(np.stack(states), tol)
-    return Instrument(
-        a.outcomes,
-        {x: Operation._adopt(_holevo_kraus(nu[i], v[i], mu[i], w[i], tol)) for i, x in enumerate(a.outcomes)},
-    )
+    return np.stack(states)
 
 
 def condition_effect(a, ins: Instrument) -> np.ndarray:
     """The effect (a | A): total dual transport of a through the instrument."""
-    return _kraus_sum(_outcome_stacks(ins), as_matrix(a), dual=True)
+    return _kraus_sum(ins.kraus, as_matrix(a), dual=True)
 
 
 def condition_state(rho, ins: Instrument) -> np.ndarray:
@@ -184,7 +206,7 @@ def condition_state(rho, ins: Instrument) -> np.ndarray:
     The Schrödinger twin of condition_effect: tr[condition_state(rho) a] =
     tr[rho condition_effect(a)].
     """
-    return _kraus_sum(_outcome_stacks(ins), as_matrix(rho))
+    return _kraus_sum(ins.kraus, as_matrix(rho))
 
 
 def condition_subobservable(a: SubObservable, op: Operation) -> SubObservable:
@@ -192,7 +214,7 @@ def condition_subobservable(a: SubObservable, op: Operation) -> SubObservable:
 
     The effects go through the dual as one stack.
     """
-    conditioned = _kraus_sum((op.kraus,), _effect_stack(a), dual=True)
+    conditioned = _kraus_sum(op.kraus, _effect_stack(a), dual=True)
     return SubObservable(a.outcomes, dict(zip(a.outcomes, conditioned)))
 
 
@@ -202,7 +224,7 @@ def condition_observable(b, ins: Instrument):
     The effects go through the total dual as one stack, each equal bit for
     bit to its ``condition_effect``.  A RealValuedObservable keeps its values.
     """
-    conditioned = _kraus_sum(_outcome_stacks(ins), _effect_stack(b), dual=True)
+    conditioned = _kraus_sum(ins.kraus, _effect_stack(b), dual=True)
     out = Observable(b.outcomes, dict(zip(b.outcomes, conditioned)))
     return RealValuedObservable(out, b.values) if isinstance(b, RealValuedObservable) else out
 
@@ -212,8 +234,7 @@ def condition_instrument(ins: Instrument, given: Instrument) -> Instrument:
 
     It measures exactly the conditioned observable of what ins measures.
     """
-    bar = bar_channel(given)
-    return Instrument(ins.outcomes, {y: compose(bar, ins.ops[y]) for y in ins.outcomes})
+    return _composed({y: (bar_channel(given), ins.ops[y]) for y in ins.outcomes})
 
 
 def compose_instruments(first: Instrument, second: Instrument) -> Instrument:
@@ -221,16 +242,34 @@ def compose_instruments(first: Instrument, second: Instrument) -> Instrument:
 
     Outcome (x, y) means: first's outcome x occurred, then second's y.
     """
-    outcomes = []
-    ops = {}
+    pairs = {}
     for x in first.outcomes:
         for y in second.outcomes:
             label = f"{x}{COMPOSITE_LABEL_SEPARATOR}{y}"
-            if label in ops:
+            if label in pairs:
                 raise InvalidValueError(f"composite label {label!r} is ambiguous")
-            outcomes.append(label)
-            ops[label] = compose(first.ops[x], second.ops[y])
-    return Instrument(tuple(outcomes), ops)
+            pairs[label] = (first.ops[x], second.ops[y])
+    return _composed(pairs)
+
+
+def _composed(pairs: Mapping[str, tuple[Operation, Operation]]) -> Instrument:
+    """The instrument whose outcome x is compose(*pairs[x]), in the order of pairs.
+
+    The union is allocated at ``compose``'s bound of min(k1*k2, d**2)
+    operators per outcome, and each composite is written into it as it is
+    made, so no list of composites is held beside it.  When a composite
+    keeps fewer (its Choi rank), the used rows are copied out, so the
+    instrument holds no slack.
+    """
+    dim = next(iter(pairs.values()))[0].dim
+    bound = sum(min(len(first.kraus) * len(second.kraus), dim * dim) for first, second in pairs.values())
+    kraus = np.empty((bound, dim, dim), dtype=np.complex128)
+    counts = []
+    for first, second in pairs.values():
+        composite = compose(first, second).kraus
+        kraus[sum(counts) : sum(counts) + len(composite)] = composite
+        counts.append(len(composite))
+    return Instrument._adopt(tuple(pairs), kraus if sum(counts) == bound else kraus[: sum(counts)].copy(), counts)
 
 
 @dataclass(frozen=True)
@@ -303,11 +342,9 @@ def atomic_context(
     except NotCommutingFamilyError as exc:
         raise NotJointlyCommutingError("effects across the family do not commute pairwise") from exc
     outcomes = tuple(f"x{k}" for k in range(len(basis)))
-    projections = {
-        f"x{k}": np.outer(v, v.conj()) for k, v in enumerate(basis)
-    }
-    a = Observable(outcomes, projections)
+    projections = np.stack([np.outer(v, v.conj()) for v in basis])
+    a = Observable(outcomes, dict(zip(outcomes, projections)))
     # Atomic effects are their own square roots, so this is the Lüders
     # instrument without going through psd_sqrt.
-    ins = Instrument(outcomes, {x: Operation((projections[x],)) for x in outcomes})
+    ins = Instrument._adopt(outcomes, projections, [1] * len(outcomes))
     return a, ins

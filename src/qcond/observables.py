@@ -8,14 +8,17 @@ reports) is deterministic.  A :class:`RealValuedObservable` is an Observable
 that also carries a real value per outcome; it shares the effects of the
 observable it is built from, so a family can be re-valued without rebuilding
 it.  Its expectations are the probability forms applied to sum_y y B_y, which
-it builds once, on first use.
+it builds once, on first use.  Effects and values are read-only (each effect
+array, and ``effects`` and ``values`` as mappings), so that cache cannot go
+stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 import math
 
@@ -49,27 +52,49 @@ __all__ = [
 EXTENSION_LABEL = "⊥"
 
 
+def _outcome_family(
+    outcomes: Sequence[str], members, what: str, read: Callable
+) -> tuple[tuple[str, ...], list]:
+    """The labels and, in label order, each label's member as ``read`` returns it.
+
+    The rules every outcome family shares: members a mapping keyed exactly by
+    at least one unique label, and of one dimension (the last axis of what
+    ``read`` returns).  ``what`` names the members in the errors.
+    """
+    if not isinstance(members, Mapping):
+        raise InvalidTypeError(f"{what} must be a mapping keyed by the outcome labels")
+    labels = tuple(str(x) for x in outcomes)
+    if not labels:
+        raise InvalidValueError("a family needs at least one outcome")
+    if len(set(labels)) != len(labels):
+        raise InvalidValueError("outcome labels must be unique")
+    if set(labels) != set(members.keys()):
+        raise UnknownLabelError(f"{what} must be keyed exactly by the outcome labels")
+    read_members = [read(members[x]) for x in labels]
+    dims = {m.shape[-1] for m in read_members}
+    if len(dims) != 1:
+        raise DimMismatchError(f"{what} have mixed dimensions {sorted(dims)}")
+    return labels, read_members
+
+
+def _read_only_matrix(m) -> np.ndarray:
+    """``as_matrix``'s copy of m, made read-only."""
+    out = as_matrix(m)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SubObservable:
-    """Ordered outcome labels with one effect per label (sum <= I)."""
+    """Ordered outcome labels with one effect per label (sum <= I), all read-only."""
 
     outcomes: tuple[str, ...]
-    effects: dict[str, np.ndarray] = field(repr=False)
+    effects: Mapping[str, np.ndarray] = field(repr=False)
 
     def __init__(self, outcomes: Sequence[str], effects: Mapping[str, np.ndarray]) -> None:
-        labels = tuple(str(x) for x in outcomes)
-        if not labels:
-            raise InvalidValueError("a family needs at least one outcome")
-        if len(set(labels)) != len(labels):
-            raise InvalidValueError("outcome labels must be unique")
-        if set(labels) != set(effects.keys()):
-            raise UnknownLabelError("effects must be keyed exactly by the outcome labels")
-        mats = {x: as_matrix(effects[x]) for x in labels}
-        dims = {m.shape[0] for m in mats.values()}
-        if len(dims) != 1:
-            raise DimMismatchError(f"effects have mixed dimensions {sorted(dims)}")
+        labels, mats = _outcome_family(outcomes, effects, "effects", _read_only_matrix)
         object.__setattr__(self, "outcomes", labels)
-        object.__setattr__(self, "effects", mats)
+        object.__setattr__(self, "effects", MappingProxyType(dict(zip(labels, mats))))
 
     @property
     def dim(self) -> int:
@@ -88,18 +113,26 @@ class Observable(SubObservable):
 class RealValuedObservable(Observable):
     """An observable with a real value per outcome, sharing the given observable's effects."""
 
-    values: dict[str, float]
+    values: Mapping[str, float]
 
     def __init__(self, observable: Observable, values: Mapping[str, float]) -> None:
+        if not isinstance(observable, Observable):
+            raise InvalidTypeError("values are attached to an Observable")
         if set(values) != set(observable.outcomes):
             raise UnknownLabelError("values must be keyed exactly by the outcome labels")
-        vals = {x: float(values[x]) for x in observable.outcomes}
-        for x, v in vals.items():
-            if not math.isfinite(v):
+        vals = {}
+        for x in observable.outcomes:
+            try:
+                vals[x] = float(values[x])
+            except ValueError:
+                raise InvalidValueError(f"value for outcome {x!r} is not a number") from None
+            except TypeError:
+                raise InvalidTypeError(f"value for outcome {x!r} is not a number") from None
+            if not math.isfinite(vals[x]):
                 raise InvalidValueError(f"value for outcome {x!r} is not finite")
         object.__setattr__(self, "outcomes", observable.outcomes)
         object.__setattr__(self, "effects", observable.effects)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", MappingProxyType(vals))
 
     @cached_property
     def btilde(self) -> np.ndarray:

@@ -15,9 +15,10 @@ pins it down.  A composite keeps at most min(k1*k2, d**2) Kraus operators:
 beyond the Choi rank bound d**2, ``compose`` rebuilds a minimal family from
 the composite's Choi matrix instead of forming every product, so chains of
 compositions and conditionings stay at d**2 operators.  Every Kraus sum
-(``apply``, ``dual_apply``, Choi matrices and the instrument totals) runs
-over blocks of at most d**2 operators, and a stack of matrices transported
-together (a conditioned observable's effects) meets each block in chunks
+(``apply``, ``dual_apply``, Choi matrices and the instrument totals) takes
+one Kraus stack, an operation's or an instrument's union over its outcomes,
+and runs over d**2-row slices of it, and a stack of matrices transported
+together (a conditioned observable's effects) meets each slice in chunks
 small enough that no product holds more: no temporary outgrows that bound.
 
 Conditional probabilities, updated states and sequential products take the
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -97,7 +98,7 @@ class Operation:
     def _adopt(cls, stack: np.ndarray) -> Operation:
         """Wrap a (k, d, d) complex128 stack the caller has just built, without copying it."""
         op = cls.__new__(cls)
-        stack.flags.writeable = False
+        stack.setflags(write=False)
         object.__setattr__(op, "kraus", stack)
         return op
 
@@ -136,57 +137,33 @@ def validate_operation(op: Operation, tol: Tolerance = DEFAULT_TOL) -> list[Viol
 
 def apply(op: Operation, rho) -> np.ndarray:
     """sum_i K_i rho K_i*"""
-    return _kraus_sum((op.kraus,), as_matrix(rho))
+    return _kraus_sum(op.kraus, as_matrix(rho))
 
 
 def dual_apply(op: Operation, a) -> np.ndarray:
     """Dual (Heisenberg) action on effects: sum_i K_i* a K_i."""
-    return _kraus_sum((op.kraus,), as_matrix(a), dual=True)
+    return _kraus_sum(op.kraus, as_matrix(a), dual=True)
 
 
-def _kraus_blocks(stacks: Sequence[np.ndarray]) -> Iterable[np.ndarray]:
-    """The rows of a sequence of (..., k_i, d, d) Kraus stacks, in order, in blocks of <= d**2.
+def _kraus_blocks(kraus: np.ndarray) -> Sequence[np.ndarray]:
+    """The rows of a (..., k, d, d) Kraus stack, in order, in slices of at most d**2 (the Choi rank bound).
 
-    Consecutive small stacks are concatenated while they fit in d**2 rows (the
-    Choi rank bound) and a larger stack is sliced into d**2-row pieces; the
-    blocks are made one at a time.  A lone stack of at most d**2 rows is the
-    one block, as it is, without a copy.
+    The slices are views; a stack of at most d**2 rows is the one block, as it is.
     """
-    n2 = stacks[0].shape[-1] ** 2
-    # One block in all, the common case: no generator's per-call cost.
-    if len(stacks) == 1:
-        if stacks[0].shape[-3] <= n2:
-            return stacks
-    elif sum(map(len, stacks)) <= n2:  # several stacks are each (k_i, d, d)
-        return (np.concatenate(stacks),)
-    return _grouped_blocks(stacks, n2)
+    n2 = kraus.shape[-1] ** 2
+    if kraus.shape[-3] <= n2:
+        return (kraus,)
+    return [kraus[..., start : start + n2, :, :] for start in range(0, kraus.shape[-3], n2)]
 
 
-def _grouped_blocks(stacks: Sequence[np.ndarray], n2: int) -> Iterator[np.ndarray]:
-    pending: list[np.ndarray] = []
-    rows = 0
-    for stack in stacks:
-        k = stack.shape[-3]
-        if k <= n2:
-            pieces = (stack,)
-        else:
-            pieces = (stack[..., start : start + n2, :, :] for start in range(0, k, n2))
-        for piece in pieces:
-            if rows + piece.shape[-3] > n2:
-                yield pending[0] if len(pending) == 1 else np.concatenate(pending, axis=-3)
-                pending, rows = [], 0
-            pending.append(piece)
-            rows += piece.shape[-3]
-    yield pending[0] if len(pending) == 1 else np.concatenate(pending, axis=-3)
+def _kraus_sum(kraus: np.ndarray, m: np.ndarray, dual: bool = False) -> np.ndarray:
+    """sum K m K* over every Kraus operator K of a (k, d, d) stack (dual: sum K* m K).
 
-
-def _kraus_sum(stacks: Sequence[np.ndarray], m: np.ndarray, dual: bool = False) -> np.ndarray:
-    """sum K m K* over every Kraus operator K of the (k_i, d, d) stacks (dual: sum K* m K).
-
+    The stack is one operation's, or an instrument's union over its outcomes.
     Works block by block (``_kraus_blocks``), so no temporary holds more than
-    d**2 operators however many the stacks hold together.  Each block's sum
-    over K runs inside one matrix product, with the block read as (k*d, d)
-    like ``Operation.effect``: the dual sum is V* (m V) with V the block, and
+    d**2 operators however many the stack holds.  Each block's sum over K
+    runs inside one matrix product, with the block read as (k*d, d) like
+    ``Operation.effect``: the dual sum is V* (m V) with V the block, and
     sum K m K* is (m^T T)^T conj(T) with T the block of transposes K^T.
     Raises DimMismatchError unless m's matrices are d x d.
 
@@ -194,27 +171,27 @@ def _kraus_sum(stacks: Sequence[np.ndarray], m: np.ndarray, dual: bool = False) 
     sums, in the same matrix products over the whole stack and equal bit for
     bit to n separate sums.  Against a block of k operators the stack goes in
     chunks of at most d**2 // k matrices, so no product outgrows d**2
-    operators either.  The stacks may instead carry one leading axis,
-    (n, k_i, d, d), one operation per matrix of m: then each of the n
+    operators either.  The Kraus stack may instead carry one leading axis,
+    (n, k, d, d), one operation per matrix of m: then each of the n
     operations sums against its own matrix, unchunked.
     """
-    dim = stacks[0].shape[-1]
+    dim = kraus.shape[-1]
     if m.shape[-2:] != (dim, dim):
         raise DimMismatchError(f"expected a {dim}x{dim} matrix, got shape {m.shape[-2:]}")
     if m.ndim == 2:
-        return _block_sum(stacks, m, dual)
-    if stacks[0].ndim == 4:  # operation s's matrix m[s] against each of its operators
-        return _block_sum(stacks, m[:, None], dual)
-    # Every block holds at most min(d**2, k) of the stacks' k operators.
-    step = max(1, dim * dim // min(dim * dim, sum(map(len, stacks))))
-    return np.concatenate([_block_sum(stacks, m[s : s + step, None], dual) for s in range(0, len(m), step)])
+        return _block_sum(kraus, m, dual)
+    if kraus.ndim == 4:  # operation s's matrix m[s] against each of its operators
+        return _block_sum(kraus, m[:, None], dual)
+    # Every block holds at most min(d**2, k) of the stack's k operators.
+    step = max(1, dim * dim // min(dim * dim, len(kraus)))
+    return np.concatenate([_block_sum(kraus, m[s : s + step, None], dual) for s in range(0, len(m), step)])
 
 
-def _block_sum(stacks: Sequence[np.ndarray], m: np.ndarray, dual: bool) -> np.ndarray:
+def _block_sum(kraus: np.ndarray, m: np.ndarray, dual: bool) -> np.ndarray:
     """``_kraus_sum``'s total, block by block, with m broadcast against each block."""
     dim = m.shape[-1]
     total = None
-    for block in _kraus_blocks(stacks):
+    for block in _kraus_blocks(kraus):
         kraus_rows = block.shape[:-3] + (-1, dim)
         if dual:
             product = m @ block
@@ -285,29 +262,39 @@ def holevo(a, alpha, tol: Tolerance = DEFAULT_TOL) -> Operation:
     measures.  Raises NotPSDError when either spectrum has an eigenvalue
     below -psd_tol or a NaN one (an entry near the float64 limit).
     """
-    a = as_matrix(a)
-    alpha = as_matrix(alpha)
+    a, alpha = as_matrix(a), as_matrix(alpha)
     if a.shape != alpha.shape:
         raise DimMismatchError("effect and update state must share a dimension")
-    return Operation._adopt(_holevo_kraus(*hermitian_eig(a, tol), *hermitian_eig(alpha, tol), tol))
+    (nu, mu), (v, w) = hermitian_eig(np.stack((a, alpha)), tol)
+    return Operation._adopt(_holevo_kraus(nu[None], v[None], mu[None], w[None], tol)[0])
 
 
-def _holevo_kraus(nu: np.ndarray, v: np.ndarray, mu: np.ndarray, w: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """The Kraus stack of ``holevo`` from the spectra (nu, v) of its effect and (mu, w) of its update state.
+def _holevo_kraus(nu: np.ndarray, v: np.ndarray, mu: np.ndarray, w: np.ndarray, tol: Tolerance):
+    """The Kraus union of n ``holevo`` operations and each one's operator count.
 
-    Raises NotPSDError as ``psd_sqrt`` does when either spectrum fails its floor.
-    A Holevo operation that keeps no eigenvalue is one zero operator.
+    Operation i's spectra are (nu[i], v[i]) of its effect and (mu[i], w[i])
+    of its update state, stacks of n.  The union is allocated once, at the
+    kept-eigenvalue counts, and each operation's family is written into its
+    rows, with no temporary of its size.  Raises NotPSDError as ``psd_sqrt``
+    does for the first effect spectrum, then the first update-state
+    spectrum, that fails its floor.  A Holevo operation that keeps no
+    eigenvalue is one zero operator.
     """
     _psd_floor(nu, tol)
     _psd_floor(mu, tol)
     keep_mu, keep_nu = mu > tol.eq_tol, nu > tol.eq_tol
-    # kraus[j, k] = sqrt(mu_j nu_k) |w_j><v_k|, j-major over the kept eigenvalues.
-    outer = w.T[keep_mu][:, None, :, None] * v.T.conj()[keep_nu][None, :, None, :]
-    scale = np.sqrt(mu[keep_mu][:, None] * nu[keep_nu])
-    kraus = (scale[:, :, None, None] * outer).reshape(-1, *v.shape)
-    if not len(kraus):
-        kraus = np.zeros((1, *v.shape), dtype=np.complex128)
-    return kraus
+    counts = np.maximum(1, keep_mu.sum(axis=1) * keep_nu.sum(axis=1)).tolist()
+    kraus = np.zeros((sum(counts), *v.shape[1:]), dtype=np.complex128)
+    start = 0
+    for i, count in enumerate(counts):
+        rows, start = kraus[start : start + count], start + count
+        kept_mu, kept_nu = mu[i, keep_mu[i]], nu[i, keep_nu[i]]
+        if len(kept_mu) * len(kept_nu):  # else the one zero operator
+            # outer[j, k] = sqrt(mu_j nu_k) |w_j><v_k|, j-major over the kept eigenvalues.
+            outer = rows.reshape(len(kept_mu), len(kept_nu), *v.shape[1:])
+            np.multiply(w[i].T[keep_mu[i]][:, None, :, None], v[i].T.conj()[keep_nu[i]][None, :, None, :], out=outer)
+            outer *= np.sqrt(kept_mu[:, None] * kept_nu)[:, :, None, None]
+    return kraus, counts
 
 
 def sequential_product(op: Operation, b) -> np.ndarray:
@@ -376,7 +363,7 @@ def _gram(op: Operation) -> np.ndarray:
     """
     n2 = op.dim**2
     out = np.zeros((n2, n2), dtype=np.complex128)
-    for block in _kraus_blocks((op.kraus,)):
+    for block in _kraus_blocks(op.kraus):
         v = block.reshape(-1, n2)
         out += v.T @ v.conj()
     return out

@@ -338,6 +338,12 @@ def _derive_each(gens: list[Generator], *keys: int) -> list[Generator]:
     return _generators(gens[0].seed, [g._key + new for g in gens], pools, h)
 
 
+def _at_least(name: str, value: int, minimum: int) -> None:
+    """Raise InvalidValueError naming the size argument ``name`` when value < minimum."""
+    if value < minimum:
+        raise InvalidValueError(f"{name} must be at least {minimum}, got {value}")
+
+
 def _normalized_gram(m: np.ndarray) -> np.ndarray:
     """G G* / tr(G G*) for one matrix G or each matrix of a stack."""
     rho = m @ dagger(m)
@@ -356,6 +362,7 @@ def random_states(g: Generator, dim: int, count: int, first: int = 0) -> np.ndar
     draws, while the complex arithmetic, the Gram products and the
     traces each run once over the whole stack.
     """
+    _at_least("count", count, 0)
     return _normalized_gram(_complex_normals(g._child_streams(first, count), 1, dim, dim)[:, 0])
 
 
@@ -444,6 +451,7 @@ def random_observable(g: Generator, dim: int, n_outcomes: int) -> Observable:
     Retries when S is too ill-conditioned to invert stably; raises
     RetryExhaustedError after the retry budget.
     """
+    _at_least("n_outcomes", n_outcomes, 1)
     labels = tuple(f"x{i}" for i in range(n_outcomes))
     for _ in range(_RETRIES):
         # One draw of n_outcomes complex_normal(dim, dim) matrices, as one stack.
@@ -466,6 +474,7 @@ def random_real_values(g: Generator, a: Observable) -> RealValuedObservable:
 
 def random_projective_observable(g: Generator, dim: int, n_outcomes: int) -> Observable:
     """Sharp observable: orthogonal projections summing to I (n_outcomes <= dim)."""
+    _at_least("n_outcomes", n_outcomes, 1)
     if n_outcomes > dim:
         raise InvalidValueError("a projective observable needs n_outcomes <= dim")
     u = random_unitary(g, dim)
@@ -517,6 +526,7 @@ def _isometry(m: np.ndarray, n_kraus: int) -> np.ndarray:
 
 
 def random_channel(g: Generator, dim: int, n_kraus: int) -> Operation:
+    _at_least("n_kraus", n_kraus, 1)
     return Operation._adopt(_isometry(g.complex_normal(n_kraus * dim, dim), n_kraus))
 
 
@@ -527,6 +537,7 @@ def _measuring_kraus(m: np.ndarray, a: np.ndarray, n_kraus: int) -> np.ndarray:
 
 def random_operation_measuring(g: Generator, a: np.ndarray, n_kraus: int) -> Operation:
     """Random operation with dual(I) = a: Kraus C_i a**(1/2) over a random channel."""
+    _at_least("n_kraus", n_kraus, 1)
     dim = a.shape[0]
     return Operation._adopt(_measuring_kraus(g.complex_normal(n_kraus * dim, dim), a, n_kraus))
 
@@ -536,9 +547,11 @@ def random_instrument_measuring(g: Generator, a: Observable, n_kraus: int) -> In
 
     Outcome i's operation is random_operation_measuring(g.derive(i), A_i,
     n_kraus), bit for bit: the children are derived as one stack, and their
-    draws, QRs and effect roots each run once over the outcomes.
+    draws, QRs and effect roots each run once over the outcomes, into the
+    instrument's one Kraus stack.
     """
-    dim = a.dim
-    m = _draws(g._derive_stack((), 0, len(a.outcomes)), 1, n_kraus * dim, dim)[:, 0]
+    _at_least("n_kraus", n_kraus, 1)
+    dim, n = a.dim, len(a.outcomes)
+    m = _draws(g._derive_stack((), 0, n), 1, n_kraus * dim, dim)[:, 0]
     kraus = _measuring_kraus(m, _effect_stack(a), n_kraus)
-    return Instrument(a.outcomes, {x: Operation._adopt(kraus[i]) for i, x in enumerate(a.outcomes)})
+    return Instrument._adopt(a.outcomes, kraus.reshape(-1, dim, dim), [n_kraus] * n)

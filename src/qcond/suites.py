@@ -387,7 +387,7 @@ def _measuring_stack(gens, key: int, a: np.ndarray, n_kraus: int) -> np.ndarray:
 
 def _dual(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
     """dual_apply of each trial's operation (an (n, k, d, d) stack) to its matrix of m."""
-    return _kraus_sum((kraus,), m, dual=True)
+    return _kraus_sum(kraus, m, dual=True)
 
 
 def _conditional_probs(rho: np.ndarray, kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -407,7 +407,7 @@ def _duality(gens, dim, ts):
     ops = _measuring_stack(gens, 0, a, n_kraus)
     rho = _normalized_gram(draws[:, 1])
     h = _hermitian_part(draws[:, 2])
-    gaps = trace_product(_kraus_sum((ops,), rho), h) - trace_product(rho, _dual(ops, h))
+    gaps = trace_product(_kraus_sum(ops, rho), h) - trace_product(rho, _dual(ops, h))
     return [
         ({"duality": abs(gap)},  # Python's complex abs, whose last bit np.abs does not always match
          {"dim": dim, "effect": a[s], "operation": Operation._adopt(ops[s]), "state": rho[s],

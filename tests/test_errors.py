@@ -2,7 +2,9 @@
 
 Each site's error also derives from the builtin it raised before
 (ValueError or TypeError), so callers that catch the builtin still work,
-and the command line's ``except QcondError`` catches them all.
+and the command line's ``except QcondError`` catches them all.  A site may
+instead name the QcondError it must raise, where another public function
+raises that error for the same input.
 """
 
 import math
@@ -12,9 +14,11 @@ import pytest
 
 from qcond import (
     EXTENSION_LABEL,
+    DimMismatchError,
     Instrument,
     InvalidTypeError,
     InvalidValueError,
+    MissingAlphaError,
     NotHermitianError,
     NotPSDError,
     Observable,
@@ -34,6 +38,7 @@ from qcond import (
     hermitian_eig,
     holevo,
     holevo_instrument,
+    holevo_moments,
     is_hermitian,
     luders,
     minimal_extension,
@@ -41,6 +46,7 @@ from qcond import (
     prob,
     psd_sqrt,
     run_suite,
+    sharp_luders_moments,
     stochastic_operator,
     trace_product,
 )
@@ -48,6 +54,7 @@ from qcond.rand import Generator, random_projective_observable
 
 _P0 = np.diag([1.0, 0.0])
 _Z = Observable(("0", "1"), {"0": _P0, "1": np.eye(2) - _P0})
+_BZ = RealValuedObservable(_Z, {"0": 1.0, "1": -1.0})
 
 _SITES = {
     "subobservable-duplicate-labels": (ValueError, lambda: SubObservable(("a", "a"), {"a": _P0})),
@@ -84,6 +91,18 @@ _SITES = {
     "observable-without-outcomes": (ValueError, lambda: Observable((), {})),
     "instrument-without-outcomes": (ValueError, lambda: Instrument((), {})),
     "povm-repeated-label": (ValueError, lambda: povm(_Z, ["0", "0"])),
+    "instrument-ops-not-a-mapping": (TypeError, lambda: Instrument(["a"], [luders(_P0)])),
+    "subobservable-effects-not-a-mapping": (TypeError, lambda: SubObservable(["a"], [_P0])),
+    "real-values-on-a-dict": (TypeError, lambda: RealValuedObservable({"outcomes": ("0",)}, {"0": 1.0})),
+    "real-value-not-a-number": (ValueError, lambda: RealValuedObservable(_Z, {"0": "x", "1": 0.0})),
+    "holevo-moments-missing-alpha": (
+        MissingAlphaError,
+        lambda: holevo_moments(np.eye(2) / 2, _Z, {"0": np.eye(2) / 2}, _BZ, _BZ),
+    ),
+    "sharp-luders-moments-state-dim": (
+        DimMismatchError,
+        lambda: sharp_luders_moments(np.eye(3) / 3, _Z, _BZ, _BZ),
+    ),
 }
 
 # Each function that reads a matrix argument, given a ragged or a non-numeric one.
@@ -107,7 +126,7 @@ for _name, _read in _MATRIX_READERS.items():
 @pytest.mark.parametrize("site", sorted(_SITES))
 def test_invalid_input_raises_a_typed_error(site):
     builtin, call = _SITES[site]
-    typed = InvalidValueError if builtin is ValueError else InvalidTypeError
+    typed = {ValueError: InvalidValueError, TypeError: InvalidTypeError}.get(builtin, builtin)
     with pytest.raises(typed) as exc:
         call()
     assert isinstance(exc.value, QcondError) and isinstance(exc.value, builtin)

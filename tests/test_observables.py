@@ -220,3 +220,33 @@ def test_an_effect_past_the_float64_limit_is_invalid():
     assert [v.invariant for v in validate_subobservable(sub)] == [
         "effect[a].positive", "effect[a].below-identity", "total-below-identity",
     ]
+
+
+def test_values_refuse_assignment_so_the_cached_btilde_stays_right(qubit):
+    b = RealValuedObservable(z_observable(qubit), {"x0": 1.0, "x1": -1.0})
+    half = np.eye(2) / 2
+    assert expectation(half, b) == 0.0
+    with pytest.raises(TypeError):
+        b.values["x0"] = 3.0
+    fresh = RealValuedObservable(z_observable(qubit), dict(b.values))
+    assert expectation(half, b) == expectation(half, fresh) == 0.0
+
+
+def test_effects_are_read_only_so_the_cached_btilde_stays_right(qubit):
+    obs = z_observable(qubit)
+    b = RealValuedObservable(obs, {"x0": 1.0, "x1": -1.0})
+    assert b.effects is obs.effects  # shared, not copied
+    before = stochastic_operator(b).copy()
+    with pytest.raises(ValueError):
+        b.effects["x0"][0, 0] = 5.0
+    with pytest.raises(TypeError):
+        b.effects["x0"] = np.eye(2)
+    assert np.array_equal(stochastic_operator(b), before)
+    assert np.array_equal(stochastic_operator(RealValuedObservable(z_observable(qubit), dict(b.values))), before)
+
+
+def test_an_observable_freezes_its_own_copy_not_the_callers_array(qubit):
+    p0 = qubit["P0"].copy()
+    a = SubObservable(("x0",), {"x0": p0})
+    p0[0, 0] = 0.5  # the caller's array stays writable and the family does not see the write
+    assert a.effects["x0"][0, 0] == 1.0 and not a.effects["x0"].flags.writeable

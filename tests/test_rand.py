@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qcond import (
+    InvalidValueError,
     choi_distance,
     frobenius,
     is_atomic,
@@ -166,6 +167,34 @@ def test_instrument_measuring():
     m = measured_observable(ins)
     for x in a.outcomes:
         assert frobenius(m.effects[x] - a.effects[x]) <= 1e-10
+
+
+# Each size argument below its minimum, named in the error: functions that wrap
+# their draws without the constructors' checks check their own sizes.
+_TOO_SMALL = {
+    "random_channel": ("n_kraus", lambda g: random_channel(g, 2, 0)),
+    "random_operation_measuring": ("n_kraus", lambda g: random_operation_measuring(g, np.eye(2) / 2, 0)),
+    "random_instrument_measuring": (
+        "n_kraus", lambda g: random_instrument_measuring(g, random_observable(g.derive(0), 2, 2), 0)
+    ),
+    "random_observable": ("n_outcomes", lambda g: random_observable(g, 2, 0)),
+    "random_projective_observable": ("n_outcomes", lambda g: random_projective_observable(g, 2, 0)),
+    "random_states": ("count", lambda g: random_states(g, 2, -1)),
+}
+
+
+@pytest.mark.parametrize("function", sorted(_TOO_SMALL))
+def test_a_size_below_its_minimum_is_refused(function):
+    name, call = _TOO_SMALL[function]
+    with pytest.raises(InvalidValueError, match=f"^{name} must be at least"):
+        call(Generator(18))
+
+
+def test_sizes_at_their_minimum_are_accepted():
+    g = Generator(19)
+    assert random_states(g, 2, 0).shape == (0, 2, 2)
+    assert len(random_channel(g, 2, 1).kraus) == 1
+    assert random_observable(g, 2, 1).outcomes == random_projective_observable(g, 2, 1).outcomes == ("x0",)
 
 
 def test_random_real_values():

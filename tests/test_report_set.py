@@ -3,16 +3,20 @@ writes strict JSON.
 
 The benchmark job lists are patched to their smoke-test sizes here and the
 suites run with one trial, so the set takes a few seconds; comparing two such
-sets with tools/compare_reports.py must find no difference.
+sets with tools/compare_reports.py must find no difference.  The set holds
+each demo's output as printed, and one changed line of it is a difference.
 """
 
 import functools
 import importlib.util
 import pathlib
+import json
+import os
 import subprocess
 import sys
 
-TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
 def _load_tool():
@@ -40,3 +44,18 @@ def test_report_set_compares_equal_to_itself(tmp_path, monkeypatch, capsys, stri
     proc = subprocess.run([sys.executable, compare, *sides], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout
     assert f"compared {len(files)} report pair(s)" in proc.stdout
+
+    # One report per demo script, holding the lines it prints when run on its own.
+    demos = sorted(p.stem for p in (ROOT / "demos").glob("*.py"))
+    assert [p.stem for p in files if p.parts[0] == "demos"] == demos
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    printed = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{demos[0]}.py")], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    report = tmp_path / "b" / "demos" / f"{demos[0]}.json"
+    written = json.loads(report.read_text())
+    assert written == {"demo": f"{demos[0]}.py", "stdout": printed.splitlines()}
+    written["stdout"][0] += " "
+    report.write_text(json.dumps(written))
+    proc = subprocess.run([sys.executable, compare, *sides], capture_output=True, text=True)
+    assert proc.returncode == 1 and f"demos/{demos[0]}.json.stdout[0]" in proc.stdout, proc.stdout

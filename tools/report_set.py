@@ -12,7 +12,10 @@ OUT receives, all computed from this checkout's ``src``:
   and on ``tests/scenes/every-op.json``;
 - ``jobs/<workload>/<nnn>-<key>.json``: the report of every job of the
   ``verify-default``, ``large-d`` and ``scene-batch`` benchmark workloads at
-  seed 1009, as built by ``perfbench.workloads.build``.
+  seed 1009, as built by ``perfbench.workloads.build``;
+- ``demos/<name>.json``: what each ``demos/<name>.py`` script prints, as
+  ``{"demo": ..., "stdout": [line, ...]}``, so a comparison holds every
+  demo to the same bytes line by line.
 
 Every file is strict JSON, written as ``qcond`` writes its reports (a
 non-finite number is the string "NaN", "Infinity" or "-Infinity").
@@ -29,6 +32,7 @@ import contextlib
 import io
 import os
 import re
+import runpy
 import sys
 from pathlib import Path
 
@@ -47,6 +51,7 @@ VERIFY_SEED, VERIFY_TRIALS = 7, 25
 VERIFY_DIMS = ("2,3", "4,6")
 SCENE_DIR = ROOT / "docs" / "scenes"
 SCENES = (*sorted(SCENE_DIR.glob("*.json")), ROOT / "tests" / "scenes" / "every-op.json")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 JOB_SEED = 1009
 WORKLOADS = ("verify-default", "large-d", "scene-batch")
 
@@ -54,6 +59,13 @@ WORKLOADS = ("verify-default", "large-d", "scene-batch")
 def _qcond(*argv: str) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main(list(argv))
+
+
+def _demo_stdout(demo: Path) -> str:
+    """What the demo script prints, run in this process as ``python demo`` runs it."""
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        runpy.run_path(str(demo), run_name="__main__")
+    return text.getvalue()
 
 
 def write_report_set(out: Path) -> int:
@@ -73,7 +85,12 @@ def write_report_set(out: Path) -> int:
             _qcond("run", str(scene.relative_to(ROOT)), "--json", str(scene_out / scene.name))
     finally:
         os.chdir(cwd)
-    written = len(VERIFY_DIMS) + len(SCENES)
+    (out / "demos").mkdir(exist_ok=True)
+    for demo in DEMOS:
+        lines = _demo_stdout(demo).splitlines()
+        text = strict_json({"demo": demo.name, "stdout": lines}, indent=2)
+        (out / "demos" / f"{demo.stem}.json").write_text(text + "\n")
+    written = len(VERIFY_DIMS) + len(SCENES) + len(DEMOS)
     for workload in WORKLOADS:
         jobs, _warmup = workloads.build(workload, JOB_SEED, SCENE_DIR)
         folder = out / "jobs" / workload
