@@ -198,7 +198,7 @@ def sharp_luders_moments(
         raise DimMismatchError(f"expected a {a.dim}x{a.dim} state, got shape {rho.shape}")
     bt = stochastic_operator(b)
     ct = stochastic_operator(c)
-    blocks = [(a.effects[x] @ rho @ a.effects[x], a.effects[x]) for x in a.outcomes]
+    blocks = [(ax @ rho @ ax, ax) for ax in a.stack]
     eb = sum(trace_product(rx, bt).real for rx, _ in blocks)
     ec = sum(trace_product(rx, ct).real for rx, _ in blocks)
 
@@ -234,17 +234,16 @@ def holevo_moments(
     Raises MissingAlphaError, as ``holevo_instrument`` does, when an outcome has no update state.
     """
     rho = as_matrix(rho)
-    effects = [a.effects[x] for x in a.outcomes]
     states = _update_states(a, alphas)
     bt = stochastic_operator(b)
     ct = stochastic_operator(c)
     tb = [trace_product(alpha, bt).real for alpha in states]
     tc = [trace_product(alpha, ct).real for alpha in states]
-    px = [trace_product(rho, ax).real for ax in effects]
+    px = [trace_product(rho, ax).real for ax in a.stack]
     cor = commutator = 0.0 + 0.0j
     cov = var_b = var_c = 0.0
-    for i, ax in enumerate(effects):
-        for j, ay in enumerate(effects):
+    for i, ax in enumerate(a.stack):
+        for j, ay in enumerate(a.stack):
             xy, yx = ax @ ay, ay @ ax
             pp = px[i] * px[j]
             sym = 0.5 * trace_product(rho, xy + yx).real

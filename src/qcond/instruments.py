@@ -9,7 +9,10 @@ product outcome labels "x,y" (comma reserved).
 An instrument holds its Kraus operators once, as one read-only (K, d, d)
 stack in outcome order, the union over its outcomes.  Each outcome's
 operation is a view of its rows, the bar channel wraps the whole stack, and
-every total over the outcomes sums over that one stack.
+every total over the outcomes sums over that one stack.  Whatever maps over
+an observable's outcomes (a Lüders root, a Holevo spectrum, a conditioning
+transport) runs once on the observable's own effect stack, and a
+conditioned or measured observable wraps the stack it was computed as.
 """
 
 from __future__ import annotations
@@ -151,17 +154,12 @@ def bar_channel(ins: Instrument) -> Operation:
 
 def measured_observable(ins: Instrument) -> Observable:
     """The observable the instrument measures: x -> dual_x(I)."""
-    return Observable(ins.outcomes, {x: measured_effect(ins.ops[x]) for x in ins.outcomes})
-
-
-def _effect_stack(a: SubObservable) -> np.ndarray:
-    """The (n, d, d) stack of a family's effects, in outcome order."""
-    return np.stack([a.effects[x] for x in a.outcomes])
+    return Observable._adopt(ins.outcomes, np.stack([measured_effect(ins.ops[x]) for x in ins.outcomes]))
 
 
 def luders_instrument(a: Observable, tol: Tolerance = DEFAULT_TOL) -> Instrument:
     """The Lüders instrument of an observable: Kraus A_x**(1/2) per outcome, one stacked root."""
-    return Instrument._adopt(a.outcomes, psd_sqrt(_effect_stack(a), tol), [1] * len(a.outcomes))
+    return Instrument._adopt(a.outcomes, psd_sqrt(a.stack, tol), [1] * len(a.outcomes))
 
 
 def holevo_instrument(
@@ -175,7 +173,7 @@ def holevo_instrument(
     into one union.
     """
     states = _update_states(a, alphas)
-    nu, v = hermitian_eig(_effect_stack(a), tol)
+    nu, v = hermitian_eig(a.stack, tol)
     mu, w = hermitian_eig(states, tol)
     return Instrument._adopt(a.outcomes, *_holevo_kraus(nu, v, mu, w, tol))
 
@@ -214,8 +212,7 @@ def condition_subobservable(a: SubObservable, op: Operation) -> SubObservable:
 
     The effects go through the dual as one stack.
     """
-    conditioned = _kraus_sum(op.kraus, _effect_stack(a), dual=True)
-    return SubObservable(a.outcomes, dict(zip(a.outcomes, conditioned)))
+    return SubObservable._adopt(a.outcomes, _kraus_sum(op.kraus, a.stack, dual=True))
 
 
 def condition_observable(b, ins: Instrument):
@@ -224,8 +221,7 @@ def condition_observable(b, ins: Instrument):
     The effects go through the total dual as one stack, each equal bit for
     bit to its ``condition_effect``.  A RealValuedObservable keeps its values.
     """
-    conditioned = _kraus_sum(ins.kraus, _effect_stack(b), dual=True)
-    out = Observable(b.outcomes, dict(zip(b.outcomes, conditioned)))
+    out = Observable._adopt(b.outcomes, _kraus_sum(ins.kraus, b.stack, dual=True))
     return RealValuedObservable(out, b.values) if isinstance(b, RealValuedObservable) else out
 
 
@@ -336,15 +332,16 @@ def atomic_context(
     """
     if not observables:
         raise InvalidValueError("need at least one observable")
-    mats = [o.effects[x] for o in observables for x in o.outcomes]
+    mats = [m for o in observables for m in o.stack]
     try:
         basis = simultaneous_eigenbasis(mats, tol)
     except NotCommutingFamilyError as exc:
         raise NotJointlyCommutingError("effects across the family do not commute pairwise") from exc
     outcomes = tuple(f"x{k}" for k in range(len(basis)))
     projections = np.stack([np.outer(v, v.conj()) for v in basis])
-    a = Observable(outcomes, dict(zip(outcomes, projections)))
-    # Atomic effects are their own square roots, so this is the Lüders
-    # instrument without going through psd_sqrt.
+    # Atomic effects are their own square roots, so the one read-only stack
+    # is both A's effects and its Lüders instrument's Kraus operators,
+    # without going through psd_sqrt.
+    a = Observable._adopt(outcomes, projections)
     ins = Instrument._adopt(outcomes, projections, [1] * len(outcomes))
     return a, ins

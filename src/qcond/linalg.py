@@ -67,7 +67,12 @@ def _complex_array(m, copy: bool = False) -> np.ndarray:
 
 def as_matrix(m) -> np.ndarray:
     """Coerce array-like input to a square complex128 matrix (copies)."""
-    a = _complex_array(m, copy=True)
+    return _square_matrix(m, copy=True)
+
+
+def _square_matrix(m, copy: bool = False) -> np.ndarray:
+    """``_complex_array`` of m, which must be one square matrix (else DimMismatchError)."""
+    a = _complex_array(m, copy)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatchError(f"expected a square matrix, got shape {a.shape}")
     return a

@@ -4,21 +4,25 @@ A :class:`SubObservable` is a family of effects summing to at most the
 identity; an :class:`Observable` sums to the identity exactly (within
 tolerance).  Outcome labels are strings and keep their declared order, so
 every derived quantity (distributions, stochastic operators, serialized
-reports) is deterministic.  A :class:`RealValuedObservable` is an Observable
-that also carries a real value per outcome; it shares the effects of the
-observable it is built from, so a family can be re-valued without rebuilding
-it.  Its expectations are the probability forms applied to sum_y y B_y, which
-it builds once, on first use.  Effects and values are read-only (each effect
-array, and ``effects`` and ``values`` as mappings), so that cache cannot go
-stale.
+reports) is deterministic.
+
+A family holds its effects once, as one read-only (n, d, d) stack in outcome
+order, as an instrument holds its Kraus operators: ``effects[x]`` is a view
+of outcome x's row, and every kernel that maps over the family reads the
+stack.  A :class:`RealValuedObservable` is an Observable that also carries a
+real value per outcome; it shares the stack of the observable it is built
+from, so a family can be re-valued without rebuilding it.  Its expectations
+are the probability forms applied to sum_y y B_y, which it builds once, on
+first use.  The stack and the values are read-only (and ``effects`` and
+``values`` are read-only mappings), so that cache cannot go stale.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
 
 import math
 
@@ -27,7 +31,7 @@ import numpy as np
 from .core import Violation, prob, validate_effect
 from .errors import DimMismatchError, InvalidTypeError, InvalidValueError, UnknownLabelError
 from .linalg import (
-    DEFAULT_TOL, Tolerance, _commutator_norms, _spectrum, as_matrix, frobenius, trace_product,
+    DEFAULT_TOL, Tolerance, _commutator_norms, _spectrum, _square_matrix, as_matrix, frobenius, trace_product,
 )
 from .operations import Operation, _conditional, dual_apply
 
@@ -77,32 +81,52 @@ def _outcome_family(
     return labels, read_members
 
 
-def _read_only_matrix(m) -> np.ndarray:
-    """``as_matrix``'s copy of m, made read-only."""
-    out = as_matrix(m)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class SubObservable:
-    """Ordered outcome labels with one effect per label (sum <= I), all read-only."""
+    """Ordered outcome labels with one effect per label (sum <= I), over one effect stack.
+
+    ``stack`` is the read-only (n, d, d) complex128 array of the effects in
+    outcome order, and ``effects[x]`` is a view of outcome x's row of it, in
+    a read-only mapping.  The constructor reads each effect as a square
+    matrix and copies the effects once, into the stack.
+    """
 
     outcomes: tuple[str, ...]
+    stack: np.ndarray = field(repr=False)
     effects: Mapping[str, np.ndarray] = field(repr=False)
 
     def __init__(self, outcomes: Sequence[str], effects: Mapping[str, np.ndarray]) -> None:
-        labels, mats = _outcome_family(outcomes, effects, "effects", _read_only_matrix)
+        labels, mats = _outcome_family(outcomes, effects, "effects", _square_matrix)
+        self._hold(labels, np.array(mats))
+
+    @classmethod
+    def _adopt(cls, labels: Sequence[str], stack: np.ndarray) -> SubObservable:
+        """Wrap an (n, d, d) complex128 stack the caller has just built, without copying it.
+
+        Row i is the effect of labels[i].
+        """
+        a = cls.__new__(cls)
+        a._hold(tuple(labels), stack)
+        return a
+
+    def _hold(self, labels: tuple[str, ...], stack: np.ndarray) -> None:
+        stack.setflags(write=False)  # before the row views are taken, so they are read-only too
         object.__setattr__(self, "outcomes", labels)
-        object.__setattr__(self, "effects", MappingProxyType(dict(zip(labels, mats))))
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "effects", MappingProxyType(dict(zip(labels, stack))))
 
     @property
     def dim(self) -> int:
-        return next(iter(self.effects.values())).shape[0]
+        return self.stack.shape[-1]
 
     def total(self) -> np.ndarray:
-        """Sum of all effects."""
-        return sum(self.effects[x] for x in self.outcomes)
+        """Sum of all effects.
+
+        Python's sum adds the stack's rows one by one in outcome order,
+        starting from 0 (so a -0.0 entry comes out as 0.0), whatever order
+        numpy's own reductions choose.
+        """
+        return sum(self.stack)
 
 
 class Observable(SubObservable):
@@ -111,7 +135,7 @@ class Observable(SubObservable):
 
 @dataclass(frozen=True, eq=False)
 class RealValuedObservable(Observable):
-    """An observable with a real value per outcome, sharing the given observable's effects."""
+    """An observable with a real value per outcome, sharing the given observable's stack."""
 
     values: Mapping[str, float]
 
@@ -131,6 +155,7 @@ class RealValuedObservable(Observable):
             if not math.isfinite(vals[x]):
                 raise InvalidValueError(f"value for outcome {x!r} is not finite")
         object.__setattr__(self, "outcomes", observable.outcomes)
+        object.__setattr__(self, "stack", observable.stack)
         object.__setattr__(self, "effects", observable.effects)
         object.__setattr__(self, "values", MappingProxyType(vals))
 
@@ -222,12 +247,10 @@ def minimal_extension(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> Observa
     """
     residual = np.eye(a.dim) - a.total()
     if frobenius(residual) <= tol.eq_tol:
-        return Observable(a.outcomes, a.effects)
+        return Observable._adopt(a.outcomes, a.stack)
     if EXTENSION_LABEL in a.outcomes:
         raise InvalidValueError(f"label {EXTENSION_LABEL!r} is reserved for the extension outcome")
-    effects = dict(a.effects)
-    effects[EXTENSION_LABEL] = residual
-    return Observable(a.outcomes + (EXTENSION_LABEL,), effects)
+    return Observable._adopt(a.outcomes + (EXTENSION_LABEL,), np.concatenate([a.stack, residual[None]]))
 
 
 def is_commuting(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -240,5 +263,5 @@ def jointly_commuting(observables: Sequence[SubObservable], tol: Tolerance = DEF
 
     This subsumes each family being commuting on its own.
     """
-    mats = [o.effects[x] for o in observables for x in o.outcomes]
+    mats = [m for o in observables for m in o.stack]
     return all(n <= tol.eq_tol for n in _commutator_norms(mats))

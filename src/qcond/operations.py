@@ -404,10 +404,14 @@ def _composite_from_choi(first: Operation, second: Operation) -> Operation:
 
 
 def choi_distance(op1: Operation, op2: Operation) -> float:
-    """Frobenius distance between Choi matrices: 0 iff the maps are equal."""
+    """Frobenius distance between Choi matrices: 0 iff the maps are equal.
+
+    The Choi matrix is the Gram sum (``_gram``) with its entries permuted,
+    which the Frobenius norm does not see, so the Gram sums are compared.
+    """
     if op1.dim != op2.dim:
         raise DimMismatchError("maps on different dimensions are never comparable")
-    return frobenius(choi_matrix(op1) - choi_matrix(op2))
+    return frobenius(_gram(op1) - _gram(op2))
 
 
 def maps_equal(op1: Operation, op2: Operation, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -30,7 +30,7 @@ import functools
 import numpy as np
 
 from .errors import InvalidValueError, RetryExhaustedError
-from .instruments import Instrument, _effect_stack
+from .instruments import Instrument
 from .linalg import _hermitian_part, dagger, psd_sqrt
 from .observables import Observable, RealValuedObservable
 from .operations import Operation
@@ -457,13 +457,11 @@ def random_observable(g: Generator, dim: int, n_outcomes: int) -> Observable:
         # One draw of n_outcomes complex_normal(dim, dim) matrices, as one stack.
         m = _draws([g], n_outcomes, dim, dim)[0]
         mats = m @ dagger(m)
-        # Summed over the leading axis of a C-ordered stack, the matrices add
-        # in order, as Python's sum adds them.
         w, v = np.linalg.eigh(mats.sum(axis=0))
         if w[0] <= 1e-8 * w[-1]:
             continue
         inv_sqrt = (v / np.sqrt(w)) @ dagger(v)
-        return Observable(labels, dict(zip(labels, inv_sqrt @ mats @ inv_sqrt)))
+        return Observable._adopt(labels, inv_sqrt @ mats @ inv_sqrt)
     raise RetryExhaustedError(f"no well-conditioned POVM in {_RETRIES} tries")
 
 
@@ -553,5 +551,5 @@ def random_instrument_measuring(g: Generator, a: Observable, n_kraus: int) -> In
     _at_least("n_kraus", n_kraus, 1)
     dim, n = a.dim, len(a.outcomes)
     m = _draws(g._derive_stack((), 0, n), 1, n_kraus * dim, dim)[:, 0]
-    kraus = _measuring_kraus(m, _effect_stack(a), n_kraus)
+    kraus = _measuring_kraus(m, a.stack, n_kraus)
     return Instrument._adopt(a.outcomes, kraus.reshape(-1, dim, dim), [n_kraus] * n)

@@ -146,7 +146,7 @@ def operation_to_json(op: Operation) -> dict:
 def observable_to_json(a: SubObservable) -> dict:
     out = {
         "outcomes": list(a.outcomes),
-        "effects": {x: complex_to_json(a.effects[x]) for x in a.outcomes},
+        "effects": dict(zip(a.outcomes, complex_to_json(a.stack))),
     }
     if isinstance(a, RealValuedObservable):
         out["values"] = {x: a.values[x] for x in a.outcomes}

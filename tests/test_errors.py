@@ -103,6 +103,12 @@ _SITES = {
         DimMismatchError,
         lambda: sharp_luders_moments(np.eye(3) / 3, _Z, _BZ, _BZ),
     ),
+    "subobservable-effect-not-square": (DimMismatchError, lambda: SubObservable(("a",), {"a": np.ones((2, 3))})),
+    "subobservable-effect-3d": (DimMismatchError, lambda: SubObservable(("a",), {"a": np.ones((1, 2, 2))})),
+    "subobservable-mixed-dimensions": (
+        DimMismatchError,
+        lambda: SubObservable(("a", "b"), {"a": np.eye(2), "b": np.eye(3)}),
+    ),
 }
 
 # Each function that reads a matrix argument, given a ragged or a non-numeric one.
@@ -116,6 +122,7 @@ _MATRIX_READERS = {
     "bayes2_residual": lambda m: bayes2_residual(m, luders(_P0), luders(_P0)),
     "effect_entropy": lambda m: effect_entropy(m, _P0),
     "Operation": lambda m: Operation([m]),
+    "SubObservable": lambda m: SubObservable(("a",), {"a": m}),
     "is_hermitian": is_hermitian,
 }
 for _name, _read in _MATRIX_READERS.items():

@@ -13,13 +13,20 @@ from qcond import (
     UnknownLabelError,
     Violation,
     ZeroProbabilityConditionError,
+    atomic_context,
+    condition_effect,
+    condition_observable,
+    condition_subobservable,
     conditional_expectation,
     distribution,
+    dual_apply,
     expectation,
     holevo,
     is_commuting,
     jointly_commuting,
     luders,
+    measured_effect,
+    measured_observable,
     minimal_extension,
     povm,
     stochastic_operator,
@@ -28,6 +35,7 @@ from qcond import (
 )
 from qcond.rand import (
     Generator,
+    random_instrument_measuring,
     random_observable,
     random_operation_measuring,
     random_real_values,
@@ -144,7 +152,7 @@ def test_real_valued_observable_is_an_observable(qubit):
     assert isinstance(b, Observable)
     assert validate_observable(b) == []
     # It takes over the observable's outcomes and effects without copying them.
-    assert b.outcomes is z.outcomes and b.effects is z.effects
+    assert b.outcomes is z.outcomes and b.stack is z.stack and b.effects is z.effects
     assert b.dim == 2 and np.array_equal(b.total(), z.total())
 
 
@@ -250,3 +258,61 @@ def test_an_observable_freezes_its_own_copy_not_the_callers_array(qubit):
     a = SubObservable(("x0",), {"x0": p0})
     p0[0, 0] = 0.5  # the caller's array stays writable and the family does not see the write
     assert a.effects["x0"][0, 0] == 1.0 and not a.effects["x0"].flags.writeable
+    assert not np.shares_memory(a.stack, p0)
+
+
+def test_an_observable_holds_its_effects_as_one_read_only_stack(qubit):
+    obs = z_observable(qubit)
+    assert obs.stack.shape == (2, 2, 2) and obs.stack.dtype == np.complex128
+    with pytest.raises(ValueError):
+        obs.stack[0, 0, 0] = 5.0
+    for i, x in enumerate(obs.outcomes):
+        assert np.shares_memory(obs.effects[x], obs.stack) and np.array_equal(obs.effects[x], obs.stack[i])
+
+
+def _split_qutrit():
+    return Observable(("p", "q"), {"p": np.diag([1.0, 0.0, 0.0]), "q": np.diag([0.0, 1.0, 1.0])})
+
+
+def _adopted_and_constructed():
+    """Pairs (a family built on a stack it was handed, the same family through the constructor)."""
+    g = Generator(11)
+    a = random_observable(g, 3, 3)
+    b = random_observable(g, 3, 2)
+    ins = random_instrument_measuring(g, a, 2)
+    op = ins.ops["x0"]
+    sub = SubObservable(("s",), {"s": 0.5 * a.effects["x1"]})
+    context, context_ins = atomic_context([_split_qutrit()])
+    return [
+        (a, Observable(a.outcomes, dict(a.effects))),
+        (condition_observable(b, ins), Observable(b.outcomes, {y: condition_effect(b.effects[y], ins) for y in b.outcomes})),
+        (condition_subobservable(b, op), SubObservable(b.outcomes, {y: dual_apply(op, b.effects[y]) for y in b.outcomes})),
+        (measured_observable(ins), Observable(ins.outcomes, {x: measured_effect(ins.ops[x]) for x in ins.outcomes})),
+        (
+            minimal_extension(sub),
+            Observable(("s", EXTENSION_LABEL), {"s": sub.effects["s"], EXTENSION_LABEL: np.eye(3) - sub.total()}),
+        ),
+        (minimal_extension(a), Observable(a.outcomes, dict(a.effects))),
+        (context, Observable(context.outcomes, {x: context_ins.ops[x].kraus[0] for x in context.outcomes})),
+    ]
+
+
+def test_families_built_on_a_stack_equal_the_constructors():
+    for adopted, constructed in _adopted_and_constructed():
+        assert type(adopted) is type(constructed) and adopted.outcomes == constructed.outcomes
+        assert np.array_equal(adopted.stack, constructed.stack)
+        assert not adopted.stack.flags.writeable
+        assert all(np.shares_memory(adopted.effects[x], adopted.stack) for x in adopted.outcomes)
+
+
+def test_atomic_context_shares_its_projections_with_its_luders_instrument():
+    context, ins = atomic_context([_split_qutrit()])
+    assert context.stack is ins.kraus
+
+
+def test_total_adds_the_rows_from_zero_so_a_negative_zero_comes_out_positive():
+    neg = np.array([[-0.0, 0.5], [0.5, -0.0]], dtype=complex)
+    sub = SubObservable(("a", "b"), {"a": neg, "b": neg})
+    total = sub.total()
+    assert total.tobytes() == sum(sub.effects[x] for x in sub.outcomes).tobytes()  # signed zeros too
+    assert not np.signbit(total.real).any()
