@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .core import _per_state, _zero_round_off, prob
-from .instruments import Instrument, condition_effect, condition_state
+from .instruments import Instrument, condition_state
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
-from .operations import Operation, dual_apply
+from .operations import Operation, _kraus_sum, dual_apply
 
 __all__ = [
     "effect_entropy",
@@ -98,8 +98,11 @@ def conditional_observable_entropy_double(
 def conditional_observable_entropy_single(
     rho, ins: Instrument, b, tol: Tolerance = DEFAULT_TOL
 ) -> float:
-    """Single-bar conditioning: summed effect entropies of the conditioned observable."""
+    """Single-bar conditioning: summed effect entropies of the conditioned observable.
+
+    B's effects go through the instrument's total dual as one stack, as
+    ``condition_observable`` transports them, each equal bit for bit to its
+    ``condition_effect``.
+    """
     rho = as_matrix(rho)
-    return float(
-        sum(effect_entropy(rho, condition_effect(b.effects[y], ins), tol) for y in b.outcomes)
-    )
+    return float(sum(effect_entropy(rho, m, tol) for m in _kraus_sum(ins.kraus, b.stack, dual=True)))

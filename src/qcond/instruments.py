@@ -9,7 +9,11 @@ product outcome labels "x,y" (comma reserved).
 An instrument holds its Kraus operators once, as one read-only (K, d, d)
 stack in outcome order, the union over its outcomes.  Each outcome's
 operation is a view of its rows, the bar channel wraps the whole stack, and
-every total over the outcomes sums over that one stack.  Whatever maps over
+every total over the outcomes sums over that one stack.  What the outcomes
+measure is one read-only effect stack too, computed once per instrument from
+runs of equal Kraus counts: ``measured_observable`` wraps it, the outcome
+operations cache its rows as their effects, and ``validate_instrument``
+judges it with the bar channel in one kernel call.  Whatever maps over
 an observable's outcomes (a Lüders root, a Holevo spectrum, a conditioning
 transport) runs once on the observable's own effect stack, and a
 conditioned or measured observable wraps the stack it was computed as.
@@ -19,13 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, groupby
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Violation, prob
+from .core import Violation, _judged, prob
 from .errors import (
     DimMismatchError,
     InvalidTypeError,
@@ -38,7 +43,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
-    frobenius,
     hermitian_eig,
     psd_sqrt,
     simultaneous_eigenbasis,
@@ -54,11 +58,11 @@ from .observables import (
 from .operations import (
     Operation,
     _holevo_kraus,
+    _cache_effects,
     _kraus_sum,
+    _measured,
     compose,
     dual_apply,
-    measured_effect,
-    validate_operation,
 )
 
 __all__ = [
@@ -126,6 +130,30 @@ class Instrument:
     def dim(self) -> int:
         return self.kraus.shape[-1]
 
+    @cached_property
+    def _effects(self) -> np.ndarray:
+        """The read-only (n, d, d) stack of the effects the outcomes measure, in outcome order.
+
+        Computed on first read and cached.  Each run of consecutive outcomes
+        with k Kraus operators each goes through ``_measured`` as one
+        (outcomes, k, d, d) view of the stack, at most d**2 // k outcomes per
+        call (one when k > d**2), so no call holds more operators than one
+        outcome or d**2.  Each row equals its outcome's ``effect`` bit for
+        bit, and an operation that has not read its effect yet caches its row.
+        """
+        d = self.dim
+        out = np.empty((len(self.outcomes), d, d), dtype=np.complex128)
+        row = start = 0
+        for k, run in groupby(len(op.kraus) for op in self.ops.values()):
+            left = len(list(run))
+            while left:
+                m = min(left, max(1, d * d // k))
+                out[row : row + m] = _measured(self.kraus[start : start + m * k].reshape(m, k, d, d))
+                row, start, left = row + m, start + m * k, left - m
+        out.setflags(write=False)
+        _cache_effects(list(self.ops.values()), out)
+        return out
+
 
 def _kraus_of(op: Operation) -> np.ndarray:
     if not isinstance(op, Operation):
@@ -134,17 +162,14 @@ def _kraus_of(op: Operation) -> np.ndarray:
 
 
 def validate_instrument(ins: Instrument, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
-    """Each operation valid, and the bar channel trace preserving."""
-    out = []
-    for x in ins.outcomes:
-        out += [
-            Violation(f"op[{x}].{v.invariant}", v.magnitude)
-            for v in validate_operation(ins.ops[x], tol)
-        ]
-    dev = frobenius(sum(ins.ops[x].effect for x in ins.outcomes) - np.eye(ins.dim))
-    if dev > tol.eq_tol:
-        out.append(Violation("bar-channel", dev))
-    return out
+    """Each operation within the trace bound, and the bar channel trace preserving."""
+    return _judged([_instrument_rows(ins)], tol)[0]
+
+
+def _instrument_rows(ins: Instrument) -> list:
+    """The instrument's blocks for ``core._judged``: each outcome's measured effect, then their sum."""
+    effects = ins._effects
+    return [(effects, "kraus", [f"op[{x}]." for x in ins.outcomes]), (sum(effects)[None], "bar-channel", None)]
 
 
 def bar_channel(ins: Instrument) -> Operation:
@@ -153,8 +178,8 @@ def bar_channel(ins: Instrument) -> Operation:
 
 
 def measured_observable(ins: Instrument) -> Observable:
-    """The observable the instrument measures: x -> dual_x(I)."""
-    return Observable._adopt(ins.outcomes, np.stack([measured_effect(ins.ops[x]) for x in ins.outcomes]))
+    """The observable the instrument measures: x -> dual_x(I), over the instrument's own effect stack."""
+    return Observable._adopt(ins.outcomes, ins._effects)
 
 
 def luders_instrument(a: Observable, tol: Tolerance = DEFAULT_TOL) -> Instrument:

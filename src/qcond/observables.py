@@ -9,7 +9,8 @@ reports) is deterministic.
 A family holds its effects once, as one read-only (n, d, d) stack in outcome
 order, as an instrument holds its Kraus operators: ``effects[x]`` is a view
 of outcome x's row, and every kernel that maps over the family reads the
-stack.  A :class:`RealValuedObservable` is an Observable that also carries a
+stack; the validators judge the stack and the total in one kernel call.
+A :class:`RealValuedObservable` is an Observable that also carries a
 real value per outcome; it shares the stack of the observable it is built
 from, so a family can be re-valued without rebuilding it.  Its expectations
 are the probability forms applied to sum_y y B_y, which it builds once, on
@@ -28,10 +29,10 @@ import math
 
 import numpy as np
 
-from .core import Violation, prob, validate_effect
+from .core import Violation, _judged, prob
 from .errors import DimMismatchError, InvalidTypeError, InvalidValueError, UnknownLabelError
 from .linalg import (
-    DEFAULT_TOL, Tolerance, _commutator_norms, _spectrum, _square_matrix, as_matrix, frobenius, trace_product,
+    DEFAULT_TOL, Tolerance, _commutator_norms, _square_matrix, as_matrix, frobenius, trace_product,
 )
 from .operations import Operation, _conditional, dual_apply
 
@@ -172,32 +173,19 @@ class RealValuedObservable(Observable):
         return out
 
 
-def _effect_violations(a, tol: Tolerance) -> list[Violation]:
-    out = []
-    for x in a.outcomes:
-        out += [Violation(f"effect[{x}].{v.invariant}", v.magnitude) for v in validate_effect(a.effects[x], tol)]
-    return out
+def _effect_rows(a: SubObservable, total: str) -> list:
+    """A family's blocks for ``core._judged``: its effects, named by outcome, then its total under the test ``total``."""
+    return [(a.stack, "effect", [f"effect[{x}]." for x in a.outcomes]), (a.total()[None], total, None)]
 
 
 def validate_subobservable(a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
     """Each effect of a (sub-)observable valid; the total at most I."""
-    out = _effect_violations(a, tol)
-    total = a.total()
-    if not np.all(np.isfinite(total.view(np.float64))):
-        return out
-    w = _spectrum(total)
-    if not w[-1] <= 1.0 + tol.psd_tol:  # NaN breaks it too
-        out.append(Violation("total-below-identity", float(w[-1] - 1.0)))
-    return out
+    return _judged([_effect_rows(a, "total")], tol)[0]
 
 
 def validate_observable(a: Observable, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
     """Each effect of an observable valid; the total equal to I."""
-    out = _effect_violations(a, tol)
-    dev = frobenius(a.total() - np.eye(a.dim))
-    if dev > tol.eq_tol:
-        out.append(Violation("total-is-identity", dev))
-    return out
+    return _judged([_effect_rows(a, "total-is-identity")], tol)[0]
 
 
 def povm(a: SubObservable, delta: Iterable[str]) -> np.ndarray:

@@ -37,14 +37,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Violation, _per_state, _zero_round_off, prob
+from .core import Violation, _judged, _per_state, _zero_round_off, prob
 from .errors import DimMismatchError, ZeroProbabilityConditionError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _complex_array,
     _psd_floor,
-    _spectrum,
     as_matrix,
     dagger,
     frobenius,
@@ -123,16 +122,23 @@ def _measured(kraus: np.ndarray) -> np.ndarray:
     return dagger(m) @ m
 
 
+def _cache_effects(ops: Sequence[Operation], effects: np.ndarray) -> None:
+    """Cache each effects[i], a read-only row equal bit for bit to what ops[i] measures, as its ``effect``.
+
+    An operation that has read its effect already keeps it.
+    """
+    for op, effect in zip(ops, effects):
+        op.__dict__.setdefault("effect", effect)
+
+
 def validate_operation(op: Operation, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
-    """The Kraus trace bound: sum K*K <= I (spectrum of the sum within [0, 1])."""
-    s = measured_effect(op)
-    out = []
-    if not np.all(np.isfinite(s.view(np.float64))):
-        return [Violation("finite", float("inf"))]
-    w = _spectrum(s)
-    if not w[-1] <= 1.0 + tol.psd_tol:  # NaN breaks it too
-        out.append(Violation("kraus-trace-bound", float(w[-1] - 1.0)))
-    return out
+    """The Kraus trace bound: sum K*K <= I (the spectrum of the measured effect at most 1)."""
+    return _judged([_operation_rows(op)], tol)[0]
+
+
+def _operation_rows(op: Operation) -> list:
+    """The operation's block for ``core._judged``: the effect it measures, under the trace bound."""
+    return [(op.effect[None], "kraus", None)]
 
 
 def apply(op: Operation, rho) -> np.ndarray:

@@ -53,11 +53,31 @@ operation, observable and instrument.  An expectation is read at the size of
 its check's arguments, so each of its matrices is d x d.  Its outcome labels
 follow the object rules (an instrument's "outcomes" is a nonempty list of
 unique labels that keys "ops" exactly) except that they may carry the
-reserved separators of composite results.  Objects are validated once read;
-expectations are not.  What depends on the computed value (a record's
-fields, the outcome labels of an observable or instrument result) is checked
-when the scene runs: a label the result lacks fails that check alone, with
-residual inf and the SceneValidationError as its error.
+reserved separators of composite results.  What depends on the computed
+value (a record's fields, the outcome labels of an observable or instrument
+result) is checked when the scene runs: a label the result lacks fails that
+check alone, with residual inf and the SceneValidationError as its error.
+
+Loading reads, judges, builds and judges again, each matrix judged in a
+stack with the others of its dimension (``core._judge``):
+
+1. every object literal is read, instruments last (they may name an
+   observable);
+2. what an operation is built from (a Lüders effect, a Holevo effect and
+   update state, each alpha of a holevo_of) is judged, one kernel call per
+   dimension;
+3. the objects are built in load order;
+4. every built object (a state, an effect, an operation's trace bound, an
+   observable's effects and total, an instrument's measured effects and bar
+   channel) and the operation inputs of the check expectations are judged,
+   one more kernel call per dimension; expectations themselves are not.
+
+A scene raises the first fault in load order, objects before checks, with
+the message it would raise if each object were read, judged and built on its
+own: within one object, its inputs in reading order, then its construction,
+then the built object.  An error met while reading (a malformed literal, a
+constructor's error) is held until everything read before it has been
+judged, so it never hides an earlier fault.
 
 Malformed files raise SceneParseError, semantic problems (invalid objects,
 unknown ops, reserved labels, expectations of the wrong kind)
@@ -81,7 +101,7 @@ from .context_stats import (
     commutator_trace, contextual_correlation, contextual_covariance, contextual_expectation,
     contextual_variance, uncertainty_report,
 )
-from .core import complement, is_atomic, is_sharp, perp, prob, validate_effect, validate_state
+from .core import _judged, complement, is_atomic, is_sharp, perp, prob
 from .entropy import (
     conditional_effect_entropy, conditional_observable_entropy_double,
     conditional_observable_entropy_single, effect_entropy, observable_entropy,
@@ -93,18 +113,18 @@ from .errors import (
 from .instruments import (
     COMPOSITE_LABEL_SEPARATOR, Instrument, bar_channel, bayes1_check, bayes1_expectation_check,
     compose_instruments, condition_effect, condition_instrument, condition_observable,
-    holevo_instrument, luders_instrument, measured_observable, validate_instrument,
+    _instrument_rows, holevo_instrument, luders_instrument, measured_observable,
 )
 from .linalg import Tolerance, commutator, frobenius, loewner_leq, psd_sqrt, trace_product
 from .observables import (
     EXTENSION_LABEL, Observable, RealValuedObservable, SubObservable, conditional_expectation,
-    distribution, expectation, is_commuting, jointly_commuting, povm, stochastic_operator,
-    validate_observable,
+    _effect_rows, distribution, expectation, is_commuting, jointly_commuting, povm,
+    stochastic_operator,
 )
 from .operations import (
-    Operation, apply, bayes2_residual, choi_distance, compose, conditional_prob, dual_apply,
-    holevo, is_channel, luders, maps_equal, measured_effect, sequential_product, updated_state,
-    validate_operation,
+    Operation, _operation_rows, apply, bayes2_residual, choi_distance, compose, conditional_prob,
+    dual_apply, holevo, is_channel, luders, maps_equal, measured_effect, sequential_product,
+    updated_state,
 )
 from .serialize import _is_number, _json_float, matrix_from_json, value_to_json
 
@@ -199,9 +219,13 @@ class SceneReport:
 
 # --- literal readers ---------------------------------------------------------
 #
-# ``_read_<kind>(raw, where, tol, d=None)`` reads one literal kind for an object
-# (d None; _build_object validates the result) and for an expectation (d of
-# the check's arguments); the module docstring says what differs.
+# ``_read_<kind>(raw, where, tol, d, pending)`` reads one literal kind
+# for an object (d None) and for an expectation (d of the check's arguments);
+# the module docstring says what differs.  A reader records in ``pending`` the
+# matrices that must be judged before an operation can be built from them (a
+# Lüders or Holevo input, a Holevo alpha), and the constructors that need
+# them, and returns the operation or instrument as a getter to call once they
+# pass.
 
 
 def _require_dict(value, where: str) -> dict:
@@ -263,7 +287,66 @@ def _raise_violations(where: str, violations) -> None:
         raise SceneValidationError(f"{where}: {detail}")
 
 
-def _read_matrix(raw, where: str, tol=None, d: int | None = None, what: str | None = None):
+class _Pending:
+    """One object or check read but not yet judged or built.
+
+    ``steps`` keep reading order: each is a ``_Judgement`` of inputs, or a
+    constructor that needs the inputs before it.  ``error`` holds the error
+    that stopped the reading, if any, and ``get`` returns the value once
+    ``settle`` has run.
+    """
+
+    def __init__(self) -> None:
+        self.kind: str | None = None
+        self.steps: list = []
+        self.error: SceneError | None = None
+        self.get: Callable = lambda: None
+
+    def judge(self, where: str, *blocks) -> None:
+        """Judge the blocks (see ``core._judged``) before anything read after them is built."""
+        self.steps.append(_Judgement(where, list(blocks)))
+
+    def make(self, where: str, build: Callable) -> Callable:
+        """A getter of build(), which runs in reading order, under ``_naming(where)``."""
+        made = []
+
+        def step():
+            if not made:
+                with _naming(where):
+                    made.append(build())
+            return made[0]
+
+        self.steps.append(step)
+        return step
+
+    def settle(self):
+        """Raise the first fault in reading order (a judged input, a constructor, the read error), else the value."""
+        for step in self.steps:
+            if isinstance(step, _Judgement):
+                _raise_violations(step.where, step.violations)
+            else:
+                step()
+        if self.error is not None:
+            raise self.error
+        return self.get()
+
+
+@dataclass
+class _Judgement:
+    """Blocks of matrices to judge (see ``core._judged``); their violations raise naming ``where``."""
+
+    where: str
+    blocks: list
+    violations: list | None = None
+
+
+def _judge_all(judgements: list[_Judgement], tol: Tolerance) -> None:
+    """Fill in every judgement's violations, with one kernel call per dimension over all of them."""
+    for judgement, violations in zip(judgements, _judged([j.blocks for j in judgements], tol)):
+        judgement.violations = violations
+
+
+def _read_matrix(raw, where: str, tol=None, d: int | None = None, *_, what: str | None = None):
     """A matrix literal (``what`` names it within ``where``), d x d when d is given."""
     m = matrix_from_json(raw, where if what is None else f"{where} {what}")
     if d is not None and m.shape != (d, d):
@@ -274,7 +357,7 @@ def _read_matrix(raw, where: str, tol=None, d: int | None = None, what: str | No
 _OPERATION_KEYS = ("kraus", "luders", "holevo")
 
 
-def _read_operation(raw, where: str, tol: Tolerance, d: int | None = None) -> Operation:
+def _read_operation(raw, where: str, tol: Tolerance, d: int | None, pending: _Pending) -> Callable:
     """A one-key kraus, luders or holevo literal; the Lüders effect and the
     Holevo effect and update state must be valid, so the operation exists."""
     raw = _require_dict(raw, where)
@@ -287,24 +370,25 @@ def _read_operation(raw, where: str, tol: Tolerance, d: int | None = None) -> Op
                 raise SceneParseError(f"{where}: kraus must be a nonempty list of matrices")
             mats = [_read_matrix(k, where, what=f"kraus[{i}]") for i, k in enumerate(body)]
             op = Operation(tuple(mats))
+            get, dim = (lambda: op), op.dim
         elif key == "luders":
             a = _read_matrix(body, where, what="luders effect")
-            _raise_violations(where, validate_effect(a, tol))
-            op = luders(a, tol)
+            pending.judge(where, (a[None], "effect", None))
+            get, dim = pending.make(where, lambda: luders(a, tol)), len(a)
         else:
             body = _require_dict(body, f"{where} holevo")
             if set(body) != {"effect", "alpha"}:
                 raise SceneParseError(f"{where}: holevo needs exactly effect and alpha")
             a = _read_matrix(body["effect"], where, what="holevo effect")
             alpha = _read_matrix(body["alpha"], where, what="holevo alpha")
-            _raise_violations(where, validate_effect(a, tol) + validate_state(alpha, tol))
-            op = holevo(a, alpha, tol)
-    if d is not None and op.dim != d:
+            pending.judge(where, (a[None], "effect", None), (alpha[None], "state", None))
+            get, dim = pending.make(where, lambda: holevo(a, alpha, tol)), len(a)
+    if d is not None and dim != d:
         raise SceneValidationError(f"{where}: expected {d}x{d} Kraus operators")
-    return op
+    return get
 
 
-def _read_observable(raw, where: str, tol=None, d: int | None = None):
+def _read_observable(raw, where: str, tol=None, d: int | None = None, *_):
     """An object's {outcomes, effects, values?}, or an expectation's {effects},
     which may name a subset of the result's outcomes (a dict of effects)."""
     raw = _require_dict(raw, where)
@@ -320,7 +404,7 @@ def _read_observable(raw, where: str, tol=None, d: int | None = None):
     else:
         labels = _read_labels(raw["outcomes"], where)
         effects = _keyed_by_labels(raw["effects"], labels, where, "effects")
-    effects = {x: _read_matrix(effects[x], where, tol, d, f"effect {x!r}") for x in labels}
+    effects = {x: _read_matrix(effects[x], where, tol, d, what=f"effect {x!r}") for x in labels}
     if d is not None:
         return effects
     obs = Observable(labels, effects)
@@ -329,12 +413,13 @@ def _read_observable(raw, where: str, tol=None, d: int | None = None):
     return obs
 
 
-def _read_instrument(raw, where: str, tol: Tolerance, d: int | None = None, objects=None):
+def _read_instrument(raw, where: str, tol: Tolerance, d: int | None, pending: _Pending, objects=None):
     """An outcomes+ops literal; an object may instead be the luders_of or
-    holevo_of an observable among ``objects``."""
+    holevo_of an observable read among ``objects``."""
     raw = _require_dict(raw, where)
     if d is None and set(raw) == {"luders_of"}:
-        return luders_instrument(_observable_named(raw["luders_of"], where, objects), tol)
+        source = _observable_named(raw["luders_of"], where, objects)
+        return pending.make(where, lambda: luders_instrument(source, tol))
     if d is None and set(raw) == {"holevo_of"}:
         spec = _require_dict(raw["holevo_of"], f"{where} holevo_of")
         if set(spec) != {"observable", "alphas"}:
@@ -343,8 +428,8 @@ def _read_instrument(raw, where: str, tol: Tolerance, d: int | None = None, obje
         alphas = _keyed_by_labels(spec["alphas"], source.outcomes, where, "alphas")
         alphas = {x: _read_matrix(alphas[x], where, what=f"alpha {x!r}") for x in source.outcomes}
         for x, alpha in alphas.items():
-            _raise_violations(f"{where} alpha {x!r}", validate_state(alpha, tol))
-        return holevo_instrument(source, alphas, tol)
+            pending.judge(f"{where} alpha {x!r}", (alpha[None], "state", None))
+        return pending.make(where, lambda: holevo_instrument(source, alphas, tol))
     if set(raw) != {"outcomes", "ops"}:
         if d is not None:
             raise SceneValidationError(
@@ -356,23 +441,25 @@ def _read_instrument(raw, where: str, tol: Tolerance, d: int | None = None, obje
     labels = _read_labels(raw["outcomes"], where, reserved=d is None)
     ops = _keyed_by_labels(raw["ops"], labels, where, "ops")
     at = where if d is None else f"{where} expect"
-    ops = {x: _read_operation(ops[x], f"{at} op {x!r}", tol, d) for x in labels}
-    return Instrument(labels, ops)
+    ops = {x: _read_operation(ops[x], f"{at} op {x!r}", tol, d, pending) for x in labels}
+    return pending.make(where, lambda: Instrument(labels, {x: op() for x, op in ops.items()}))
 
 
-def _observable_named(ref, where: str, objects: Mapping[str, SceneObject]) -> Observable:
+def _observable_named(ref, where: str, objects: Mapping[str, _Pending]) -> Observable:
     if not isinstance(ref, str):
         raise SceneParseError(f"{where}: observable reference must be a name string")
     if ref not in objects or objects[ref].kind != "observable":
         raise SceneReferenceError(f"{where}: no observable named {ref!r}")
-    return objects[ref].value
+    return objects[ref].get()
 
 
 # --- result kinds -------------------------------------------------------------
 #
-# A kind parses a check's "expect" at load (``parse(raw, where, tol, d)``) and
-# measures a result against it when the scene runs (``distance(value, want,
-# where)``); see the module docstring for the forms.
+# A kind parses a check's "expect" at load (``parse(raw, where, tol, d,
+# pending)``) and measures a result against it when the scene runs
+# (``distance(value, want, where)``); see the module docstring for the forms.
+# A ``built`` kind's parse returns a getter of the expectation, which is built
+# once its inputs are judged.
 
 
 @dataclass(frozen=True)
@@ -380,6 +467,7 @@ class _Kind:
     name: str
     parse: Callable
     distance: Callable
+    built: bool = False
 
 
 def _parse_number(raw, where: str, *_) -> complex:
@@ -453,11 +541,12 @@ _BOOL = _Kind("bool", _parse_bool, lambda value, want, where: 0.0 if value == wa
 _MATRIX = _Kind("matrix", _read_matrix, lambda value, want, where: float(frobenius(value - want)))
 _OPERATION = _Kind(
     "operation",
-    lambda raw, where, tol, d: _read_operation(raw, f"{where} expect", tol, d),
+    lambda raw, where, tol, d, pending: _read_operation(raw, f"{where} expect", tol, d, pending),
     lambda value, want, where: float(choi_distance(value, want)),
+    built=True,
 )
 _OBSERVABLE = _Kind("observable", _read_observable, _observable_distance)
-_INSTRUMENT = _Kind("instrument", _read_instrument, _instrument_distance)
+_INSTRUMENT = _Kind("instrument", _read_instrument, _instrument_distance, built=True)
 _RECORD = _Kind("record", _parse_record, _record_distance)
 _BAYES = _Kind("Bayes triple", _parse_bayes, _record_distance)
 
@@ -566,21 +655,21 @@ SCENE_OPS: dict[str, _Op] = {
 # --- loading -------------------------------------------------------------------
 
 
-# Object kind -> the validator of what its reader returns (kraus/luders/holevo: "operation").
-_VALIDATORS = {
-    "state": validate_state,
-    "effect": validate_effect,
-    "matrix": lambda m, tol: (),
-    "operation": validate_operation,
-    "observable": validate_observable,
-    "instrument": validate_instrument,
+# Object kind -> the blocks (see ``core._judged``) a built object of that kind
+# is judged by (kraus/luders/holevo: "operation").
+_ROWS = {
+    "state": lambda m: [(m[None], "state", None)],
+    "effect": lambda m: [(m[None], "effect", None)],
+    "matrix": lambda m: [],
+    "operation": _operation_rows,
+    "observable": lambda a: _effect_rows(a, "total-is-identity"),
+    "instrument": _instrument_rows,
 }
 _OBJECT_KEYS = ("state", "effect", "matrix", *_OPERATION_KEYS, "observable", "instrument")
 
 
-def _build_object(
-    name: str, literal, tol: Tolerance, objects: Mapping[str, SceneObject]
-) -> SceneObject:
+def _read_object(name: str, literal, tol: Tolerance, objects: Mapping[str, _Pending], pending: _Pending):
+    """Read one object literal into ``pending`` (an instrument may name an observable read among ``objects``)."""
     where = f"object {name!r}"
     literal = _require_dict(literal, where)
     if len(literal) != 1 or next(iter(literal)) not in _OBJECT_KEYS:
@@ -589,16 +678,29 @@ def _build_object(
         )
     [(kind, raw)] = literal.items()
     with _naming(where):
-        if kind == "observable":
-            value = _read_observable(raw, where, tol)
-        elif kind == "instrument":
-            value = _read_instrument(raw, where, tol, objects=objects)
-        elif kind in ("state", "effect", "matrix"):
-            value = _read_matrix(raw, where)
+        if kind == "instrument":
+            get = _read_instrument(raw, where, tol, None, pending, objects)
+        elif kind in _OPERATION_KEYS:
+            kind, get = "operation", _read_operation(literal, where, tol, None, pending)
         else:
-            kind, value = "operation", _read_operation(literal, where, tol)
-        _raise_violations(where, _VALIDATORS[kind](value, tol))
-    return SceneObject(name, kind, value)
+            value = _read_observable(raw, where) if kind == "observable" else _read_matrix(raw, where)
+            get = lambda: value  # noqa: E731
+    pending.kind = kind
+    return get
+
+
+def _read(read, *args) -> _Pending:
+    """A _Pending filled by read(*args, pending): its getter, or the error that stopped the reading."""
+    pending = _Pending()
+    try:
+        pending.get = read(*args, pending)
+    except SceneError as exc:
+        pending.error = exc
+    return pending
+
+
+def _judgements(pendings) -> list[_Judgement]:
+    return [step for pending in pendings for step in pending.steps if isinstance(step, _Judgement)]
 
 
 _ACCEPTED_KINDS = {
@@ -635,8 +737,8 @@ def _coerce_arg(kind: str, raw, check_where: str, objects: Mapping[str, SceneObj
 
 
 def _parse_check(
-    index: int, raw, objects: Mapping[str, SceneObject], scene_tol: Tolerance
-) -> CheckSpec:
+    index: int, raw, objects: Mapping[str, SceneObject], scene_tol: Tolerance, pending: _Pending
+) -> Callable[[], CheckSpec]:
     where = f"check[{index}]"
     raw = _require_dict(raw, where)
     allowed = {"op", "args", "expect", "expect_min", "expect_max", "tol", "label"}
@@ -692,13 +794,14 @@ def _parse_check(
     label = raw.get("label")
     if label is not None and not isinstance(label, str):
         raise SceneParseError(f"{where}: label must be a string")
-    want = spec.result.parse(expect, where, scene_tol, dims.pop()) if has_expect else None
-    return CheckSpec(
+    want = spec.result.parse(expect, where, scene_tol, dims.pop(), pending) if has_expect else None
+    get_want = want if has_expect and spec.result.built else lambda: want
+    return lambda: CheckSpec(
         index=index,
         op=op,
         args=args,
         expect=expect,
-        want=want,
+        want=get_want(),
         expect_min=None if expect_min is None else float(expect_min),
         expect_max=None if expect_max is None else float(expect_max),
         tol=tol,
@@ -740,19 +843,42 @@ def load_scene(source) -> Scene:
         raise SceneParseError(f"scene: unknown top-level keys {sorted(extra)}")
     tol = _parse_tolerance(data.get("tolerance"))
 
-    objects: dict[str, SceneObject] = {}
     raw_objects = _require_dict(data.get("objects", {}), "objects")
-    # Instruments may refer to observables by name, so a stable sort builds them last.
+    read: dict[str, _Pending] = {}
+    # Instruments may refer to observables by name, so a stable sort reads them last.
     for obj_name, literal in sorted(
         raw_objects.items(), key=lambda kv: isinstance(kv[1], dict) and set(kv[1]) == {"instrument"}
     ):
-        objects[str(obj_name)] = _build_object(str(obj_name), literal, tol, objects)
+        read[str(obj_name)] = _read(_read_object, str(obj_name), literal, tol, read)
+        if read[str(obj_name)].error is not None:
+            break  # no later object can hold the first fault
+    _judge_all(_judgements(read.values()), tol)
 
+    objects: dict[str, SceneObject] = {}
+    fault = None
+    for obj_name, pending in read.items():
+        try:
+            objects[obj_name] = SceneObject(obj_name, pending.kind, pending.settle())
+        except SceneError as exc:
+            fault = exc
+            break
     raw_checks = data.get("checks", [])
-    if not isinstance(raw_checks, list):
-        raise SceneParseError("checks must be a list")
-    checks = tuple(_parse_check(i, c, objects, tol) for i, c in enumerate(raw_checks))
-    return Scene(name=name, tolerance=tol, objects=objects, checks=checks, path=path)
+    checks: list[_Pending] = []
+    if fault is None and not isinstance(raw_checks, list):
+        fault = SceneParseError("checks must be a list")
+    elif fault is None:
+        for i, c in enumerate(raw_checks):
+            checks.append(_read(_parse_check, i, c, objects, tol))
+            if checks[-1].error is not None:
+                break
+
+    built = [_Judgement(f"object {n!r}", _ROWS[obj.kind](obj.value)) for n, obj in objects.items()]
+    _judge_all(built + _judgements(checks), tol)
+    for judgement in built:
+        _raise_violations(judgement.where, judgement.violations)
+    if fault is not None:
+        raise fault
+    return Scene(name=name, tolerance=tol, objects=objects, checks=tuple(p.settle() for p in checks), path=path)
 
 
 def run_scene(scene: Scene, default_tol: float | None = None) -> SceneReport:

@@ -4,9 +4,12 @@ A gain needs 9 in 10 pairs won (ties count for neither side) and a median
 gap wider than the parent's interquartile range; worse means beyond the
 bound, as a fraction of the parent's median; a spread wider than the bound
 is unresolved unless every run of the change beats every run of the parent.
+``--setup-probes`` alternates the checkouts' probes and judges setup_s
+alone; its probe runner is stubbed here.
 """
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -76,3 +79,57 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     # Unless every run of the change beats every run of the parent: here the
     # gap (0.6) is inside the parent's IQR (1.0), so it is no gain either.
     assert judge(noisy, [0.9] * 10, "lower", 0.25)["verdict"] == "within bound"
+
+
+def _checkouts(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    metric = {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
+    (a / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "wall_s"}, metric]}))
+    return a, b
+
+
+def test_setup_probes_alternate_and_judge_setup_s_alone(tmp_path, monkeypatch, capsys):
+    a, b = _checkouts(tmp_path)
+    seconds = {a: iter([0.30, 0.20, 0.21, 0.19, 0.22]), b: iter([0.30, 0.15, 0.16, 0.14, 0.17])}
+    order = []
+
+    def probe(checkout):
+        order.append("A" if checkout == a else "B")
+        return next(seconds[checkout])
+
+    monkeypatch.setattr(bench_pairs, "probe_once", probe)
+    assert bench_pairs.main([str(a), str(b), "--setup-probes", "4"]) == 0
+    # One uncounted probe per checkout, then A first in odd pairs and B first in even ones.
+    assert "".join(order) == "AB" + "AB" "BA" "AB" "BA"
+    out = capsys.readouterr().out
+    assert "probe 2 B: setup_s=0.16" in out and "probe 1 A: setup_s=0.2" in out
+    (row,) = [line for line in out.splitlines() if line.startswith("setup_s ")]
+    assert row.split()[-1] == "gain" and "4/4" in row
+
+
+def test_a_failing_probe_fails_the_run(tmp_path, monkeypatch, capsys):
+    a, b = _checkouts(tmp_path)
+
+    def probe(checkout):
+        raise RuntimeError("probe exited 1")
+
+    monkeypatch.setattr(bench_pairs, "probe_once", probe)
+    assert bench_pairs.main([str(a), str(b), "--setup-probes", "2"]) == 1
+    assert "probe exited 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["--setup-probes", "0"],
+        ["--setup-probes", "2", "--workload", "scene-batch"],
+        ["--workload", "scene-batch", "--pairs", "2", "--seconds", "1"],
+    ),
+    ids=("no-probes", "probes-and-a-workload", "no-seed"),
+)
+def test_setup_probes_and_workload_runs_take_their_own_arguments(argv, tmp_path):
+    a, b = _checkouts(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(a), str(b), *argv])
+    assert exc.value.code == 2

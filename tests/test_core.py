@@ -94,3 +94,7 @@ def test_a_spectrum_past_the_float64_limit_breaks_both_bounds():
     assert [v.invariant for v in effect] == ["positive", "below-identity"]
     assert all(math.isnan(v.magnitude) for v in effect)
     assert [v.invariant for v in validate_state(big)] == ["positive", "unit-trace"]
+    # eigvalsh raises on such a matrix from d = 3 on; the validators still name both bounds.
+    effect = validate_effect(np.full((3, 3), 1e308))
+    assert [v.invariant for v in effect] == ["positive", "below-identity"]
+    assert all(math.isnan(v.magnitude) for v in effect)

@@ -6,12 +6,27 @@ and the conditioned observables run each per-outcome kernel once over the
 per-outcome computation as its reference and compares with np.array_equal,
 at outcome counts on both sides of ``rand._LANES_MIN`` and at d = 2, 3 and 8.
 Invalid effects raise what the per-outcome path raises.
+
+Validation judges stacks too: ``core._judge`` runs one spectral kernel over
+a stack of states, effects, measured effects and totals, and gives each
+row's violations as the per-matrix rules kept here as the reference do,
+magnitudes included, on rows built to sit just inside and just outside each
+bound.  An instrument's measured effects come from one ``_measured`` per
+run of equal Kraus counts, equal to each operation's own, and loading a
+scene calls the kernel at most twice per dimension.
 """
+
+import collections
+import importlib.util
+import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
 from qcond import (
+    DEFAULT_TOL,
     Instrument,
     Observable,
     QcondError,
@@ -19,14 +34,21 @@ from qcond import (
     condition_effect,
     condition_observable,
     condition_subobservable,
+    conditional_observable_entropy_single,
     dual_apply,
+    effect_entropy,
     holevo,
     holevo_instrument,
     luders,
     luders_instrument,
+    measured_observable,
     psd_sqrt,
+    validate_instrument,
 )
+from qcond import core
 from qcond.linalg import dagger
+from qcond.operations import Operation
+from qcond.scene import load_scene
 from qcond.rand import (
     _LANES_MIN,
     Generator,
@@ -152,6 +174,15 @@ def test_condition_observable_matches_condition_effect_per_outcome(n, dim):
         _same_effects(condition_observable(b, ins), ref)
 
 
+@pytest.mark.parametrize("n,dim", GRID)
+def test_single_bar_entropy_matches_condition_effect_per_outcome(n, dim):
+    b = _observable(650 + 10 * dim + n, n, dim)
+    rho = random_state(Generator(660 + dim), dim)
+    for name, ins in _instruments(dim).items():
+        ref = sum(effect_entropy(rho, condition_effect(b.effects[y], ins)) for y in b.outcomes)
+        assert conditional_observable_entropy_single(rho, ins, b) == ref, name
+
+
 def test_the_instruments_span_blocks_and_chunks():
     # Over d**2 operators in all, and blocks too large for the whole effect stack in one product.
     for dim in DIMS:
@@ -227,3 +258,152 @@ def test_a_misshapen_update_state_is_a_dim_mismatch():
         with pytest.raises(QcondError) as single:
             holevo(a.effects["x1"], alpha)
         assert (type(stacked.value), str(stacked.value)) == (type(single.value), str(single.value))
+
+
+# --- validation as one kernel over a stack -------------------------------------
+
+_TESTS = ("state", "effect", "kraus", "total", "total-is-identity", "bar-channel")
+_CEILINGS = {"effect": "below-identity", "kraus": "kraus-trace-bound", "total": "total-below-identity"}
+
+
+def _reference(m: np.ndarray, test: str, tol=DEFAULT_TOL) -> list:
+    """One matrix judged on its own, by the per-matrix rules: the kernel must say the same."""
+    if test in ("total-is-identity", "bar-channel"):
+        dev = float(np.linalg.norm(m - np.eye(len(m))))
+        return [(test, dev)] if dev > tol.eq_tol else []
+    if not np.all(np.isfinite(m)):
+        return [] if test == "total" else [("finite", math.inf)]
+    out = []
+    if test in ("state", "effect"):
+        dev = float(np.linalg.norm(m - m.conj().T))
+        if not dev <= tol.eq_tol:
+            out.append(("hermitian", dev))
+    if not out:
+        h = (m + m.conj().T) / 2.0
+        # Past the float64 limit there is no spectrum: NaN, as eigvalsh gives at d = 2.
+        w = np.linalg.eigvalsh(h) if np.all(np.isfinite(h)) else np.full(len(m), np.nan)
+        if test in ("state", "effect") and not w[0] >= -tol.psd_tol:
+            out.append(("positive", float(-w[0])))
+        if test in _CEILINGS and not w[-1] <= 1.0 + tol.psd_tol:
+            out.append((_CEILINGS[test], float(w[-1] - 1.0)))
+    if test == "state":
+        dev = abs(complex(np.trace(m)) - 1.0)
+        if dev > tol.eq_tol:
+            out.append(("unit-trace", float(dev)))
+    return out
+
+
+def _edge_stack(dim: int) -> np.ndarray:
+    """Matrices at each bound: eigenvalues a hair either side of -psd_tol and 1 + psd_tol,
+    a trace 2 eq_tol off, a Hermitian defect, NaN and infinite entries, and entries past
+    the float64 limit, all in a random eigenbasis."""
+    rng = np.random.default_rng(dim)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    def spectral(*top) -> np.ndarray:
+        w = np.linspace(0.2, 0.6, dim)
+        w[: len(top)] = top
+        h = (u * w) @ u.conj().T
+        return (h + h.conj().T) / 2.0
+
+    psd, eq = DEFAULT_TOL.psd_tol, DEFAULT_TOL.eq_tol
+    state = spectral() / np.trace(spectral()).real
+    skew = np.zeros((dim, dim), dtype=complex)
+    skew[0, 1] = 1e-6
+    rows = [
+        state,
+        state * (1.0 + 2 * eq),
+        spectral(),
+        spectral(-psd * 1.01),
+        spectral(-psd * 0.99),
+        spectral(1.0 + psd * 1.01),
+        spectral(1.0 + psd * 0.99),
+        spectral() + skew,
+        spectral() + skew * 1e-4,
+        np.eye(dim),
+        np.eye(dim) + skew * 1e-3,
+        np.full((dim, dim), 1e308),
+    ]
+    for bad in (np.nan, np.inf, -np.inf):
+        m = spectral()
+        m[0, -1] = bad
+        rows.append(m)
+    return np.array(rows, dtype=np.complex128)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_the_kernel_judges_each_row_as_the_per_matrix_rules_do(dim):
+    rows = _edge_stack(dim)
+    stack = np.concatenate([rows] * len(_TESTS))
+    tests = [test for test in _TESTS for _ in rows]
+    got = core._judge(stack, tests, DEFAULT_TOL)
+    for i, (m, test) in enumerate(zip(stack, tests)):
+        have = [(v.invariant, v.magnitude) for v in got.get(i, [])]
+        # repr keeps every bit and names a NaN, which == never matches.
+        assert repr(have) == repr(_reference(m, test)), (i % len(rows), test)
+    # Every kind of verdict occurs, on both sides of each bound.
+    found = {v.invariant for row in got.values() for v in row}
+    assert found >= {"finite", "hermitian", "positive", "unit-trace", *_CEILINGS.values(), "bar-channel"}
+    assert len(got) < len(stack)
+
+
+def test_a_group_keeps_its_blocks_names_and_dimensions_in_order():
+    bad2, bad3 = np.diag([2.0, 0.0]), np.diag([-1.0, 0.5, 0.5])
+    groups = [
+        [(bad3[None], "effect", None), (np.stack([np.eye(2) / 2, bad2]), "state", ["a.", "b."])],
+        [],
+        [(np.eye(2)[None], "bar-channel", None)],
+    ]
+    got = core._judged(groups, DEFAULT_TOL)
+    assert [[v.invariant for v in g] for g in got] == [["positive", "b.unit-trace"], [], []]
+
+
+def _effects_one_by_one(ins: Instrument) -> np.ndarray:
+    return np.stack([Operation(ins.ops[x].kraus).effect for x in ins.outcomes])
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_measured_effects_match_each_operations_own(dim):
+    a = _observable(1000 + dim, 3, dim)
+    many = {x: random_operation_measuring(Generator(1010 + i), a.effects[x], dim * dim + 1 + i)
+            for i, x in enumerate(a.outcomes)}
+    for ins in (*_instruments(dim).values(), Instrument(a.outcomes, many)):
+        counts = [len(op.kraus) for op in ins.ops.values()]
+        assert len(set(counts)) > 1 or counts[0] > dim**2
+        ref = _effects_one_by_one(ins)
+        assert np.array_equal(measured_observable(ins).stack, ref)
+        # The operations read the same rows as their effects.
+        assert all(np.array_equal(ins.ops[x].effect, m) for x, m in zip(ins.outcomes, ref))
+    assert validate_instrument(_mixed_instrument(1020 + dim, dim)) == []
+
+
+def _generated_scene(dim: int) -> dict:
+    """A benchmark scene at dimension dim (perfbench/workloads.py), imported without writing bytecode."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        del sys.modules[spec.name]
+    return workloads.generated_scene(np.random.default_rng(dim), dim, dim, f"gen-d{dim}")
+
+
+SCENES = sorted((pathlib.Path(__file__).resolve().parents[1] / "docs" / "scenes").glob("*.json"))
+
+
+@pytest.mark.parametrize("source", ["generated-d4", *SCENES], ids=lambda s: getattr(s, "stem", s))
+def test_loading_a_scene_calls_the_kernel_at_most_twice_per_dimension(source, monkeypatch):
+    calls = []
+    kernel = core._judge
+    monkeypatch.setattr(core, "_judge", lambda stack, *args: calls.append(stack.shape[-1]) or kernel(stack, *args))
+    scene = load_scene(_generated_scene(4) if source == "generated-d4" else source)
+    counts = collections.Counter(calls)
+    assert counts and max(counts.values()) <= 2
+    if source == "generated-d4":
+        # Lüders and Holevo inputs, then every object and expectation input.
+        assert calls == [4, 4] and len(scene.objects) == 21

@@ -379,6 +379,17 @@ def test_cli_rejects_an_effect_past_the_float64_limit(tmp_path, capsys):
         assert "below-identity" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_rejects_a_3x3_effect_past_the_float64_limit(tmp_path, capsys):
+    # eigvalsh raises on such a matrix from d = 3 on; the scene still names the bound.
+    scene = _basic_scene(checks=[])
+    scene["objects"]["p0"] = {"effect": [[1e308] * 3] * 3}
+    path = _write(tmp_path, scene)
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        assert "below-identity" in capsys.readouterr().err
+
+
 def test_cli_validate_rejects_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
@@ -428,6 +439,111 @@ def test_cli_validate_names_a_literal_of_mixed_sizes(case, tmp_path, capsys):
     assert f"ok {good}" in captured.out
     assert main(["run", mixed]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+# A scene with several faults raises the first object's, in load order
+# (instruments last), then the first check's.  Within one object, its inputs
+# come first, in reading order, then the object built from them; a malformed
+# literal read after an invalid one never wins.  Each case pins the message
+# byte for byte.
+_S3 = [[0.5, 0, 0], [0, 0.25, 0], [0, 0, 0.25]]
+_SPLIT = {"outcomes": ["0", "1"], "effects": {"0": [[1, 0], [0, 0]], "1": [[0, 0], [0, 1]]}}
+_FIRST_FAULT = {
+    "invalid-effect-then-malformed-matrix": (
+        {"e": {"effect": [[2, 0], [0, 0]]}, "m": {"matrix": [[1, 0], [0]]}},
+        [],
+        "object 'e': below-identity (by 1.000e+00)",
+    ),
+    "luders-of-a-non-psd-observable": (
+        {
+            "I": {"instrument": {"luders_of": "A"}},
+            "A": {"observable": {"outcomes": ["0", "1"], "effects": {"0": [[-0.5, 0], [0, 0]], "1": [[1.5, 0], [0, 1]]}}},
+        },
+        [],
+        "object 'A': effect[0].positive (by 5.000e-01); effect[1].below-identity (by 5.000e-01)",
+    ),
+    "kraus-over-bound-then-invalid-state": (
+        {"K": {"kraus": [[[1.2, 0], [0, 1]]]}, "rho": {"state": [[2, 0], [0, 0]]}},
+        [],
+        "object 'K': kraus-trace-bound (by 4.400e-01)",
+    ),
+    "holevo-bad-effect-and-bad-alpha": (
+        {"H": {"holevo": {"effect": [[2, 0], [0, 0]], "alpha": [[0.5, 0], [0, 0.4]]}}},
+        [],
+        "object 'H': below-identity (by 1.000e+00); unit-trace (by 1.000e-01)",
+    ),
+    "instrument-second-op-and-bar-channel": (
+        {"I": {"instrument": {"outcomes": ["a", "b"], "ops": {
+            "a": {"kraus": [[[0.5, 0], [0, 0.5]]]}, "b": {"kraus": [[[1.5, 0], [0, 0]]]}}}}},
+        [],
+        "object 'I': op[b].kraus-trace-bound (by 1.250e+00); bar-channel (by 1.677e+00)",
+    ),
+    "mixed-dims-input-fault-first": (
+        {
+            "rho3": {"state": _S3},
+            "e2": {"effect": [[1, 0], [0, 0]]},
+            "L3": {"luders": [[1.5, 0, 0], [0, 0, 0], [0, 0, 0]]},
+            "s2": {"state": [[2, 0], [0, 0]]},
+        },
+        [],
+        "object 'L3': below-identity (by 5.000e-01)",
+    ),
+    "mixed-dims-built-fault-first": (
+        {"K2": {"kraus": [[[1.2, 0], [0, 1]]]}, "L3": {"luders": [[-1, 0, 0], [0, 0, 0], [0, 0, 0]]}},
+        [],
+        "object 'K2': kraus-trace-bound (by 4.400e-01)",
+    ),
+    "bad-luders-op-then-malformed-op": (
+        {"I": {"instrument": {"outcomes": ["a", "b"], "ops": {"a": {"luders": [[-1, 0], [0, 1]]}, "b": {"kraus": "x"}}}}},
+        [],
+        "object 'I' op 'a': positive (by 1.000e+00)",
+    ),
+    "bad-alpha-then-alpha-of-another-size": (
+        {"A": {"observable": _SPLIT},
+         "H": {"instrument": {"holevo_of": {"observable": "A", "alphas": {"0": [[2, 0], [0, 0]], "1": _S3}}}}},
+        [],
+        "object 'H' alpha '0': unit-trace (by 1.000e+00)",
+    ),
+    "alpha-of-another-size": (
+        {"A": {"observable": _SPLIT},
+         "H": {"instrument": {"holevo_of": {"observable": "A", "alphas": {"0": [[1, 0], [0, 0]], "1": _S3}}}}},
+        [],
+        "object 'H': effect and update state must share a dimension",
+    ),
+    "observable-effects-and-total": (
+        {"A": {"observable": {"outcomes": ["0", "1"], "effects": {"0": [[-0.5, 0], [0, 0]], "1": [[0.5, 0], [0, 1]]}}}},
+        [],
+        "object 'A': effect[0].positive (by 5.000e-01); total-is-identity (by 1.000e+00)",
+    ),
+    "non-hermitian-state-off-trace": (
+        {"s": {"state": [[0.5, 1], [0, 0.4]]}},
+        [],
+        "object 's': hermitian (by 1.414e+00); unit-trace (by 1.000e-01)",
+    ),
+    "object-over-bound-then-checks-not-a-list": (
+        {"K": {"kraus": [[[1.2, 0], [0, 1]]]}},
+        "nope",
+        "object 'K': kraus-trace-bound (by 4.400e-01)",
+    ),
+    "bad-expected-luders-then-unknown-op": (
+        {"L": {"luders": [[1, 0], [0, 0]]}},
+        [{"op": "compose", "args": ["L", "L"], "expect": {"luders": [[2, 0], [0, 0]]}}, {"op": "nope"}],
+        "check[0] expect: below-identity (by 1.000e+00)",
+    ),
+    "expected-holevo-shapes-before-size": (
+        {"L": {"luders": [[1, 0], [0, 0]]}},
+        [{"op": "compose", "args": ["L", "L"], "expect": {"holevo": {"effect": _S3, "alpha": [[1, 0], [0, 0]]}}}],
+        "check[0] expect: effect and update state must share a dimension",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIRST_FAULT))
+def test_a_scene_raises_its_first_fault(case):
+    objects, checks, message = _FIRST_FAULT[case]
+    with pytest.raises(SceneValidationError) as exc:
+        load_scene({"objects": objects, "checks": checks})
+    assert str(exc.value) == message
 
 
 def test_cli_run_passes_and_writes_json(tmp_path, capsys):

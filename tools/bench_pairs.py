@@ -3,6 +3,7 @@
 Usage::
 
     python tools/bench_pairs.py A B --workload W --pairs N --seconds S --seed K
+    python tools/bench_pairs.py A B --setup-probes N
 
 A is the parent checkout and B the change.  Each pair runs
 ``perfbench/run.py --workload W --seed K --seconds S --trace 0`` once in
@@ -20,8 +21,17 @@ quartiles, the pairs B won (ties count for neither side) and a verdict:
   every run of A;
 - ``within bound``: otherwise.
 
-The failed and attempted job counts of each side follow.  The tool only
-invokes the benchmark; it changes nothing in either checkout.
+The failed and attempted job counts of each side follow.
+
+``--setup-probes N`` judges ``setup_s`` alone: it runs
+``perfbench/setup_probe.py`` N times in each checkout, alternating A and B
+as above, each a fresh process with the benchmark's child environment and
+no workload before it.  One uncounted probe per checkout comes first, as in
+``perfbench/run.py`` (it fills the bytecode cache where one is written).
+It prints every probe, then the row of ``setup_s`` with its bound from A's
+``BENCHMARK.json``.
+
+The tool only invokes the benchmark; it changes nothing in either checkout.
 
 Exit status: 0 when every run printed a correct result, 1 when a run failed
 or reported failed jobs, 2 on bad input.
@@ -31,12 +41,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 GAIN_SHARE = 0.9
+#: The environment perfbench/run.py gives its children, set-up probes included.
+CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -80,22 +93,67 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def probe_once(checkout: Path) -> float:
+    """The set-up seconds one fresh ``perfbench/setup_probe.py`` process prints in checkout."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/setup_probe.py"],
+        cwd=checkout, capture_output=True, text=True, env={**os.environ, **CHILD_ENV},
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: perfbench/setup_probe.py exited {proc.returncode}\n{proc.stderr}")
+    return float(proc.stdout.strip().splitlines()[-1])
+
+
+def setup_pairs(a: Path, b: Path, probes: int, metric: dict) -> int:
+    """Judge setup_s from ``probes`` alternating probes per checkout; the exit status."""
+    try:
+        probe_once(a), probe_once(b)  # warm-up, not samples
+        samples: dict[str, list[float]] = {"A": [], "B": []}
+        for i in range(probes):
+            for side in ("AB" if i % 2 == 0 else "BA"):
+                samples[side].append(probe_once(a if side == "A" else b))
+                print(f"probe {i + 1} {side}: setup_s={samples[side][-1]:.6g}", flush=True)
+    except (OSError, ValueError, IndexError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(f"\nsetup probes, {probes} per checkout")
+    _print_rows([(metric, judge(samples["A"], samples["B"], metric["better"], metric["bound"]))])
+    return 0
+
+
+def _print_rows(rows: list[tuple[dict, dict]]) -> None:
+    """The table of (metric spec, verdict) rows."""
+    print(f"{'metric':<14} {'A median [q1, q3]':<30} {'B median [q1, q3]':<30} {'B won':<8} verdict")
+    for m, v in rows:
+        cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}] {m['unit']}" for q in (v["a"], v["b"])]
+        print(f"{m['name']:<14} {cells[0]:<30} {cells[1]:<30} {v['wins']}/{v['pairs']:<6} {v['verdict']}")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", type=Path, help="parent checkout")
     parser.add_argument("b", type=Path, help="changed checkout")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload")
+    parser.add_argument("--pairs", type=int)
+    parser.add_argument("--seconds", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--setup-probes", type=int, metavar="N", help="judge setup_s alone from N probes per checkout")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    timed = (args.workload, args.pairs, args.seconds, args.seed)
+    if args.setup_probes is None and None in timed:
+        parser.error("--workload, --pairs, --seconds and --seed are required (or --setup-probes N)")
+    if args.setup_probes is not None and timed != (None,) * 4:
+        parser.error("--setup-probes runs no workload: drop --workload, --pairs, --seconds and --seed")
+    if (args.pairs if args.setup_probes is None else args.setup_probes) < 1:
+        parser.error("--pairs and --setup-probes must be at least 1")
     try:
         spec = json.loads((args.a / "BENCHMARK.json").read_text())["end_to_end"]
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot read {args.a / 'BENCHMARK.json'}: {exc}", file=sys.stderr)
+        setup = next(m for m in spec if m["name"] == "setup_s") if args.setup_probes is not None else None
+    except (OSError, ValueError, KeyError, StopIteration) as exc:
+        print(f"error: cannot read {args.a / 'BENCHMARK.json'}: {exc!r}", file=sys.stderr)
         return 2
+    if setup is not None:
+        return setup_pairs(args.a, args.b, args.setup_probes, setup)
 
     runs: dict[str, list[dict]] = {"A": [], "B": []}
     try:
@@ -111,13 +169,11 @@ def main(argv: list[str]) -> int:
         return 1
 
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs at --seconds {args.seconds:g}")
-    print(f"{'metric':<14} {'A median [q1, q3]':<30} {'B median [q1, q3]':<30} {'B won':<8} verdict")
-    for m in spec:
-        a = [r["metrics"][m["name"]]["value"] for r in runs["A"]]
-        b = [r["metrics"][m["name"]]["value"] for r in runs["B"]]
-        v = judge(a, b, m["better"], m["bound"])
-        cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}] {m['unit']}" for q in (v["a"], v["b"])]
-        print(f"{m['name']:<14} {cells[0]:<30} {cells[1]:<30} {v['wins']}/{v['pairs']:<6} {v['verdict']}")
+    _print_rows([
+        (m, judge([r["metrics"][m["name"]]["value"] for r in runs["A"]],
+                  [r["metrics"][m["name"]]["value"] for r in runs["B"]], m["better"], m["bound"]))
+        for m in spec
+    ])
     ok = True
     for side in ("A", "B"):
         failed = sum(r["failed"] for r in runs[side])
