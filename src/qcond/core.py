@@ -11,7 +11,7 @@ object was rejected instead of getting a bare exception.  Every validator in
 the package, and the scene loader, judges through one kernel, ``_judge``: it
 takes an (n, d, d) stack with a test per row (state, effect, measured effect,
 total, identity) and runs the finite screen, the Hermitian defect, one
-eigvalsh and the bounds over all rows at once, each row's verdict equal to
+spectrum and the bounds over all rows at once, each row's verdict equal to
 one judged alone.  ``_judged`` groups blocks of rows by dimension, one
 kernel call each.
 """
@@ -26,7 +26,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _hermitian_defect,
-    _hermitian_part,
     _spectrum,
     as_matrix,
     dagger,
@@ -77,11 +76,9 @@ def _judge(stack: np.ndarray, tests, tol: Tolerance) -> dict[int, list[Violation
     violations in that order.  A state, effect or measured effect that is
     not finite reports "finite" alone, and a non-Hermitian effect
     "hermitian" alone (a state also its trace).  The spectra come from one
-    eigvalsh of the Hermitian parts of the rows that reach a spectrum test,
-    equal bit for bit to one call per row.  A Hermitian part past the float64
-    limit (an entry near it doubles to inf) has NaN eigenvalues, which break
-    every bound: eigvalsh returns NaN for it at d = 2 but raises beyond, so
-    such a row is kept out of the call.  A Frobenius norm, screened
+    ``_spectrum`` of the rows that reach a spectrum test, equal bit for bit
+    to one call per row; a Hermitian part past the float64 limit has NaN
+    eigenvalues there, which break every bound.  A Frobenius norm, screened
     over the stack, is taken again as ``frobenius`` of the row wherever it
     may break its bound, so each verdict and magnitude is the one a
     per-matrix check gives.
@@ -103,10 +100,7 @@ def _judge(stack: np.ndarray, tests, tol: Tolerance) -> dict[int, list[Violation
     hermitian = ~sided | (defect <= tol.eq_tol)
     spectral = finite & hermitian & ~identity
     if spectral.any():
-        h = _hermitian_part(stack[spectral])
-        sound = np.isfinite(h).all(axis=(1, 2))
-        w = np.full(h.shape[:2], np.nan)
-        w[sound] = np.linalg.eigvalsh(h[sound])
+        w = _spectrum(stack[spectral])
         low[spectral], high[spectral] = w[:, 0], w[:, -1]
     screened = finite | ~(sided | kraus)
     below = spectral & sided & ~(low >= -tol.psd_tol)

@@ -101,12 +101,25 @@ def _spectrum(m: np.ndarray, vectors: bool = False):
     """Ascending eigenvalues of m's Hermitian part (one matrix or each of a stack).
 
     With ``vectors`` the pair ``(w, v)`` from ``eigh``, the columns of v the
-    eigenvectors.  A non-finite Hermitian part (an entry near the float64
-    limit doubles past it) gives NaN eigenvalues, which no bound written as
-    ``not w <= bound`` lets pass.
+    eigenvectors.  A matrix whose Hermitian part is not finite (an entry near
+    the float64 limit doubles past it) gets NaN eigenvalues, and NaN
+    eigenvectors, at every d: LAPACK returns NaN for it at d = 2 but raises
+    beyond, so such a matrix is kept out of the call.  No bound written as
+    ``not w <= bound`` lets a NaN pass.  The others' spectra are equal bit for
+    bit to one call per matrix.
     """
     h = _hermitian_part(m)
-    return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    sound = np.isfinite(h).all(axis=(-2, -1))
+    if sound.all():
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    w = np.full(h.shape[:-1], np.nan)
+    v = np.full(h.shape, np.nan, dtype=np.complex128)
+    if sound.any():  # some matrices of a stack
+        if vectors:
+            w[sound], v[sound] = np.linalg.eigh(h[sound])
+        else:
+            w[sound] = np.linalg.eigvalsh(h[sound])
+    return (w, v) if vectors else w
 
 
 def _commutator_norms(mats: Sequence[np.ndarray]):

@@ -58,26 +58,21 @@ value (a record's fields, the outcome labels of an observable or instrument
 result) is checked when the scene runs: a label the result lacks fails that
 check alone, with residual inf and the SceneValidationError as its error.
 
-Loading reads, judges, builds and judges again, each matrix judged in a
-stack with the others of its dimension (``core._judge``):
+Loading reads and builds the objects in load order, instruments last (they
+may name an observable), then the checks.  What decides validity is judged
+in stacks (``core._judge``): what an operation is built from (a Lüders
+effect, a Holevo effect and update state, each alpha of a holevo_of), every
+built object (a state, an effect, an operation's trace bound, an
+observable's effects and total, an instrument's measured effects and bar
+channel) and the operation inputs of the check expectations; expectations
+themselves are not.  A valid scene is judged once, after it is read, in one
+kernel call per dimension.
 
-1. every object literal is read, instruments last (they may name an
-   observable);
-2. what an operation is built from (a Lüders effect, a Holevo effect and
-   update state, each alpha of a holevo_of) is judged, one kernel call per
-   dimension;
-3. the objects are built in load order;
-4. every built object (a state, an effect, an operation's trace bound, an
-   observable's effects and total, an instrument's measured effects and bar
-   channel) and the operation inputs of the check expectations are judged,
-   one more kernel call per dimension; expectations themselves are not.
-
-A scene raises the first fault in load order, objects before checks, with
-the message it would raise if each object were read, judged and built on its
-own: within one object, its inputs in reading order, then its construction,
-then the built object.  An error met while reading (a malformed literal, a
-constructor's error) is held until everything read before it has been
-judged, so it never hides an earlier fault.
+A scene raises its first fault in load order, objects before checks: within
+one object, its inputs in reading order, then its construction, then the
+built object.  An invalid scene (a violation, or an error met while
+reading) is loaded again, judging as it reads, and raises what that pass
+meets first, so a later fault never hides an earlier one.
 
 Malformed files raise SceneParseError, semantic problems (invalid objects,
 unknown ops, reserved labels, expectations of the wrong kind)
@@ -92,6 +87,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -219,13 +215,12 @@ class SceneReport:
 
 # --- literal readers ---------------------------------------------------------
 #
-# ``_read_<kind>(raw, where, tol, d, pending)`` reads one literal kind
-# for an object (d None) and for an expectation (d of the check's arguments);
-# the module docstring says what differs.  A reader records in ``pending`` the
-# matrices that must be judged before an operation can be built from them (a
-# Lüders or Holevo input, a Holevo alpha), and the constructors that need
-# them, and returns the operation or instrument as a getter to call once they
-# pass.
+# ``_read_<kind>(raw, where, tol, d, judge)`` reads one literal kind for an
+# object (d None) and for an expectation (d of the check's arguments); the
+# module docstring says what differs.  Before a reader builds an operation, it
+# passes the blocks (see ``core._judged``) of the matrices the operation is
+# built from (a Lüders or Holevo input, a Holevo alpha) to
+# ``judge(where, *blocks)``.
 
 
 def _require_dict(value, where: str) -> dict:
@@ -281,71 +276,6 @@ def _naming(where: str):
         raise SceneValidationError(f"{where}: {exc}") from exc
 
 
-def _raise_violations(where: str, violations) -> None:
-    if violations:
-        detail = "; ".join(str(v) for v in violations)
-        raise SceneValidationError(f"{where}: {detail}")
-
-
-class _Pending:
-    """One object or check read but not yet judged or built.
-
-    ``steps`` keep reading order: each is a ``_Judgement`` of inputs, or a
-    constructor that needs the inputs before it.  ``error`` holds the error
-    that stopped the reading, if any, and ``get`` returns the value once
-    ``settle`` has run.
-    """
-
-    def __init__(self) -> None:
-        self.kind: str | None = None
-        self.steps: list = []
-        self.error: SceneError | None = None
-        self.get: Callable = lambda: None
-
-    def judge(self, where: str, *blocks) -> None:
-        """Judge the blocks (see ``core._judged``) before anything read after them is built."""
-        self.steps.append(_Judgement(where, list(blocks)))
-
-    def make(self, where: str, build: Callable) -> Callable:
-        """A getter of build(), which runs in reading order, under ``_naming(where)``."""
-        made = []
-
-        def step():
-            if not made:
-                with _naming(where):
-                    made.append(build())
-            return made[0]
-
-        self.steps.append(step)
-        return step
-
-    def settle(self):
-        """Raise the first fault in reading order (a judged input, a constructor, the read error), else the value."""
-        for step in self.steps:
-            if isinstance(step, _Judgement):
-                _raise_violations(step.where, step.violations)
-            else:
-                step()
-        if self.error is not None:
-            raise self.error
-        return self.get()
-
-
-@dataclass
-class _Judgement:
-    """Blocks of matrices to judge (see ``core._judged``); their violations raise naming ``where``."""
-
-    where: str
-    blocks: list
-    violations: list | None = None
-
-
-def _judge_all(judgements: list[_Judgement], tol: Tolerance) -> None:
-    """Fill in every judgement's violations, with one kernel call per dimension over all of them."""
-    for judgement, violations in zip(judgements, _judged([j.blocks for j in judgements], tol)):
-        judgement.violations = violations
-
-
 def _read_matrix(raw, where: str, tol=None, d: int | None = None, *_, what: str | None = None):
     """A matrix literal (``what`` names it within ``where``), d x d when d is given."""
     m = matrix_from_json(raw, where if what is None else f"{where} {what}")
@@ -357,7 +287,7 @@ def _read_matrix(raw, where: str, tol=None, d: int | None = None, *_, what: str 
 _OPERATION_KEYS = ("kraus", "luders", "holevo")
 
 
-def _read_operation(raw, where: str, tol: Tolerance, d: int | None, pending: _Pending) -> Callable:
+def _read_operation(raw, where: str, tol: Tolerance, d: int | None, judge: Callable) -> Operation:
     """A one-key kraus, luders or holevo literal; the Lüders effect and the
     Holevo effect and update state must be valid, so the operation exists."""
     raw = _require_dict(raw, where)
@@ -370,22 +300,21 @@ def _read_operation(raw, where: str, tol: Tolerance, d: int | None, pending: _Pe
                 raise SceneParseError(f"{where}: kraus must be a nonempty list of matrices")
             mats = [_read_matrix(k, where, what=f"kraus[{i}]") for i, k in enumerate(body)]
             op = Operation(tuple(mats))
-            get, dim = (lambda: op), op.dim
         elif key == "luders":
             a = _read_matrix(body, where, what="luders effect")
-            pending.judge(where, (a[None], "effect", None))
-            get, dim = pending.make(where, lambda: luders(a, tol)), len(a)
+            judge(where, (a[None], "effect", None))
+            op = luders(a, tol)
         else:
             body = _require_dict(body, f"{where} holevo")
             if set(body) != {"effect", "alpha"}:
                 raise SceneParseError(f"{where}: holevo needs exactly effect and alpha")
             a = _read_matrix(body["effect"], where, what="holevo effect")
             alpha = _read_matrix(body["alpha"], where, what="holevo alpha")
-            pending.judge(where, (a[None], "effect", None), (alpha[None], "state", None))
-            get, dim = pending.make(where, lambda: holevo(a, alpha, tol)), len(a)
-    if d is not None and dim != d:
+            judge(where, (a[None], "effect", None), (alpha[None], "state", None))
+            op = holevo(a, alpha, tol)
+    if d is not None and op.dim != d:
         raise SceneValidationError(f"{where}: expected {d}x{d} Kraus operators")
-    return get
+    return op
 
 
 def _read_observable(raw, where: str, tol=None, d: int | None = None, *_):
@@ -413,13 +342,13 @@ def _read_observable(raw, where: str, tol=None, d: int | None = None, *_):
     return obs
 
 
-def _read_instrument(raw, where: str, tol: Tolerance, d: int | None, pending: _Pending, objects=None):
+def _read_instrument(raw, where: str, tol: Tolerance, d: int | None, judge: Callable, objects=None):
     """An outcomes+ops literal; an object may instead be the luders_of or
-    holevo_of an observable read among ``objects``."""
+    holevo_of an observable among ``objects`` (an object is read under its
+    own ``_naming(where)``)."""
     raw = _require_dict(raw, where)
     if d is None and set(raw) == {"luders_of"}:
-        source = _observable_named(raw["luders_of"], where, objects)
-        return pending.make(where, lambda: luders_instrument(source, tol))
+        return luders_instrument(_observable_named(raw["luders_of"], where, objects), tol)
     if d is None and set(raw) == {"holevo_of"}:
         spec = _require_dict(raw["holevo_of"], f"{where} holevo_of")
         if set(spec) != {"observable", "alphas"}:
@@ -428,8 +357,8 @@ def _read_instrument(raw, where: str, tol: Tolerance, d: int | None, pending: _P
         alphas = _keyed_by_labels(spec["alphas"], source.outcomes, where, "alphas")
         alphas = {x: _read_matrix(alphas[x], where, what=f"alpha {x!r}") for x in source.outcomes}
         for x, alpha in alphas.items():
-            pending.judge(f"{where} alpha {x!r}", (alpha[None], "state", None))
-        return pending.make(where, lambda: holevo_instrument(source, alphas, tol))
+            judge(f"{where} alpha {x!r}", (alpha[None], "state", None))
+        return holevo_instrument(source, alphas, tol)
     if set(raw) != {"outcomes", "ops"}:
         if d is not None:
             raise SceneValidationError(
@@ -441,25 +370,24 @@ def _read_instrument(raw, where: str, tol: Tolerance, d: int | None, pending: _P
     labels = _read_labels(raw["outcomes"], where, reserved=d is None)
     ops = _keyed_by_labels(raw["ops"], labels, where, "ops")
     at = where if d is None else f"{where} expect"
-    ops = {x: _read_operation(ops[x], f"{at} op {x!r}", tol, d, pending) for x in labels}
-    return pending.make(where, lambda: Instrument(labels, {x: op() for x, op in ops.items()}))
+    ops = {x: _read_operation(ops[x], f"{at} op {x!r}", tol, d, judge) for x in labels}
+    with _naming(where):
+        return Instrument(labels, ops)
 
 
-def _observable_named(ref, where: str, objects: Mapping[str, _Pending]) -> Observable:
+def _observable_named(ref, where: str, objects: Mapping[str, SceneObject]) -> Observable:
     if not isinstance(ref, str):
         raise SceneParseError(f"{where}: observable reference must be a name string")
     if ref not in objects or objects[ref].kind != "observable":
         raise SceneReferenceError(f"{where}: no observable named {ref!r}")
-    return objects[ref].get()
+    return objects[ref].value
 
 
 # --- result kinds -------------------------------------------------------------
 #
 # A kind parses a check's "expect" at load (``parse(raw, where, tol, d,
-# pending)``) and measures a result against it when the scene runs
+# judge)``) and measures a result against it when the scene runs
 # (``distance(value, want, where)``); see the module docstring for the forms.
-# A ``built`` kind's parse returns a getter of the expectation, which is built
-# once its inputs are judged.
 
 
 @dataclass(frozen=True)
@@ -467,7 +395,6 @@ class _Kind:
     name: str
     parse: Callable
     distance: Callable
-    built: bool = False
 
 
 def _parse_number(raw, where: str, *_) -> complex:
@@ -541,12 +468,11 @@ _BOOL = _Kind("bool", _parse_bool, lambda value, want, where: 0.0 if value == wa
 _MATRIX = _Kind("matrix", _read_matrix, lambda value, want, where: float(frobenius(value - want)))
 _OPERATION = _Kind(
     "operation",
-    lambda raw, where, tol, d, pending: _read_operation(raw, f"{where} expect", tol, d, pending),
+    lambda raw, where, tol, d, judge: _read_operation(raw, f"{where} expect", tol, d, judge),
     lambda value, want, where: float(choi_distance(value, want)),
-    built=True,
 )
 _OBSERVABLE = _Kind("observable", _read_observable, _observable_distance)
-_INSTRUMENT = _Kind("instrument", _read_instrument, _instrument_distance, built=True)
+_INSTRUMENT = _Kind("instrument", _read_instrument, _instrument_distance)
 _RECORD = _Kind("record", _parse_record, _record_distance)
 _BAYES = _Kind("Bayes triple", _parse_bayes, _record_distance)
 
@@ -668,8 +594,8 @@ _ROWS = {
 _OBJECT_KEYS = ("state", "effect", "matrix", *_OPERATION_KEYS, "observable", "instrument")
 
 
-def _read_object(name: str, literal, tol: Tolerance, objects: Mapping[str, _Pending], pending: _Pending):
-    """Read one object literal into ``pending`` (an instrument may name an observable read among ``objects``)."""
+def _read_object(name: str, literal, tol: Tolerance, objects: Mapping[str, SceneObject], judge: Callable):
+    """One object, read, built and judged (an instrument may name an observable among ``objects``)."""
     where = f"object {name!r}"
     literal = _require_dict(literal, where)
     if len(literal) != 1 or next(iter(literal)) not in _OBJECT_KEYS:
@@ -679,28 +605,13 @@ def _read_object(name: str, literal, tol: Tolerance, objects: Mapping[str, _Pend
     [(kind, raw)] = literal.items()
     with _naming(where):
         if kind == "instrument":
-            get = _read_instrument(raw, where, tol, None, pending, objects)
+            value = _read_instrument(raw, where, tol, None, judge, objects)
         elif kind in _OPERATION_KEYS:
-            kind, get = "operation", _read_operation(literal, where, tol, None, pending)
+            kind, value = "operation", _read_operation(literal, where, tol, None, judge)
         else:
             value = _read_observable(raw, where) if kind == "observable" else _read_matrix(raw, where)
-            get = lambda: value  # noqa: E731
-    pending.kind = kind
-    return get
-
-
-def _read(read, *args) -> _Pending:
-    """A _Pending filled by read(*args, pending): its getter, or the error that stopped the reading."""
-    pending = _Pending()
-    try:
-        pending.get = read(*args, pending)
-    except SceneError as exc:
-        pending.error = exc
-    return pending
-
-
-def _judgements(pendings) -> list[_Judgement]:
-    return [step for pending in pendings for step in pending.steps if isinstance(step, _Judgement)]
+    judge(where, *_ROWS[kind](value))
+    return SceneObject(name, kind, value)
 
 
 _ACCEPTED_KINDS = {
@@ -737,8 +648,8 @@ def _coerce_arg(kind: str, raw, check_where: str, objects: Mapping[str, SceneObj
 
 
 def _parse_check(
-    index: int, raw, objects: Mapping[str, SceneObject], scene_tol: Tolerance, pending: _Pending
-) -> Callable[[], CheckSpec]:
+    index: int, raw, objects: Mapping[str, SceneObject], scene_tol: Tolerance, judge: Callable
+) -> CheckSpec:
     where = f"check[{index}]"
     raw = _require_dict(raw, where)
     allowed = {"op", "args", "expect", "expect_min", "expect_max", "tol", "label"}
@@ -794,14 +705,12 @@ def _parse_check(
     label = raw.get("label")
     if label is not None and not isinstance(label, str):
         raise SceneParseError(f"{where}: label must be a string")
-    want = spec.result.parse(expect, where, scene_tol, dims.pop(), pending) if has_expect else None
-    get_want = want if has_expect and spec.result.built else lambda: want
-    return lambda: CheckSpec(
+    return CheckSpec(
         index=index,
         op=op,
         args=args,
         expect=expect,
-        want=get_want(),
+        want=spec.result.parse(expect, where, scene_tol, dims.pop(), judge) if has_expect else None,
         expect_min=None if expect_min is None else float(expect_min),
         expect_max=None if expect_max is None else float(expect_max),
         tol=tol,
@@ -821,8 +730,37 @@ def _parse_tolerance(raw) -> Tolerance:
     return Tolerance(**kwargs)
 
 
+def _load(data: Mapping, tol: Tolerance, judge: Callable) -> tuple[dict[str, SceneObject], tuple[CheckSpec, ...]]:
+    """The scene's objects, in load order, and checks, each read and built
+    as the module docstring says, its blocks passed to ``judge(where, *blocks)``."""
+    raw_objects = _require_dict(data.get("objects", {}), "objects")
+    objects: dict[str, SceneObject] = {}
+    # Instruments may refer to observables by name, so a stable sort reads them last.
+    for name, literal in sorted(
+        raw_objects.items(), key=lambda kv: isinstance(kv[1], dict) and set(kv[1]) == {"instrument"}
+    ):
+        objects[str(name)] = _read_object(str(name), literal, tol, objects, judge)
+    raw_checks = data.get("checks", [])
+    if not isinstance(raw_checks, list):
+        raise SceneParseError("checks must be a list")
+    return objects, tuple(_parse_check(i, c, objects, tol, judge) for i, c in enumerate(raw_checks))
+
+
+def _judge_now(tol: Tolerance, where: str, *blocks) -> None:
+    """Judge the blocks (see ``core._judged``), raising their violations naming ``where``."""
+    [violations] = _judged([blocks], tol)
+    if violations:
+        raise SceneValidationError(f"{where}: {'; '.join(map(str, violations))}")
+
+
 def load_scene(source) -> Scene:
-    """Load and validate a scene from a path or a parsed mapping."""
+    """Load and validate a scene from a path or a parsed mapping.
+
+    One pass reads and builds the scene, holding its blocks, and one
+    ``_judged`` call judges them all.  A scene that fails (a violation, or an
+    error met in that pass) is loaded again with ``_judge_now``, which raises
+    its first fault in load order.
+    """
     path = None
     if isinstance(source, Mapping):
         data = source
@@ -843,42 +781,16 @@ def load_scene(source) -> Scene:
         raise SceneParseError(f"scene: unknown top-level keys {sorted(extra)}")
     tol = _parse_tolerance(data.get("tolerance"))
 
-    raw_objects = _require_dict(data.get("objects", {}), "objects")
-    read: dict[str, _Pending] = {}
-    # Instruments may refer to observables by name, so a stable sort reads them last.
-    for obj_name, literal in sorted(
-        raw_objects.items(), key=lambda kv: isinstance(kv[1], dict) and set(kv[1]) == {"instrument"}
-    ):
-        read[str(obj_name)] = _read(_read_object, str(obj_name), literal, tol, read)
-        if read[str(obj_name)].error is not None:
-            break  # no later object can hold the first fault
-    _judge_all(_judgements(read.values()), tol)
-
-    objects: dict[str, SceneObject] = {}
-    fault = None
-    for obj_name, pending in read.items():
-        try:
-            objects[obj_name] = SceneObject(obj_name, pending.kind, pending.settle())
-        except SceneError as exc:
-            fault = exc
-            break
-    raw_checks = data.get("checks", [])
-    checks: list[_Pending] = []
-    if fault is None and not isinstance(raw_checks, list):
-        fault = SceneParseError("checks must be a list")
-    elif fault is None:
-        for i, c in enumerate(raw_checks):
-            checks.append(_read(_parse_check, i, c, objects, tol))
-            if checks[-1].error is not None:
-                break
-
-    built = [_Judgement(f"object {n!r}", _ROWS[obj.kind](obj.value)) for n, obj in objects.items()]
-    _judge_all(built + _judgements(checks), tol)
-    for judgement in built:
-        _raise_violations(judgement.where, judgement.violations)
-    if fault is not None:
-        raise fault
-    return Scene(name=name, tolerance=tol, objects=objects, checks=tuple(p.settle() for p in checks), path=path)
+    held = []
+    try:
+        objects, checks = _load(data, tol, lambda where, *blocks: held.append(blocks))
+    except QcondError:
+        valid = False
+    else:
+        valid = not any(_judged(held, tol))
+    if not valid:
+        objects, checks = _load(data, tol, partial(_judge_now, tol))
+    return Scene(name=name, tolerance=tol, objects=objects, checks=checks, path=path)
 
 
 def run_scene(scene: Scene, default_tol: float | None = None) -> SceneReport:

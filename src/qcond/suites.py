@@ -434,10 +434,7 @@ def _sequential_product_bounds(gens, dim, ts):
     transported = _dual(op_atom, _unit_spectrum(_hermitian_part(_draws(gens, 1, dim, dim)[:, 0])))
     lam = trace_product(atom, transported).real
     gap = a - _dual(op, b)
-    # LAPACK may reject a non-finite matrix; its lowest eigenvalue stays NaN
-    finite = np.isfinite(gap).all(axis=(-2, -1))
-    lowest = np.full((len(gens), 1), np.nan)
-    lowest[finite] = _spectrum(gap[finite])[:, :1]
+    lowest = _spectrum(gap)[:, :1]  # NaN for a gap that is not finite
     commutators = commutator(_dual(op_p, b2), p)
     rows = []
     for s, coefficient in enumerate(lam.tolist()):

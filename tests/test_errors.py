@@ -39,7 +39,9 @@ from qcond import (
     holevo,
     holevo_instrument,
     holevo_moments,
+    is_atomic,
     is_hermitian,
+    loewner_leq,
     luders,
     minimal_extension,
     povm,
@@ -175,3 +177,31 @@ def test_holevo_rejects_a_spectrum_below_the_floor(case, side):
     obs = Observable(("0", "1"), {"0": _P0, "1": a})
     with pytest.raises(error):
         holevo_instrument(obs, {"0": np.eye(2) / 2, "1": alpha})
+
+
+# A matrix whose Hermitian part overflows has NaN eigenvalues at every d.
+# LAPACK returns NaN for it at d = 2 but raises its own LinAlgError beyond,
+# so each site used to give a typed outcome at d = 2 alone.
+_PAST_THE_LIMIT_RAISES = {
+    "psd_sqrt": psd_sqrt,
+    "luders": luders,
+    "holevo-effect": lambda big: holevo(big, np.eye(len(big)) / len(big)),
+    "holevo-update-state": lambda big: holevo(np.eye(len(big)) / 2, big),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_a_spectrum_past_the_float64_limit_is_typed_at_every_d(d):
+    big, eye = np.full((d, d), 1e308), np.eye(d)
+    for site in _PAST_THE_LIMIT_RAISES.values():
+        with pytest.raises(NotPSDError, match="eigenvalue nan"):
+            site(big)
+    w, v = hermitian_eig(big)
+    assert w.shape == (d,) and v.shape == (d, d) and np.isnan(w).all() and np.isnan(v).all()
+    assert not loewner_leq(big, eye) and not loewner_leq(eye, big) and not is_atomic(big)
+    # In a stack, the sound matrix keeps the spectrum it has alone.
+    sound = np.diag(np.arange(d, dtype=float))
+    (w0, w1), (v0, v1) = hermitian_eig(np.stack([sound, big]))
+    assert all(np.array_equal(x, y) for x, y in zip((w0, v0), hermitian_eig(sound)))
+    assert np.isnan(w1).all() and np.isnan(v1).all()

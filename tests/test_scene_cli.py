@@ -6,6 +6,7 @@ and the CLI exit-code contract: 0 all passed, 1 failing checks or suites,
 2 malformed input / unknown names.
 """
 
+import copy
 import itertools
 import json
 import math
@@ -16,6 +17,7 @@ import pytest
 
 from qcond.cli import main
 from qcond.errors import (
+    SceneError,
     SceneParseError,
     SceneReferenceError,
     SceneValidationError,
@@ -390,6 +392,31 @@ def test_cli_rejects_a_3x3_effect_past_the_float64_limit(tmp_path, capsys):
         assert "below-identity" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_run_fails_the_checks_of_a_3x3_matrix_past_the_float64_limit(tmp_path, capsys):
+    # eigh raises numpy's LinAlgError on such a matrix from d = 3 on; each check fails typed.
+    scene = {
+        "objects": {"m": {"matrix": [[1e308] * 3] * 3}, "i": {"matrix": _I3}},
+        "checks": [
+            {"op": "psd_sqrt", "args": ["m"], "expect": _I3},
+            {"op": "loewner_leq", "args": ["m", "i"], "expect": True},
+        ],
+    }
+    report = tmp_path / "report.json"
+    assert main(["run", _write(tmp_path, scene), "--json", str(report)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    root, leq = json.loads(report.read_text())["checks"]
+    assert not root["passed"] and root["error"].startswith("NotPSDError:")
+    assert not leq["passed"] and leq["value"] is False
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_rejects_a_3x3_luders_effect_past_the_float64_limit(tmp_path, capsys):
+    path = _write(tmp_path, {"objects": {"l": {"luders": [[1e308] * 3] * 3}}, "checks": []})
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err == f"invalid {path}: object 'l': positive (by nan); below-identity (by nan)\n"
+
+
 def test_cli_validate_rejects_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
@@ -544,6 +571,66 @@ def test_a_scene_raises_its_first_fault(case):
     with pytest.raises(SceneValidationError) as exc:
         load_scene({"objects": objects, "checks": checks})
     assert str(exc.value) == message
+
+
+def _replace_first_matrix(literal, new):
+    """The object literal with its first matrix in reading order replaced by new(matrix).
+
+    None for a literal that no matrix of its own can make invalid: a plain
+    matrix, or the luders_of an observable.
+    """
+    [(kind, body)] = literal.items()
+    body = copy.deepcopy(body)
+    if kind in ("state", "effect", "luders"):
+        return {kind: new(body)}
+    if kind == "kraus":
+        body[0] = new(body[0])
+    elif kind == "holevo":
+        body["effect"] = new(body["effect"])
+    elif kind == "observable":
+        x = next(iter(body["effects"]))
+        body["effects"][x] = new(body["effects"][x])
+    elif kind == "instrument" and "ops" in body:
+        x = next(iter(body["ops"]))
+        body["ops"][x] = _replace_first_matrix(body["ops"][x], new)
+    elif kind == "instrument" and "holevo_of" in body:
+        alphas = body["holevo_of"]["alphas"]
+        x = next(iter(alphas))
+        alphas[x] = new(alphas[x])
+    else:
+        return None
+    return {kind: body}
+
+
+def _twice_identity(m):
+    return [[2.0 if r == c else 0.0 for c in range(len(m))] for r in range(len(m))]
+
+
+def _ragged(m):
+    return [*m[:-1], m[-1][:-1]]
+
+
+@pytest.mark.parametrize("path", [*SCENE_FILES, SCENE_DIR.parents[1] / "tests" / "scenes" / "every-op.json"],
+                         ids=lambda p: p.stem)
+def test_a_poisoned_scene_raises_the_fault_of_its_load_order_prefix(path):
+    # Two objects in load order (instruments last), one invalid and
+    # one malformed, in both orders: the scene raises what its objects up to
+    # the first poisoned one raise alone, whatever follows.
+    scene = json.loads(path.read_text())
+    objects = scene["objects"]
+    order = sorted(objects, key=lambda name: "instrument" in objects[name])
+    poisonable = [name for name in order if _replace_first_matrix(objects[name], _ragged) is not None]
+    assert len(poisonable) >= 3
+    for first, second in itertools.combinations(poisonable, 2):
+        for bad_first, bad_second in ((_twice_identity, _ragged), (_ragged, _twice_identity)):
+            poisoned = {**objects, first: _replace_first_matrix(objects[first], bad_first),
+                        second: _replace_first_matrix(objects[second], bad_second)}
+            prefix = {name: poisoned[name] for name in order[: order.index(first) + 1]}
+            with pytest.raises(SceneError) as alone:
+                load_scene({"tolerance": scene.get("tolerance"), "objects": prefix, "checks": []})
+            with pytest.raises(SceneError) as exc:
+                load_scene({**scene, "objects": poisoned})
+            assert (type(exc.value), str(exc.value)) == (type(alone.value), str(alone.value))
 
 
 def test_cli_run_passes_and_writes_json(tmp_path, capsys):
