@@ -17,6 +17,8 @@ Exit codes: 0 all passed, 1 at least one check/suite failed, 2 bad input
 QCOND_SEED, a --json path that cannot be written).  The seed
 defaults to the QCOND_SEED environment variable when set, otherwise 7;
 --seed always wins.  All reports are deterministic in (inputs, seed).
+numpy's floating-point warnings are off while a command runs: a value past
+the float64 limit shows as a typed error or a NaN residual instead.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InvalidValueError, QcondError, SceneError
 from .scene import load_scene, run_scene
@@ -182,11 +186,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_verify(args)
+        with np.errstate(all="ignore"):
+            if args.command == "validate":
+                return _cmd_validate(args)
+            if args.command == "run":
+                return _cmd_run(args)
+            return _cmd_verify(args)
     except QcondError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,17 +14,22 @@ each trial, in trial order, by the kind the table declares:
 - ``_ONCE``: a function returning a witness payload or None, called until
   it succeeds once in the run.
 
-The stacked trial contract: ``trial(gens, dim, ts)`` gets the generators
-``root.derive(dim, t)`` of trials ``ts``, seeded as one stack, and returns
+The stacked trial contract: each row of ``_SUITES`` declares a period, and
+``trial(gens, dim, ts)`` gets the generators ``root.derive(dim, t)`` of
+trials ``ts`` that share ``t % period``, seeded as one stack, and returns
 one row per trial.  Trial t draws only from its own generator, in the same
 order alone or in a stack, and no law value depends on which other trials
-share its stack, so results are chunk-invariant: the runner hands a dim's
-trials over in stacks of at most ``_STACK_TRIALS``, and one-trial stacks
-in any order give the same report bytes.  ``duality``,
-``sequential-product-bounds`` and ``composition-laws`` run their linear
-algebra once per stack, each residue class of t (which fixes the Kraus
-counts) as one stack, bit for bit as trial by trial; the other suites run a
-per-trial function through ``_per_trial``.
+share its stack, so results are chunk-invariant: the runner splits a dim's
+trials into chunks of at most ``_STACK_TRIALS``, each chunk into its
+residue classes, and one-trial stacks in any order give the same report
+bytes.  ``duality`` and ``sequential-product-bounds`` (period 3) and
+``composition-laws`` (period 2) fix their Kraus counts by t's class;
+``holevo-laws`` and both ``bayes2-luders`` suites read no t (period 1).
+These six run their linear algebra once per stack, bit for bit as trial by
+trial; only their state searches, pair retries and a few per-trial
+operations (conditional probabilities over a trial's states, compositions,
+Choi distances) loop over trials.  The other suites run a per-trial
+function through ``_per_trial``, with period 1.
 
 No law is compared with a tolerance inside a trial: the table holds every
 bound, and trials call the library at its default tolerance.  A trial
@@ -98,13 +103,14 @@ from .instruments import (
     measured_observable,
 )
 from .linalg import (
-    DEFAULT_TOL, _commutator_norms, _hermitian_part, _spectrum, commutator, frobenius,
-    trace_product,
+    DEFAULT_TOL, _commutator_norms, _hermitian_part, _spectrum, commutator, dagger, frobenius,
+    hermitian_eig, psd_sqrt, trace_product,
 )
 from .observables import jointly_commuting
 from .operations import (
     Operation,
     _conditional,
+    _holevo_kraus,
     _kraus_products,
     _kraus_sum,
     _measured,
@@ -115,7 +121,6 @@ from .operations import (
     bayes2_residual,
     luders,
     holevo,
-    sequential_product,
 )
 from .rand import (
     Generator,
@@ -129,7 +134,6 @@ from .rand import (
     _unitary,
     random_atomic_effect,
     random_atomic_observable,
-    random_codiagonal_effects,
     random_codiagonal_observable,
     random_effect,
     random_instrument_measuring,
@@ -268,17 +272,6 @@ class _Run:
         return out
 
 
-def _noncommuting_effect_pair(g: Generator, dim: int):
-    """Effects whose Lüders transports of each other visibly disagree."""
-    for _ in range(100):
-        a = random_effect(g, dim)
-        b = random_effect(g, dim)
-        gap = frobenius(sequential_product(luders(a), b) - sequential_product(luders(b), a))
-        if gap >= 1e-3:
-            return a, b
-    raise RetryExhaustedError("random effects kept commuting (or their gap was NaN) in 100 draws")
-
-
 def _usable_states(g: Generator, dim: int, count: int, budget: int, usable) -> np.ndarray:
     """The first count states of g.derive(0), ..., g.derive(budget - 1) that usable keeps.
 
@@ -316,12 +309,6 @@ def _first_hit(g: Generator, dim: int, score, threshold: float, first: int = 0):
     return None, best
 
 
-def _luders_closure_gap(a, b) -> float:
-    """Choi distance between L_a then L_b and the Lüders operation of a∘b."""
-    op_a = luders(a)
-    return choi_distance(compose(op_a, luders(b)), luders(sequential_product(op_a, b)))
-
-
 def _effects_gap(a, b) -> float:
     """Largest Frobenius distance between same-labelled effects, over b's outcomes."""
     return float(np.max([frobenius(a.effects[y] - b.effects[y]) for y in b.outcomes], initial=0.0))
@@ -352,26 +339,6 @@ def _per_trial(trial):
 
     def stacked(gens, dim, ts):
         return [trial(g, dim, t) for g, t in zip(gens, ts)]
-
-    return stacked
-
-
-def _by_residue(period: int, trial):
-    """The stacked form of a trial function that takes trials sharing t % period.
-
-    Those trials draw operations with the same Kraus counts, so each residue
-    class is one stack; the rows come back in the order of ts.
-    """
-
-    def stacked(gens, dim, ts):
-        rows: list = [None] * len(ts)
-        for r in range(period):
-            picked = [i for i, t in enumerate(ts) if t % period == r]
-            if picked:
-                group = trial([gens[i] for i in picked], dim, [ts[i] for i in picked])
-                for i, row in zip(picked, group):
-                    rows[i] = row
-        return rows
 
     return stacked
 
@@ -497,64 +464,136 @@ def _composition_laws(gens, dim, ts):
     ]
 
 
-def _bayes2_commuting(g, dim, t):
+def _codiagonal_pairs(gens, u: np.ndarray) -> np.ndarray:
+    """(n, 2, d, d): per trial, random_codiagonal_effects's pair, drawn after its unitary u[s].
+
+    Each generator draws the pair's two uniform(0, 1, d) spectra in one call, the same numbers.
+    """
+    spectra = np.stack([g.uniform(0.0, 1.0, 2, u.shape[-1]) for g in gens])
+    return (u[:, None] * spectra[:, :, None, :]) @ dagger(u)[:, None]
+
+
+def _luders_pairs(pairs: np.ndarray):
+    """Roots [√a, √b] and sequential products [√a b √a, √b a √b] of an (n, 2, d, d) stack of pairs.
+
+    One psd_sqrt and one dual transport over the stack, each (n, 2, d, d).
+    """
+    dim = pairs.shape[-1]
+    roots = psd_sqrt(pairs.reshape(-1, dim, dim))
+    products = _dual(roots[:, None], pairs[:, ::-1].reshape(-1, dim, dim))
+    return roots.reshape(pairs.shape), products.reshape(pairs.shape)
+
+
+def _noncommuting_pairs(gens, dim: int):
+    """Per trial, random effects a, b whose Lüders transports of each other visibly disagree.
+
+    Returns the (n, 2, d, d) stacks of the pairs and their ``_luders_pairs``
+    roots and products.  Each trial draws pairs until the Frobenius gap
+    between its two products is at least 1e-3 (a NaN gap never is), at most
+    100 times.  The first pairs are drawn and screened as one stack; only
+    the rare trials below the gap retry, one by one.
+    """
+    pairs = _unit_spectrum(_hermitian_part(_draws(gens, 2, dim, dim)))
+    roots, products = _luders_pairs(pairs)
+    for s in range(len(gens)):
+        tries = 1
+        while not frobenius(products[s, 0] - products[s, 1]) >= 1e-3:
+            if tries == 100:
+                raise RetryExhaustedError("random effects kept commuting (or their gap was NaN) in 100 draws")
+            pairs[s] = _unit_spectrum(_hermitian_part(_draws(gens[s : s + 1], 2, dim, dim)))
+            [roots[s]], [products[s]] = _luders_pairs(pairs[s : s + 1])
+            tries += 1
+    return pairs, roots, products
+
+
+def _luders_ops(roots: np.ndarray) -> list:
+    """Per trial, the Lüders operations (L_a, L_b) of an (n, 2, d, d) stack of roots [√a, √b]."""
+    return [(Operation._adopt(r[:1]), Operation._adopt(r[1:])) for r in roots]
+
+
+def _bayes2_commuting(gens, dim, ts):
     """Second Bayes rule holds for co-diagonal Lüders pairs, 20 states each."""
-    a, b = random_codiagonal_effects(g, dim)
-    op_a = luders(a)
-    op_b = luders(b)
-    states = _usable_states(
-        g, dim, 20, SEARCH_BUDGET, lambda s: (prob(s, a) > 1e-6) & (prob(s, b) > 1e-6)
-    )
-    values = {
-        "bayes2": float(np.max(bayes2_residual(states, op_a, op_b), initial=0.0)),
-        "twenty-states-checked": len(states) == 20,
-    }
-    return values, {"dim": dim, "a": a, "b": b}
+    pairs = _codiagonal_pairs(gens, _unitary(_draws(gens, 1, dim, dim)[:, 0]))
+    rows = []
+    for g, (a, b), (op_a, op_b) in zip(gens, pairs, _luders_ops(_luders_pairs(pairs)[0])):
+        states = _usable_states(
+            g, dim, 20, SEARCH_BUDGET, lambda s: (prob(s, a) > 1e-6) & (prob(s, b) > 1e-6)
+        )
+        values = {
+            "bayes2": float(np.max(bayes2_residual(states, op_a, op_b), initial=0.0)),
+            "twenty-states-checked": len(states) == 20,
+        }
+        rows.append((values, {"dim": dim, "a": a, "b": b}))
+    return rows
 
 
-def _bayes2_noncommuting(g, dim, t):
+def _bayes2_noncommuting(gens, dim, ts):
     """Search: every non-commuting Lüders pair should expose a violating state."""
-    a, b = _noncommuting_effect_pair(g, dim)
-    op_a = luders(a)
-    op_b = luders(b)
+    pairs, roots, _ = _noncommuting_pairs(gens, dim)
+    rows = []
+    for g, (a, b), (op_a, op_b) in zip(gens, pairs, _luders_ops(roots)):
 
-    def residuals(states):
-        # States where either conditioning probability vanishes are skipped (0).
-        usable = (prob(states, a) > DEFAULT_TOL.eq_tol) & (prob(states, b) > DEFAULT_TOL.eq_tol)
-        r = np.zeros(len(states))
-        r[usable] = bayes2_residual(states[usable], op_a, op_b)
-        return r
+        def residuals(states):
+            # States where either conditioning probability vanishes are skipped (0).
+            usable = (prob(states, a) > DEFAULT_TOL.eq_tol) & (prob(states, b) > DEFAULT_TOL.eq_tol)
+            r = np.zeros(len(states))
+            r[usable] = bayes2_residual(states[usable], op_a, op_b)
+            return r
 
-    witness = {"dim": dim, "a": a, "b": b}
-    state, best = _first_hit(g, dim, residuals, WITNESS_MARGIN)
-    if state is not None:
-        witness.update(state=state, residual=best)
-    return {"bayes2-violated": best}, witness
+        witness = {"dim": dim, "a": a, "b": b}
+        state, best = _first_hit(g, dim, residuals, WITNESS_MARGIN)
+        if state is not None:
+            witness.update(state=state, residual=best)
+        rows.append(({"bayes2-violated": best}, witness))
+    return rows
 
 
-def _holevo_laws(g, dim, t):
-    """Holevo conditional probabilities and composition; Lüders (non-)closure."""
-    a = random_effect(g, dim)
-    alpha = random_state(g, dim)
-    op_h = holevo(a, alpha)
-    b = random_effect(g, dim)
+def _holevo_laws(gens, dim, ts):
+    """Holevo conditional probabilities and composition; Lüders (non-)closure.
+
+    Per trial, the Holevo operations of (a, alpha), (tr(alpha b) a, beta)
+    and (b, beta) come from one spectrum stack of the effects, one of the
+    states and one Kraus union.  The Lüders closure gaps of the
+    non-commuting and the co-diagonal pair take the roots and products of
+    ``_luders_pairs`` and one psd_sqrt of both pairs' a∘b = √a b √a.
+    """
+    n = len(gens)
+    draws = _draws(gens, 5, dim, dim)
+    a, b = _unit_spectrum(_hermitian_part(draws[:, [0, 2]])).swapaxes(0, 1)
+    alpha, beta = _normalized_gram(draws[:, [1, 3]]).swapaxes(0, 1)
+    codiagonal = _codiagonal_pairs(gens, _unitary(draws[:, 4]))
+    pairs, roots, products = _noncommuting_pairs(gens, dim)
+
     expected = trace_product(alpha, b).real
-    states = _usable_states(g, dim, 50, 500, lambda s: prob(s, a) >= 1e-2)
-    beta = random_state(g, dim)
-    predicted = holevo(expected * a, beta)
-    ac, bc = random_codiagonal_effects(g, dim)
-    an, bn = _noncommuting_effect_pair(g, dim)
-    gap_open = _luders_closure_gap(an, bn)
-    values = {
-        "conditional-prob-is-alpha-b": float(
-            np.max(np.abs(conditional_prob(states, op_h, b) - expected), initial=0.0)
-        ),
-        "fifty-states-checked": len(states) == 50,
-        "holevo-composition": choi_distance(compose(op_h, holevo(b, beta)), predicted),
-        "luders-closed-when-commuting": _luders_closure_gap(ac, bc),
-        "luders-open-when-noncommuting": gap_open > WITNESS_MARGIN,
-    }
-    return values, {"dim": dim, "a": a, "alpha": alpha, "b": b, "luders_gap": gap_open}
+    nu, v = hermitian_eig(np.stack((a, expected[:, None, None] * a, b), axis=1).reshape(-1, dim, dim))
+    mu, w = hermitian_eig(np.stack((alpha, beta), axis=1).reshape(-1, dim, dim))
+    updates = (2 * np.arange(n)[:, None] + [0, 1, 1]).ravel()  # alpha, beta, beta
+    kraus, counts = _holevo_kraus(nu, v, mu[updates], w[updates], DEFAULT_TOL)
+    ops = [Operation._adopt(k) for k in np.split(kraus, np.cumsum(counts)[:-1])]
+
+    # L_a then L_b has the one Kraus operator √b √a; a∘b's Lüders operation has √(√a b √a).
+    c_roots, c_products = _luders_pairs(codiagonal)
+    both = np.concatenate((roots, c_roots))
+    firsts = _kraus_products(both[:, :1], both[:, 1:])
+    closures = psd_sqrt(np.concatenate((products[:, 0], c_products[:, 0])))[:, None]
+    gaps = [choi_distance(Operation._adopt(x), Operation._adopt(y)) for x, y in zip(firsts, closures)]
+
+    rows = []
+    for s, g in enumerate(gens):
+        op_h, predicted, op_hb = ops[3 * s : 3 * s + 3]
+        states = _usable_states(g, dim, 50, 500, lambda m: prob(m, a[s]) >= 1e-2)
+        values = {
+            "conditional-prob-is-alpha-b": float(
+                np.max(np.abs(conditional_prob(states, op_h, b[s]) - expected[s]), initial=0.0)
+            ),
+            "fifty-states-checked": len(states) == 50,
+            "holevo-composition": choi_distance(compose(op_h, op_hb), predicted),
+            "luders-closed-when-commuting": gaps[n + s],
+            "luders-open-when-noncommuting": gaps[s] > WITNESS_MARGIN,
+        }
+        witness = {"dim": dim, "a": a[s], "alpha": alpha[s], "b": b[s], "luders_gap": gaps[s]}
+        rows.append((values, witness))
+    return rows
 
 
 def _conditioning_laws(g, dim, t):
@@ -768,57 +807,57 @@ def _entropy(g, dim, t):
     return values, {"dim": dim, "state": rho, "a": a, "b": b}
 
 
-#: suite name -> (stacked trial function, {law: kind}); the order salts each suite's stream.
+#: suite name -> (stacked trial function, period, {law: kind}); the order salts each suite's stream.
 _SUITES = {
-    "duality": (_by_residue(3, _duality), {"duality": 1.0}),
-    "sequential-product-bounds": (_by_residue(3, _sequential_product_bounds), {
+    "duality": (_duality, 3, {"duality": 1.0}),
+    "sequential-product-bounds": (_sequential_product_bounds, 3, {
         "transport-below-effect": 10.0,
         "sharp-transport-commutes": 10.0,
         "atomic-transport-proportional": 10.0,
         "atomic-coefficient-in-unit-interval": 0.1,
     }),
-    "composition-laws": (_by_residue(2, _composition_laws), {
+    "composition-laws": (_composition_laws, 2, {
         "dual-of-composite": 1.0,
         "composite-measures-sequential-effect": 1.0,
         "sequential-products-associate": 1.0,
         "conditional-probability-chain": 1.0,
     }),
-    "bayes2-luders-commuting": (_per_trial(_bayes2_commuting), {
+    "bayes2-luders-commuting": (_bayes2_commuting, 1, {
         "bayes2": 1.0,
         "twenty-states-checked": _HOLDS,
     }),
-    "bayes2-luders-noncommuting": (_per_trial(_bayes2_noncommuting), {"bayes2-violated": _SEARCH}),
-    "holevo-laws": (_per_trial(_holevo_laws), {
+    "bayes2-luders-noncommuting": (_bayes2_noncommuting, 1, {"bayes2-violated": _SEARCH}),
+    "holevo-laws": (_holevo_laws, 1, {
         "conditional-prob-is-alpha-b": 0.1,
         "fifty-states-checked": _HOLDS,
         "holevo-composition": 1.0,
         "luders-closed-when-commuting": 1.0,
         "luders-open-when-noncommuting": _HOLDS,
     }),
-    "conditioning-laws": (_per_trial(_conditioning_laws), {
+    "conditioning-laws": (_per_trial(_conditioning_laws), 1, {
         "measures-conditioned-observable": 1.0,
         "conditioning-chains": 1.0,
         "bar-of-composite": 1.0,
         "composite-marginals": 1.0,
     }),
-    "bayes1": (_per_trial(_bayes1), {
+    "bayes1": (_per_trial(_bayes1), 1, {
         "bayes1-probability": 1.0,
         "bayes1-expectation": 1.0,
         "closed-form": 1.0,
     }),
-    "atomic-context": (_per_trial(_atomic_context), {
+    "atomic-context": (_per_trial(_atomic_context), 1, {
         "codiagonal-pair-commutes": _HOLDS,
         "context-is-atomic": _HOLDS,
         "context-fixes-pair": 10.0,
         "noncommuting-rejected": _HOLDS,
         "conditioned-family-commutes": 10.0,
     }),
-    "uncertainty": (_per_trial(_uncertainty), {
+    "uncertainty": (_per_trial(_uncertainty), 1, {
         "uncertainty-identity": 1.0,
         "uncertainty-inequality": 1.0,
         "closed-forms": 1.0,
     }),
-    "entropy": (_per_trial(_entropy), {
+    "entropy": (_per_trial(_entropy), 1, {
         "effect-entropy-nonnegative": _HOLDS,
         "dominated-sequential-below-conditional": 1.0,
         "undominated-has-reversal": _HOLDS,
@@ -834,30 +873,45 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
+def _size(name: str, value) -> int:
+    """value as an int when it is one (a numpy integer too, a bool not); else SuiteArgumentError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SuiteArgumentError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def run_suite(name: str, dims=(2, 3), trials: int = 25, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Run one registered suite and return its (deterministic) report.
 
     Bounded laws are judged against their table entry × the default eq_tol.
     Raises UnknownSuiteError for an unregistered name and SuiteArgumentError
-    for dims below 2 or a negative trial count.
+    for dims or a trial count that are not integers, dims below 2 or a
+    negative trial count.
     """
     if name not in _SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}"
         )
-    dims = [int(d) for d in dims]
-    trials = int(trials)
+    try:
+        dims = [_size("dims", d) for d in dims]
+    except TypeError:  # not iterable
+        raise SuiteArgumentError(f"dims must be a sequence of integers, got {dims!r}") from None
+    trials = _size("trials", trials)
     if any(d < 2 for d in dims):
         raise SuiteArgumentError("dims must all be >= 2")
     if trials < 0:
         raise SuiteArgumentError(f"trials must be >= 0, got {trials}")
-    trial, laws = _SUITES[name]
+    trial, period, laws = _SUITES[name]
     run = _Run(SuiteReport(name, int(seed), dims, 0, 0, [], 0.0), laws)
     # Salt the stream with the suite index so suites see unrelated objects.
     root = Generator(seed).derive(SUITE_NAMES.index(name))
     for dim in dims:
         for first in range(0, trials, _STACK_TRIALS):
             ts = list(range(first, min(first + _STACK_TRIALS, trials)))
-            for values, witness in trial(root._derive_stack((dim,), first, len(ts)), dim, ts):
+            gens = root._derive_stack((dim,), first, len(ts))
+            rows: list = [None] * len(ts)
+            for r in range(min(period, len(ts))):  # ts[r::period] is one residue class of t
+                rows[r::period] = trial(gens[r::period], dim, ts[r::period])
+            for values, witness in rows:
                 run.judge(values, witness)
     return run.finish()

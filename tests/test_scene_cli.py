@@ -10,8 +10,11 @@ import copy
 import itertools
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -415,6 +418,18 @@ def test_cli_rejects_a_3x3_luders_effect_past_the_float64_limit(tmp_path, capsys
     path = _write(tmp_path, {"objects": {"l": {"luders": [[1e308] * 3] * 3}}, "checks": []})
     assert main(["validate", path]) == 2
     assert capsys.readouterr().err == f"invalid {path}: object 'l': positive (by nan); below-identity (by nan)\n"
+
+
+def test_cli_prints_no_numpy_warning_before_the_typed_error(tmp_path):
+    # A fresh process, so numpy's RuntimeWarnings would reach stderr unfiltered.
+    path = _write(tmp_path, {"objects": {"l": {"luders": [[1e308] * 3] * 3}}, "checks": []})
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from qcond.cli import main; sys.exit(main())", "validate", path],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert done.stderr == f"invalid {path}: object 'l': positive (by nan); below-identity (by nan)\n"
 
 
 def test_cli_validate_rejects_malformed(tmp_path, capsys):

@@ -66,6 +66,29 @@ def test_negative_trials_raise_a_typed_error():
         run_suite("duality", dims=(2, 1), trials=1)
 
 
+@pytest.mark.parametrize("dims, trials, argument", (
+    ((2.7,), 2.9, "dims"),
+    ((2,), 2.9, "trials"),
+    (("x",), 2, "dims"),
+    ((2,), True, "trials"),
+    ((True, 2), 2, "dims"),
+    ((2,), "3", "trials"),
+    (3, 2, "dims"),
+))
+def test_sizes_that_are_not_integers_raise_a_typed_error_naming_them(dims, trials, argument):
+    with pytest.raises(SuiteArgumentError, match=f"^{argument}") as info:
+        run_suite("duality", dims=dims, trials=trials)
+    assert isinstance(info.value, QcondError)
+
+
+def test_numpy_integer_sizes_run_as_ints():
+    report = run_suite("duality", dims=(np.int64(2), np.uint8(3)), trials=np.int32(3), seed=7)
+    assert report.dims == [2, 3] and report.trials == 6
+    assert [type(d) for d in report.dims] == [int, int]
+    as_ints = run_suite("duality", dims=(2, 3), trials=3, seed=7)
+    assert json.dumps(report.to_json()) == json.dumps(as_ints.to_json())
+
+
 def test_noncommuting_search_reports_witnesses():
     report = run_suite("bayes2-luders-noncommuting", dims=(2,), trials=50, seed=7)
     assert report.ok
@@ -106,7 +129,7 @@ def test_trial_order_does_not_change_the_report(name):
     # stacks in shuffled order and judging them in order must give the bytes
     # of run_suite, which hands each dim's trials over as one stack.
     dims, trials, seed = (2, 3), 6, 7
-    trial, laws = suites._SUITES[name]
+    trial, _period, laws = suites._SUITES[name]
     root = Generator(seed).derive(SUITE_NAMES.index(name))
     keys = [(dim, t) for dim in dims for t in range(trials)]
     shuffled = Generator(2024).shuffled(keys)
@@ -212,7 +235,7 @@ def test_runner_judges_laws_by_their_declared_kind(monkeypatch):
         "skippable": 0.1,
         "found-once": suites._ONCE,
     }
-    monkeypatch.setitem(suites._SUITES, "duality", (suites._per_trial(trial), laws))
+    monkeypatch.setitem(suites._SUITES, "duality", (suites._per_trial(trial), 1, laws))
     report = run_suite("duality", dims=(2,), trials=4, seed=7)
     assert [(f.trial, f.laws, f.residual) for f in report.failures] == [
         (1, ["large"], 0.25),
@@ -262,7 +285,7 @@ def test_uncertainty_trial_computes_its_moments_once(monkeypatch):
 
 def test_undeclared_law_raises(monkeypatch):
     trial = lambda g, dim, t: ({"duality": 0.0, "no-such-law": 0.0}, {})  # noqa: E731
-    monkeypatch.setitem(suites._SUITES, "duality", (suites._per_trial(trial), {"duality": 1.0}))
+    monkeypatch.setitem(suites._SUITES, "duality", (suites._per_trial(trial), 1, {"duality": 1.0}))
     with pytest.raises(KeyError, match="no-such-law"):
         run_suite("duality", dims=(2,), trials=1)
 
