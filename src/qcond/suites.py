@@ -885,8 +885,8 @@ def run_suite(name: str, dims=(2, 3), trials: int = 25, seed: int = DEFAULT_SEED
 
     Bounded laws are judged against their table entry × the default eq_tol.
     Raises UnknownSuiteError for an unregistered name and SuiteArgumentError
-    for dims or a trial count that are not integers, dims below 2 or a
-    negative trial count.
+    for dims, a trial count or a seed that are not integers, dims below 2 or
+    a negative trial count.
     """
     if name not in _SUITES:
         raise UnknownSuiteError(
@@ -897,12 +897,13 @@ def run_suite(name: str, dims=(2, 3), trials: int = 25, seed: int = DEFAULT_SEED
     except TypeError:  # not iterable
         raise SuiteArgumentError(f"dims must be a sequence of integers, got {dims!r}") from None
     trials = _size("trials", trials)
+    seed = _size("seed", seed)
     if any(d < 2 for d in dims):
         raise SuiteArgumentError("dims must all be >= 2")
     if trials < 0:
         raise SuiteArgumentError(f"trials must be >= 0, got {trials}")
     trial, period, laws = _SUITES[name]
-    run = _Run(SuiteReport(name, int(seed), dims, 0, 0, [], 0.0), laws)
+    run = _Run(SuiteReport(name, seed, dims, 0, 0, [], 0.0), laws)
     # Salt the stream with the suite index so suites see unrelated objects.
     root = Generator(seed).derive(SUITE_NAMES.index(name))
     for dim in dims:

@@ -66,25 +66,28 @@ def test_negative_trials_raise_a_typed_error():
         run_suite("duality", dims=(2, 1), trials=1)
 
 
-@pytest.mark.parametrize("dims, trials, argument", (
-    ((2.7,), 2.9, "dims"),
-    ((2,), 2.9, "trials"),
-    (("x",), 2, "dims"),
-    ((2,), True, "trials"),
-    ((True, 2), 2, "dims"),
-    ((2,), "3", "trials"),
-    (3, 2, "dims"),
+@pytest.mark.parametrize("dims, trials, seed, argument", (
+    ((2.7,), 2.9, 7, "dims"),
+    ((2,), 2.9, 7, "trials"),
+    (("x",), 2, 7, "dims"),
+    ((2,), True, 7, "trials"),
+    ((True, 2), 2, 7, "dims"),
+    ((2,), "3", 7, "trials"),
+    (3, 2, 7, "dims"),
+    ((2,), 2, 7.9, "seed"),
+    ((2,), 2, True, "seed"),
+    ((2,), 2, "x", "seed"),
 ))
-def test_sizes_that_are_not_integers_raise_a_typed_error_naming_them(dims, trials, argument):
+def test_sizes_that_are_not_integers_raise_a_typed_error_naming_them(dims, trials, seed, argument):
     with pytest.raises(SuiteArgumentError, match=f"^{argument}") as info:
-        run_suite("duality", dims=dims, trials=trials)
+        run_suite("duality", dims=dims, trials=trials, seed=seed)
     assert isinstance(info.value, QcondError)
 
 
 def test_numpy_integer_sizes_run_as_ints():
-    report = run_suite("duality", dims=(np.int64(2), np.uint8(3)), trials=np.int32(3), seed=7)
-    assert report.dims == [2, 3] and report.trials == 6
-    assert [type(d) for d in report.dims] == [int, int]
+    report = run_suite("duality", dims=(np.int64(2), np.uint8(3)), trials=np.int32(3), seed=np.int16(7))
+    assert report.dims == [2, 3] and report.trials == 6 and report.seed == 7
+    assert [type(x) for x in (*report.dims, report.seed)] == [int, int, int]
     as_ints = run_suite("duality", dims=(2, 3), trials=3, seed=7)
     assert json.dumps(report.to_json()) == json.dumps(as_ints.to_json())
 
