@@ -20,7 +20,11 @@ import platform
 
 import numpy as np
 import pytest
-from numpy._core._multiarray_umath import __cpu_features__
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x: the environment never matches, so only counts are compared
+    __cpu_features__ = {}
 
 from qcond.suites import run_suite
 
