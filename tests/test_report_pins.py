@@ -1,10 +1,11 @@
-"""Pinned report bytes of the suites that run each kernel once per stack.
+"""Pinned report bytes of every suite and every committed scene.
 
-``holevo-laws`` and the two ``bayes2-luders`` suites draw and judge a dim's
-trials as one stack, and must write the reports the trial-by-trial code
-wrote.  ``report_pins.json`` holds, per run, the sha256 of the report's JSON
-(sorted keys) and its verdict and counts, with the environment that wrote
-it.  Round-off depends on numpy, its BLAS and the SIMD extensions numpy
+A refactor of the library or of the suites must leave each report as it
+was: every suite at dims 2,3 and at d = 5 (25 trials, seed 7), and the
+``qcond run`` report of each ``docs/scenes`` file and of
+``tests/scenes/every-op.json``.  ``report_pins.json`` holds, per run, the
+sha256 of the report's JSON (sorted keys) and its verdict and counts, with
+the environment that wrote it.  Round-off depends on numpy, its BLAS and the SIMD extensions numpy
 finds on the CPU, so digests are compared only in that environment; the
 verdicts and counts are compared everywhere.
 
@@ -15,6 +16,7 @@ To rewrite the file (only when a report is meant to change)::
 
 import hashlib
 import json
+import os
 import pathlib
 import platform
 
@@ -26,14 +28,17 @@ try:
 except ImportError:  # numpy 1.x: the environment never matches, so only counts are compared
     __cpu_features__ = {}
 
-from qcond.suites import run_suite
+from qcond.scene import load_scene, run_scene
+from qcond.suites import SUITE_NAMES, run_suite
 
-PINS = pathlib.Path(__file__).resolve().parent / "report_pins.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PINS = ROOT / "tests" / "report_pins.json"
 SEED = 7
-RUNS = [
-    (name, dims, 25)
-    for name in ("holevo-laws", "bayes2-luders-commuting", "bayes2-luders-noncommuting")
-    for dims in ((2, 3), (5,))
+RUNS = [(name, dims, 25) for name in SUITE_NAMES for dims in ((2, 3), (5,))]
+#: Each scene as ``qcond run`` names it from the checkout's root, so its report's path is the same everywhere.
+SCENES = [
+    str(path.relative_to(ROOT))
+    for path in (*sorted((ROOT / "docs" / "scenes").glob("*.json")), ROOT / "tests" / "scenes" / "every-op.json")
 ]
 
 
@@ -51,11 +56,14 @@ def _key(name, dims, trials) -> str:
     return f"{name} dims={','.join(map(str, dims))} trials={trials} seed={SEED}"
 
 
+def _digest(payload: dict) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def _pin(name, dims, trials) -> dict:
     report = run_suite(name, dims, trials, SEED)
-    text = json.dumps(report.to_json(), sort_keys=True)
     return {
-        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "sha256": _digest(report.to_json()),
         "ok": report.ok,
         "passes": report.passes,
         "failures": len(report.failures),
@@ -64,15 +72,18 @@ def _pin(name, dims, trials) -> dict:
     }
 
 
+def _scene_pin(scene: str) -> dict:
+    """The pin of ``qcond run scene``'s report; scene is relative to the working directory."""
+    report = run_scene(load_scene(scene)).to_json()
+    return {"sha256": _digest(report), **{k: report[k] for k in ("passed", "total", "failed")}}
+
+
 @pytest.fixture(scope="module")
 def pins():
     return json.loads(PINS.read_text())
 
 
-@pytest.mark.parametrize("run", RUNS, ids=lambda run: _key(*run))
-def test_a_restacked_report_keeps_its_pinned_bytes(pins, run):
-    pinned = pins["reports"][_key(*run)]
-    got = _pin(*run)
+def _assert_pinned(pins, got: dict, pinned: dict) -> None:
     assert {k: v for k, v in got.items() if k != "sha256"} == {
         k: v for k, v in pinned.items() if k != "sha256"
     }
@@ -80,6 +91,20 @@ def test_a_restacked_report_keeps_its_pinned_bytes(pins, run):
         assert got["sha256"] == pinned["sha256"]
 
 
+@pytest.mark.parametrize("run", RUNS, ids=lambda run: _key(*run))
+def test_a_restacked_report_keeps_its_pinned_bytes(pins, run):
+    _assert_pinned(pins, _pin(*run), pins["reports"][_key(*run)])
+
+
+@pytest.mark.parametrize("scene", SCENES)
+def test_a_scene_report_keeps_its_pinned_bytes(pins, scene, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    _assert_pinned(pins, _scene_pin(scene), pins["scenes"][scene])
+
+
 if __name__ == "__main__":
-    payload = {"environment": _environment(), "reports": {_key(*run): _pin(*run) for run in RUNS}}
+    reports = {_key(*run): _pin(*run) for run in RUNS}
+    os.chdir(ROOT)
+    scenes = {scene: _scene_pin(scene) for scene in SCENES}
+    payload = {"environment": _environment(), "reports": reports, "scenes": scenes}
     PINS.write_text(json.dumps(payload, indent=2) + "\n")
