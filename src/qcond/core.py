@@ -2,8 +2,8 @@
 
 A state is a density matrix (PSD, unit trace); an effect is a Hermitian
 matrix with spectrum inside [0, 1].  Both are plain complex ndarrays.
-``prob`` also takes an (n, d, d) stack of states and returns one
-probability per state.
+``prob`` also takes an (n, d, d) stack of states, or one state and a stack
+of effects, and returns one probability per matrix of the stack.
 Validation is explicit and diagnostic: ``validate_state`` / ``validate_effect``
 return a list of :class:`Violation` records naming each broken invariant and
 by how much, so callers (and the scene runner) can report precisely why an
@@ -190,7 +190,8 @@ def prob(rho, a, tol: Tolerance = DEFAULT_TOL):
     """Outcome probability tr(rho a), clamping round-off negatives in [-eq_tol, 0) to 0.
 
     rho is one state, giving a float, or an (n, d, d) stack of states, giving
-    the (n,) array of their probabilities from one contraction.
+    the (n,) array of their probabilities from one contraction, as one state
+    does against an (n, d, d) stack of effects (its distribution).
     """
     return _zero_round_off(trace_product(rho, a).real, tol)
 

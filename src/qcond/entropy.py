@@ -4,9 +4,10 @@ The entropy of effect a at state rho is -p ln(p / t) with p = tr(rho a) and
 t = tr(a).  Since p <= t it is non-negative, and a term below -eq_tol (a not
 an effect) is returned as it is.  Conventions at the boundary: a term with
 p <= eq_tol contributes 0 (the p -> 0 limit), and an effect with t <= eq_tol
-contributes 0.  The three effect entropies take one state (a
-float result) or an (n, d, d) stack of states (one value per state); their
-probabilities go through the dual, so a stack costs one dual_apply.
+contributes 0.  The three effect entropies take one state (a float result)
+or an (n, d, d) stack of states (one value per state); their probabilities
+go through the dual, so a stack costs one dual_apply, as does an effect
+stack: an observable's entropy is one ``_term`` over it, summed in order.
 
 Two inequivalent conditionings exist for observables.  The *double-bar*
 entropy substitutes the bar-channel image of the state into the plain
@@ -21,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from .core import _per_state, _zero_round_off, prob
-from .instruments import Instrument, condition_state
+from .instruments import Instrument, condition_observable, condition_state
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
-from .operations import Operation, _kraus_sum, dual_apply
+from .operations import Operation, dual_apply
 
 __all__ = [
     "effect_entropy",
@@ -36,13 +37,15 @@ __all__ = [
 ]
 
 
-def _term(p, t: float, tol: Tolerance):
+def _term(p, t, tol: Tolerance):
     """-p ln(p/t) for each probability p (a float or an (n,) array), 0 at the boundaries.
 
-    Only round-off negatives within eq_tol become 0: a larger one means p > t.
+    t is a float, or an effect stack's (n,) array of traces.  Only round-off
+    negatives within eq_tol become 0: a larger one means p > t.
     """
     live = (p > tol.eq_tol) & (t > tol.eq_tol)
-    t = max(t, tol.eq_tol)  # a dead term's ratio is then 1, its log 0
+    # a dead term's ratio is then 1, its log 0; a float keeps Python's max, not numpy's
+    t = np.maximum(t, tol.eq_tol) if isinstance(t, np.ndarray) else max(t, tol.eq_tol)
     h = -p * np.log(np.where(live, p, t) / t)
     return _per_state(_zero_round_off(h * live, tol))
 
@@ -71,6 +74,17 @@ def conditional_effect_entropy(rho, op: Operation, b, tol: Tolerance = DEFAULT_T
     return _term(prob(rho, dual_apply(op, b), tol), float(np.trace(b).real), tol)
 
 
+def _entropy_gap(rho, transported: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    """Sequential minus conditional entropy of b at rho (or each state of a stack); transported is dual(b)."""
+    p = prob(rho, transported, tol)
+    return _term(p, float(np.trace(transported).real), tol) - _term(p, float(np.trace(b).real), tol)
+
+
+def _dominated(transported: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """``sequential_entropy_dominated`` from b and its image under the operation's dual."""
+    return bool(float(np.trace(transported).real) <= float(np.trace(b).real) + tol.eq_tol)
+
+
 def sequential_entropy_dominated(op: Operation, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Does sequential entropy stay below conditional entropy for *every* state?
 
@@ -78,14 +92,13 @@ def sequential_entropy_dominated(op: Operation, b, tol: Tolerance = DEFAULT_TOL)
     numerator, and the entropy term grows with the denominator trace.
     """
     b = as_matrix(b)
-    t_seq = float(np.trace(dual_apply(op, b)).real)
-    return bool(t_seq <= float(np.trace(b).real) + tol.eq_tol)
+    return _dominated(dual_apply(op, b), b, tol)
 
 
 def observable_entropy(rho, b, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Sum of the effect entropies over the outcome set."""
-    rho = as_matrix(rho)
-    return float(sum(effect_entropy(rho, b.effects[y], tol) for y in b.outcomes))
+    """Sum of the effect entropies over the outcome set, added in outcome order by Python's sum."""
+    terms = _term(prob(as_matrix(rho), b.stack, tol), np.trace(b.stack, axis1=1, axis2=2).real, tol)
+    return float(sum(terms.tolist()))
 
 
 def conditional_observable_entropy_double(
@@ -98,11 +111,5 @@ def conditional_observable_entropy_double(
 def conditional_observable_entropy_single(
     rho, ins: Instrument, b, tol: Tolerance = DEFAULT_TOL
 ) -> float:
-    """Single-bar conditioning: summed effect entropies of the conditioned observable.
-
-    B's effects go through the instrument's total dual as one stack, as
-    ``condition_observable`` transports them, each equal bit for bit to its
-    ``condition_effect``.
-    """
-    rho = as_matrix(rho)
-    return float(sum(effect_entropy(rho, m, tol) for m in _kraus_sum(ins.kraus, b.stack, dual=True)))
+    """Single-bar conditioning: the summed effect entropies of the conditioned observable (B | A)."""
+    return observable_entropy(rho, condition_observable(b, ins), tol)

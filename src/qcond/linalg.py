@@ -201,17 +201,18 @@ def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
 def trace_product(a, b):
     """tr(a @ b) without forming the product matrix.
 
-    ``a`` may also be an (n, d, d) stack, and then ``b`` one matrix or an
-    (n, d, d) stack too: the result is the (n,) complex array of tr(a[s] @ b)
-    or tr(a[s] @ b[s]), from one contraction over the stack.
+    Either operand may also be an (n, d, d) stack, or both, of one length:
+    the result is the (n,) complex array of tr(a[s] @ b), tr(a @ b[s]) or
+    tr(a[s] @ b[s]) from one contraction, equal bit for bit to one call per
+    matrix (but not always to tr(b @ a), the operands swapped).
     """
     a = _complex_array(a)
     b = _complex_array(b)
     if (
         a.ndim not in (2, 3)
-        or b.ndim not in (2, a.ndim)
+        or b.ndim not in (2, 3)
         or a.shape[-2:] != b.shape[-2:][::-1]
-        or b.ndim == 3 and len(a) != len(b)
+        or a.ndim == b.ndim == 3 and len(a) != len(b)
     ):
         raise DimMismatchError(f"cannot trace product of shapes {a.shape} and {b.shape}")
     out = np.einsum("...ij,...ji->...", a, b)

@@ -9,7 +9,9 @@ reports) is deterministic.
 A family holds its effects once, as one read-only (n, d, d) stack in outcome
 order, as an instrument holds its Kraus operators: ``effects[x]`` is a view
 of outcome x's row, and every kernel that maps over the family reads the
-stack; the validators judge the stack and the total in one kernel call.
+stack; the validators judge the stack and the total in one kernel call, and
+a distribution is one ``prob`` of it.  A distance between two families stays
+one ``frobenius`` per outcome, which a stacked norm misses in the last bit.
 A :class:`RealValuedObservable` is an Observable that also carries a
 real value per outcome; it shares the stack of the observable it is built
 from, so a family can be re-valued without rebuilding it.  Its expectations
@@ -196,16 +198,18 @@ def povm(a: SubObservable, delta: Iterable[str]) -> np.ndarray:
     for x in labels:
         if x not in a.effects:
             raise UnknownLabelError(f"unknown outcome label {x!r}")
-    out = np.zeros((a.dim, a.dim), dtype=np.complex128)
-    for x in labels:
-        out += a.effects[x]
-    return out
+    # rows added in event order to +0.0, so a -0.0 entry gives 0.0 (np.add.reduce keeps -0.0)
+    return sum((a.effects[x] for x in labels), np.zeros((a.dim, a.dim), dtype=np.complex128))
 
 
 def distribution(rho, a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> dict[str, float]:
-    """Outcome probabilities in declared label order."""
-    rho = as_matrix(rho)
-    return {x: prob(rho, a.effects[x], tol) for x in a.outcomes}
+    """Outcome probabilities in declared label order, from one ``prob`` of the effect stack."""
+    return dict(zip(a.outcomes, prob(as_matrix(rho), a.stack, tol).tolist()))
+
+
+def _effects_distance(a: SubObservable, want: Mapping[str, np.ndarray]) -> float:
+    """Largest Frobenius distance from a's effects to want's, over want's labels; np.max keeps a NaN."""
+    return float(np.max([frobenius(a.effects[x] - m) for x, m in want.items()], initial=0.0))
 
 
 def stochastic_operator(b: RealValuedObservable) -> np.ndarray:

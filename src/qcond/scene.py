@@ -114,8 +114,8 @@ from .instruments import (
 from .linalg import Tolerance, commutator, frobenius, loewner_leq, psd_sqrt, trace_product
 from .observables import (
     EXTENSION_LABEL, Observable, RealValuedObservable, SubObservable, conditional_expectation,
-    _effect_rows, distribution, expectation, is_commuting, jointly_commuting, povm,
-    stochastic_operator,
+    _effect_rows, _effects_distance, distribution, expectation, is_commuting, jointly_commuting,
+    povm, stochastic_operator,
 )
 from .operations import (
     Operation, _operation_rows, apply, bayes2_residual, choi_distance, compose, conditional_prob,
@@ -435,7 +435,7 @@ def _observable_distance(value: SubObservable, want: dict, where: str) -> float:
     for x in want:
         if x not in value.effects:
             raise SceneValidationError(f"{where}: observable result has no outcome {x!r}")
-    return float(np.max([frobenius(value.effects[x] - m) for x, m in want.items()], initial=0.0))
+    return _effects_distance(value, want)
 
 
 def _instrument_distance(value: Instrument, want: Instrument, where: str) -> float:

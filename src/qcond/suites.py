@@ -78,12 +78,12 @@ from .context_stats import (
 )
 from .core import is_atomic, prob
 from .entropy import (
-    conditional_effect_entropy,
+    _dominated,
+    _entropy_gap,
     conditional_observable_entropy_double,
     conditional_observable_entropy_single,
     effect_entropy,
     observable_entropy,
-    sequential_entropy,
     sequential_entropy_dominated,
 )
 from .errors import (
@@ -106,7 +106,7 @@ from .linalg import (
     DEFAULT_TOL, _commutator_norms, _hermitian_part, _spectrum, commutator, dagger, frobenius,
     hermitian_eig, psd_sqrt, trace_product,
 )
-from .observables import jointly_commuting
+from .observables import _effects_distance, jointly_commuting
 from .operations import (
     Operation,
     _conditional,
@@ -119,6 +119,7 @@ from .operations import (
     compose,
     conditional_prob,
     bayes2_residual,
+    dual_apply,
     luders,
     holevo,
 )
@@ -309,11 +310,6 @@ def _first_hit(g: Generator, dim: int, score, threshold: float, first: int = 0):
     return None, best
 
 
-def _effects_gap(a, b) -> float:
-    """Largest Frobenius distance between same-labelled effects, over b's outcomes."""
-    return float(np.max([frobenius(a.effects[y] - b.effects[y]) for y in b.outcomes], initial=0.0))
-
-
 def _kind_instrument(g: Generator, dim: int, t: int, sharp_observable):
     """Trial t's instrument by kind t % 3: 0 Lüders of a sharp observable, 1 Holevo, 2 random.
 
@@ -357,12 +353,12 @@ def _dual(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
     return _kraus_sum(kraus, m, dual=True)
 
 
-def _conditional_probs(rho: np.ndarray, kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _conditional_probs(rho: np.ndarray, kraus: np.ndarray, transported: np.ndarray) -> np.ndarray:
     """conditional_prob(rho[s], op_s, m[s]) for each trial's operation op_s of an (n, k, d, d) stack.
 
-    Raises ZeroProbabilityConditionError when any conditioning probability is at most eq_tol.
+    transported is _dual(kraus, m).  Raises ZeroProbabilityConditionError at a probability <= eq_tol.
     """
-    q = _conditional(rho, _measured(kraus), _dual(kraus, m), DEFAULT_TOL)
+    q = _conditional(rho, _measured(kraus), transported, DEFAULT_TOL)
     return _probability(q, DEFAULT_TOL)
 
 
@@ -438,6 +434,8 @@ def _composition_laws(gens, dim, ts):
     comp = _kraus_products(op_i, op_j)
     a_then_b = _dual(op_i, b)
     j_then_c = _dual(op_j, c)
+    i_then_jc = _dual(op_i, j_then_c)
+    comp_c = _dual(comp, c)
     pa = prob(rho, a)
     pab = prob(rho, a_then_b)
     chain: list = [None] * len(gens)
@@ -445,14 +443,14 @@ def _composition_laws(gens, dim, ts):
     usable = np.flatnonzero(~((pa <= DEFAULT_TOL.eq_tol) | (pab <= DEFAULT_TOL.eq_tol)))
     if len(usable):
         rho_u = rho[usable]
-        lhs = pa[usable] * _conditional_probs(rho_u, op_i[usable], j_then_c[usable])
-        gaps = np.abs(lhs - pab[usable] * _conditional_probs(rho_u, comp[usable], c[usable]))
+        lhs = pa[usable] * _conditional_probs(rho_u, op_i[usable], i_then_jc[usable])
+        gaps = np.abs(lhs - pab[usable] * _conditional_probs(rho_u, comp[usable], comp_c[usable]))
         for s, gap in zip(usable.tolist(), gaps.tolist()):
             chain[s] = gap
     # dual of "first i then j" applies j's dual first
     dual_gap = _dual(comp, h) - _dual(op_i, _dual(op_j, h))
     effect_gap = _measured(comp) - a_then_b
-    associate_gap = _dual(op_i, j_then_c) - _dual(comp, c)
+    associate_gap = i_then_jc - comp_c
     return [
         ({
             "dual-of-composite": frobenius(dual_gap[s]),
@@ -614,12 +612,12 @@ def _conditioning_laws(g, dim, t):
         for y in ins_j.outcomes
     ]
     values = {
-        "measures-conditioned-observable": _effects_gap(
-            measured_observable(cond), condition_observable(b_obs, ins_i)
+        "measures-conditioned-observable": _effects_distance(
+            measured_observable(cond), condition_observable(b_obs, ins_i).effects
         ),
-        "conditioning-chains": _effects_gap(
+        "conditioning-chains": _effects_distance(
             condition_observable(condition_observable(c_obs, ins_j), ins_i),
-            condition_observable(c_obs, cond),
+            condition_observable(c_obs, cond).effects,
         ),
         "bar-of-composite": choi_distance(
             bar_channel(comp), compose(bar_channel(ins_i), bar_channel(ins_j))
@@ -646,11 +644,8 @@ def _bayes1(g, dim, t):
         "bayes1-expectation": bayes1_expectation_check(rho, ins, b_vals).spread,
     }
     if kind < 2:
-        left = a_obs.effects if kind == 0 else alphas
-        closed = sum(
-            prob(rho, a_obs.effects[x]) * trace_product(left[x], a).real
-            for x in a_obs.outcomes
-        )
+        left = a_obs.stack if kind == 0 else np.stack([alphas[x] for x in a_obs.outcomes])
+        closed = sum((prob(rho, a_obs.stack) * trace_product(left, a).real).tolist())
         values["closed-form"] = abs(triple.mid - closed)
     return values, {"dim": dim, "kind": float(kind), "A": a_obs, "state": rho, "effect": a}
 
@@ -669,7 +664,7 @@ def _atomic_context(g, dim, t):
     if values["codiagonal-pair-commutes"]:
         a_obs, ins = atomic_context([b_obs, c_obs])
         values["context-is-atomic"] = all(is_atomic(a_obs.effects[x]) for x in a_obs.outcomes)
-        gaps = [_effects_gap(condition_observable(o, ins), o) for o in (b_obs, c_obs)]
+        gaps = [_effects_distance(condition_observable(o, ins), o.effects) for o in (b_obs, c_obs)]
         values["context-fixes-pair"] = float(np.max(gaps, initial=0.0))
 
     d1 = random_observable(g, dim, 2)
@@ -715,11 +710,6 @@ def _uncertainty(g, dim, t):
     return values, {"dim": dim, "kind": float(kind), "A": a_obs, "B": b, "C": c, "state": rho}
 
 
-def _entropy_gap(rho, op: Operation, b):
-    """Sequential minus conditional entropy of b after op at rho (or at each state of a stack)."""
-    return sequential_entropy(rho, op, b) - conditional_effect_entropy(rho, op, b)
-
-
 def _holevo_entropy_reversal(g: Generator, dim: int):
     """A Holevo operation and a state where sequential entropy beats conditional, or None."""
     for i in range(100):
@@ -733,10 +723,10 @@ def _holevo_entropy_reversal(g: Generator, dim: int):
             # effect toward the identity and align the update state with b.
             ah = np.eye(dim) - 0.1 * random_effect(gh, dim)
             alh = bh = random_atomic_effect(gh, dim)
-        op_h = holevo(ah, alh)
-        if sequential_entropy_dominated(op_h, bh):
+        transported = dual_apply(holevo(ah, alh), bh)
+        if _dominated(transported, bh):
             continue
-        rh, gap = _first_hit(gh, dim, lambda s: _entropy_gap(s, op_h, bh), WITNESS_MARGIN)
+        rh, gap = _first_hit(gh, dim, lambda s: _entropy_gap(s, transported, bh), WITNESS_MARGIN)
         if rh is not None:
             return {"dim": dim, "effect": ah, "alpha": alh, "b": bh, "state": rh, "gap": gap}
     return None
@@ -746,16 +736,16 @@ def _entropy(g, dim, t):
     """Entropy laws: positivity, the trace criterion both ways, chain behavior.
 
     Where the trace criterion fails, its order law holds vacuously (0) and a
-    state must reverse the order instead.
+    state must reverse the order instead.  Both read b's one transport by op's dual.
     """
     rho = random_state(g, dim)
     a = random_effect(g, dim)
     b = random_effect(g, dim)
-    op = random_operation_measuring(g.derive(0), a, 1 + t % 3)
-    dominated = sequential_entropy_dominated(op, b)
+    transported = dual_apply(random_operation_measuring(g.derive(0), a, 1 + t % 3), b)
+    dominated = _dominated(transported, b)
     worst = 0.0
     if dominated:
-        gaps = _entropy_gap(random_states(g, dim, 50, 1000), op, b)
+        gaps = _entropy_gap(random_states(g, dim, 50, 1000), transported, b)
         worst = float(np.max(gaps, initial=0.0))
 
     a1 = random_observable(g, dim, g.integer(2, dim + 1))
@@ -768,14 +758,12 @@ def _entropy(g, dim, t):
     chain1 = conditional_observable_entropy_double(rho, cond, c1)
     after_i = condition_state(rho, ins_i)
     chain2 = conditional_observable_entropy_double(after_i, ins_j, c1)
-    chain3 = observable_entropy(condition_state(after_i, ins_j), c1)
     left = conditional_observable_entropy_single(rho, ins_i, condition_observable(c1, ins_j))
 
     def single_double_gap():
-        gap = abs(
-            conditional_observable_entropy_single(rho, ins_i, c1)
-            - conditional_observable_entropy_double(rho, ins_i, c1)
-        )
+        # the double-bar entropy is the plain one at the bar-channel image after_i
+        single = conditional_observable_entropy_single(rho, ins_i, c1)
+        gap = abs(single - observable_entropy(after_i, c1))
         if gap > WITNESS_MARGIN:
             return {"dim": dim, "A": a1, "C": c1, "state": rho, "gap": gap}
         return None
@@ -794,12 +782,10 @@ def _entropy(g, dim, t):
         "effect-entropy-nonnegative": effect_entropy(rho, a) >= 0.0,
         "dominated-sequential-below-conditional": worst,
         "undominated-has-reversal": dominated
-        or _first_hit(g, dim, lambda s: _entropy_gap(s, op, b), 1e-12, 2000)[0] is not None,
+        or _first_hit(g, dim, lambda s: _entropy_gap(s, transported, b), 1e-12, 2000)[0] is not None,
         "luders-dominated": sequential_entropy_dominated(luders(a), b),
         "sequential-entropy-exceeds-conditional": lambda: _holevo_entropy_reversal(g, dim),
-        "double-bar-chain": float(
-            np.max([abs(chain1 - chain2), abs(chain1 - chain3)], initial=0.0)
-        ),
+        "double-bar-chain": abs(chain1 - chain2),
         "single-bar-differs-from-double-bar": single_double_gap,
         "single-bar-chain": abs(left - conditional_observable_entropy_single(rho, cond, c1)),
         "single-bar-chain-fails-for-fresh-measurement": fresh_chain_failure,

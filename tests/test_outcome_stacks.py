@@ -7,6 +7,11 @@ per-outcome computation as its reference and compares with np.array_equal,
 at outcome counts on both sides of ``rand._LANES_MIN`` and at d = 2, 3 and 8.
 Invalid effects raise what the per-outcome path raises.
 
+The quantities over an outcome family are one call on its stack too: a
+state's distribution, an event's effect, the observable entropies, an
+instrument's JSON form and the distance between two families, each compared
+with its outcome-by-outcome form at 1, 3 and 9 outcomes.
+
 Validation judges stacks too: ``core._judge`` runs one spectral kernel over
 a stack of states, effects, measured effects and totals, and gives each
 row's violations as the per-matrix rules kept here as the reference do,
@@ -30,11 +35,15 @@ from qcond import (
     Instrument,
     Observable,
     QcondError,
+    DimMismatchError,
     SubObservable,
     condition_effect,
     condition_observable,
     condition_subobservable,
+    conditional_observable_entropy_double,
     conditional_observable_entropy_single,
+    condition_state,
+    distribution,
     dual_apply,
     effect_entropy,
     holevo,
@@ -42,12 +51,18 @@ from qcond import (
     luders,
     luders_instrument,
     measured_observable,
+    observable_entropy,
+    povm,
+    prob,
     psd_sqrt,
+    trace_product,
     validate_instrument,
 )
 from qcond import core
-from qcond.linalg import dagger
+from qcond.linalg import dagger, frobenius
+from qcond.observables import _effects_distance
 from qcond.operations import Operation
+from qcond.serialize import instrument_to_json, operation_to_json
 from qcond.scene import load_scene
 from qcond.rand import (
     _LANES_MIN,
@@ -196,6 +211,97 @@ def test_condition_subobservable_matches_dual_apply_per_outcome(n, dim):
     b = _observable(700 + 10 * dim + n, n, dim)
     op = _mixed_instrument(710 + dim, dim).ops["x3"]
     _same_effects(condition_subobservable(b, op), {y: dual_apply(op, b.effects[y]) for y in b.outcomes})
+
+
+# --- quantities over an outcome family, one call on its stack ------------------
+
+FAMILY = [(n, d) for n in (1, 3, 9) for d in DIMS]
+
+
+def test_a_state_against_an_effect_stack_is_one_trace_per_effect():
+    a = _observable(1000, 3, 3)
+    rho = random_state(Generator(1001), 3)
+    got = trace_product(rho, a.stack)
+    assert got.shape == (3,)
+    assert np.array_equal(got, [trace_product(rho, m) for m in a.stack])
+    for a_shape, b_shape in (((2, 3, 3), (3, 3, 3)), ((3, 3), (2, 3, 2)), ((3, 3), (3, 2, 2)), ((2, 2, 3), (3, 3))):
+        with pytest.raises(DimMismatchError):
+            trace_product(np.ones(a_shape), np.ones(b_shape))
+
+
+@pytest.mark.parametrize("n,dim", FAMILY)
+def test_a_distribution_is_each_outcomes_probability(n, dim):
+    a = _observable(1100 + 10 * dim + n, n, dim)
+    rho = random_state(Generator(1101 + dim), dim)
+    got = distribution(rho, a)
+    assert list(got) == list(a.outcomes)
+    assert np.array_equal(list(got.values()), [prob(rho, a.effects[x]) for x in a.outcomes])
+    assert all(type(p) is float for p in got.values())
+
+
+def _povm_by_outcome(a: SubObservable, labels) -> np.ndarray:
+    out = np.zeros((a.dim, a.dim), dtype=np.complex128)
+    for x in labels:
+        out += a.effects[x]
+    return out
+
+
+@pytest.mark.parametrize("n,dim", FAMILY)
+def test_an_events_effect_is_its_outcomes_summed_in_order(n, dim):
+    a = _observable(1200 + 10 * dim + n, n, dim)
+    for event in ([], a.outcomes[:1], a.outcomes[::-1], a.outcomes[1::2]):
+        got, ref = povm(a, event), _povm_by_outcome(a, event)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(ref.view(float)))
+
+
+def test_an_events_effect_has_no_negative_zero():
+    # Summed from +0.0, a -0.0 entry of a single effect comes out as +0.0, as it did outcome by outcome.
+    a = SubObservable(("x", "y"), {"x": np.diag([0.5, -0.0]), "y": np.diag([0.5, 1.0])})
+    assert np.signbit(a.effects["x"].real).any()
+    assert not np.signbit(povm(a, ["x"]).view(float)).any()
+
+
+@pytest.mark.parametrize("n,dim", FAMILY)
+def test_observable_entropies_are_summed_effect_entropies(n, dim):
+    b = _observable(1300 + 10 * dim + n, n, dim)
+    rho = random_state(Generator(1301 + dim), dim)
+    assert np.array_equal(observable_entropy(rho, b), sum(effect_entropy(rho, b.effects[y]) for y in b.outcomes))
+    for name, ins in _instruments(dim).items():
+        after = condition_state(rho, ins)
+        double = sum(effect_entropy(after, b.effects[y]) for y in b.outcomes)
+        single = sum(effect_entropy(rho, condition_effect(b.effects[y], ins)) for y in b.outcomes)
+        assert np.array_equal(conditional_observable_entropy_double(rho, ins, b), double), name
+        assert np.array_equal(conditional_observable_entropy_single(rho, ins, b), single), name
+
+
+def test_an_observable_entropy_keeps_its_boundary_terms():
+    # A zero effect, a zero-probability effect and a full one: each term as effect_entropy gives it.
+    b = SubObservable(("z", "p", "q"), {"z": np.zeros((2, 2)), "p": np.diag([0.0, 1.0]), "q": np.diag([1.0, 0.0])})
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    terms = [effect_entropy(rho, b.effects[y]) for y in b.outcomes]
+    assert terms == [0.0, 0.0, 0.0]
+    assert np.array_equal(observable_entropy(rho, b), sum(terms))
+
+
+@pytest.mark.parametrize("n,dim", FAMILY)
+def test_an_instruments_json_is_each_operations_json(n, dim):
+    a = _observable(1400 + 10 * dim + n, n, dim)
+    g = Generator(1401 + dim)
+    for ins in (holevo_instrument(a, _alphas(g, a)), random_instrument_measuring(g, a, 2)):
+        got = instrument_to_json(ins)
+        assert got == {"outcomes": list(a.outcomes), "ops": {x: operation_to_json(ins.ops[x]) for x in a.outcomes}}
+        assert list(got["ops"]) == list(a.outcomes)
+
+
+@pytest.mark.parametrize("n,dim", FAMILY)
+def test_an_effects_distance_is_the_largest_outcome_distance(n, dim):
+    a = _observable(1500 + 10 * dim + n, n, dim)
+    b = _observable(1501 + 10 * dim + n, n, dim)
+    ref = max(frobenius(a.effects[x] - b.effects[x]) for x in b.outcomes)
+    assert np.array_equal(_effects_distance(a, b.effects), ref)
+    assert _effects_distance(a, a.effects) == 0.0
+    assert _effects_distance(a, {}) == 0.0
 
 
 def _outcome(call):

@@ -5,6 +5,8 @@ The benchmark job lists are patched to their smoke-test sizes here and the
 suites run with one trial, so the set takes a few seconds; comparing two such
 sets with tools/compare_reports.py must find no difference.  The set holds
 each demo's output as printed, and one changed line of it is a difference.
+``--help`` prints the usage and writes nothing, and a qcond command that
+fails with an error stops the tool, which names it.
 """
 
 import functools
@@ -59,3 +61,21 @@ def test_report_set_compares_equal_to_itself(tmp_path, monkeypatch, capsys, stri
     report.write_text(json.dumps(written))
     proc = subprocess.run([sys.executable, compare, *sides], capture_output=True, text=True)
     assert proc.returncode == 1 and f"demos/{demos[0]}.json.stdout[0]" in proc.stdout, proc.stdout
+
+
+def test_help_writes_nothing_and_a_failed_command_is_named(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "VERIFY_TRIALS", 1)
+    monkeypatch.chdir(tmp_path)
+    for flag in ("-h", "--help"):
+        assert tool.main([flag]) == 0
+        assert capsys.readouterr().out.startswith("usage:")
+    assert list(tmp_path.iterdir()) == []
+
+    # A directory where the first verify report goes: qcond cannot write it and exits 2.
+    (tmp_path / "out" / "verify-2,3.json").mkdir(parents=True)
+    assert tool.main([str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out
+    assert "error: qcond verify --all --dims 2,3" in captured.err and "exited with status 2" in captured.err

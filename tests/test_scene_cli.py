@@ -25,6 +25,7 @@ from qcond.errors import (
     SceneReferenceError,
     SceneValidationError,
 )
+from qcond import observables as observables_module
 from qcond import scene as scene_module
 from qcond.scene import load_scene, run_scene
 
@@ -979,17 +980,19 @@ def _nan_in_last_field(real):
     return poisoned
 
 
+# kind -> (module, function poisoned there, poison, check); an observable's
+# distance is the observables module's, which scenes and suites share.
 _NAN_COMPONENTS = {
     "observable": (
-        "frobenius", _nan_after_first_call,
+        observables_module, "frobenius", _nan_after_first_call,
         {"op": "measured_observable", "args": ["lz"], "expect": {"effects": _Z["effects"]}},
     ),
     "instrument": (
-        "choi_distance", _nan_after_first_call,
+        scene_module, "choi_distance", _nan_after_first_call,
         {"op": "compose_instruments", "args": ["lz", "lz"], "expect": _LZ_TWICE},
     ),
     "record": (
-        "value_to_json", _nan_in_last_field,
+        scene_module, "value_to_json", _nan_in_last_field,
         {"op": "distribution", "args": ["rho", "zv"], "expect": {"0": 0.5, "1": 0.5}},
     ),
 }
@@ -998,10 +1001,10 @@ _NAN_COMPONENTS = {
 @pytest.mark.parametrize("kind", sorted(_NAN_COMPONENTS))
 def test_a_nan_distance_component_fails_the_check(kind, monkeypatch):
     # The NaN comes after a finite component, which a running max would keep.
-    target, poison, check = _NAN_COMPONENTS[kind]
+    module, target, poison, check = _NAN_COMPONENTS[kind]
     scene = load_scene(_instrument_scene(check))
     assert run_scene(scene).passed
-    monkeypatch.setattr(scene_module, target, poison(getattr(scene_module, target)))
+    monkeypatch.setattr(module, target, poison(getattr(module, target)))
     result = run_scene(scene).checks[0]
     assert not result.passed
     assert math.isnan(result.residual)

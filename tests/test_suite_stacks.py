@@ -7,14 +7,21 @@ share a residue class of the suite's period.  Each trial still draws from
 its own generator, so a trial evaluated alone (a one-trial stack) must give
 exactly its row of the full stack, and both must equal the per-trial
 computation through the public API below, which is the reference.
+
+No suite transports one matrix through one operation twice in a run: the
+``entropy`` suite takes each effect's transport once for its trace
+criterion and every state's entropy gap, and ``composition-laws`` takes
+each side of its associativity law once for that law and for the
+conditional-probability chain.
 """
 
+import collections
 import json
 
 import numpy as np
 import pytest
 
-from qcond import rand, suites
+from qcond import operations, rand, suites
 from qcond.core import prob
 from qcond.errors import RetryExhaustedError
 from qcond.linalg import DEFAULT_TOL, commutator, dagger, frobenius, trace_product
@@ -328,3 +335,19 @@ def test_the_report_does_not_depend_on_the_stack_size(monkeypatch, name):
     for size in (1, 4):
         monkeypatch.setattr(suites, "_STACK_TRIALS", size)
         assert json.dumps(suites.run_suite(name, (2, 3), 11, 7).to_json(), sort_keys=True) == whole
+
+
+@pytest.mark.parametrize("name", ("entropy", "composition-laws"))
+def test_a_suite_transports_each_matrix_once(monkeypatch, name):
+    # Every input of the transport kernel: the Kraus stack, the matrices and the direction.
+    inputs = collections.Counter()
+    real = operations._block_sum
+
+    def counted(kraus, m, dual):
+        inputs[kraus.shape, kraus.tobytes(), m.shape, m.tobytes(), dual] += 1
+        return real(kraus, m, dual)
+
+    monkeypatch.setattr(operations, "_block_sum", counted)
+    suites.run_suite(name, dims=(2, 3), trials=3, seed=7)
+    assert inputs
+    assert [n for n in inputs.values() if n > 1] == []

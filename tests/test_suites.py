@@ -16,7 +16,7 @@ from qcond import (
     contextual_moments,
     run_suite,
 )
-from qcond import suites
+from qcond import observables, suites
 from qcond.cli import main
 from qcond.rand import Generator
 from qcond.serialize import value_to_json
@@ -188,12 +188,12 @@ def _report_counts_add_up(report):
 
 
 def test_entropy_searches_that_find_nothing_are_named_missing(monkeypatch):
-    # Every Holevo candidate looks dominated and every observable entropy is
-    # 0, so none of the three once-per-run searches can find its witness,
-    # while the other entropy laws still hold.
-    monkeypatch.setattr(suites, "sequential_entropy_dominated", lambda *a, **k: True)
+    # Every Holevo candidate looks dominated, every entropy gap is 0 and every
+    # observable entropy is 0, so none of the three once-per-run searches can
+    # find its witness, while the other entropy laws still hold.
+    monkeypatch.setattr(suites, "_dominated", lambda *a, **k: True)
+    monkeypatch.setattr(suites, "_entropy_gap", lambda rho, *a, **k: np.zeros(len(rho)))
     for name in (
-        "sequential_entropy",
         "observable_entropy",
         "conditional_observable_entropy_single",
         "conditional_observable_entropy_double",
@@ -363,7 +363,7 @@ def test_effects_gap_keeps_a_nan_after_a_finite_gap():
     eye = np.eye(2, dtype=complex)
     b = Observable(["0", "1"], {"0": eye, "1": 0 * eye})
     a = types.SimpleNamespace(effects={"0": eye, "1": np.full((2, 2), np.nan)})
-    assert np.isnan(suites._effects_gap(a, b))
+    assert np.isnan(observables._effects_distance(a, b.effects))
 
 
 @pytest.mark.parametrize(
@@ -372,8 +372,8 @@ def test_effects_gap_keeps_a_nan_after_a_finite_gap():
         # trial 1 draws a Holevo instrument, whose moments have a closed form
         ("uncertainty", "holevo_moments", lambda m: m._replace(commutator_trace=np.nan),
          "closed-forms", [1]),
-        # the chain's third route, compared after its second
-        ("entropy", "observable_entropy", lambda h: np.nan, "double-bar-chain", [0, 1]),
+        # both routes of the chain; the law's value comes after the finite dominated-order one
+        ("entropy", "conditional_observable_entropy_double", lambda h: np.nan, "double-bar-chain", [0, 1]),
         # each outcome's marginal of the composite; the list used to start at 0.0
         ("conditioning-laws", "Operation", lambda op: Operation(np.nan * op.kraus),
          "composite-marginals", [0, 1]),

@@ -21,7 +21,9 @@ Every file is strict JSON, written as ``qcond`` writes its reports (a
 non-finite number is the string "NaN", "Infinity" or "-Infinity").
 
 The benchmark's files are only read (no bytecode is written next to them).
-To compare two checkouts, write a set from each and run::
+A qcond command that fails with an error (exit status 2: an invalid scene,
+a report path that cannot be written) stops the tool, which names it and
+exits 1.  To compare two checkouts, write a set from each and run::
 
     python tools/compare_reports.py A B
 """
@@ -56,9 +58,19 @@ JOB_SEED = 1009
 WORKLOADS = ("verify-default", "large-d", "scene-batch")
 
 
-def _qcond(*argv: str) -> int:
+class CommandFailed(Exception):
+    """A qcond command exited with status 2, an error, and wrote no report."""
+
+
+def _qcond(*argv: str) -> None:
+    """Run ``qcond argv`` with its stdout discarded; CommandFailed if it exits 2.
+
+    Status 1 (a check or suite that fails) still writes its report.
+    """
     with contextlib.redirect_stdout(io.StringIO()):
-        return cli.main(list(argv))
+        status = cli.main(list(argv))
+    if status == 2:
+        raise CommandFailed(f"qcond {' '.join(argv)}")
 
 
 def _demo_stdout(demo: Path) -> str:
@@ -74,7 +86,7 @@ def write_report_set(out: Path) -> int:
     for dims in VERIFY_DIMS:
         _qcond(
             "verify", "--all", "--dims", dims, "--trials", str(VERIFY_TRIALS),
-            "--seed", str(VERIFY_SEED), "--json", str(out / f"verify-{dims}.json"),
+            "--seed", str(VERIFY_SEED), f"--json={out / f'verify-{dims}.json'}",
         )
     # Scenes are named relative to the checkout, so the reports' "path" field
     # is the same in every checkout.
@@ -82,7 +94,7 @@ def write_report_set(out: Path) -> int:
     os.chdir(ROOT)
     try:
         for scene in SCENES:
-            _qcond("run", str(scene.relative_to(ROOT)), "--json", str(scene_out / scene.name))
+            _qcond("run", str(scene.relative_to(ROOT)), f"--json={scene_out / scene.name}")
     finally:
         os.chdir(cwd)
     (out / "demos").mkdir(exist_ok=True)
@@ -103,12 +115,23 @@ def write_report_set(out: Path) -> int:
     return written
 
 
+USAGE = "usage: python tools/report_set.py OUT"
+
+
 def main(argv: list[str]) -> int:
+    if argv in (["-h"], ["--help"]):
+        print(USAGE)
+        return 0
     if len(argv) != 1:
-        print("usage: python tools/report_set.py OUT", file=sys.stderr)
+        print(USAGE, file=sys.stderr)
         return 2
     out = Path(argv[0])
-    print(f"wrote {write_report_set(out)} reports to {out}")
+    try:
+        written = write_report_set(out)
+    except CommandFailed as exc:
+        print(f"error: {exc} exited with status 2", file=sys.stderr)
+        return 1
+    print(f"wrote {written} reports to {out}")
     return 0
 
 
