@@ -235,11 +235,9 @@ def holevo_moments(
     """
     rho = as_matrix(rho)
     states = _update_states(a, alphas)
-    bt = stochastic_operator(b)
-    ct = stochastic_operator(c)
-    tb = [trace_product(alpha, bt).real for alpha in states]
-    tc = [trace_product(alpha, ct).real for alpha in states]
-    px = [trace_product(rho, ax).real for ax in a.stack]
+    tb = trace_product(states, stochastic_operator(b)).real.tolist()
+    tc = trace_product(states, stochastic_operator(c)).real.tolist()
+    px = trace_product(rho, a.stack).real.tolist()
     cor = commutator = 0.0 + 0.0j
     cov = var_b = var_c = 0.0
     for i, ax in enumerate(a.stack):

@@ -5,9 +5,8 @@ t = tr(a).  Since p <= t it is non-negative, and a term below -eq_tol (a not
 an effect) is returned as it is.  Conventions at the boundary: a term with
 p <= eq_tol contributes 0 (the p -> 0 limit), and an effect with t <= eq_tol
 contributes 0.  The three effect entropies take one state (a float result)
-or an (n, d, d) stack of states (one value per state); their probabilities
-go through the dual, so a stack costs one dual_apply, as does an effect
-stack: an observable's entropy is one ``_term`` over it, summed in order.
+or an (n, d, d) stack of states (one value each) for one dual_apply, and an
+observable's entropy is one ``_term`` over its effect stack, summed in order.
 
 Two inequivalent conditionings exist for observables.  The *double-bar*
 entropy substitutes the bar-channel image of the state into the plain
@@ -38,10 +37,9 @@ __all__ = [
 
 
 def _term(p, t, tol: Tolerance):
-    """-p ln(p/t) for each probability p (a float or an (n,) array), 0 at the boundaries.
+    """-p ln(p/t) for each probability p over its trace t (each a float or an (n,) array), 0 at the boundaries.
 
-    t is a float, or an effect stack's (n,) array of traces.  Only round-off
-    negatives within eq_tol become 0: a larger one means p > t.
+    Only round-off negatives within eq_tol become 0: a larger one means p > t.
     """
     live = (p > tol.eq_tol) & (t > tol.eq_tol)
     # a dead term's ratio is then 1, its log 0; a float keeps Python's max, not numpy's
@@ -56,28 +54,28 @@ def effect_entropy(rho, a, tol: Tolerance = DEFAULT_TOL):
     return _term(prob(rho, a, tol), float(np.trace(a).real), tol)
 
 
-def sequential_entropy(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL):
-    """Entropy of the sequential effect "op's effect, then b" at rho.
+def _entropies(rho, transported: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    """Sequential and conditional entropy of b at rho (or each state of a stack), transported = dual(b)."""
+    p = prob(rho, transported, tol)
+    return _term(p, float(np.trace(transported).real), tol), _term(p, float(np.trace(b).real), tol)
 
-    Identical numerator to the conditional entropy but the denominator is
-    the trace of the transported effect.
-    """
-    return effect_entropy(rho, dual_apply(op, as_matrix(b)), tol)
+
+def sequential_entropy(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL):
+    """Entropy of the sequential effect "op's effect, then b" at rho."""
+    b = as_matrix(b)
+    return _entropies(rho, dual_apply(op, b), b, tol)[0]
 
 
 def conditional_effect_entropy(rho, op: Operation, b, tol: Tolerance = DEFAULT_TOL):
-    """Entropy of b in the (unnormalized) post-measurement state op(rho).
-
-    Its probability tr[op(rho) b] is taken through the dual, tr[rho dual(b)].
-    """
+    """Entropy of b in the (unnormalized) post-measurement state op(rho)."""
     b = as_matrix(b)
-    return _term(prob(rho, dual_apply(op, b), tol), float(np.trace(b).real), tol)
+    return _entropies(rho, dual_apply(op, b), b, tol)[1]
 
 
 def _entropy_gap(rho, transported: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """Sequential minus conditional entropy of b at rho (or each state of a stack); transported is dual(b)."""
-    p = prob(rho, transported, tol)
-    return _term(p, float(np.trace(transported).real), tol) - _term(p, float(np.trace(b).real), tol)
+    sequential, conditional = _entropies(rho, transported, b, tol)
+    return sequential - conditional
 
 
 def _dominated(transported: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

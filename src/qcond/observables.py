@@ -195,11 +195,12 @@ def povm(a: SubObservable, delta: Iterable[str]) -> np.ndarray:
     labels = list(delta)
     if len(set(labels)) != len(labels):  # an event is a set of outcomes
         raise InvalidValueError(f"an event names each outcome once, got {labels}")
+    out = np.zeros((a.dim, a.dim), dtype=np.complex128)
     for x in labels:
         if x not in a.effects:
             raise UnknownLabelError(f"unknown outcome label {x!r}")
-    # rows added in event order to +0.0, so a -0.0 entry gives 0.0 (np.add.reduce keeps -0.0)
-    return sum((a.effects[x] for x in labels), np.zeros((a.dim, a.dim), dtype=np.complex128))
+        out += a.effects[x]
+    return out
 
 
 def distribution(rho, a: SubObservable, tol: Tolerance = DEFAULT_TOL) -> dict[str, float]:

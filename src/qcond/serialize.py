@@ -139,8 +139,12 @@ def matrix_from_json(rows, where: str = "matrix") -> np.ndarray:
     return values.view(np.complex128).reshape(n, n)
 
 
+def _operation_json(rows: list) -> dict:
+    return {"kraus": rows}  # rows: the Kraus operators as complex_to_json writes them
+
+
 def operation_to_json(op: Operation) -> dict:
-    return {"kraus": complex_to_json(op.kraus)}
+    return _operation_json(complex_to_json(op.kraus))
 
 
 def observable_to_json(a: SubObservable) -> dict:
@@ -154,10 +158,10 @@ def observable_to_json(a: SubObservable) -> dict:
 
 
 def instrument_to_json(ins: Instrument) -> dict:
-    rows = iter(complex_to_json(ins.kraus))  # one conversion, sliced as operation_to_json writes each op
+    rows = iter(complex_to_json(ins.kraus))  # one conversion of the Kraus union, sliced by outcome
     return {
         "outcomes": list(ins.outcomes),
-        "ops": {x: {"kraus": list(islice(rows, len(ins.ops[x].kraus)))} for x in ins.outcomes},
+        "ops": {x: _operation_json(list(islice(rows, len(ins.ops[x].kraus)))) for x in ins.outcomes},
     }
 
 

@@ -224,3 +224,24 @@ def test_entropies_nonnegative_random():
             conditional_effect_entropy(rho, ctx, b),
         ):
             assert math.isfinite(value) and value >= 0.0
+
+
+def test_the_suites_entropy_gap_is_the_public_entropies_subtracted():
+    # One implementation: the gap the entropy suite reads from b's one transport
+    # is sequential minus conditional entropy, bit for bit, and the sequential
+    # entropy is the plain effect entropy of the transported effect.
+    from qcond.entropy import _entropy_gap
+    from qcond.operations import dual_apply
+    from qcond.rand import random_states
+
+    g = Generator(76)
+    for t in range(6):
+        dim = 2 + t % 3
+        ctx = holevo(random_effect(g.derive(t, 0), dim), random_state(g.derive(t, 1), dim))
+        b = random_effect(g.derive(t, 2), dim)
+        transported = dual_apply(ctx, b)
+        states = random_states(g.derive(t, 3), dim, 5, 1000)
+        for rho in (states[0], states):
+            seq = sequential_entropy(rho, ctx, b)
+            assert np.array_equal(seq, effect_entropy(rho, transported))
+            assert np.array_equal(_entropy_gap(rho, transported, b), seq - conditional_effect_entropy(rho, ctx, b))

@@ -8,9 +8,10 @@ at outcome counts on both sides of ``rand._LANES_MIN`` and at d = 2, 3 and 8.
 Invalid effects raise what the per-outcome path raises.
 
 The quantities over an outcome family are one call on its stack too: a
-state's distribution, an event's effect, the observable entropies, an
-instrument's JSON form and the distance between two families, each compared
-with its outcome-by-outcome form at 1, 3 and 9 outcomes.
+state's distribution, the observable entropies, an instrument's JSON form
+and the distance between two families, each compared with its
+outcome-by-outcome form at 1, 3 and 9 outcomes.  An event's effect stays a
+sum in event order from +0.0; its bits and signs are pinned the same way.
 
 Validation judges stacks too: ``core._judge`` runs one spectral kernel over
 a stack of states, effects, measured effects and totals, and gives each
