@@ -83,7 +83,6 @@ from .entropy import (
     conditional_observable_entropy_double,
     conditional_observable_entropy_single,
     effect_entropy,
-    observable_entropy,
     sequential_entropy_dominated,
 )
 from .errors import (
@@ -761,8 +760,8 @@ def _entropy(g, dim, t):
     left = conditional_observable_entropy_single(rho, ins_i, condition_observable(c1, ins_j))
 
     def single_double_gap():
-        # the double-bar entropy at rho is the plain one at the bar-channel image after_i
-        gap = abs(conditional_observable_entropy_single(rho, ins_i, c1) - observable_entropy(after_i, c1))
+        single = conditional_observable_entropy_single(rho, ins_i, c1)
+        gap = abs(single - conditional_observable_entropy_double(rho, ins_i, c1))
         if gap > WITNESS_MARGIN:
             return {"dim": dim, "A": a1, "C": c1, "state": rho, "gap": gap}
         return None

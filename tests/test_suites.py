@@ -189,12 +189,11 @@ def _report_counts_add_up(report):
 
 def test_entropy_searches_that_find_nothing_are_named_missing(monkeypatch):
     # Every Holevo candidate looks dominated, every entropy gap is 0 and every
-    # observable entropy is 0, so none of the three once-per-run searches can
-    # find its witness, while the other entropy laws still hold.
+    # conditioned observable entropy is 0, so none of the three once-per-run
+    # searches can find its witness, while the other entropy laws still hold.
     monkeypatch.setattr(suites, "_dominated", lambda *a, **k: True)
     monkeypatch.setattr(suites, "_entropy_gap", lambda rho, *a, **k: np.zeros(len(rho)))
     for name in (
-        "observable_entropy",
         "conditional_observable_entropy_single",
         "conditional_observable_entropy_double",
     ):
