@@ -346,7 +346,7 @@ def test_the_report_does_not_depend_on_the_stack_size(monkeypatch, name):
     # witness runs until it is found, here in the first trial.
     ("entropy", [[False, True]]),
     ("composition-laws", []),
-))
+), ids=("entropy", "composition-laws"))
 def test_a_suite_transports_each_matrix_once(monkeypatch, name, forced):
     # Every input of the transport kernel: the Kraus stack, the matrices and
     # the direction, each call marked by whether the witness made it.
