@@ -62,7 +62,6 @@ from .operations import (
     _kraus_sum,
     _measured,
     compose,
-    dual_apply,
 )
 
 __all__ = [
@@ -313,28 +312,30 @@ class BayesTriple:
         return {"lhs": self.lhs, "mid": self.mid, "rhs": self.rhs, "spread": self.spread}
 
 
-def _bayes1(rho, ins: Instrument, m, tol: Tolerance) -> BayesTriple:
+def _bayes1(rho, ins: Instrument, m: np.ndarray, tol: Tolerance):
     """The first Bayes rule at rho for m, an effect or a stochastic operator; nothing clamped.
 
     lhs, through each outcome's dual: sum_x P(A_x) tr[rho op_x*(m)] / P(A_x)
     over P(A_x) > eq_tol (the rest are bounded by it), the P(A_x) cancelled.
     mid, through the total dual: tr[rho (m | A)].  rhs, through the bar
-    channel (Schrödinger): tr[bar(rho) m].
+    channel (Schrödinger): tr[bar(rho) m].  An (n, d, d) stack m gives the
+    list of n triples, each bit for bit its matrix's, with bar(rho) once.
     """
     rho = as_matrix(rho)
     lhs = 0.0
     for x in ins.outcomes:
         op_x = ins.ops[x]
         if prob(rho, op_x.effect, tol) > tol.eq_tol:
-            lhs += trace_product(rho, dual_apply(op_x, m)).real
-    mid = trace_product(rho, condition_effect(m, ins)).real
-    rhs = trace_product(condition_state(rho, ins), m).real
-    return BayesTriple(lhs, mid, rhs)
+            lhs += trace_product(rho, _kraus_sum(op_x.kraus, m, dual=True)).real
+    mid = trace_product(rho, _kraus_sum(ins.kraus, m, dual=True)).real
+    rhs = trace_product(_kraus_sum(ins.kraus, rho), m).real
+    routes = np.stack(np.broadcast_arrays(lhs, mid, rhs), -1).tolist()
+    return BayesTriple(*routes) if m.ndim == 2 else [BayesTriple(*r) for r in routes]
 
 
 def bayes1_check(rho, ins: Instrument, a, tol: Tolerance = DEFAULT_TOL) -> BayesTriple:
     """sum_x P(A_x) P(a | A_x) = P((a | A)) = P_bar(rho)(a), three routes (``_bayes1`` on a)."""
-    return _bayes1(rho, ins, a, tol)
+    return _bayes1(rho, ins, as_matrix(a), tol)
 
 
 def bayes1_expectation_check(

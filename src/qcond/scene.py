@@ -48,15 +48,17 @@ expectation each reads and the residual:
     Bayes triple    a record, or one number for      worst field distance
                     lhs, mid and rhs
 
-Objects and expectations share one reader per literal kind: matrix,
-operation, observable and instrument.  An expectation is read at the size of
-its check's arguments, so each of its matrices is d x d.  Its outcome labels
-follow the object rules (an instrument's "outcomes" is a nonempty list of
-unique labels that keys "ops" exactly) except that they may carry the
-reserved separators of composite results.  What depends on the computed
-value (a record's fields, the outcome labels of an observable or instrument
-result) is checked when the scene runs: a label the result lacks fails that
-check alone, with residual inf and the SceneValidationError as its error.
+Objects and expectations read each literal kind (matrix, operation,
+observable, instrument) with its codec in ``serialize``.  An expectation is
+read at the size of its check's arguments, so each of its matrices is d x d.
+Its outcome labels follow the object rules (an instrument's "outcomes" is a
+nonempty list of unique labels that keys "ops" exactly) except that they may
+carry the reserved separators of composite results.  An observable, record
+or Bayes expectation names at least one effect or field.  What depends on
+the computed value (a record's fields, the outcome labels of an observable
+or instrument result) is checked when the scene runs: a label the result
+lacks fails that check alone, with residual inf and the SceneValidationError
+as its error.
 
 Loading reads and builds the objects in load order, instruments last (they
 may name an observable), then the checks.  What decides validity is judged
@@ -85,7 +87,6 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -103,26 +104,26 @@ from .entropy import (
     conditional_observable_entropy_single, effect_entropy, observable_entropy,
     sequential_entropy, sequential_entropy_dominated,
 )
-from .errors import (
-    QcondError, SceneError, SceneParseError, SceneReferenceError, SceneValidationError,
-)
+from .errors import QcondError, SceneParseError, SceneReferenceError, SceneValidationError
 from .instruments import (
-    COMPOSITE_LABEL_SEPARATOR, Instrument, bar_channel, bayes1_check, bayes1_expectation_check,
-    compose_instruments, condition_effect, condition_instrument, condition_observable,
-    _instrument_rows, holevo_instrument, luders_instrument, measured_observable,
+    Instrument, bar_channel, bayes1_check, bayes1_expectation_check, compose_instruments,
+    condition_effect, condition_instrument, condition_observable, _instrument_rows,
+    holevo_instrument, luders_instrument, measured_observable,
 )
 from .linalg import Tolerance, commutator, frobenius, loewner_leq, psd_sqrt, trace_product
 from .observables import (
-    EXTENSION_LABEL, Observable, RealValuedObservable, SubObservable, conditional_expectation,
+    Observable, RealValuedObservable, SubObservable, conditional_expectation,
     _effect_rows, _effects_distance, distribution, expectation, is_commuting, jointly_commuting,
     povm, stochastic_operator,
 )
 from .operations import (
     Operation, _operation_rows, apply, bayes2_residual, choi_distance, compose, conditional_prob,
-    dual_apply, holevo, is_channel, luders, maps_equal, measured_effect, sequential_product,
-    updated_state,
+    dual_apply, is_channel, maps_equal, measured_effect, sequential_product, updated_state,
 )
-from .serialize import _is_number, _json_float, matrix_from_json, value_to_json
+from .serialize import (
+    _OPERATION_KEYS, _instrument_from_json, _is_number, _json_float, _keyed_by_labels, _naming,
+    _observable_from_json, _operation_from_json, _require_dict, matrix_from_json, value_to_json,
+)
 
 __all__ = [
     "SceneObject",
@@ -134,9 +135,6 @@ __all__ = [
     "load_scene",
     "run_scene",
 ]
-
-_RESERVED_LABELS = (EXTENSION_LABEL, COMPOSITE_LABEL_SEPARATOR)
-
 
 @dataclass(frozen=True)
 class SceneObject:
@@ -213,168 +211,6 @@ class SceneReport:
         }
 
 
-# --- literal readers ---------------------------------------------------------
-#
-# ``_read_<kind>(raw, where, tol, d, judge)`` reads one literal kind for an
-# object (d None) and for an expectation (d of the check's arguments); the
-# module docstring says what differs.  Before a reader builds an operation, it
-# passes the blocks (see ``core._judged``) of the matrices the operation is
-# built from (a Lüders or Holevo input, a Holevo alpha) to
-# ``judge(where, *blocks)``.
-
-
-def _require_dict(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise SceneParseError(f"{where} must be a JSON object")
-    return value
-
-
-def _read_labels(outcomes, where: str, reserved: bool = True) -> list[str]:
-    """Outcome labels: a nonempty list, unique and, if ``reserved``, free of reserved characters."""
-    if not isinstance(outcomes, list) or not outcomes:
-        raise SceneParseError(f"{where}: outcomes must be a nonempty list of labels")
-    labels = [str(x) for x in outcomes]
-    if len(set(labels)) != len(labels):
-        raise SceneValidationError(f"{where}: outcome labels must be unique, got {labels}")
-    for x in labels if reserved else ():
-        for bad in _RESERVED_LABELS:
-            if bad in x:
-                raise SceneValidationError(
-                    f"{where}: outcome label {x!r} contains reserved character {bad!r}"
-                )
-    return labels
-
-
-def _keyed_by_labels(raw, labels, where: str, what: str) -> dict:
-    """A JSON object whose keys are exactly the outcome labels."""
-    raw = _require_dict(raw, f"{where} {what}")
-    if set(raw.keys()) != set(labels):
-        raise SceneParseError(f"{where}: {what} must be keyed exactly by the outcome labels")
-    return raw
-
-
-def _parse_values(raw, outcomes, where: str) -> dict[str, float]:
-    out = {}
-    for x, v in _keyed_by_labels(raw, outcomes, where, "values").items():
-        v = _json_float(v)
-        if v is None:
-            raise SceneParseError(f"{where}: value for outcome {x!r} must be a finite number")
-        out[str(x)] = v
-    return out
-
-
-@contextmanager
-def _naming(where: str):
-    """Re-raise a library error from the constructors inside (operands of
-    different sizes in one literal, say) as a SceneValidationError naming
-    ``where``, so the CLI reports it like any other invalid literal."""
-    try:
-        yield
-    except SceneError:
-        raise
-    except QcondError as exc:
-        raise SceneValidationError(f"{where}: {exc}") from exc
-
-
-def _read_matrix(raw, where: str, tol=None, d: int | None = None, *_, what: str | None = None):
-    """A matrix literal (``what`` names it within ``where``), d x d when d is given."""
-    m = matrix_from_json(raw, where if what is None else f"{where} {what}")
-    if d is not None and m.shape != (d, d):
-        raise SceneValidationError(f"{where}: expected a {d}x{d} matrix")
-    return m
-
-
-_OPERATION_KEYS = ("kraus", "luders", "holevo")
-
-
-def _read_operation(raw, where: str, tol: Tolerance, d: int | None, judge: Callable) -> Operation:
-    """A one-key kraus, luders or holevo literal; the Lüders effect and the
-    Holevo effect and update state must be valid, so the operation exists."""
-    raw = _require_dict(raw, where)
-    if len(raw) != 1 or next(iter(raw)) not in _OPERATION_KEYS:
-        raise SceneValidationError(f"{where}: expected a kraus, luders or holevo literal")
-    [(key, body)] = raw.items()
-    with _naming(where):
-        if key == "kraus":
-            if not isinstance(body, list) or not body:
-                raise SceneParseError(f"{where}: kraus must be a nonempty list of matrices")
-            mats = [_read_matrix(k, where, what=f"kraus[{i}]") for i, k in enumerate(body)]
-            op = Operation(tuple(mats))
-        elif key == "luders":
-            a = _read_matrix(body, where, what="luders effect")
-            judge(where, (a[None], "effect", None))
-            op = luders(a, tol)
-        else:
-            body = _require_dict(body, f"{where} holevo")
-            if set(body) != {"effect", "alpha"}:
-                raise SceneParseError(f"{where}: holevo needs exactly effect and alpha")
-            a = _read_matrix(body["effect"], where, what="holevo effect")
-            alpha = _read_matrix(body["alpha"], where, what="holevo alpha")
-            judge(where, (a[None], "effect", None), (alpha[None], "state", None))
-            op = holevo(a, alpha, tol)
-    if d is not None and op.dim != d:
-        raise SceneValidationError(f"{where}: expected {d}x{d} Kraus operators")
-    return op
-
-
-def _read_observable(raw, where: str, tol=None, d: int | None = None, *_):
-    """An object's {outcomes, effects, values?}, or an expectation's {effects},
-    which may name a subset of the result's outcomes (a dict of effects)."""
-    raw = _require_dict(raw, where)
-    if d is not None:
-        effects = raw.get("effects")
-        if set(raw) != {"effects"} or not isinstance(effects, dict):
-            raise SceneValidationError(
-                f"{where}: an observable result compares against {{'effects': ...}}"
-            )
-        labels = list(effects)
-    elif set(raw) - {"outcomes", "effects", "values"} or not {"outcomes", "effects"} <= set(raw):
-        raise SceneParseError(f"{where}: an observable needs outcomes and effects")
-    else:
-        labels = _read_labels(raw["outcomes"], where)
-        effects = _keyed_by_labels(raw["effects"], labels, where, "effects")
-    effects = {x: _read_matrix(effects[x], where, tol, d, what=f"effect {x!r}") for x in labels}
-    if d is not None:
-        return effects
-    obs = Observable(labels, effects)
-    if "values" in raw:
-        return RealValuedObservable(obs, _parse_values(raw["values"], labels, where))
-    return obs
-
-
-def _read_instrument(raw, where: str, tol: Tolerance, d: int | None, judge: Callable, objects=None):
-    """An outcomes+ops literal; an object may instead be the luders_of or
-    holevo_of an observable among ``objects`` (an object is read under its
-    own ``_naming(where)``)."""
-    raw = _require_dict(raw, where)
-    if d is None and set(raw) == {"luders_of"}:
-        return luders_instrument(_observable_named(raw["luders_of"], where, objects), tol)
-    if d is None and set(raw) == {"holevo_of"}:
-        spec = _require_dict(raw["holevo_of"], f"{where} holevo_of")
-        if set(spec) != {"observable", "alphas"}:
-            raise SceneParseError(f"{where}: holevo_of needs exactly observable and alphas")
-        source = _observable_named(spec["observable"], where, objects)
-        alphas = _keyed_by_labels(spec["alphas"], source.outcomes, where, "alphas")
-        alphas = {x: _read_matrix(alphas[x], where, what=f"alpha {x!r}") for x in source.outcomes}
-        for x, alpha in alphas.items():
-            judge(f"{where} alpha {x!r}", (alpha[None], "state", None))
-        return holevo_instrument(source, alphas, tol)
-    if set(raw) != {"outcomes", "ops"}:
-        if d is not None:
-            raise SceneValidationError(
-                f"{where}: an instrument result compares against outcomes+ops"
-            )
-        raise SceneParseError(
-            f"{where}: an instrument literal is outcomes+ops, luders_of, or holevo_of"
-        )
-    labels = _read_labels(raw["outcomes"], where, reserved=d is None)
-    ops = _keyed_by_labels(raw["ops"], labels, where, "ops")
-    at = where if d is None else f"{where} expect"
-    ops = {x: _read_operation(ops[x], f"{at} op {x!r}", tol, d, judge) for x in labels}
-    with _naming(where):
-        return Instrument(labels, ops)
-
-
 def _observable_named(ref, where: str, objects: Mapping[str, SceneObject]) -> Observable:
     if not isinstance(ref, str):
         raise SceneParseError(f"{where}: observable reference must be a name string")
@@ -383,11 +219,70 @@ def _observable_named(ref, where: str, objects: Mapping[str, SceneObject]) -> Ob
     return objects[ref].value
 
 
+def _read_instrument(raw, where: str, tol: Tolerance, judge: Callable, objects) -> Instrument:
+    """An object's outcomes+ops literal, or the luders_of or holevo_of of an
+    observable among ``objects``, each holevo_of alpha judged before it is used."""
+    raw = _require_dict(raw, where)
+    if set(raw) == {"luders_of"}:
+        return luders_instrument(_observable_named(raw["luders_of"], where, objects), tol)
+    if set(raw) == {"holevo_of"}:
+        spec = _require_dict(raw["holevo_of"], f"{where} holevo_of")
+        if set(spec) != {"observable", "alphas"}:
+            raise SceneParseError(f"{where}: holevo_of needs exactly observable and alphas")
+        source = _observable_named(spec["observable"], where, objects)
+        alphas = _keyed_by_labels(spec["alphas"], source.outcomes, where, "alphas")
+        alphas = {x: matrix_from_json(alphas[x], f"{where} alpha {x!r}") for x in source.outcomes}
+        for x, alpha in alphas.items():
+            judge(f"{where} alpha {x!r}", (alpha[None], "state", None))
+        return holevo_instrument(source, alphas, tol)
+    if set(raw) != {"outcomes", "ops"}:
+        raise SceneParseError(f"{where}: an instrument literal is outcomes+ops, luders_of, or holevo_of")
+    return _instrument_from_json(
+        raw, where, lambda op, x: _operation_from_json(op, f"{where} op {x!r}", tol, judge)
+    )
+
+
 # --- result kinds -------------------------------------------------------------
 #
 # A kind parses a check's "expect" at load (``parse(raw, where, tol, d,
 # judge)``) and measures a result against it when the scene runs
 # (``distance(value, want, where)``); see the module docstring for the forms.
+
+
+def _expected_matrix(raw, where: str, tol, d: int, *_, what: str | None = None) -> np.ndarray:
+    """A d x d matrix (``what`` names it within ``where``)."""
+    m = matrix_from_json(raw, where if what is None else f"{where} {what}")
+    if m.shape != (d, d):
+        raise SceneValidationError(f"{where}: expected a {d}x{d} matrix")
+    return m
+
+
+def _expected_operation(raw, where: str, tol: Tolerance, d: int, judge: Callable) -> Operation:
+    op = _operation_from_json(raw, where, tol, judge)
+    if op.dim != d:
+        raise SceneValidationError(f"{where}: expected {d}x{d} Kraus operators")
+    return op
+
+
+def _expected_observable(raw, where: str, tol, d: int, *_) -> dict:
+    """{"effects": {label: matrix}}, a nonempty subset of the result's outcomes."""
+    raw = _require_dict(raw, where)
+    effects = raw.get("effects")
+    if set(raw) != {"effects"} or not isinstance(effects, dict):
+        raise SceneValidationError(f"{where}: an observable result compares against {{'effects': ...}}")
+    if not effects:
+        raise SceneValidationError(f"{where}: an observable expectation names no effect")
+    return {x: _expected_matrix(m, where, tol, d, what=f"effect {x!r}") for x, m in effects.items()}
+
+
+def _expected_instrument(raw, where: str, tol: Tolerance, d: int, judge: Callable) -> Instrument:
+    """{outcomes, ops}, whose labels may carry the reserved separators of composite results."""
+    raw = _require_dict(raw, where)
+    if set(raw) != {"outcomes", "ops"}:
+        raise SceneValidationError(f"{where}: an instrument result compares against outcomes+ops")
+    return _instrument_from_json(
+        raw, where, lambda op, x: _expected_operation(op, f"{where} expect op {x!r}", tol, d, judge), False
+    )
 
 
 @dataclass(frozen=True)
@@ -418,6 +313,8 @@ def _parse_record(raw, where: str, *_):
         return _parse_number(raw, where)
     if not isinstance(raw, dict):
         raise SceneValidationError(f"{where}: expected a record or a single number")
+    if not raw:
+        raise SceneValidationError(f"{where}: a record expectation names no field")
     return {key: _parse_number(want, f"{where}.{key}") for key, want in raw.items()}
 
 
@@ -465,14 +362,14 @@ def _record_distance(value, want, where: str) -> float:
 _REAL = _Kind("real", _parse_number, lambda value, want, where: abs(value - want))
 _COMPLEX = _Kind("complex", _parse_number, _REAL.distance)
 _BOOL = _Kind("bool", _parse_bool, lambda value, want, where: 0.0 if value == want else 1.0)
-_MATRIX = _Kind("matrix", _read_matrix, lambda value, want, where: float(frobenius(value - want)))
+_MATRIX = _Kind("matrix", _expected_matrix, lambda value, want, where: float(frobenius(value - want)))
 _OPERATION = _Kind(
     "operation",
-    lambda raw, where, tol, d, judge: _read_operation(raw, f"{where} expect", tol, d, judge),
+    lambda raw, where, *rest: _expected_operation(raw, f"{where} expect", *rest),
     lambda value, want, where: float(choi_distance(value, want)),
 )
-_OBSERVABLE = _Kind("observable", _read_observable, _observable_distance)
-_INSTRUMENT = _Kind("instrument", _read_instrument, _instrument_distance)
+_OBSERVABLE = _Kind("observable", _expected_observable, _observable_distance)
+_INSTRUMENT = _Kind("instrument", _expected_instrument, _instrument_distance)
 _RECORD = _Kind("record", _parse_record, _record_distance)
 _BAYES = _Kind("Bayes triple", _parse_bayes, _record_distance)
 
@@ -605,11 +502,11 @@ def _read_object(name: str, literal, tol: Tolerance, objects: Mapping[str, Scene
     [(kind, raw)] = literal.items()
     with _naming(where):
         if kind == "instrument":
-            value = _read_instrument(raw, where, tol, None, judge, objects)
+            value = _read_instrument(raw, where, tol, judge, objects)
         elif kind in _OPERATION_KEYS:
-            kind, value = "operation", _read_operation(literal, where, tol, None, judge)
+            kind, value = "operation", _operation_from_json(literal, where, tol, judge)
         else:
-            value = _read_observable(raw, where) if kind == "observable" else _read_matrix(raw, where)
+            value = _observable_from_json(raw, where) if kind == "observable" else matrix_from_json(raw, where)
     judge(where, *_ROWS[kind](value))
     return SceneObject(name, kind, value)
 

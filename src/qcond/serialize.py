@@ -1,23 +1,32 @@
-"""JSON forms for matrices and structured objects.
+"""JSON forms of matrices, operations, observables and instruments.
 
-The matrix literal shared by scene files and reports: a matrix is an array
-of rows, each entry either a plain number (real) or a two-element array
-[re, im].  Reports write a real as a plain number, any complex value as
-[re, im] pairs and a non-finite number as a string, so they are strict JSON.
+Scene files and reports share one codec per literal kind, a reader beside its
+writer: ``matrix_from_json`` and ``complex_to_json`` (a matrix, state or effect),
+and ``_operation_from_json``, ``_observable_from_json`` and ``_instrument_from_json``
+beside ``operation_to_json``, ``observable_to_json`` and ``instrument_to_json``.
+``scene`` documents the forms.  A reader gives back what its writer wrote, bit for
+bit.  The writers emit every matrix entry as [re, im] and every operation as
+kraus: never the operation forms luders and holevo that the readers also take,
+nor a scene's luders_of and holevo_of instruments, which ``scene`` reads.
+Reports write a real as a plain number, any complex value as [re, im] pairs and
+a non-finite number as a string, so they are strict JSON.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from itertools import chain, islice
+from typing import Callable
 
 import numpy as np
 
-from .errors import SceneParseError
-from .instruments import Instrument
-from .observables import RealValuedObservable, SubObservable
-from .operations import Operation
+from .errors import QcondError, SceneError, SceneParseError, SceneValidationError
+from .instruments import COMPOSITE_LABEL_SEPARATOR, Instrument
+from .linalg import Tolerance
+from .observables import EXTENSION_LABEL, Observable, RealValuedObservable, SubObservable
+from .operations import Operation, holevo, luders
 
 __all__ = [
     "complex_to_json",
@@ -28,6 +37,9 @@ __all__ = [
     "value_to_json",
     "strict_json",
 ]
+
+_RESERVED_LABELS = (EXTENSION_LABEL, COMPOSITE_LABEL_SEPARATOR)
+_OPERATION_KEYS = ("kraus", "luders", "holevo")
 
 
 def complex_to_json(z) -> list:
@@ -139,12 +151,77 @@ def matrix_from_json(rows, where: str = "matrix") -> np.ndarray:
     return values.view(np.complex128).reshape(n, n)
 
 
-def _operation_json(rows: list) -> dict:
-    return {"kraus": rows}  # rows: the Kraus operators as complex_to_json writes them
+def _require_dict(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SceneParseError(f"{where} must be a JSON object")
+    return value
+
+
+@contextmanager
+def _naming(where: str):
+    """Re-raise a library error from the constructors inside (operands of
+    different sizes in one literal, say) as a SceneValidationError naming
+    ``where``, so the CLI reports it like any other invalid literal."""
+    try:
+        yield
+    except SceneError:
+        raise
+    except QcondError as exc:
+        raise SceneValidationError(f"{where}: {exc}") from exc
+
+
+def _labels_from_json(outcomes, where: str, reserved: bool = True) -> list[str]:
+    """Outcome labels: a nonempty list, unique and, if ``reserved``, free of reserved characters."""
+    if not isinstance(outcomes, list) or not outcomes:
+        raise SceneParseError(f"{where}: outcomes must be a nonempty list of labels")
+    labels = [str(x) for x in outcomes]
+    if len(set(labels)) != len(labels):
+        raise SceneValidationError(f"{where}: outcome labels must be unique, got {labels}")
+    for x in labels if reserved else ():
+        for bad in _RESERVED_LABELS:
+            if bad in x:
+                raise SceneValidationError(
+                    f"{where}: outcome label {x!r} contains reserved character {bad!r}"
+                )
+    return labels
+
+
+def _keyed_by_labels(raw, labels, where: str, what: str) -> dict:
+    """A JSON object whose keys are exactly the outcome labels."""
+    raw = _require_dict(raw, f"{where} {what}")
+    if set(raw.keys()) != set(labels):
+        raise SceneParseError(f"{where}: {what} must be keyed exactly by the outcome labels")
+    return raw
 
 
 def operation_to_json(op: Operation) -> dict:
-    return _operation_json(complex_to_json(op.kraus))
+    return {"kraus": complex_to_json(op.kraus)}
+
+
+def _operation_from_json(raw, where: str, tol: Tolerance, judge: Callable) -> Operation:
+    """A one-key kraus, luders or holevo literal.  A Lüders or Holevo operation exists when
+    the matrices it is built from are valid: their blocks (see ``core._judged``) go to
+    ``judge(where, *blocks)`` before it is built."""
+    raw = _require_dict(raw, where)
+    if len(raw) != 1 or next(iter(raw)) not in _OPERATION_KEYS:
+        raise SceneValidationError(f"{where}: expected a kraus, luders or holevo literal")
+    [(key, body)] = raw.items()
+    with _naming(where):
+        if key == "kraus":
+            if not isinstance(body, list) or not body:
+                raise SceneParseError(f"{where}: kraus must be a nonempty list of matrices")
+            return Operation([matrix_from_json(k, f"{where} kraus[{i}]") for i, k in enumerate(body)])
+        if key == "luders":
+            a = matrix_from_json(body, f"{where} luders effect")
+            judge(where, (a[None], "effect", None))
+            return luders(a, tol)
+        body = _require_dict(body, f"{where} holevo")
+        if set(body) != {"effect", "alpha"}:
+            raise SceneParseError(f"{where}: holevo needs exactly effect and alpha")
+        a = matrix_from_json(body["effect"], f"{where} holevo effect")
+        alpha = matrix_from_json(body["alpha"], f"{where} holevo alpha")
+        judge(where, (a[None], "effect", None), (alpha[None], "state", None))
+        return holevo(a, alpha, tol)
 
 
 def observable_to_json(a: SubObservable) -> dict:
@@ -157,12 +234,40 @@ def observable_to_json(a: SubObservable) -> dict:
     return out
 
 
+def _observable_from_json(raw, where: str) -> Observable:
+    """An {outcomes, effects, values?} literal: a RealValuedObservable when it has values."""
+    raw = _require_dict(raw, where)
+    if set(raw) - {"outcomes", "effects", "values"} or not {"outcomes", "effects"} <= set(raw):
+        raise SceneParseError(f"{where}: an observable needs outcomes and effects")
+    labels = _labels_from_json(raw["outcomes"], where)
+    effects = _keyed_by_labels(raw["effects"], labels, where, "effects")
+    obs = Observable(labels, {x: matrix_from_json(effects[x], f"{where} effect {x!r}") for x in labels})
+    if "values" not in raw:
+        return obs
+    values = {}
+    for x, v in _keyed_by_labels(raw["values"], labels, where, "values").items():
+        values[x] = _json_float(v)
+        if values[x] is None:
+            raise SceneParseError(f"{where}: value for outcome {x!r} must be a finite number")
+    return RealValuedObservable(obs, values)
+
+
 def instrument_to_json(ins: Instrument) -> dict:
     rows = iter(complex_to_json(ins.kraus))  # one conversion of the Kraus union, sliced by outcome
     return {
         "outcomes": list(ins.outcomes),
-        "ops": {x: _operation_json(list(islice(rows, len(ins.ops[x].kraus)))) for x in ins.outcomes},
+        "ops": {x: {"kraus": list(islice(rows, len(ins.ops[x].kraus)))} for x in ins.outcomes},
     }
+
+
+def _instrument_from_json(raw: dict, where: str, read_op: Callable, reserved: bool = True) -> Instrument:
+    """A dict of exactly outcomes and ops (the caller checks the keys), outcome x's op read by
+    ``read_op(literal, x)`` in label order; ``reserved`` rejects labels with a reserved character."""
+    labels = _labels_from_json(raw["outcomes"], where, reserved)
+    ops = _keyed_by_labels(raw["ops"], labels, where, "ops")
+    ops = {x: read_op(ops[x], x) for x in labels}
+    with _naming(where):
+        return Instrument(labels, ops)
 
 
 def value_to_json(value):

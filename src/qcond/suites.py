@@ -89,10 +89,9 @@ from .errors import (
     NotJointlyCommutingError, RetryExhaustedError, SuiteArgumentError, UnknownSuiteError
 )
 from .instruments import (
+    _bayes1 as _bayes1_triples,
     atomic_context,
     bar_channel,
-    bayes1_check,
-    bayes1_expectation_check,
     compose_instruments,
     condition_instrument,
     condition_observable,
@@ -105,7 +104,7 @@ from .linalg import (
     DEFAULT_TOL, _commutator_norms, _hermitian_part, _spectrum, commutator, dagger, frobenius,
     hermitian_eig, psd_sqrt, trace_product,
 )
-from .observables import _effects_distance, jointly_commuting
+from .observables import _effects_distance, jointly_commuting, stochastic_operator
 from .operations import (
     Operation,
     _conditional,
@@ -637,11 +636,8 @@ def _bayes1(g, dim, t):
     a = random_effect(g, dim)
     b_vals = random_real_values(g, random_observable(g, dim, g.integer(2, dim + 1)))
 
-    triple = bayes1_check(rho, ins, a)
-    values = {
-        "bayes1-probability": triple.spread,
-        "bayes1-expectation": bayes1_expectation_check(rho, ins, b_vals).spread,
-    }
+    triple, expectation = _bayes1_triples(rho, ins, np.stack([a, stochastic_operator(b_vals)]), DEFAULT_TOL)
+    values = {"bayes1-probability": triple.spread, "bayes1-expectation": expectation.spread}
     if kind < 2:
         left = a_obs.stack if kind == 0 else np.stack([alphas[x] for x in a_obs.outcomes])
         closed = sum((prob(rho, a_obs.stack) * trace_product(left, a).real).tolist())

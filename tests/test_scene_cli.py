@@ -923,6 +923,33 @@ def test_instrument_expectation_outcomes_are_checked_at_load(case, tmp_path, cap
     assert message in capsys.readouterr().err
 
 
+# An expectation that names no effect or field would pass against any result.
+_EMPTY_EXPECT = {
+    "observable-effects": (
+        {"op": "measured_observable", "args": ["lz"], "expect": {"effects": {}}},
+        "check[0]: an observable expectation names no effect",
+    ),
+    "record": (
+        {"op": "distribution", "args": ["rho", "zv"], "expect": {}},
+        "check[0]: a record expectation names no field",
+    ),
+    "bayes-triple": (
+        {"op": "bayes1_check", "args": ["rho", "lz", "p0"], "expect": {}},
+        "check[0]: a record expectation names no field",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EMPTY_EXPECT))
+def test_an_empty_expectation_fails_validate(case, tmp_path, capsys):
+    check, message = _EMPTY_EXPECT[case]
+    path = _write(tmp_path, _instrument_scene(check))
+    with pytest.raises(SceneValidationError, match=re.escape(message)):
+        load_scene(path)
+    assert main(["validate", path]) == 2
+    assert message in capsys.readouterr().err
+
+
 _BAD_OP_KEYS = {
     "instrument-object": (
         {"bad": {"instrument": {"outcomes": ["0"], "ops": {"0": {"unitary": _P0}}}}},
