@@ -231,7 +231,7 @@ def holevo_moments(
     Cor = sum tB(x) tC(x') [tr(rho A_x A_x') - p_x p_x'];
     Cov and the variances take the symmetrized tr(rho (A_x A_x' + A_x' A_x))/2
     in place of tr(rho A_x A_x'); tr(rho [B', C']) = sum tB(x) tC(x') tr(rho [A_x, A_x']).
-    Raises MissingAlphaError, as ``holevo_instrument`` does, when an outcome has no update state.
+    Raises MissingAlphaError and UnknownLabelError as ``holevo_instrument`` does.
     """
     rho = as_matrix(rho)
     states = _update_states(a, alphas)

@@ -11,12 +11,14 @@ stack in outcome order, the union over its outcomes.  Each outcome's
 operation is a view of its rows, the bar channel wraps the whole stack, and
 every total over the outcomes sums over that one stack.  What the outcomes
 measure is one read-only effect stack too, computed once per instrument from
-runs of equal Kraus counts: ``measured_observable`` wraps it, the outcome
-operations cache its rows as their effects, and ``validate_instrument``
-judges it with the bar channel in one kernel call.  Whatever maps over
-an observable's outcomes (a Lüders root, a Holevo spectrum, a conditioning
-transport) runs once on the observable's own effect stack, and a
-conditioned or measured observable wraps the stack it was computed as.
+runs of equal Kraus counts and cached there alone: ``measured_observable``
+wraps it, the first Bayes rule reads every outcome probability from it, and
+``validate_instrument`` judges it with the bar channel in one kernel call.
+An outcome operation computes its own ``effect`` only when read, equal bit
+for bit to its row.  Whatever maps over an observable's outcomes (a Lüders
+root, a Holevo spectrum, a conditioning transport) runs once on the
+observable's own effect stack, and a conditioned or measured observable
+wraps the stack it was computed as.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import (
     MissingAlphaError,
     NotCommutingFamilyError,
     NotJointlyCommutingError,
+    UnknownLabelError,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -58,7 +61,6 @@ from .observables import (
 from .operations import (
     Operation,
     _holevo_kraus,
-    _cache_effects,
     _kraus_sum,
     _measured,
     compose,
@@ -137,8 +139,7 @@ class Instrument:
         with k Kraus operators each goes through ``_measured`` as one
         (outcomes, k, d, d) view of the stack, at most d**2 // k outcomes per
         call (one when k > d**2), so no call holds more operators than one
-        outcome or d**2.  Each row equals its outcome's ``effect`` bit for
-        bit, and an operation that has not read its effect yet caches its row.
+        outcome or d**2.  Each row equals its outcome's ``effect`` bit for bit.
         """
         d = self.dim
         out = np.empty((len(self.outcomes), d, d), dtype=np.complex128)
@@ -150,7 +151,6 @@ class Instrument:
                 out[row : row + m] = _measured(self.kraus[start : start + m * k].reshape(m, k, d, d))
                 row, start, left = row + m, start + m * k, left - m
         out.setflags(write=False)
-        _cache_effects(list(self.ops.values()), out)
         return out
 
 
@@ -191,10 +191,11 @@ def holevo_instrument(
 ) -> Instrument:
     """The Holevo instrument rho -> tr(rho A_x) alpha_x.
 
-    Raises MissingAlphaError when an outcome has no update state.  The
-    effects and the update states are each diagonalized as one stack, and
-    the outcomes' families, each that of ``holevo`` bit for bit, are written
-    into one union.
+    Raises MissingAlphaError when an outcome has no update state and
+    UnknownLabelError for an update state of no outcome.  The effects and
+    the update states are each diagonalized as one stack, and the outcomes'
+    families, each that of ``holevo`` bit for bit, are written into one
+    union.
     """
     states = _update_states(a, alphas)
     nu, v = hermitian_eig(a.stack, tol)
@@ -205,12 +206,15 @@ def holevo_instrument(
 def _update_states(a: Observable, alphas: Mapping[str, np.ndarray]) -> np.ndarray:
     """The (n, d, d) stack of a Holevo instrument's update states, in a's outcome order.
 
-    Raises MissingAlphaError when an outcome has none, DimMismatchError when
-    one is not d x d.
+    Raises MissingAlphaError when an outcome has none, UnknownLabelError
+    for an update state of no outcome, DimMismatchError when one is not d x d.
     """
     missing = [x for x in a.outcomes if x not in alphas]
     if missing:
         raise MissingAlphaError(f"no update state for outcomes {missing}")
+    extra = [x for x in alphas if x not in a.effects]
+    if extra:
+        raise UnknownLabelError(f"update states for unknown outcomes {extra}")
     states = [as_matrix(alphas[x]) for x in a.outcomes]
     if any(alpha.shape != (a.dim, a.dim) for alpha in states):
         raise DimMismatchError("effect and update state must share a dimension")
@@ -323,9 +327,8 @@ def _bayes1(rho, ins: Instrument, m: np.ndarray, tol: Tolerance):
     """
     rho = as_matrix(rho)
     lhs = 0.0
-    for x in ins.outcomes:
-        op_x = ins.ops[x]
-        if prob(rho, op_x.effect, tol) > tol.eq_tol:
+    for op_x, p_x in zip(ins.ops.values(), prob(rho, ins._effects, tol)):
+        if p_x > tol.eq_tol:
             lhs += trace_product(rho, _kraus_sum(op_x.kraus, m, dual=True)).real
     mid = trace_product(rho, _kraus_sum(ins.kraus, m, dual=True)).real
     rhs = trace_product(_kraus_sum(ins.kraus, rho), m).real

@@ -264,6 +264,8 @@ def simultaneous_eigenbasis(
     # Refining with the probe first splits everything generic; the family
     # pass guarantees correctness even where the probe stays degenerate.
     for m in [probe, *family]:
+        if len(blocks) == dim:  # every block one vector: nothing left to split
+            break
         scale = max(1.0, float(np.abs(_spectrum(m)).max()))
         gap = max(100.0 * tol.eq_tol, 1e-7) * scale
         new_blocks: list[slice] = []

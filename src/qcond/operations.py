@@ -122,15 +122,6 @@ def _measured(kraus: np.ndarray) -> np.ndarray:
     return dagger(m) @ m
 
 
-def _cache_effects(ops: Sequence[Operation], effects: np.ndarray) -> None:
-    """Cache each effects[i], a read-only row equal bit for bit to what ops[i] measures, as its ``effect``.
-
-    An operation that has read its effect already keeps it.
-    """
-    for op, effect in zip(ops, effects):
-        op.__dict__.setdefault("effect", effect)
-
-
 def validate_operation(op: Operation, tol: Tolerance = DEFAULT_TOL) -> list[Violation]:
     """The Kraus trace bound: sum K*K <= I (the spectrum of the measured effect at most 1)."""
     return _judged([_operation_rows(op)], tol)[0]

@@ -67,14 +67,15 @@ effect, a Holevo effect and update state, each alpha of a holevo_of), every
 built object (a state, an effect, an operation's trace bound, an
 observable's effects and total, an instrument's measured effects and bar
 channel) and the operation inputs of the check expectations; expectations
-themselves are not.  A valid scene is judged once, after it is read, in one
-kernel call per dimension.
+themselves are not.  A scene is read in one pass and judged once, after
+the pass, in one kernel call per dimension.
 
 A scene raises its first fault in load order, objects before checks: within
 one object, its inputs in reading order, then its construction, then the
-built object.  An invalid scene (a violation, or an error met while
-reading) is loaded again, judging as it reads, and raises what that pass
-meets first, so a later fault never hides an earlier one.
+built object.  A pass that stops on an error has held what it read before
+it, and that is judged too: the first violation held is raised, and the
+error only when nothing before it violates, so a later fault never hides
+an earlier one.
 
 Malformed files raise SceneParseError, semantic problems (invalid objects,
 unknown ops, reserved labels, expectations of the wrong kind)
@@ -88,7 +89,6 @@ import inspect
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -643,20 +643,14 @@ def _load(data: Mapping, tol: Tolerance, judge: Callable) -> tuple[dict[str, Sce
     return objects, tuple(_parse_check(i, c, objects, tol, judge) for i, c in enumerate(raw_checks))
 
 
-def _judge_now(tol: Tolerance, where: str, *blocks) -> None:
-    """Judge the blocks (see ``core._judged``), raising their violations naming ``where``."""
-    [violations] = _judged([blocks], tol)
-    if violations:
-        raise SceneValidationError(f"{where}: {'; '.join(map(str, violations))}")
-
-
 def load_scene(source) -> Scene:
     """Load and validate a scene from a path or a parsed mapping.
 
-    One pass reads and builds the scene, holding its blocks, and one
-    ``_judged`` call judges them all.  A scene that fails (a violation, or an
-    error met in that pass) is loaded again with ``_judge_now``, which raises
-    its first fault in load order.
+    One pass reads and builds the scene, holding each ``judge(where,
+    *blocks)`` call's blocks in load order, and one ``_judged`` call judges
+    them all, also when the pass stops on an error.  The first call with a
+    violation raises it, naming its ``where``; an error with none before it
+    is raised itself.
     """
     path = None
     if isinstance(source, Mapping):
@@ -678,15 +672,16 @@ def load_scene(source) -> Scene:
         raise SceneParseError(f"scene: unknown top-level keys {sorted(extra)}")
     tol = _parse_tolerance(data.get("tolerance"))
 
-    held = []
+    held, error = [], None  # held: (where, blocks) of each judge call, in load order
     try:
-        objects, checks = _load(data, tol, lambda where, *blocks: held.append(blocks))
-    except QcondError:
-        valid = False
-    else:
-        valid = not any(_judged(held, tol))
-    if not valid:
-        objects, checks = _load(data, tol, partial(_judge_now, tol))
+        objects, checks = _load(data, tol, lambda where, *blocks: held.append((where, blocks)))
+    except QcondError as exc:
+        error = exc
+    for (where, _), violations in zip(held, _judged([blocks for _, blocks in held], tol)):
+        if violations:
+            raise SceneValidationError(f"{where}: {'; '.join(map(str, violations))}")
+    if error is not None:
+        raise error
     return Scene(name=name, tolerance=tol, objects=objects, checks=checks, path=path)
 
 

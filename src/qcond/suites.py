@@ -89,6 +89,7 @@ from .errors import (
     NotJointlyCommutingError, RetryExhaustedError, SuiteArgumentError, UnknownSuiteError
 )
 from .instruments import (
+    COMPOSITE_LABEL_SEPARATOR,
     _bayes1 as _bayes1_triples,
     atomic_context,
     bar_channel,
@@ -604,7 +605,7 @@ def _conditioning_laws(g, dim, t):
     comp = compose_instruments(ins_i, ins_j)
     marginals = [
         choi_distance(
-            Operation(np.concatenate([comp.ops[f"{x},{y}"].kraus for x in ins_i.outcomes])),
+            Operation(np.concatenate([comp.ops[f"{x}{COMPOSITE_LABEL_SEPARATOR}{y}"].kraus for x in ins_i.outcomes])),
             cond.ops[y],
         )
         for y in ins_j.outcomes

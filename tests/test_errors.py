@@ -101,6 +101,16 @@ _SITES = {
         MissingAlphaError,
         lambda: holevo_moments(np.eye(2) / 2, _Z, {"0": np.eye(2) / 2}, _BZ, _BZ),
     ),
+    "holevo-instrument-extra-alpha": (
+        UnknownLabelError,
+        lambda: holevo_instrument(_Z, {"0": np.eye(2) / 2, "1": np.eye(2) / 2, "bogus": np.eye(3)}),
+    ),
+    "holevo-moments-extra-alpha": (
+        UnknownLabelError,
+        lambda: holevo_moments(
+            np.eye(2) / 2, _Z, {"0": np.eye(2) / 2, "1": np.eye(2) / 2, "x": np.eye(2)}, _BZ, _BZ
+        ),
+    ),
     "sharp-luders-moments-state-dim": (
         DimMismatchError,
         lambda: sharp_luders_moments(np.eye(3) / 3, _Z, _BZ, _BZ),

@@ -33,11 +33,14 @@ from qcond import (
     stochastic_operator,
     validate_instrument,
 )
+from qcond import instruments, linalg
+from qcond.linalg import DEFAULT_TOL, as_matrix, dagger
 from qcond.rand import (
     Generator,
     random_effect,
     random_instrument_measuring,
     random_observable,
+    random_state,
     random_unitary,
 )
 
@@ -320,6 +323,16 @@ def test_bayes1_expectation_check(qubit):
     assert (triple.lhs, triple.mid, triple.rhs) == pytest.approx((1.0, 1.0, 1.0))
 
 
+def test_bayes1_reads_every_outcome_probability_from_one_call(monkeypatch):
+    g = Generator(57)
+    ins = random_instrument_measuring(g.derive(0), random_observable(g.derive(1), 3, 3), 2)
+    rho, a = random_state(g.derive(2), 3), random_effect(g.derive(3), 3)
+    calls = []
+    monkeypatch.setattr(instruments, "prob", lambda *args: calls.append(args) or prob(*args))
+    assert bayes1_check(rho, ins, a).spread <= 1e-12
+    assert len(calls) == 1
+
+
 def test_bayes_triple_serialization():
     from qcond import BayesTriple
 
@@ -359,6 +372,43 @@ def test_atomic_context_codiagonal_pair():
         cond = condition_observable(member, ins)
         for y in member.outcomes:
             assert frobenius(cond.effects[y] - member.effects[y]) <= 1e-8
+
+
+def _refined_by_every_member(mats, tol=DEFAULT_TOL):
+    """``simultaneous_eigenbasis`` without its stop: every member refines the blocks, split or not."""
+    family = [as_matrix(m) for m in mats]
+    coeffs = np.random.default_rng(0).standard_normal(len(family))
+    dim = family[0].shape[0]
+    basis, blocks = np.eye(dim, dtype=np.complex128), [slice(0, dim)]
+    for m in [sum(c * m for c, m in zip(coeffs, family)), *family]:
+        gap = max(100.0 * tol.eq_tol, 1e-7) * max(1.0, float(np.abs(linalg._spectrum(m)).max()))
+        new_blocks = []
+        for blk in blocks:
+            if blk.stop - blk.start == 1:
+                new_blocks.append(blk)
+                continue
+            w, u = linalg._spectrum(dagger(basis[:, blk]) @ m @ basis[:, blk], vectors=True)
+            basis[:, blk] = basis[:, blk] @ u
+            new_blocks += [slice(blk.start + b.start, blk.start + b.stop) for b in linalg._eig_blocks(w, gap)]
+        blocks = new_blocks
+    return [basis[:, k].copy() for k in range(dim)]
+
+
+def test_atomic_context_stops_refining_a_split_basis(monkeypatch):
+    # The probe splits a generic codiagonal pair into single vectors: one
+    # spectrum for its gap scale, one of its block, and no member's after.
+    from qcond.rand import random_codiagonal_observable
+
+    g = Generator(58)
+    u = random_unitary(g, 3)
+    family = [random_codiagonal_observable(g.derive(0), u, 3), random_codiagonal_observable(g.derive(1), u, 2)]
+    ref = _refined_by_every_member([m for o in family for m in o.stack])
+    calls = []
+    spectrum = linalg._spectrum
+    monkeypatch.setattr(linalg, "_spectrum", lambda *args, **kw: calls.append(1) or spectrum(*args, **kw))
+    atoms, ins = atomic_context(family)
+    assert len(calls) == 2
+    assert all(np.array_equal(atoms.effects[f"x{k}"], np.outer(v, v.conj())) for k, v in enumerate(ref))
 
 
 def test_atomic_context_rejects_noncommuting(qubit):

@@ -18,8 +18,9 @@ a stack of states, effects, measured effects and totals, and gives each
 row's violations as the per-matrix rules kept here as the reference do,
 magnitudes included, on rows built to sit just inside and just outside each
 bound.  An instrument's measured effects come from one ``_measured`` per
-run of equal Kraus counts, equal to each operation's own, and loading a
-valid scene calls the kernel once per dimension.
+run of equal Kraus counts, equal to each operation's own, which the
+operation computes itself whether read before or after the stack, and
+loading a valid scene calls the kernel once per dimension.
 """
 
 import collections
@@ -41,6 +42,7 @@ from qcond import (
     condition_effect,
     condition_observable,
     condition_subobservable,
+    compose_instruments,
     conditional_observable_entropy_double,
     conditional_observable_entropy_single,
     condition_state,
@@ -484,6 +486,36 @@ def test_measured_effects_match_each_operations_own(dim):
         # The operations read the same rows as their effects.
         assert all(np.array_equal(ins.ops[x].effect, m) for x, m in zip(ins.outcomes, ref))
     assert validate_instrument(_mixed_instrument(1020 + dim, dim)) == []
+
+
+def _effect_holders(dim: int) -> dict:
+    """Builders of Lüders, Holevo, random, ragged-count and composed instruments at dim."""
+    a = _observable(1100 + dim, 3, dim)
+    return {
+        "luders": lambda: luders_instrument(a),
+        "holevo": lambda: holevo_instrument(a, _alphas(Generator(1110 + dim), a)),
+        "random": lambda: random_instrument_measuring(Generator(1120 + dim), a, 2),
+        "ragged": lambda: _mixed_instrument(1130 + dim, dim),
+        "composed": lambda: compose_instruments(luders_instrument(a), _mixed_instrument(1140 + dim, dim)),
+    }
+
+
+def _same_bits(got: np.ndarray, ref: np.ndarray) -> bool:
+    return np.array_equal(got, ref) and np.array_equal(np.signbit(got.view(float)), np.signbit(ref.view(float)))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("kind", ["luders", "holevo", "random", "ragged", "composed"])
+def test_an_operations_effect_is_its_row_of_the_effect_stack(kind, dim):
+    # The stack is the instrument's one cache: an outcome operation computes
+    # its own effect, whether read before or after the stack.
+    build = _effect_holders(dim)[kind]
+    first, then = build(), build()
+    before = [first.ops[x].effect for x in first.outcomes]
+    stack = measured_observable(first).stack
+    assert all(_same_bits(m, row) for m, row in zip(before, stack))
+    assert _same_bits(measured_observable(then).stack, stack)
+    assert all(_same_bits(then.ops[x].effect, row) for x, row in zip(then.outcomes, stack))
 
 
 def _generated_scene(dim: int) -> dict:

@@ -27,6 +27,7 @@ from qcond.errors import (
 )
 from qcond import observables as observables_module
 from qcond import scene as scene_module
+from qcond import serialize as serialize_module
 from qcond.scene import load_scene, run_scene
 
 SCENE_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "scenes"
@@ -587,6 +588,18 @@ def test_a_scene_raises_its_first_fault(case):
     with pytest.raises(SceneValidationError) as exc:
         load_scene({"objects": objects, "checks": checks})
     assert str(exc.value) == message
+
+
+def test_an_invalid_scene_reads_each_literal_once(monkeypatch):
+    # One pass reads the scene, and its first fault is found among what that pass read.
+    read, where = serialize_module.matrix_from_json, []
+    for module in (scene_module, serialize_module):
+        monkeypatch.setattr(module, "matrix_from_json", lambda rows, at="matrix": where.append(at) or read(rows, at))
+    objects = {"rho": {"state": [[1, 0], [0, 0]]}, "e": {"effect": [[2, 0], [0, 0]]}, "f": {"effect": [[1, 0], [0, 0]]}}
+    with pytest.raises(SceneValidationError) as exc:
+        load_scene({"objects": objects, "checks": []})
+    assert str(exc.value) == "object 'e': below-identity (by 1.000e+00)"
+    assert where == ["object 'rho'", "object 'e'", "object 'f'"]
 
 
 def _replace_first_matrix(literal, new):
